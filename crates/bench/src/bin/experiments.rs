@@ -68,7 +68,6 @@ fn main() {
         "trad_ssd" => print!("{}", trad_ssd()),
         "config" => print!("{}", config()),
         "query" => print!("{}", query()),
-        "array" => print!("{}", array()),
         "scaleout" => scaleout(&positional[1..]),
         "ablation" => print!("{}", ablation()),
         "interference" => print!("{}", interference()),
@@ -78,7 +77,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown experiment `{other}`; expected one of: fig7a fig14 fig15 fig15f \
-                 fig16 fig17 fig18 [sweep] fig19 table4 trad_ssd query array scaleout \
+                 fig16 fig17 fig18 [sweep] fig19 table4 trad_ssd query scaleout \
                  ablation config obs latency all (plus --jobs N)"
             );
             std::process::exit(2);
@@ -133,7 +132,6 @@ fn run_all(jobs: usize) {
         ("table4", table4),
         ("trad_ssd", trad_ssd),
         ("query", query),
-        ("array", array),
         ("scaleout", scaleout_figure),
         ("ablation", ablation),
         ("interference", interference),
@@ -638,38 +636,6 @@ fn query() -> String {
     let _ = writeln!(
         out,
         "paper §VIII: one host round + no channel congestion => much lower query delay"
-    );
-    out
-}
-
-fn array() -> String {
-    let mut out = String::new();
-    header(
-        &mut out,
-        "§VIII extension — BeaconGNN storage-array scale-out (amazon, BG-2)",
-    );
-    let rows = bench::array_scaling(DEFAULT_NODES, 128);
-    let mut t = Table::new(&[
-        "SSDs",
-        "throughput",
-        "vs 1 SSD",
-        "efficiency",
-        "cross-partition",
-    ]);
-    let single = rows[0].array_throughput;
-    for r in &rows {
-        t.row_owned(vec![
-            r.ssds.to_string(),
-            format!("{:.0}/s", r.array_throughput),
-            ratio(r.array_throughput / single),
-            percent(r.efficiency()),
-            percent(r.cross_fraction),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "paper §VIII: capacity and computation should grow linearly with SSDs over P2P"
     );
     out
 }

@@ -203,20 +203,6 @@ fn main() -> std::io::Result<()> {
         }
     }
     {
-        let mut w = writer(dir, "ext_array_scaling.csv")?;
-        writeln!(w, "ssds,array_targets_per_s,efficiency,cross_fraction")?;
-        for r in bench::array_scaling(DEFAULT_NODES, 128) {
-            writeln!(
-                w,
-                "{},{:.1},{:.4},{:.4}",
-                r.ssds,
-                r.array_throughput,
-                r.efficiency(),
-                r.cross_fraction
-            )?;
-        }
-    }
-    {
         let mut w = writer(dir, "ext_latency_tail.csv")?;
         writeln!(
             w,

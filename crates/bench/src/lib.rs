@@ -587,25 +587,6 @@ pub fn query_latency(nodes: usize, queries: usize) -> Vec<QueryRow> {
         .collect()
 }
 
-/// Runs the §VIII array-scaling evaluation for BG-2 at 1–8 SSDs.
-pub fn array_scaling(nodes: usize, batch: usize) -> Vec<beacon_platforms::ArrayScaling> {
-    let w = workload(Dataset::Amazon, nodes, batch);
-    [1usize, 2, 4, 8]
-        .iter()
-        .map(|&n| {
-            beacon_platforms::evaluate_array(
-                Platform::Bg2,
-                beacon_platforms::ArrayConfig::pcie_p2p(n),
-                SsdConfig::paper_default(),
-                w.model(),
-                w.directgraph(),
-                w.batches(),
-                SEED,
-            )
-        })
-        .collect()
-}
-
 /// Graph partition strategy of the array's host router (see
 /// [`Partition`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

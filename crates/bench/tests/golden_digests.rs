@@ -12,7 +12,11 @@
 use std::sync::Arc;
 
 use beacon_bench as bench;
-use beacongnn::{Dataset, Experiment, Platform, RunCell, RunMatrix, SsdConfig, Workload};
+use beacongnn::platforms::PartitionedEngine;
+use beacongnn::{
+    ArrayConfig, ArrayEngine, Dataset, Experiment, Partition, Platform, RunCell, RunMatrix,
+    SsdConfig, Workload,
+};
 
 /// FNV-1a fold, mirroring `perf_smoke`'s digest of result streams.
 fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
@@ -36,19 +40,29 @@ fn metrics_digest(results: &[beacongnn::RunMetrics]) -> u64 {
     })
 }
 
-/// The `digest workload …` line of perf_smoke: the DirectGraph image
-/// digest of the fixed smoke workload (Amazon, 8k nodes, batch 128 × 2,
-/// seed 7).
-#[test]
-fn perf_smoke_workload_digest_is_pinned() {
-    let w = Workload::builder()
+/// The fixed smoke workload of perf_smoke (Amazon, 8k nodes, batch
+/// 128 × 2, seed 7).
+fn smoke_workload() -> Workload {
+    Workload::builder()
         .dataset(Dataset::Amazon)
         .nodes(8_000)
         .batch_size(128)
         .batches(2)
         .seed(7)
         .prepare()
-        .expect("smoke workload prepares");
+        .expect("smoke workload prepares")
+}
+
+/// Digest of a full metrics-registry JSON rendering.
+fn registry_digest(reg: &simkit::MetricsRegistry) -> u64 {
+    fnv1a_fold(FNV_OFFSET, reg.to_json_string().as_bytes())
+}
+
+/// The `digest workload …` line of perf_smoke: the DirectGraph image
+/// digest of the fixed smoke workload.
+#[test]
+fn perf_smoke_workload_digest_is_pinned() {
+    let w = smoke_workload();
     assert_eq!(
         w.directgraph().digest(),
         0x26787abe61d5a557,
@@ -113,6 +127,54 @@ fn latency_report_digest_is_pinned() {
         d = fnv1a_fold(d, &q.latency_ns().to_le_bytes());
     }
     assert_eq!(d, 0xf3d6_a300_bf3d_1676, "latency report digest drifted");
+}
+
+/// The partitioned per-channel engine's full registry (latency sections
+/// included) on the smoke workload. The determinism proptests only
+/// compare thread counts within one build, and the serial-engine check
+/// allows a ±10% band, so this is what pins the lane round protocol's
+/// timing across refactors.
+#[test]
+fn partitioned_engine_registry_digest_is_pinned() {
+    let w = smoke_workload();
+    let m = PartitionedEngine::new(
+        Platform::Bg2,
+        SsdConfig::paper_default(),
+        w.model(),
+        w.directgraph(),
+        7,
+    )
+    .with_latency(simkit::Duration::from_ms(1))
+    .run(w.batches());
+    assert_eq!(
+        registry_digest(&m.metrics_registry()),
+        0xf6bb_0508_6453_cf75,
+        "partitioned-engine registry digest drifted"
+    );
+}
+
+/// A 4-device array replay (hash partition, PCIe-P2P) of the smoke
+/// workload's cascade: the merged, per-device and fabric-link registry
+/// sections with latency tracking on.
+#[test]
+fn array_engine_registry_digest_is_pinned() {
+    let w = smoke_workload();
+    let engine = ArrayEngine::new(
+        Platform::Bg2,
+        ArrayConfig::pcie_p2p(4),
+        SsdConfig::paper_default(),
+        w.model(),
+        w.directgraph(),
+        7,
+    )
+    .with_latency(simkit::Duration::from_ms(1));
+    let cascade = engine.record(w.batches());
+    let m = engine.run_recorded(&cascade, &Partition::hash(w.graph(), 4));
+    assert_eq!(
+        registry_digest(&m.metrics_registry()),
+        0x554a_8304_edab_3788,
+        "array-engine registry digest drifted"
+    );
 }
 
 /// The Fig 7b barrier-cost sweep at harness scale — the rows behind the

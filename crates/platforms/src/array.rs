@@ -3,21 +3,15 @@
 //!
 //! The paper expects BeaconGNN to scale out: multiple BeaconGNN SSDs in
 //! an array, communicating over direct P2P links, with capacity and
-//! compute growing linearly. This module models that array two ways:
+//! compute growing linearly. [`ArrayEngine`] models that array as a
+//! discrete-event multi-SSD simulation with one *device lane* per SSD,
+//! advanced by the same lane runtime ([`simkit::sync::run_lanes`]) as
+//! the per-channel [`PartitionedEngine`](crate::PartitionedEngine). The
+//! partition-aware host router dispatches each mini-batch target to its
+//! owning device, and cross-partition expansions ride the explicit
+//! fabric cost model of [`FabricConfig`].
 //!
-//! * [`ArrayEngine`] — the simulated path: a discrete-event multi-SSD
-//!   simulation with one *device lane* per SSD, advanced under the same
-//!   conservative-lookahead round protocol as the per-channel
-//!   [`PartitionedEngine`](crate::PartitionedEngine), with the
-//!   partition-aware host router dispatching each mini-batch target to
-//!   its owning device and cross-partition expansions riding the
-//!   explicit fabric cost model of [`FabricConfig`].
-//! * [`evaluate_array`] / [`evaluate_array_partitioned`] — the analytic
-//!   steady-state solver kept as a cross-check: single-SSD throughput ×
-//!   devices, capped by aggregate fabric bandwidth over the measured
-//!   cross-partition byte volume.
-//!
-//! ## The simulated path: recorded-cascade replay
+//! ## Recorded-cascade replay
 //!
 //! The die samplers are stateful (each die's TRNG advances across
 //! commands in execution order), so re-running sampling per device
@@ -49,7 +43,7 @@
 //!
 //! ## Determinism
 //!
-//! The lane protocol is the per-channel engine's, lifted from channels
+//! The lane runtime is the per-channel engine's, lifted from channels
 //! to devices: lanes drain events strictly below a shared horizon (the
 //! next multiple of the fabric hop latency — the minimum cross-device
 //! delay — above the earliest pending event), and everything crossing a
@@ -59,34 +53,23 @@
 //! Thread count is invisible; any [`threads`](ArrayEngine::threads)
 //! value produces byte-identical reports.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-
 use beacon_energy::EnergyLedger;
-use beacon_flash::{DieSampler, GnnDieConfig, SampleCommand};
 use beacon_gnn::{GnnModelConfig, MinibatchWorkload};
 use beacon_graph::{NodeId, Partition};
 use beacon_ssd::{FabricConfig, SsdConfig};
 use directgraph::DirectGraph;
 use simkit::obs::SpanRecorder;
-use simkit::sync::{EpochWindow, MessagePool};
+use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
 use simkit::{
     profile, BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
     QueryLat, SerialResource, SimTime, Stage, Trace, NO_PATH,
 };
 
 use crate::engine::{Engine, EngineScratch, FlashServiceMemo, NODE_ID_BYTES, ON_DIE_SAMPLE_TIME};
-use crate::metrics::{
-    AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown,
-    TimelineBuilder,
-};
-use crate::partition::accel_config;
+use crate::lane::{BatchBroadcast, LaneStats};
+use crate::metrics::{AccelOccupancy, RunMetrics, StageBreakdown};
 use crate::replay::{CascadeRec, CascadeRecording};
 use crate::spec::Platform;
-
-/// Sentinel for "lane calendar is empty" in the shared next-event
-/// atomics.
-const IDLE: u64 = u64::MAX;
 
 /// Bytes of one cross-device command hop (a forwarded sampling
 /// command: packed address + hop/count/subgraph header).
@@ -124,185 +107,6 @@ impl ArrayConfig {
         self
     }
 }
-
-/// Result of an analytic array-scaling evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrayScaling {
-    /// SSDs in the array.
-    pub ssds: usize,
-    /// Single-SSD throughput (targets/s) of the same workload.
-    pub single_throughput: f64,
-    /// Array throughput (targets/s).
-    pub array_throughput: f64,
-    /// Fraction of sampled edges that crossed partitions.
-    pub cross_fraction: f64,
-}
-
-impl ArrayScaling {
-    /// Scaling efficiency: achieved speedup over ideal (`1.0` = linear).
-    pub fn efficiency(&self) -> f64 {
-        if self.single_throughput == 0.0 || self.ssds == 0 {
-            return 0.0;
-        }
-        (self.array_throughput / self.single_throughput) / self.ssds as f64
-    }
-}
-
-/// Evaluates analytic array scaling for `platform` on a prepared
-/// workload.
-///
-/// Methodology: (1) run the single-SSD engine for the workload to get
-/// its throughput and per-visit traffic; (2) replay the sampling
-/// cascade functionally to count cross-partition hops under a
-/// `node % ssds` partition; (3) each SSD serves `1/ssds` of the targets
-/// at single-SSD speed while the P2P fabric carries cross-partition
-/// commands and feature returns — whichever is slower bounds the array.
-pub fn evaluate_array(
-    platform: Platform,
-    array: ArrayConfig,
-    ssd: SsdConfig,
-    model: GnnModelConfig,
-    dg: &DirectGraph,
-    batches: &[Vec<NodeId>],
-    seed: u64,
-) -> ArrayScaling {
-    // Hash partitioning is the zero-metadata default; callers with a
-    // locality-aware layout use [`evaluate_array_partitioned`].
-    let n = dg.directory().len() as u32;
-    let hash = Partition::hash(&trivial_graph(n), array.ssds as u32);
-    evaluate_array_partitioned(platform, array, ssd, model, dg, batches, seed, &hash)
-}
-
-/// A node-count-only graph used to build id-based partitions (hash and
-/// range partitioning never look at edges).
-fn trivial_graph(n: u32) -> beacon_graph::CsrGraph {
-    beacon_graph::CsrGraphBuilder::new(n as usize).build()
-}
-
-/// [`evaluate_array`] with an explicit node partition (e.g.
-/// [`Partition::bfs_grow`] over the source graph, which cuts far fewer
-/// sampled edges than hashing on clustered graphs).
-///
-/// # Panics
-///
-/// Panics if the array is empty or the partition's part count differs
-/// from the array size.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_array_partitioned(
-    platform: Platform,
-    array: ArrayConfig,
-    ssd: SsdConfig,
-    model: GnnModelConfig,
-    dg: &DirectGraph,
-    batches: &[Vec<NodeId>],
-    seed: u64,
-    partition: &Partition,
-) -> ArrayScaling {
-    assert!(array.ssds >= 1, "array needs at least one SSD");
-    assert_eq!(
-        partition.parts() as usize,
-        array.ssds,
-        "partition/array size mismatch"
-    );
-    let single = Engine::new(platform, ssd, model, dg, seed).run(batches);
-    let single_throughput = single.throughput();
-
-    if array.ssds == 1 {
-        return ArrayScaling {
-            ssds: 1,
-            single_throughput,
-            array_throughput: single_throughput,
-            cross_fraction: 0.0,
-        };
-    }
-
-    // Count cross-partition edges + feature bytes by replaying the
-    // cascade functionally (deterministic under the same seed family).
-    // A sampled edge crosses when child and parent live on different
-    // SSDs; a feature return crosses when the visited node lives away
-    // from the target's home SSD (where aggregation happens).
-    let die_cfg = GnnDieConfig {
-        num_hops: model.hops,
-        fanout: model.fanout,
-        feature_bytes: model.feature_bytes() as u16,
-    };
-    let mut sampler = DieSampler::new(die_cfg, seed);
-    let mut total_edges = 0u64;
-    let mut cross_edges = 0u64;
-    let mut cross_feature_bytes = 0u64;
-    for batch in batches {
-        for &target in batch {
-            let addr = dg
-                .directory()
-                .primary_addr(target)
-                .expect("target in directory");
-            let home = partition.part_of(target);
-            // Frontier carries (command, parent's partition).
-            let mut frontier = vec![(SampleCommand::root(addr, 0), home)];
-            while let Some((cmd, parent_part)) = frontier.pop() {
-                let out = sampler
-                    .execute(&cmd, dg.image())
-                    .expect("well-formed image");
-                let here = match out.visited {
-                    Some(node) => {
-                        let part = partition.part_of(node);
-                        if cmd.parent != SampleCommand::NO_PARENT {
-                            total_edges += 1;
-                            if part != parent_part {
-                                cross_edges += 1;
-                            }
-                        }
-                        if part != home {
-                            cross_feature_bytes += out.feature_bytes as u64;
-                        }
-                        part
-                    }
-                    // Secondary sections live with their owner.
-                    None => parent_part,
-                };
-                for child in out.new_commands {
-                    frontier.push((child, here));
-                }
-            }
-        }
-    }
-    let cross_fraction = if total_edges == 0 {
-        0.0
-    } else {
-        cross_edges as f64 / total_edges as f64
-    };
-
-    // Per-target cross traffic: command hops (16 B each) + features.
-    let targets: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    let cross_bytes_per_target =
-        (cross_edges * CMD_HOP_BYTES + cross_feature_bytes) as f64 / targets as f64;
-
-    // Compute capacity: each SSD serves its shard at single-SSD speed.
-    let compute_limit = single_throughput * array.ssds as f64;
-    // Fabric capacity: every SSD has one P2P port; aggregate fabric
-    // bandwidth is ssds × link bandwidth (full-duplex mesh/switch).
-    let fabric_bytes_per_sec = array.fabric.bandwidth as f64 * array.ssds as f64;
-    let fabric_limit = if cross_bytes_per_target > 0.0 {
-        fabric_bytes_per_sec / cross_bytes_per_target
-    } else {
-        f64::INFINITY
-    };
-    // Hop latency adds pipeline depth, not steady-state throughput loss;
-    // it shows up only if it starves the pipeline (ignored at
-    // mini-batch scale).
-    let array_throughput = compute_limit.min(fabric_limit);
-
-    ArrayScaling {
-        ssds: array.ssds,
-        single_throughput,
-        array_throughput,
-        cross_fraction,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Simulated path: recorded-cascade replay over device lanes.
-// ---------------------------------------------------------------------------
 
 /// A recorded sampling cascade plus the serial single-SSD run that
 /// produced it: the input to [`ArrayEngine::run_recorded`].
@@ -550,6 +354,7 @@ fn prepass(log: &CascadeRecording, batches: &[Vec<NodeId>], partition: &Partitio
 }
 
 /// Read-only replay context shared by every lane and the coordinator.
+#[derive(Clone, Copy)]
 struct ReplayCtx<'c> {
     recs: &'c [CascadeRec],
     owner: &'c [u32],
@@ -564,7 +369,7 @@ struct ReplayCtx<'c> {
 enum DevEvent {
     Arrive(u32),
     Die(u32, SimTime),
-    Xfer(u32, SimTime, SimTime),
+    Xfer(u32, SimTime),
     Done(u32, SimTime, Duration),
     Finish(u32, SimTime, Duration),
 }
@@ -603,34 +408,24 @@ fn feature_key(rec: u32) -> u128 {
     ((rec as u128) << 1) | 1
 }
 
+/// An inbound delivery queued for a device lane: the event plus its
+/// inherited path attribution (`None` when latency tracking is off).
+type ADelivery = (DevEvent, Option<PathAttr>);
+
 /// One device's event loop: a full SSD backend (all channels, dies and
 /// DRAM), a private calendar, and lane-local metric accumulators that
 /// merge in fixed device order after the run.
-struct DevLane {
+struct DevLane<'c> {
     dev: usize,
     ssd: SsdConfig,
+    ctx: ReplayCtx<'c>,
     dies: Vec<SerialResource>,
     chans: Vec<SerialResource>,
     dram: BandwidthResource,
     calendar: Calendar<DevEvent>,
-    cal_base: simkit::PoolStats,
     memo: FlashServiceMemo,
     outbox: MessagePool<AMsg>,
-
-    record_hops: bool,
-    hop_first: Vec<Option<SimTime>>,
-    hop_last: Vec<Option<SimTime>>,
-    cmd_breakdown: CmdBreakdown,
-    die_timeline: TimelineBuilder,
-    channel_timeline: TimelineBuilder,
-    nodes_visited: u64,
-    flash_reads: u64,
-    sampler_faults: u64,
-    router_cmds: u64,
-    channel_bytes: u64,
-    dram_bytes: u64,
-    events_processed: u64,
-    prep_end: SimTime,
+    stats: LaneStats,
 
     /// Per-query latency tracking (off by default; see
     /// [`ArrayEngine::with_latency`]).
@@ -644,66 +439,30 @@ struct DevLane {
     chains: ChainTable,
 }
 
-impl DevLane {
-    fn new(dev: usize, ssd: SsdConfig, hops: usize, lat: Option<(usize, usize)>) -> Self {
+impl<'c> DevLane<'c> {
+    fn new(
+        dev: usize,
+        ssd: SsdConfig,
+        ctx: ReplayCtx<'c>,
+        hops: usize,
+        lat: Option<(usize, usize)>,
+    ) -> Self {
         let geo = &ssd.geometry;
         DevLane {
             dev,
+            ctx,
             dies: vec![SerialResource::new(); geo.total_dies()],
             chans: vec![SerialResource::new(); geo.channels],
             dram: BandwidthResource::new(ssd.dram_bandwidth),
             calendar: Calendar::new(),
-            cal_base: simkit::PoolStats::default(),
             memo: FlashServiceMemo::new(ssd.timing, ON_DIE_SAMPLE_TIME, geo.page_size),
             outbox: MessagePool::new(),
-            record_hops: true,
-            hop_first: vec![None; hops],
-            hop_last: vec![None; hops],
-            cmd_breakdown: CmdBreakdown::default(),
-            die_timeline: TimelineBuilder::new(),
-            channel_timeline: TimelineBuilder::new(),
-            nodes_visited: 0,
-            flash_reads: 0,
-            sampler_faults: 0,
-            router_cmds: 0,
-            channel_bytes: 0,
-            dram_bytes: 0,
-            events_processed: 0,
-            prep_end: SimTime::ZERO,
+            stats: LaneStats::new(hops),
             lat_on: lat.is_some(),
             arena: PathArena::default(),
             lat_of: lat.map_or_else(Vec::new, |(recs, _)| vec![NO_PATH; recs]),
             chains: ChainTable::new(lat.map_or(0, |(_, queries)| queries)),
             ssd,
-        }
-    }
-
-    fn next_time_ns(&self) -> u64 {
-        self.calendar.peek_time().map_or(IDLE, |t| t.as_ns())
-    }
-
-    /// Drains every event strictly below `horizon`.
-    fn run_round(&mut self, ctx: &ReplayCtx<'_>, horizon: SimTime) {
-        loop {
-            match self.calendar.peek_time() {
-                Some(t) if t < horizon => {}
-                _ => break,
-            }
-            let (now, ev) = self.calendar.pop().expect("peeked event");
-            self.events_processed += 1;
-            match ev {
-                DevEvent::Arrive(rec) => self.on_arrive(ctx, rec, now),
-                DevEvent::Die(rec, created) => self.on_die(ctx, rec, created, now),
-                DevEvent::Xfer(rec, die_start, created) => {
-                    self.on_xfer(ctx, rec, die_start, created, now)
-                }
-                DevEvent::Done(rec, xfer_end, chan_wait) => {
-                    self.on_done(ctx, rec, xfer_end, chan_wait, now)
-                }
-                DevEvent::Finish(rec, xfer_end, chan_wait) => {
-                    self.finish(ctx, rec, xfer_end, chan_wait, now)
-                }
-            }
         }
     }
 
@@ -718,11 +477,8 @@ impl DevLane {
     }
 
     fn on_arrive(&mut self, ctx: &ReplayCtx<'_>, rec: u32, now: SimTime) {
-        if self.record_hops {
-            let h = ctx.recs[rec as usize].hop as usize;
-            self.hop_first[h] = Some(self.hop_first[h].map_or(now, |t| t.min(now)));
-        }
-        self.router_cmds += 1;
+        self.stats.hop_started(ctx.recs[rec as usize].hop, now);
+        self.stats.router_cmds += 1;
         let h = self.lat(rec);
         if h != NO_PATH {
             self.arena
@@ -736,12 +492,13 @@ impl DevLane {
     fn on_die(&mut self, ctx: &ReplayCtx<'_>, rec: u32, created: SimTime, now: SimTime) {
         let r = &ctx.recs[rec as usize];
         let grant = self.dies[r.die as usize].acquire(now, self.memo.die_service);
-        self.die_timeline.push(grant.start, grant.end);
-        self.flash_reads += 1;
+        self.stats.die_timeline.push(grant.start, grant.end);
+        self.stats.flash_reads += 1;
         if r.fault {
-            self.sampler_faults += 1;
+            self.stats.sampler_faults += 1;
         }
-        self.cmd_breakdown
+        self.stats
+            .cmd_breakdown
             .wait_before_flash
             .record_duration(grant.start.saturating_duration_since(created));
         let h = self.lat(rec);
@@ -751,26 +508,20 @@ impl DevLane {
             p.add(Stage::DieSense, grant.end - grant.start);
         }
         self.calendar
-            .schedule(grant.end, DevEvent::Xfer(rec, grant.start, created));
+            .schedule(grant.end, DevEvent::Xfer(rec, grant.start));
     }
 
-    fn on_xfer(
-        &mut self,
-        ctx: &ReplayCtx<'_>,
-        rec: u32,
-        die_start: SimTime,
-        _created: SimTime,
-        now: SimTime,
-    ) {
+    fn on_xfer(&mut self, ctx: &ReplayCtx<'_>, rec: u32, die_start: SimTime, now: SimTime) {
         let r = &ctx.recs[rec as usize];
         let bytes = r.result_bytes as u64;
         let service = self.memo.xfer_service(bytes);
         let chan = r.die as usize % self.ssd.geometry.channels;
         let grant = self.chans[chan].acquire(now, service);
-        self.channel_timeline.push(grant.start, grant.end);
-        self.channel_bytes += bytes;
+        self.stats.channel_timeline.push(grant.start, grant.end);
+        self.stats.channel_bytes += bytes;
         let chan_wait = grant.start.saturating_duration_since(now);
-        self.cmd_breakdown
+        self.stats
+            .cmd_breakdown
             .flash
             .record_duration((now - die_start) + (grant.end - grant.start));
         let h = self.lat(rec);
@@ -801,7 +552,7 @@ impl DevLane {
             // transfer is lane-local (unlike the per-channel engine's
             // shared-DRAM coordinator round trip).
             let grant = self.dram.transfer(now, fb);
-            self.dram_bytes += fb;
+            self.stats.dram_bytes += fb;
             let h = self.lat(rec);
             if h != NO_PATH {
                 let p = self.arena.get_mut(h);
@@ -825,15 +576,13 @@ impl DevLane {
     ) {
         let ri = rec as usize;
         let r = &ctx.recs[ri];
-        self.cmd_breakdown
+        self.stats
+            .cmd_breakdown
             .wait_after_flash
             .record_duration(chan_wait + now.saturating_duration_since(xfer_end));
-        if self.record_hops {
-            let h = r.hop as usize;
-            self.hop_last[h] = Some(self.hop_last[h].map_or(now, |t| t.max(now)));
-        }
+        self.stats.hop_retired(r.hop, now);
         if r.visited != u32::MAX {
-            self.nodes_visited += 1;
+            self.stats.nodes_visited += 1;
         }
         // At retirement the record's chain competes for its query's
         // longest path, and children inherit the attribution so far.
@@ -884,99 +633,54 @@ impl DevLane {
                 },
             );
         }
-        self.prep_end = self.prep_end.max(now);
+        self.stats.prep_end = self.stats.prep_end.max(now);
     }
 }
 
-/// An inbound delivery queued for a device lane: `(time_ns, event,
-/// inherited path attribution)` — the path rider is `None` when
-/// latency tracking is off.
-type ADelivery = (u64, DevEvent, Option<PathAttr>);
+impl sync::Lane for DevLane<'_> {
+    type Delivery = ADelivery;
+    type Msg = AMsg;
+    type Broadcast = BatchBroadcast;
 
-/// State shared between the coordinator (main thread) and the lane
-/// workers; the exact shape of the per-channel engine's, lifted to
-/// device lanes.
-struct AShared {
-    epochs: EpochWindow,
-    horizon: AtomicU64,
-    done: AtomicBool,
-    record_hops: AtomicBool,
-    prep_end_max: AtomicU64,
-    next_times: Vec<AtomicU64>,
-    /// Per-device inbound deliveries.
-    mailboxes: Vec<Mutex<Vec<ADelivery>>>,
-    pool: Mutex<MessagePool<AMsg>>,
-    barrier: Barrier,
-}
-
-impl AShared {
-    fn new(lanes: usize, parties: usize, epochs: EpochWindow) -> Self {
-        AShared {
-            epochs,
-            horizon: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-            record_hops: AtomicBool::new(true),
-            prep_end_max: AtomicU64::new(0),
-            next_times: (0..lanes).map(|_| AtomicU64::new(IDLE)).collect(),
-            mailboxes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
-            pool: Mutex::new(MessagePool::new()),
-            barrier: Barrier::new(parties),
-        }
-    }
-}
-
-/// Runs one device lane's round: drain inbound deliveries, advance to
-/// the horizon, publish the lane's next event time and its outbound
-/// messages.
-fn lane_round(lane: &mut DevLane, ctx: &ReplayCtx<'_>, shared: &AShared, li: usize) {
-    let horizon = SimTime::from_ns(shared.horizon.load(Ordering::Acquire));
-    lane.record_hops = shared.record_hops.load(Ordering::Acquire);
-    let inbound = std::mem::take(&mut *shared.mailboxes[li].lock().expect("mailbox"));
-    for (t, ev, path) in inbound {
+    fn deliver(&mut self, at: SimTime, (ev, path): ADelivery) {
         // An inbound arrival materializes its inherited path in this
         // device's arena.
         if let (Some(p), DevEvent::Arrive(rec)) = (path, ev) {
-            lane.lat_of[rec as usize] = lane.arena.alloc(p);
+            self.lat_of[rec as usize] = self.arena.alloc(p);
         }
-        lane.calendar.schedule(SimTime::from_ns(t), ev);
+        self.calendar.schedule(at, ev);
     }
-    lane.run_round(ctx, horizon);
-    shared.next_times[li].store(lane.next_time_ns(), Ordering::Release);
-    shared
-        .prep_end_max
-        .fetch_max(lane.prep_end.as_ns(), Ordering::AcqRel);
-    if !lane.outbox.is_empty() {
-        shared.pool.lock().expect("pool").absorb(&mut lane.outbox);
-    }
-}
 
-/// Advances every lane one round: inline for the serial fallback,
-/// through the barrier for persistent workers. Identical protocol on
-/// identical shared state, so `threads(1)` is the byte-exact reference
-/// for any thread count.
-trait RoundDriver {
-    fn round(&mut self, ctx: &ReplayCtx<'_>, shared: &AShared);
-}
-
-struct SerialDriver<'l> {
-    lanes: &'l mut [DevLane],
-}
-
-impl RoundDriver for SerialDriver<'_> {
-    fn round(&mut self, ctx: &ReplayCtx<'_>, shared: &AShared) {
-        for (li, lane) in self.lanes.iter_mut().enumerate() {
-            lane_round(lane, ctx, shared, li);
+    fn drain(&mut self, horizon: SimTime, batch: BatchBroadcast) {
+        self.stats.record_hops = batch.record_hops;
+        let ctx = self.ctx;
+        while self.calendar.peek_time().is_some_and(|t| t < horizon) {
+            let (now, ev) = self.calendar.pop().expect("peeked event");
+            self.stats.pools.events_processed += 1;
+            match ev {
+                DevEvent::Arrive(rec) => self.on_arrive(&ctx, rec, now),
+                DevEvent::Die(rec, created) => self.on_die(&ctx, rec, created, now),
+                DevEvent::Xfer(rec, die_start) => self.on_xfer(&ctx, rec, die_start, now),
+                DevEvent::Done(rec, xfer_end, chan_wait) => {
+                    self.on_done(&ctx, rec, xfer_end, chan_wait, now)
+                }
+                DevEvent::Finish(rec, xfer_end, chan_wait) => {
+                    self.finish(&ctx, rec, xfer_end, chan_wait, now)
+                }
+            }
         }
     }
-}
 
-struct BarrierDriver;
+    fn next_time(&self) -> Option<SimTime> {
+        self.calendar.peek_time()
+    }
 
-impl RoundDriver for BarrierDriver {
-    fn round(&mut self, _ctx: &ReplayCtx<'_>, shared: &AShared) {
-        shared.barrier.wait();
-        // Workers run their lanes here.
-        shared.barrier.wait();
+    fn prep_end(&self) -> SimTime {
+        self.stats.prep_end
+    }
+
+    fn outbox(&mut self) -> &mut MessagePool<AMsg> {
+        &mut self.outbox
     }
 }
 
@@ -997,8 +701,6 @@ struct ACoordinator {
     device_targets: Vec<u64>,
     makespan: SimTime,
     targets_total: u64,
-    rounds: u64,
-    messages: u64,
     lat_on: bool,
     /// Chains extended by cross-device feature returns (the fabric leg
     /// from the retrieving device back to the query's home device).
@@ -1018,74 +720,66 @@ struct ABatchLat {
 }
 
 impl ACoordinator {
-    /// Applies one round's messages in globally sorted `(time, key)`
-    /// order: fabric-link grants are issued in that order, command
-    /// hops are quantized to the next lookahead boundary and posted
-    /// into lane mailboxes, feature returns fold into the home
-    /// device's batch-level readiness. Returns the earliest delivery
-    /// time, or [`IDLE`].
-    fn process_messages(&mut self, ctx: &ReplayCtx<'_>, shared: &AShared) -> u64 {
-        let mut pool = shared.pool.lock().expect("pool");
-        if pool.is_empty() {
-            return IDLE;
-        }
-        let mut min_delivery = IDLE;
-        for (at, _key, msg) in pool.drain_sorted() {
-            self.messages += 1;
-            match msg {
-                AMsg::Spawn {
-                    from,
-                    to,
-                    rec,
-                    path,
-                } => {
-                    let grant = self.links[from as usize].transfer(at, CMD_HOP_BYTES);
-                    self.link_bytes[from as usize] += CMD_HOP_BYTES;
-                    self.link_msgs[from as usize] += 1;
-                    let arrive = shared.epochs.quantize(at, grant.end + self.hop_latency);
-                    let path = self.lat_on.then(|| {
-                        let mut p = path;
-                        p.add(Stage::Queue, grant.start.saturating_duration_since(at));
-                        p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
-                        p.add(
-                            Stage::Queue,
-                            arrive.saturating_duration_since(grant.end + self.hop_latency),
-                        );
-                        p
-                    });
-                    shared.mailboxes[to as usize]
-                        .lock()
-                        .expect("mailbox")
-                        .push((arrive.as_ns(), DevEvent::Arrive(rec), path));
-                    min_delivery = min_delivery.min(arrive.as_ns());
+    /// Applies one cross-device message; the runtime hands them over in
+    /// globally sorted `(time, key)` order, so fabric-link grants are
+    /// issued in that order. Command hops are quantized to the next
+    /// lookahead boundary and posted to the owning lane; feature
+    /// returns fold into the home device's batch-level readiness.
+    fn apply(
+        &mut self,
+        ctx: &ReplayCtx<'_>,
+        at: SimTime,
+        msg: AMsg,
+        out: &mut Deliveries<'_, ADelivery>,
+    ) {
+        match msg {
+            AMsg::Spawn {
+                from,
+                to,
+                rec,
+                path,
+            } => {
+                let grant = self.links[from as usize].transfer(at, CMD_HOP_BYTES);
+                self.link_bytes[from as usize] += CMD_HOP_BYTES;
+                self.link_msgs[from as usize] += 1;
+                let arrive = out.window().quantize(at, grant.end + self.hop_latency);
+                let path = self.lat_on.then(|| {
+                    let mut p = path;
+                    p.add(Stage::Queue, grant.start.saturating_duration_since(at));
+                    p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
+                    p.add(
+                        Stage::Queue,
+                        arrive.saturating_duration_since(grant.end + self.hop_latency),
+                    );
+                    p
+                });
+                out.post(to as usize, arrive, (DevEvent::Arrive(rec), path));
+            }
+            AMsg::Feature {
+                from,
+                to,
+                rec,
+                bytes,
+                path,
+            } => {
+                let grant = self.links[from as usize].transfer(at, bytes);
+                self.link_bytes[from as usize] += bytes;
+                self.link_msgs[from as usize] += 1;
+                let ready = grant.end + self.hop_latency;
+                if self.lat_on {
+                    // The return leg extends the retrieving chain to
+                    // the home device, competing for the query's
+                    // longest path.
+                    let mut p = path;
+                    p.add(Stage::Queue, grant.start.saturating_duration_since(at));
+                    p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
+                    self.lat_chains
+                        .observe(ctx.qid[rec as usize] as usize, ready, &p);
                 }
-                AMsg::Feature {
-                    from,
-                    to,
-                    rec,
-                    bytes,
-                    path,
-                } => {
-                    let grant = self.links[from as usize].transfer(at, bytes);
-                    self.link_bytes[from as usize] += bytes;
-                    self.link_msgs[from as usize] += 1;
-                    let ready = grant.end + self.hop_latency;
-                    if self.lat_on {
-                        // The return leg extends the retrieving chain to
-                        // the home device, competing for the query's
-                        // longest path.
-                        let mut p = path;
-                        p.add(Stage::Queue, grant.start.saturating_duration_since(at));
-                        p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
-                        self.lat_chains
-                            .observe(ctx.qid[rec as usize] as usize, ready, &p);
-                    }
-                    let slot = &mut self.feature_ready[to as usize];
-                    *slot = (*slot).max(ready);
-                }
+                let slot = &mut self.feature_ready[to as usize];
+                *slot = (*slot).max(ready);
             }
         }
-        min_delivery
     }
 }
 
@@ -1302,20 +996,8 @@ impl<'a> ArrayEngine<'a> {
             )
         });
         let mut lanes: Vec<DevLane> = (0..devs)
-            .map(|d| {
-                let mut lane = DevLane::new(d, self.ssd, hops, lat);
-                lane.cal_base = lane.calendar.pool_stats();
-                lane
-            })
+            .map(|d| DevLane::new(d, self.ssd, ctx, hops, lat))
             .collect();
-
-        let threads = self.threads.min(devs);
-        let workers = if threads >= 2 { threads } else { 0 };
-        let shared = AShared::new(
-            devs,
-            workers + 1,
-            EpochWindow::new(self.array.fabric.hop_latency),
-        );
         let mut coord = ACoordinator {
             links: (0..devs)
                 .map(|_| BandwidthResource::new(self.array.fabric.bandwidth))
@@ -1331,62 +1013,20 @@ impl<'a> ArrayEngine<'a> {
             device_targets: vec![0; devs],
             makespan: SimTime::ZERO,
             targets_total: 0,
-            rounds: 0,
-            messages: 0,
             lat_on: self.lat_epoch.is_some(),
             lat_chains: ChainTable::new(lat.map_or(0, |(_, queries)| queries)),
             lat_batches: Vec::new(),
         };
 
-        if workers == 0 {
-            let mut driver = SerialDriver { lanes: &mut lanes };
-            self.run_batches(cascade, partition, &ctx, &shared, &mut coord, &mut driver);
-        } else {
-            // Round-robin the lanes over persistent workers; the
-            // global message sort makes the grouping invisible.
-            let mut groups: Vec<Vec<(usize, DevLane)>> = (0..workers).map(|_| Vec::new()).collect();
-            for (li, lane) in lanes.drain(..).enumerate() {
-                groups[li % workers].push((li, lane));
-            }
-            let shared_ref = &shared;
-            let ctx_ref = &ctx;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|mut group| {
-                        s.spawn(move || loop {
-                            shared_ref.barrier.wait();
-                            if shared_ref.done.load(Ordering::Acquire) {
-                                return group;
-                            }
-                            for (li, lane) in group.iter_mut() {
-                                lane_round(lane, ctx_ref, shared_ref, *li);
-                            }
-                            shared_ref.barrier.wait();
-                        })
-                    })
-                    .collect();
-                let mut driver = BarrierDriver;
-                self.run_batches(cascade, partition, &ctx, &shared, &mut coord, &mut driver);
-                shared.done.store(true, Ordering::Release);
-                shared.barrier.wait();
-                let mut by_device: Vec<Option<DevLane>> = (0..devs).map(|_| None).collect();
-                for handle in handles {
-                    for (li, lane) in handle.join().expect("device worker") {
-                        by_device[li] = Some(lane);
-                    }
-                }
-                lanes = by_device
-                    .into_iter()
-                    .map(|l| l.expect("every lane returned"))
-                    .collect();
-            });
-        }
+        let window = EpochWindow::new(self.array.fabric.hop_latency);
+        let stats = sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
+            self.run_batches(cascade, partition, &ctx, rounds, &mut coord)
+        });
 
-        profile::count("array/rounds", coord.rounds);
-        profile::count("array/messages", coord.messages);
+        profile::count("array/rounds", stats.rounds);
+        profile::count("array/messages", stats.messages);
         profile::count("array/devices", devs as u64);
-        self.merge(cascade, pre, coord, lanes, single_throughput)
+        self.merge(cascade, &pre, coord, lanes, stats, single_throughput)
     }
 
     /// The serial engine's batch pipeline with `run_prep` replaced by
@@ -1397,12 +1037,10 @@ impl<'a> ArrayEngine<'a> {
         cascade: &ArrayCascade,
         partition: &Partition,
         ctx: &ReplayCtx<'_>,
-        shared: &AShared,
+        rounds: &mut Rounds<'_, DevLane<'_>>,
         coord: &mut ACoordinator,
-        driver: &mut dyn RoundDriver,
     ) {
-        let spec = self.platform.spec();
-        let accel = accel_config(&spec);
+        let accel = self.platform.spec().accel_config();
         let devs = self.array.ssds;
         let mut compute_free = vec![SimTime::ZERO; devs];
         let mut prep_cursor = SimTime::ZERO;
@@ -1410,7 +1048,10 @@ impl<'a> ArrayEngine<'a> {
 
         for (bi, batch) in cascade.batches.iter().enumerate() {
             coord.targets_total += batch.len() as u64;
-            shared.record_hops.store(bi == 0, Ordering::Release);
+            rounds.broadcast(BatchBroadcast {
+                record_hops: bi == 0,
+                ..BatchBroadcast::default()
+            });
             // §VI-D double buffering, array-wide: every device's DRAM
             // region must have released its half before the next prep
             // starts (the round loop advances all lanes together).
@@ -1435,36 +1076,13 @@ impl<'a> ArrayEngine<'a> {
 
             let base = cascade.recording.batch_roots[bi];
             let root_path = coord.lat_on.then(PathAttr::default);
-            for j in 0..batch.len() {
-                let rec = base + j as u32;
+            for rec in base..base + batch.len() as u32 {
                 let owner = ctx.owner[rec as usize] as usize;
-                shared.mailboxes[owner].lock().expect("mailbox").push((
-                    start.as_ns(),
-                    DevEvent::Arrive(rec),
-                    root_path,
-                ));
+                rounds.post(owner, start, (DevEvent::Arrive(rec), root_path));
             }
-            let mut pending_min = start.as_ns();
+            rounds.run_until_idle(start, |at, msg, out| coord.apply(ctx, at, msg, out));
 
-            loop {
-                let lanes_min = shared
-                    .next_times
-                    .iter()
-                    .map(|t| t.load(Ordering::Acquire))
-                    .min()
-                    .unwrap_or(IDLE);
-                let min_next = lanes_min.min(pending_min);
-                if min_next == IDLE {
-                    break;
-                }
-                let horizon = shared.epochs.horizon_for(SimTime::from_ns(min_next));
-                shared.horizon.store(horizon.as_ns(), Ordering::Release);
-                driver.round(ctx, shared);
-                coord.rounds += 1;
-                pending_min = coord.process_messages(ctx, shared);
-            }
-
-            let prep_end = SimTime::from_ns(shared.prep_end_max.load(Ordering::Acquire)).max(start);
+            let prep_end = rounds.prep_end().max(start);
             coord.prep_total += prep_end - prep_start;
             prep_cursor = prep_end;
 
@@ -1522,85 +1140,39 @@ impl<'a> ArrayEngine<'a> {
     fn merge(
         &self,
         cascade: &ArrayCascade,
-        pre: Prepass,
+        pre: &Prepass,
         coord: ACoordinator,
-        lanes: Vec<DevLane>,
+        mut lanes: Vec<DevLane<'_>>,
+        rounds: sync::RoundStats,
         single_throughput: f64,
     ) -> ArrayRunMetrics {
         let spec = self.platform.spec();
-        let accel = accel_config(&spec);
         let devs = self.array.ssds;
-        let hops = self.model.hops as usize + 2;
-        let mut cmd_breakdown = CmdBreakdown::default();
-        let mut die_timeline = TimelineBuilder::new();
-        let mut channel_timeline = TimelineBuilder::new();
-        let mut hop_first: Vec<Option<SimTime>> = vec![None; hops];
-        let mut hop_last: Vec<Option<SimTime>> = vec![None; hops];
-        let mut pools = PoolCounters::default();
-        let mut energy = coord.energy;
-        let mut nodes_visited = 0u64;
-        let mut flash_reads = 0u64;
-        let mut sampler_faults = 0u64;
-        let mut flash_busy = Duration::ZERO;
-        let mut channel_busy = Duration::ZERO;
-        let mut dram_busy = Duration::ZERO;
+        let mut totals = LaneStats::new(self.model.hops as usize + 2);
         let mut per_device = Vec::with_capacity(devs);
-
-        for lane in &lanes {
-            cmd_breakdown
-                .wait_before_flash
-                .merge(&lane.cmd_breakdown.wait_before_flash);
-            cmd_breakdown.flash.merge(&lane.cmd_breakdown.flash);
-            cmd_breakdown
-                .wait_after_flash
-                .merge(&lane.cmd_breakdown.wait_after_flash);
-            die_timeline.absorb(&lane.die_timeline);
-            channel_timeline.absorb(&lane.channel_timeline);
-            for h in 0..hops {
-                hop_first[h] = match (hop_first[h], lane.hop_first[h]) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                hop_last[h] = match (hop_last[h], lane.hop_last[h]) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            let cal = lane.calendar.pool_stats();
-            pools.events_processed += lane.events_processed;
-            pools.event_slots_allocated += cal.slots_allocated - lane.cal_base.slots_allocated;
-            pools.event_slots_reused += cal.slots_reused - lane.cal_base.slots_reused;
-            pools.calendar_wheel_high_water =
-                pools.calendar_wheel_high_water.max(cal.wheel_high_water);
-            pools.calendar_far_high_water = pools.calendar_far_high_water.max(cal.far_high_water);
-            energy.flash_page_reads += lane.flash_reads;
-            energy.sampler_cmds += lane.flash_reads;
-            energy.router_cmds += lane.router_cmds;
-            energy.channel_bytes += lane.channel_bytes;
-            energy.dram_bytes += lane.dram_bytes;
-            nodes_visited += lane.nodes_visited;
-            flash_reads += lane.flash_reads;
-            sampler_faults += lane.sampler_faults;
-            let lane_die_busy: Duration = lane.dies.iter().map(SerialResource::busy_total).sum();
-            let lane_chan_busy: Duration = lane.chans.iter().map(SerialResource::busy_total).sum();
-            flash_busy += lane_die_busy;
-            channel_busy += lane_chan_busy;
+        let mut dram_busy = Duration::ZERO;
+        for lane in &mut lanes {
+            let stats = &mut lane.stats;
+            stats.seal(lane.calendar.pool_stats(), &lane.dies, &lane.chans);
+            totals.absorb(stats);
             dram_busy += lane.dram.busy_total();
             per_device.push(DeviceMetrics {
                 device: lane.dev,
                 targets: coord.device_targets[lane.dev],
-                flash_reads: lane.flash_reads,
-                nodes_visited: lane.nodes_visited,
-                sampler_faults: lane.sampler_faults,
-                channel_bytes: lane.channel_bytes,
-                events_processed: lane.events_processed,
-                die_busy: lane_die_busy,
-                channel_busy: lane_chan_busy,
+                flash_reads: stats.flash_reads,
+                nodes_visited: stats.nodes_visited,
+                sampler_faults: stats.sampler_faults,
+                channel_bytes: stats.channel_bytes,
+                events_processed: stats.pools.events_processed,
+                die_busy: stats.flash_busy,
+                channel_busy: stats.channel_busy,
                 dram_busy: lane.dram.busy_total(),
                 compute_time: coord.device_compute[lane.dev],
             });
         }
-        profile::count("array/events_processed", pools.events_processed);
+        profile::count("array/events_processed", totals.pools.events_processed);
+        let mut energy = coord.energy;
+        totals.charge_energy(&mut energy);
 
         let links: Vec<FabricLinkMetrics> = (0..devs)
             .map(|d| FabricLinkMetrics {
@@ -1613,8 +1185,8 @@ impl<'a> ArrayEngine<'a> {
         let fabric_busy: Duration = links.iter().map(|l| l.busy).sum();
 
         let stages = StageBreakdown {
-            flash_read: flash_busy,
-            channel: channel_busy,
+            flash_read: totals.flash_busy,
+            channel: totals.channel_busy,
             firmware: Duration::ZERO,
             dram: dram_busy,
             // Cross-device traffic rides PCIe-P2P / NVMe-oF links.
@@ -1622,36 +1194,8 @@ impl<'a> ArrayEngine<'a> {
             host: Duration::ZERO,
             accel: coord.compute_total,
         };
-        let hop_windows = hop_first
-            .iter()
-            .zip(&hop_last)
-            .enumerate()
-            .filter_map(|(h, (f, l))| {
-                f.zip(*l).map(|(start, end)| HopWindow {
-                    hop: h as u8,
-                    start,
-                    end,
-                })
-            })
-            .collect();
-        let accel_occupancy = {
-            let cw = coord.compute_total.as_secs_f64();
-            let peak_macs =
-                cw * accel.systolic.clock_hz() as f64 * accel.systolic.macs_per_cycle() as f64;
-            let peak_reduce = cw * accel.vector.clock_hz() as f64 * accel.vector.lanes() as f64;
-            AccelOccupancy {
-                systolic: if peak_macs > 0.0 {
-                    energy.macs as f64 / peak_macs
-                } else {
-                    0.0
-                },
-                vector: if peak_reduce > 0.0 {
-                    energy.reduce_ops as f64 / peak_reduce
-                } else {
-                    0.0
-                },
-            }
-        };
+        let accel_occupancy =
+            AccelOccupancy::sustained(&spec.accel_config(), coord.compute_total, &energy);
 
         let latency = if let Some(epoch) = self.lat_epoch {
             // Chain tables fold commutatively, but keep the fixed
@@ -1704,22 +1248,22 @@ impl<'a> ArrayEngine<'a> {
             platform: spec.name,
             targets: coord.targets_total,
             batches: cascade.batches.len() as u64,
-            nodes_visited,
-            flash_reads,
-            sampler_faults,
+            nodes_visited: totals.nodes_visited,
+            flash_reads: totals.flash_reads,
+            sampler_faults: totals.sampler_faults,
             makespan: coord.makespan - SimTime::ZERO,
             prep_time: coord.prep_total,
             compute_time: coord.compute_total,
-            cmd_breakdown,
+            hop_windows: totals.hop_windows(),
+            cmd_breakdown: totals.cmd_breakdown,
             stages,
-            hop_windows,
-            die_timeline,
-            channel_timeline,
+            die_timeline: totals.die_timeline,
+            channel_timeline: totals.channel_timeline,
             energy,
             total_dies: self.ssd.geometry.total_dies() * devs,
             total_channels: self.ssd.geometry.channels * devs,
             trace: Trace::with_capacity(0),
-            pools,
+            pools: totals.pools,
             spans: SpanRecorder::disabled(),
             sampler_executed: cascade.single.sampler_executed,
             router: None,
@@ -1737,8 +1281,8 @@ impl<'a> ArrayEngine<'a> {
             total_edges: pre.total_edges,
             cross_edges: pre.cross_edges,
             cross_feature_bytes: pre.cross_feature_bytes,
-            rounds: coord.rounds,
-            messages: coord.messages,
+            rounds: rounds.rounds,
+            messages: rounds.messages,
         }
     }
 }
@@ -1786,129 +1330,15 @@ mod tests {
         (graph, dg)
     }
 
+    /// A node-count-only graph for id-based partitions (hash and range
+    /// partitioning never look at edges).
+    fn trivial_graph(n: u32) -> beacon_graph::CsrGraph {
+        beacon_graph::CsrGraphBuilder::new(n as usize).build()
+    }
+
     fn digest(m: &ArrayRunMetrics) -> String {
         m.metrics_registry().to_json_string()
     }
-
-    #[test]
-    fn single_ssd_is_identity() {
-        let (dg, model, batches) = setup();
-        let s = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(1),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        assert_eq!(s.ssds, 1);
-        assert_eq!(s.array_throughput, s.single_throughput);
-        assert_eq!(s.cross_fraction, 0.0);
-        assert!((s.efficiency() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ample_p2p_scales_linearly() {
-        let (dg, model, batches) = setup();
-        let s = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        // §VIII's expectation: both capacity and computation grow
-        // linearly with SSDs when the fabric keeps up.
-        assert!(s.efficiency() > 0.95, "efficiency {:.2}", s.efficiency());
-        assert!(s.cross_fraction > 0.5, "4-way partition should cross often");
-    }
-
-    #[test]
-    fn starved_fabric_caps_scaling() {
-        let (dg, model, batches) = setup();
-        let thin = ArrayConfig::pcie_p2p(8)
-            .with_fabric(FabricConfig::pcie_p2p().with_bandwidth(2_000_000));
-        let s = evaluate_array(
-            Platform::Bg2,
-            thin,
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        assert!(
-            s.efficiency() < 0.5,
-            "thin fabric must bound scaling: {:.2}",
-            s.efficiency()
-        );
-        assert!(s.array_throughput < s.single_throughput * 8.0);
-    }
-
-    #[test]
-    fn locality_partition_reduces_cross_traffic() {
-        // Build a clustered graph so a locality-aware partition can
-        // shine, and reconstruct it for partitioning.
-        let (graph, dg) = clustered_dg(4, 500);
-        let model = GnnModelConfig::paper_default(64);
-        let batches = vec![(0..64u32).map(|i| NodeId::new(i * 31 % 2_000)).collect()];
-
-        let hash = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            3,
-        );
-        let part = Partition::bfs_grow(&graph, 4);
-        let local = evaluate_array_partitioned(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            3,
-            &part,
-        );
-        assert!(
-            local.cross_fraction < hash.cross_fraction / 2.0,
-            "bfs {:.3} vs hash {:.3}",
-            local.cross_fraction,
-            hash.cross_fraction
-        );
-    }
-
-    #[test]
-    fn more_ssds_more_cross_traffic() {
-        let (dg, model, batches) = setup();
-        let two = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(2),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        let eight = evaluate_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(8),
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &batches,
-            7,
-        );
-        assert!(eight.cross_fraction > two.cross_fraction);
-    }
-
-    // ---- simulated path ----
 
     #[test]
     fn array_thread_count_is_invisible() {
@@ -2014,6 +1444,23 @@ mod tests {
             m.fabric_bytes(),
             m.cross_edges * CMD_HOP_BYTES + m.cross_feature_bytes
         );
+        // More devices cut more sampled edges.
+        let cross = |devs: usize| {
+            ArrayEngine::new(
+                Platform::Bg2,
+                ArrayConfig::pcie_p2p(devs),
+                SsdConfig::paper_default(),
+                model,
+                &dg,
+                7,
+            )
+            .run_recorded(
+                &cascade,
+                &Partition::hash(&trivial_graph(3_000), devs as u32),
+            )
+            .cross_fraction()
+        };
+        assert!(cross(8) > cross(2));
     }
 
     #[test]

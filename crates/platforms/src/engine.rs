@@ -40,9 +40,7 @@ use crate::metrics::{
     TimelineBuilder,
 };
 use crate::replay::{CascadeRecorder, CascadeRecording};
-use crate::spec::{
-    BackendControl, ComputeLocation, Platform, PlatformSpec, SamplingLocation, TransferGranularity,
-};
+use crate::spec::{BackendControl, Platform, PlatformSpec, SamplingLocation, TransferGranularity};
 
 /// Fixed on-die time for the sampler logic (section walk, TRNG draws,
 /// command generation) on die-sampling platforms.
@@ -740,10 +738,7 @@ impl<'a> Engine<'a> {
         let _run_phase = profile::phase("engine/run");
         let workload = MinibatchWorkload::new(self.model, 0);
         let _ = workload; // per-batch workloads built below (sizes vary)
-        let accel = match self.spec.compute {
-            ComputeLocation::DiscreteAccel => beacon_accel::AcceleratorConfig::discrete_tpu(),
-            ComputeLocation::SsdAccel => beacon_accel::AcceleratorConfig::ssd_internal(),
-        };
+        let accel = self.spec.accel_config();
 
         let mut prep_total = Duration::ZERO;
         let mut compute_total = Duration::ZERO;
@@ -924,24 +919,7 @@ impl<'a> Engine<'a> {
 
         // Sustained occupancy: delivered MACs / reduce ops against each
         // array's peak over the whole compute window.
-        let accel_occupancy = {
-            let cw = compute_total.as_secs_f64();
-            let peak_macs =
-                cw * accel.systolic.clock_hz() as f64 * accel.systolic.macs_per_cycle() as f64;
-            let peak_reduce = cw * accel.vector.clock_hz() as f64 * accel.vector.lanes() as f64;
-            AccelOccupancy {
-                systolic: if peak_macs > 0.0 {
-                    self.energy.macs as f64 / peak_macs
-                } else {
-                    0.0
-                },
-                vector: if peak_reduce > 0.0 {
-                    self.energy.reduce_ops as f64 / peak_reduce
-                } else {
-                    0.0
-                },
-            }
-        };
+        let accel_occupancy = AccelOccupancy::sustained(&accel, compute_total, &self.energy);
         // FTL statistics come from replaying the DirectGraph setup
         // flush — observability runs only (the plain path never builds
         // an FTL).

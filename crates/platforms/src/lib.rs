@@ -12,10 +12,11 @@
 //! * [`PartitionedEngine`] — the same BG-2 pipeline as N per-channel
 //!   event loops under conservative lookahead (see [`partition`]),
 //!   with identical output at any worker-thread count.
-//! * [`ArrayEngine`] — the multi-SSD array simulation (see [`array`]):
+//! * [`ArrayEngine`] — the simulated multi-SSD array (see [`array`]):
 //!   one device lane per SSD behind a partition-aware host router,
 //!   with an explicit fabric cost model and the same determinism
-//!   guarantee.
+//!   guarantee. Both lane engines run on one lane runtime,
+//!   [`simkit::sync::run_lanes`].
 //! * [`RunMetrics`] — throughput, stage/command latency breakdowns, hop
 //!   timelines, die/channel utilization curves, and the energy ledger:
 //!   the raw material for every figure in §VII.
@@ -45,6 +46,7 @@
 
 pub mod array;
 pub mod engine;
+mod lane;
 pub(crate) mod lat;
 pub mod metrics;
 pub mod motivation;
@@ -54,8 +56,7 @@ pub mod replay;
 pub mod spec;
 
 pub use array::{
-    evaluate_array, evaluate_array_partitioned, ArrayCascade, ArrayConfig, ArrayEngine,
-    ArrayRunMetrics, ArrayScaling, DeviceMetrics, FabricLinkMetrics,
+    ArrayCascade, ArrayConfig, ArrayEngine, ArrayRunMetrics, DeviceMetrics, FabricLinkMetrics,
 };
 pub use engine::{Engine, EngineScratch};
 pub use metrics::{

@@ -227,6 +227,26 @@ pub struct AccelOccupancy {
     pub vector: f64,
 }
 
+impl AccelOccupancy {
+    /// Sustained occupancy of `accel` over `compute` of total compute
+    /// time, given the MACs and reduce ops `energy` delivered.
+    pub fn sustained(
+        accel: &beacon_accel::AcceleratorConfig,
+        compute: Duration,
+        energy: &EnergyLedger,
+    ) -> Self {
+        let cw = compute.as_secs_f64();
+        let peak_macs =
+            cw * accel.systolic.clock_hz() as f64 * accel.systolic.macs_per_cycle() as f64;
+        let peak_reduce = cw * accel.vector.clock_hz() as f64 * accel.vector.lanes() as f64;
+        let share = |work: u64, peak: f64| if peak > 0.0 { work as f64 / peak } else { 0.0 };
+        AccelOccupancy {
+            systolic: share(energy.macs, peak_macs),
+            vector: share(energy.reduce_ops, peak_reduce),
+        }
+    }
+}
+
 /// The complete result of one simulated run.
 #[derive(Debug, Clone)]
 pub struct RunMetrics {

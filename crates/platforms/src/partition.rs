@@ -12,7 +12,8 @@
 //!   crossbar forward), or
 //! * a retrieved feature vector is staged in the shared SSD DRAM.
 //!
-//! Both interactions go through [`simkit::sync`]: lanes advance in
+//! Both interactions go through the lane runtime
+//! [`simkit::sync::run_lanes`]: lanes advance in
 //! bulk-synchronous rounds bounded by a shared horizon (the next
 //! multiple of [`SsdConfig::router_epoch`] above the earliest pending
 //! event), and everything that crosses a lane boundary is buffered as a
@@ -50,9 +51,6 @@
 //! 4. Shared resources (DRAM) are acquired only by the coordinator, in
 //!    that sorted order.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-
 use beacon_energy::EnergyLedger;
 use beacon_flash::{DieSampler, GnnDieConfig, SampleCommand};
 use beacon_gnn::{GnnModelConfig, MinibatchWorkload};
@@ -60,23 +58,17 @@ use beacon_graph::NodeId;
 use beacon_ssd::SsdConfig;
 use directgraph::DirectGraph;
 use simkit::obs::{SpanRecorder, UnitKind};
-use simkit::sync::{EpochWindow, MessagePool};
+use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
 use simkit::{
     profile, BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
     SerialResource, SimTime, Stage, Trace, NO_PATH,
 };
 
 use crate::engine::{Engine, FlashServiceMemo, OutcomePool, NODE_ID_BYTES, ON_DIE_SAMPLE_TIME};
+use crate::lane::{BatchBroadcast, LaneStats};
 use crate::lat::{self, BatchLat};
-use crate::metrics::{
-    AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown,
-    TimelineBuilder,
-};
-use crate::spec::{ComputeLocation, Platform, PlatformSpec};
-
-/// Sentinel for "lane calendar is empty" in the shared next-event
-/// atomics.
-const IDLE: u64 = u64::MAX;
+use crate::metrics::{AccelOccupancy, RunMetrics, StageBreakdown};
+use crate::spec::{Platform, PlatformSpec};
 
 /// The deterministic identity of one sampling command: mini-batch slot
 /// in the high 64 bits, position in that target's sampling tree in the
@@ -152,10 +144,15 @@ enum Msg {
     },
 }
 
+/// An inbound delivery queued for a lane: the event plus its path
+/// rider — the inherited attribution of an `Arrive` or the DRAM
+/// round-trip delta of a `Finish`, `None` when latency tracking is off.
+type Delivery = (LaneEvent, Option<PathAttr>);
+
 /// One channel's event loop: the channel bus, its dies and samplers, a
 /// private calendar, and lane-local metric accumulators that merge in
 /// fixed lane order after the run.
-struct Lane<'a> {
+struct ChannelLane<'a> {
     channel: usize,
     ssd: SsdConfig,
     dg: &'a DirectGraph,
@@ -166,7 +163,6 @@ struct Lane<'a> {
     chan: SerialResource,
     samplers: Vec<DieSampler>,
     calendar: Calendar<LaneEvent>,
-    cal_base: simkit::PoolStats,
     /// Memoized flash service times (shared formulae with the serial
     /// engine; one table per lane is cheap and keeps lanes `Send`).
     memo: FlashServiceMemo,
@@ -175,27 +171,12 @@ struct Lane<'a> {
     parked_free: Vec<u32>,
     outbox: MessagePool<Msg>,
 
-    record_hops: bool,
-    hop_first: Vec<Option<SimTime>>,
-    hop_last: Vec<Option<SimTime>>,
-    cmd_breakdown: CmdBreakdown,
-    die_timeline: TimelineBuilder,
-    channel_timeline: TimelineBuilder,
-    nodes_visited: u64,
-    flash_reads: u64,
-    sampler_faults: u64,
-    router_cmds: u64,
-    channel_bytes: u64,
-    events_processed: u64,
-    prep_end: SimTime,
+    stats: LaneStats,
     trace: Trace,
     obs: SpanRecorder,
 
-    /// Per-query latency tracking (off by default; see
-    /// [`PartitionedEngine::with_latency`]).
-    lat_on: bool,
-    /// Global query-id base of the batch in flight (copied from
-    /// [`Shared::qid_base`] at the start of every round).
+    /// Global query-id base of the batch in flight (latency tracking,
+    /// see [`PartitionedEngine::with_latency`]).
     lat_qid_base: u32,
     /// Attributions of this lane's in-flight commands.
     arena: PathArena,
@@ -203,7 +184,7 @@ struct Lane<'a> {
     chains: ChainTable,
 }
 
-impl<'a> Lane<'a> {
+impl<'a> ChannelLane<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         channel: usize,
@@ -222,7 +203,7 @@ impl<'a> Lane<'a> {
         let samplers = (0..geo.dies_per_channel)
             .map(|_| DieSampler::new(die_cfg, seed))
             .collect();
-        Lane {
+        ChannelLane {
             channel,
             dg,
             radix: die_cfg.fanout as u64 + 1,
@@ -230,32 +211,18 @@ impl<'a> Lane<'a> {
             chan: SerialResource::new(),
             samplers,
             calendar: Calendar::new(),
-            cal_base: simkit::PoolStats::default(),
             memo: FlashServiceMemo::new(ssd.timing, ON_DIE_SAMPLE_TIME, geo.page_size),
             outcomes: OutcomePool::default(),
             parked: Vec::new(),
             parked_free: Vec::new(),
             outbox: MessagePool::new(),
-            record_hops: true,
-            hop_first: vec![None; hops],
-            hop_last: vec![None; hops],
-            cmd_breakdown: CmdBreakdown::default(),
-            die_timeline: TimelineBuilder::new(),
-            channel_timeline: TimelineBuilder::new(),
-            nodes_visited: 0,
-            flash_reads: 0,
-            sampler_faults: 0,
-            router_cmds: 0,
-            channel_bytes: 0,
-            events_processed: 0,
-            prep_end: SimTime::ZERO,
+            stats: LaneStats::new(hops),
             trace: Trace::with_capacity(trace_capacity),
             obs: if obs_capacity > 0 {
                 SpanRecorder::with_capacity(obs_capacity)
             } else {
                 SpanRecorder::disabled()
             },
-            lat_on: lat_queries.is_some(),
             lat_qid_base: 0,
             arena: PathArena::default(),
             chains: ChainTable::new(lat_queries.unwrap_or(0)),
@@ -269,37 +236,9 @@ impl<'a> Lane<'a> {
         self.ssd.geometry.die_of(page).index()
     }
 
-    fn next_time_ns(&self) -> u64 {
-        self.calendar.peek_time().map_or(IDLE, |t| t.as_ns())
-    }
-
-    /// Drains every event strictly below `horizon`.
-    fn run_round(&mut self, horizon: SimTime) {
-        loop {
-            match self.calendar.peek_time() {
-                Some(t) if t < horizon => {}
-                _ => break,
-            }
-            let (now, ev) = self.calendar.pop().expect("peeked event");
-            self.events_processed += 1;
-            match ev {
-                LaneEvent::Arrive(cmd) => self.on_arrive(cmd, now),
-                LaneEvent::Die(cmd) => self.on_die(cmd, now),
-                LaneEvent::Xfer(cmd, die_start, oi) => self.on_xfer(cmd, die_start, oi, now),
-                LaneEvent::Done(cmd, xfer_end, chan_wait, oi) => {
-                    self.on_done(cmd, xfer_end, chan_wait, oi, now)
-                }
-                LaneEvent::Finish(p) => self.on_finish(p, now),
-            }
-        }
-    }
-
     fn on_arrive(&mut self, cmd: LCmd, now: SimTime) {
-        if self.record_hops {
-            let h = cmd.sample.hop as usize;
-            self.hop_first[h] = Some(self.hop_first[h].map_or(now, |t| t.min(now)));
-        }
-        self.router_cmds += 1;
+        self.stats.hop_started(cmd.sample.hop, now);
+        self.stats.router_cmds += 1;
         if cmd.lat != NO_PATH {
             self.arena
                 .get_mut(cmd.lat)
@@ -313,7 +252,7 @@ impl<'a> Lane<'a> {
         let die = self.die_of(&cmd.sample);
         let local = die / self.ssd.geometry.channels;
         let grant = self.dies[local].acquire(now, self.memo.die_service);
-        self.die_timeline.push(grant.start, grant.end);
+        self.stats.die_timeline.push(grant.start, grant.end);
         if self.trace.is_enabled() {
             self.trace
                 .record(grant.start, "die_sense", die as u64, cmd.sample.hop as f64);
@@ -328,7 +267,7 @@ impl<'a> Lane<'a> {
                 cmd.sample.hop as f64,
             );
         }
-        self.flash_reads += 1;
+        self.stats.flash_reads += 1;
         let oi = self.outcomes.acquire();
         if self.samplers[local]
             .execute_into(
@@ -338,9 +277,10 @@ impl<'a> Lane<'a> {
             )
             .is_err()
         {
-            self.sampler_faults += 1;
+            self.stats.sampler_faults += 1;
         }
-        self.cmd_breakdown
+        self.stats
+            .cmd_breakdown
             .wait_before_flash
             .record_duration(grant.start.saturating_duration_since(cmd.created));
         if cmd.lat != NO_PATH {
@@ -356,7 +296,7 @@ impl<'a> Lane<'a> {
         let bytes = self.outcomes.get(oi).result_bytes() as u64;
         let service = self.memo.xfer_service(bytes);
         let grant = self.chan.acquire(now, service);
-        self.channel_timeline.push(grant.start, grant.end);
+        self.stats.channel_timeline.push(grant.start, grant.end);
         if self.trace.is_enabled() {
             self.trace
                 .record(grant.start, "chan_xfer", self.channel as u64, bytes as f64);
@@ -371,9 +311,10 @@ impl<'a> Lane<'a> {
                 bytes as f64,
             );
         }
-        self.channel_bytes += bytes;
+        self.stats.channel_bytes += bytes;
         let chan_wait = grant.start.saturating_duration_since(now);
-        self.cmd_breakdown
+        self.stats
+            .cmd_breakdown
             .flash
             .record_duration((now - die_start) + (grant.end - grant.start));
         if cmd.lat != NO_PATH {
@@ -441,7 +382,8 @@ impl<'a> Lane<'a> {
     }
 
     fn finish(&mut self, cmd: LCmd, xfer_end: SimTime, chan_wait: Duration, oi: u32, now: SimTime) {
-        self.cmd_breakdown
+        self.stats
+            .cmd_breakdown
             .wait_after_flash
             .record_duration(chan_wait + now.saturating_duration_since(xfer_end));
         if self.trace.is_enabled() {
@@ -456,12 +398,9 @@ impl<'a> Lane<'a> {
             self.obs
                 .instant(UnitKind::Engine, 0, "cmd_done", now, cmd.sample.hop as f64);
         }
-        if self.record_hops {
-            let h = cmd.sample.hop as usize;
-            self.hop_last[h] = Some(self.hop_last[h].map_or(now, |t| t.max(now)));
-        }
+        self.stats.hop_retired(cmd.sample.hop, now);
         if self.outcomes.get(oi).visited.is_some() {
-            self.nodes_visited += 1;
+            self.stats.nodes_visited += 1;
         }
         // At retirement the command's chain competes for its query's
         // longest path, and children inherit the attribution so far.
@@ -511,216 +450,129 @@ impl<'a> Lane<'a> {
             }
         }
         self.outcomes.release(oi);
-        self.prep_end = self.prep_end.max(now);
+        self.stats.prep_end = self.stats.prep_end.max(now);
     }
 }
 
-/// An inbound delivery queued for a lane: `(time_ns, event, path
-/// rider)` — the inherited attribution of an `Arrive` or the DRAM
-/// round-trip delta of a `Finish`, `None` when latency tracking is off.
-type Delivery = (u64, LaneEvent, Option<PathAttr>);
+impl sync::Lane for ChannelLane<'_> {
+    type Delivery = Delivery;
+    type Msg = Msg;
+    type Broadcast = BatchBroadcast;
 
-/// State shared between the coordinator (main thread) and the lane
-/// workers; every field is either atomic or mutex-guarded, and every
-/// value written into it is a pure function of simulated state.
-struct Shared {
-    epochs: EpochWindow,
-    horizon: AtomicU64,
-    done: AtomicBool,
-    record_hops: AtomicBool,
-    prep_end_max: AtomicU64,
-    /// Global query-id base of the batch in flight (batches run
-    /// sequentially, so a relaxed per-batch store is race-free).
-    qid_base: AtomicU64,
-    next_times: Vec<AtomicU64>,
-    /// Per-lane inbound deliveries, written by the coordinator in
-    /// globally sorted order, drained by the lane at the start of its
-    /// next round.
-    mailboxes: Vec<Mutex<Vec<Delivery>>>,
-    /// The round's outbound messages from all lanes, merged and sorted
-    /// by the coordinator at the barrier.
-    pool: Mutex<MessagePool<Msg>>,
-    barrier: Barrier,
-}
-
-impl Shared {
-    fn new(lanes: usize, parties: usize, epochs: EpochWindow) -> Self {
-        Shared {
-            epochs,
-            horizon: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-            record_hops: AtomicBool::new(true),
-            prep_end_max: AtomicU64::new(0),
-            qid_base: AtomicU64::new(0),
-            next_times: (0..lanes).map(|_| AtomicU64::new(IDLE)).collect(),
-            mailboxes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
-            pool: Mutex::new(MessagePool::new()),
-            barrier: Barrier::new(parties),
-        }
-    }
-}
-
-/// Runs one lane's round: drain inbound deliveries, advance to the
-/// horizon, publish the lane's next event time and its outbound
-/// messages.
-fn lane_round(lane: &mut Lane<'_>, shared: &Shared, li: usize) {
-    let horizon = SimTime::from_ns(shared.horizon.load(Ordering::Acquire));
-    lane.record_hops = shared.record_hops.load(Ordering::Acquire);
-    if lane.lat_on {
-        lane.lat_qid_base = shared.qid_base.load(Ordering::Acquire) as u32;
-    }
-    let inbound = std::mem::take(&mut *shared.mailboxes[li].lock().expect("mailbox"));
-    for (t, ev, path) in inbound {
+    fn deliver(&mut self, at: SimTime, (ev, path): Delivery) {
         let ev = match (path, ev) {
             // An inbound arrival materializes its inherited path in
             // this lane's arena; a DRAM completion folds the
             // coordinator-side round-trip delta into the parked
             // command's path.
             (Some(p), LaneEvent::Arrive(mut cmd)) => {
-                cmd.lat = lane.arena.alloc(p);
+                cmd.lat = self.arena.alloc(p);
                 LaneEvent::Arrive(cmd)
             }
             (Some(p), LaneEvent::Finish(slot)) => {
-                let h = lane.parked[slot as usize].cmd.lat;
+                let h = self.parked[slot as usize].cmd.lat;
                 if h != NO_PATH {
-                    lane.arena.get_mut(h).merge(&p);
+                    self.arena.get_mut(h).merge(&p);
                 }
                 LaneEvent::Finish(slot)
             }
             (_, ev) => ev,
         };
-        lane.calendar.schedule(SimTime::from_ns(t), ev);
+        self.calendar.schedule(at, ev);
     }
-    lane.run_round(horizon);
-    shared.next_times[li].store(lane.next_time_ns(), Ordering::Release);
-    shared
-        .prep_end_max
-        .fetch_max(lane.prep_end.as_ns(), Ordering::AcqRel);
-    if !lane.outbox.is_empty() {
-        shared.pool.lock().expect("pool").absorb(&mut lane.outbox);
-    }
-}
 
-/// Advances every lane one round. The serial driver owns the lanes and
-/// runs them inline; the barrier driver releases persistent workers and
-/// waits for them. Both execute the identical protocol on identical
-/// shared state, which is what makes `threads(1)` the byte-exact
-/// reference for any thread count.
-trait RoundDriver {
-    fn round(&mut self, shared: &Shared);
-}
-
-struct SerialDriver<'l, 'a> {
-    lanes: &'l mut [Lane<'a>],
-}
-
-impl RoundDriver for SerialDriver<'_, '_> {
-    fn round(&mut self, shared: &Shared) {
-        for (li, lane) in self.lanes.iter_mut().enumerate() {
-            lane_round(lane, shared, li);
+    fn drain(&mut self, horizon: SimTime, batch: BatchBroadcast) {
+        self.stats.record_hops = batch.record_hops;
+        self.lat_qid_base = batch.qid_base;
+        while self.calendar.peek_time().is_some_and(|t| t < horizon) {
+            let (now, ev) = self.calendar.pop().expect("peeked event");
+            self.stats.pools.events_processed += 1;
+            match ev {
+                LaneEvent::Arrive(cmd) => self.on_arrive(cmd, now),
+                LaneEvent::Die(cmd) => self.on_die(cmd, now),
+                LaneEvent::Xfer(cmd, die_start, oi) => self.on_xfer(cmd, die_start, oi, now),
+                LaneEvent::Done(cmd, xfer_end, chan_wait, oi) => {
+                    self.on_done(cmd, xfer_end, chan_wait, oi, now)
+                }
+                LaneEvent::Finish(p) => self.on_finish(p, now),
+            }
         }
     }
-}
 
-struct BarrierDriver;
+    fn next_time(&self) -> Option<SimTime> {
+        self.calendar.peek_time()
+    }
 
-impl RoundDriver for BarrierDriver {
-    fn round(&mut self, shared: &Shared) {
-        shared.barrier.wait();
-        // Workers run their lanes here.
-        shared.barrier.wait();
+    fn prep_end(&self) -> SimTime {
+        self.stats.prep_end
+    }
+
+    fn outbox(&mut self) -> &mut MessagePool<Msg> {
+        &mut self.outbox
     }
 }
 
-/// Coordinator-side state: the shared resources lanes may not touch,
-/// plus the batch-pipeline bookkeeping carried over from the serial
-/// engine.
+/// Coordinator-side state: the shared DRAM lanes may not touch, plus
+/// the batch-pipeline bookkeeping carried over from the serial engine.
 struct Coordinator {
     dram: BandwidthResource,
-    pcie: BandwidthResource,
     energy: EnergyLedger,
     obs: SpanRecorder,
     prep_total: Duration,
     compute_total: Duration,
     makespan: SimTime,
     targets_total: u64,
-    rounds: u64,
-    messages: u64,
     lat_on: bool,
     lat_batches: Vec<BatchLat>,
 }
 
 impl Coordinator {
-    /// Applies one round's messages in globally sorted `(time, key)`
-    /// order: DRAM grants are issued in that order, completions and
-    /// crossbar forwards are quantized to epoch boundaries and posted
-    /// into lane mailboxes. Returns the earliest delivery time, or
-    /// [`IDLE`].
-    fn process_messages(&mut self, shared: &Shared) -> u64 {
-        let mut pool = shared.pool.lock().expect("pool");
-        if pool.is_empty() {
-            return IDLE;
-        }
-        let horizon = shared.horizon.load(Ordering::Acquire);
-        let lat_on = self.lat_on;
-        let mut min_delivery = IDLE;
-        let mut deliver = |lane: usize, at: u64, ev: LaneEvent, path: Option<PathAttr>| {
-            shared.mailboxes[lane]
-                .lock()
-                .expect("mailbox")
-                .push((at, ev, path));
-            min_delivery = min_delivery.min(at);
-        };
-        for (at, key, msg) in pool.drain_sorted() {
-            self.messages += 1;
-            match msg {
-                Msg::DramReq {
-                    lane,
-                    parked,
-                    bytes,
-                } => {
-                    let grant = self.dram.transfer(at, bytes);
-                    self.energy.dram_bytes += bytes;
-                    // A completion may not land in a drained epoch:
-                    // post it at the horizon at the earliest.
-                    let deliver_at = grant.end.as_ns().max(horizon);
-                    let path = lat_on.then(|| {
-                        let mut p = PathAttr::default();
-                        p.add(Stage::Queue, grant.start.saturating_duration_since(at));
-                        p.add(Stage::Dram, grant.end - grant.start);
-                        p.add_ns(Stage::Queue, deliver_at - grant.end.as_ns());
-                        p
-                    });
-                    deliver(lane as usize, deliver_at, LaneEvent::Finish(parked), path);
-                }
-                Msg::Spawn {
-                    lane,
+    /// Applies one cross-lane message; the runtime hands them over in
+    /// globally sorted `(time, key)` order, so DRAM grants are issued
+    /// in that order. Completions and crossbar forwards are quantized
+    /// to epoch boundaries and posted to the target lane.
+    fn apply(&mut self, at: SimTime, msg: Msg, out: &mut Deliveries<'_, Delivery>) {
+        match msg {
+            Msg::DramReq {
+                lane,
+                parked,
+                bytes,
+            } => {
+                let grant = self.dram.transfer(at, bytes);
+                self.energy.dram_bytes += bytes;
+                // A completion may not land in a drained epoch: post it
+                // at the horizon at the earliest.
+                let deliver_at = grant.end.max(out.horizon());
+                let path = self.lat_on.then(|| {
+                    let mut p = PathAttr::default();
+                    p.add(Stage::Queue, grant.start.saturating_duration_since(at));
+                    p.add(Stage::Dram, grant.end - grant.start);
+                    p.add(Stage::Queue, deliver_at - grant.end);
+                    p
+                });
+                out.post(lane as usize, deliver_at, (LaneEvent::Finish(parked), path));
+            }
+            Msg::Spawn {
+                lane,
+                sample,
+                tree_index,
+                path,
+            } => {
+                let arrive = out.window().next_boundary(at);
+                let path = self.lat_on.then(|| {
+                    let mut p = path;
+                    p.add(Stage::Queue, arrive - at);
+                    p
+                });
+                let cmd = LCmd {
                     sample,
                     tree_index,
-                    path,
-                } => {
-                    let arrive = shared.epochs.next_boundary(at);
-                    let _ = key;
-                    let path = lat_on.then(|| {
-                        let mut p = path;
-                        p.add(Stage::Queue, arrive - at);
-                        p
-                    });
-                    deliver(
-                        lane as usize,
-                        arrive.as_ns(),
-                        LaneEvent::Arrive(LCmd {
-                            sample,
-                            tree_index,
-                            created: arrive,
-                            lat: NO_PATH,
-                        }),
-                        path,
-                    );
-                }
+                    created: arrive,
+                    lat: NO_PATH,
+                };
+                out.post(lane as usize, arrive, (LaneEvent::Arrive(cmd), path));
             }
         }
-        min_delivery
     }
 }
 
@@ -861,8 +713,7 @@ impl<'a> PartitionedEngine<'a> {
 
     fn run_partitioned(&self, spec: &PlatformSpec, batches: &[Vec<NodeId>]) -> RunMetrics {
         let _run_phase = profile::phase("partition/run");
-        let geo = self.ssd.geometry;
-        let lanes_n = geo.channels;
+        let lanes_n = self.ssd.geometry.channels;
         let die_cfg = GnnDieConfig {
             num_hops: self.model.hops,
             fanout: self.model.fanout,
@@ -872,9 +723,9 @@ impl<'a> PartitionedEngine<'a> {
         let lat_queries = self
             .lat_epoch
             .map(|_| batches.iter().map(Vec::len).sum::<usize>());
-        let mut lanes: Vec<Lane<'a>> = (0..lanes_n)
+        let mut lanes: Vec<ChannelLane<'a>> = (0..lanes_n)
             .map(|c| {
-                let mut lane = Lane::new(
+                ChannelLane::new(
                     c,
                     self.ssd,
                     die_cfg,
@@ -884,22 +735,11 @@ impl<'a> PartitionedEngine<'a> {
                     self.trace_capacity,
                     self.obs_capacity,
                     lat_queries,
-                );
-                lane.cal_base = lane.calendar.pool_stats();
-                lane
+                )
             })
             .collect();
-
-        let threads = self.threads.min(lanes_n);
-        let workers = if threads >= 2 { threads } else { 0 };
-        let shared = Shared::new(
-            lanes_n,
-            workers + 1,
-            EpochWindow::new(self.ssd.router_epoch),
-        );
         let mut coord = Coordinator {
             dram: BandwidthResource::new(self.ssd.dram_bandwidth),
-            pcie: BandwidthResource::new(self.ssd.pcie_bandwidth),
             energy: EnergyLedger::new(),
             obs: if self.obs_capacity > 0 {
                 SpanRecorder::with_capacity(self.obs_capacity)
@@ -910,59 +750,17 @@ impl<'a> PartitionedEngine<'a> {
             compute_total: Duration::ZERO,
             makespan: SimTime::ZERO,
             targets_total: 0,
-            rounds: 0,
-            messages: 0,
             lat_on: self.lat_epoch.is_some(),
             lat_batches: Vec::new(),
         };
 
-        if workers == 0 {
-            let mut driver = SerialDriver { lanes: &mut lanes };
-            self.run_batches(spec, &shared, &mut coord, &mut driver, batches);
-        } else {
-            // Round-robin the lanes over persistent workers; the global
-            // message sort makes the grouping invisible to results.
-            let mut groups: Vec<Vec<(usize, Lane<'a>)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (li, lane) in lanes.drain(..).enumerate() {
-                groups[li % workers].push((li, lane));
-            }
-            let shared_ref = &shared;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|mut group| {
-                        s.spawn(move || loop {
-                            shared_ref.barrier.wait();
-                            if shared_ref.done.load(Ordering::Acquire) {
-                                return group;
-                            }
-                            for (li, lane) in group.iter_mut() {
-                                lane_round(lane, shared_ref, *li);
-                            }
-                            shared_ref.barrier.wait();
-                        })
-                    })
-                    .collect();
-                let mut driver = BarrierDriver;
-                self.run_batches(spec, &shared, &mut coord, &mut driver, batches);
-                shared.done.store(true, Ordering::Release);
-                shared.barrier.wait();
-                let mut by_channel: Vec<Option<Lane<'a>>> = (0..lanes_n).map(|_| None).collect();
-                for handle in handles {
-                    for (li, lane) in handle.join().expect("lane worker") {
-                        by_channel[li] = Some(lane);
-                    }
-                }
-                lanes = by_channel
-                    .into_iter()
-                    .map(|l| l.expect("every lane returned"))
-                    .collect();
-            });
-        }
+        let window = EpochWindow::new(self.ssd.router_epoch);
+        let stats = sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
+            self.run_batches(spec, rounds, &mut coord, batches)
+        });
 
-        profile::count("partition/rounds", coord.rounds);
-        profile::count("partition/messages", coord.messages);
+        profile::count("partition/rounds", stats.rounds);
+        profile::count("partition/messages", stats.messages);
         profile::count("partition/lanes", lanes_n as u64);
         self.merge(spec, coord, lanes, batches)
     }
@@ -972,21 +770,23 @@ impl<'a> PartitionedEngine<'a> {
     fn run_batches(
         &self,
         spec: &PlatformSpec,
-        shared: &Shared,
+        rounds: &mut Rounds<'_, ChannelLane<'a>>,
         coord: &mut Coordinator,
-        driver: &mut dyn RoundDriver,
         batches: &[Vec<NodeId>],
     ) {
-        let accel = accel_config(spec);
+        let accel = spec.accel_config();
         let mut compute_free = SimTime::ZERO;
         let mut prep_cursor = SimTime::ZERO;
         let mut compute_ends: Vec<SimTime> = Vec::with_capacity(batches.len());
-        let mut qid_base = 0u64;
+        let mut qid_base = 0u32;
 
         for (bi, batch) in batches.iter().enumerate() {
             let _prep_phase = profile::phase("partition/prep");
             coord.targets_total += batch.len() as u64;
-            shared.record_hops.store(bi == 0, Ordering::Release);
+            rounds.broadcast(BatchBroadcast {
+                record_hops: bi == 0,
+                qid_base,
+            });
             let buffer_ready = if bi >= 2 {
                 compute_ends[bi - 2]
             } else {
@@ -998,53 +798,28 @@ impl<'a> PartitionedEngine<'a> {
             let start = prep_start + self.ssd.host.nvme_roundtrip;
             coord.energy.pcie_bytes += batch.len() as u64 * NODE_ID_BYTES;
 
-            let mut pending_min = IDLE;
-            {
-                shared.qid_base.store(qid_base, Ordering::Release);
-                let root_path = coord.lat_on.then(PathAttr::default);
-                let channels = self.ssd.geometry.channels;
-                for (slot, &target) in batch.iter().enumerate() {
-                    let addr = self
-                        .dg
-                        .directory()
-                        .primary_addr(target)
-                        .expect("target node in DirectGraph directory");
-                    let sample = SampleCommand::root(addr, slot as u32);
-                    let (page, _) = self.dg.layout().unpack(sample.target);
-                    let lane = self.ssd.geometry.die_of(page).index() % channels;
-                    shared.mailboxes[lane].lock().expect("mailbox").push((
-                        start.as_ns(),
-                        LaneEvent::Arrive(LCmd {
-                            sample,
-                            tree_index: 0,
-                            created: start,
-                            lat: NO_PATH,
-                        }),
-                        root_path,
-                    ));
-                }
-                pending_min = pending_min.min(start.as_ns());
+            let root_path = coord.lat_on.then(PathAttr::default);
+            let channels = self.ssd.geometry.channels;
+            for (slot, &target) in batch.iter().enumerate() {
+                let addr = self
+                    .dg
+                    .directory()
+                    .primary_addr(target)
+                    .expect("target node in DirectGraph directory");
+                let sample = SampleCommand::root(addr, slot as u32);
+                let (page, _) = self.dg.layout().unpack(sample.target);
+                let lane = self.ssd.geometry.die_of(page).index() % channels;
+                let cmd = LCmd {
+                    sample,
+                    tree_index: 0,
+                    created: start,
+                    lat: NO_PATH,
+                };
+                rounds.post(lane, start, (LaneEvent::Arrive(cmd), root_path));
             }
+            rounds.run_until_idle(start, |at, msg, out| coord.apply(at, msg, out));
 
-            loop {
-                let lanes_min = shared
-                    .next_times
-                    .iter()
-                    .map(|t| t.load(Ordering::Acquire))
-                    .min()
-                    .unwrap_or(IDLE);
-                let min_next = lanes_min.min(pending_min);
-                if min_next == IDLE {
-                    break;
-                }
-                let horizon = shared.epochs.horizon_for(SimTime::from_ns(min_next));
-                shared.horizon.store(horizon.as_ns(), Ordering::Release);
-                driver.round(shared);
-                coord.rounds += 1;
-                pending_min = coord.process_messages(shared);
-            }
-
-            let prep_end = SimTime::from_ns(shared.prep_end_max.load(Ordering::Acquire)).max(start);
+            let prep_end = rounds.prep_end().max(start);
             coord.prep_total += prep_end - prep_start;
             prep_cursor = prep_end;
             if coord.obs.is_enabled() {
@@ -1084,7 +859,7 @@ impl<'a> PartitionedEngine<'a> {
                 // Features stage through shared DRAM on BG-2 — no batch
                 // PCIe shipment gates compute.
                 coord.lat_batches.push(BatchLat {
-                    base: qid_base as u32,
+                    base: qid_base,
                     len: batch.len() as u32,
                     submit: start,
                     prep_gate: prep_end,
@@ -1093,7 +868,7 @@ impl<'a> PartitionedEngine<'a> {
                     compute_end: compute_free,
                 });
             }
-            qid_base += batch.len() as u64;
+            qid_base += batch.len() as u32;
         }
     }
 
@@ -1103,109 +878,38 @@ impl<'a> PartitionedEngine<'a> {
         &self,
         spec: &PlatformSpec,
         mut coord: Coordinator,
-        lanes: Vec<Lane<'a>>,
+        mut lanes: Vec<ChannelLane<'a>>,
         batches: &[Vec<NodeId>],
     ) -> RunMetrics {
-        let accel = accel_config(spec);
-        let hops = self.model.hops as usize + 2;
-        let mut cmd_breakdown = CmdBreakdown::default();
-        let mut die_timeline = TimelineBuilder::new();
-        let mut channel_timeline = TimelineBuilder::new();
-        let mut hop_first: Vec<Option<SimTime>> = vec![None; hops];
-        let mut hop_last: Vec<Option<SimTime>> = vec![None; hops];
-        let mut pools = PoolCounters::default();
+        let mut totals = LaneStats::new(self.model.hops as usize + 2);
         let mut trace = Trace::with_capacity(self.trace_capacity);
-        let mut energy = coord.energy;
-        let mut nodes_visited = 0u64;
-        let mut flash_reads = 0u64;
-        let mut sampler_faults = 0u64;
         let mut sampler_executed = 0u64;
-        let mut flash_busy = Duration::ZERO;
-        let mut channel_busy = Duration::ZERO;
-
-        for lane in &lanes {
-            cmd_breakdown
-                .wait_before_flash
-                .merge(&lane.cmd_breakdown.wait_before_flash);
-            cmd_breakdown.flash.merge(&lane.cmd_breakdown.flash);
-            cmd_breakdown
-                .wait_after_flash
-                .merge(&lane.cmd_breakdown.wait_after_flash);
-            die_timeline.absorb(&lane.die_timeline);
-            channel_timeline.absorb(&lane.channel_timeline);
-            for h in 0..hops {
-                hop_first[h] = match (hop_first[h], lane.hop_first[h]) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                hop_last[h] = match (hop_last[h], lane.hop_last[h]) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            let cal = lane.calendar.pool_stats();
-            pools.events_processed += lane.events_processed;
-            pools.event_slots_allocated += cal.slots_allocated - lane.cal_base.slots_allocated;
-            pools.event_slots_reused += cal.slots_reused - lane.cal_base.slots_reused;
-            pools.outcome_slots_allocated += lane.outcomes.allocated;
-            pools.outcome_slots_reused += lane.outcomes.reused;
-            pools.calendar_wheel_high_water =
-                pools.calendar_wheel_high_water.max(cal.wheel_high_water);
-            pools.calendar_far_high_water = pools.calendar_far_high_water.max(cal.far_high_water);
+        for lane in &mut lanes {
+            let chans = std::slice::from_ref(&lane.chan);
+            let stats = &mut lane.stats;
+            stats.seal(lane.calendar.pool_stats(), &lane.dies, chans);
+            stats.pools.outcome_slots_allocated = lane.outcomes.allocated;
+            stats.pools.outcome_slots_reused = lane.outcomes.reused;
+            totals.absorb(stats);
             trace.absorb(&lane.trace);
             coord.obs.absorb(&lane.obs);
-            energy.flash_page_reads += lane.flash_reads;
-            energy.sampler_cmds += lane.flash_reads;
-            energy.router_cmds += lane.router_cmds;
-            energy.channel_bytes += lane.channel_bytes;
-            nodes_visited += lane.nodes_visited;
-            flash_reads += lane.flash_reads;
-            sampler_faults += lane.sampler_faults;
             sampler_executed += lane.samplers.iter().map(DieSampler::executed).sum::<u64>();
-            flash_busy += lane.dies.iter().map(SerialResource::busy_total).sum();
-            channel_busy += lane.chan.busy_total();
         }
-        profile::count("partition/events_processed", pools.events_processed);
+        profile::count("partition/events_processed", totals.pools.events_processed);
+        let mut energy = coord.energy;
+        totals.charge_energy(&mut energy);
 
         let stages = StageBreakdown {
-            flash_read: flash_busy,
-            channel: channel_busy,
+            flash_read: totals.flash_busy,
+            channel: totals.channel_busy,
             firmware: Duration::ZERO,
             dram: coord.dram.busy_total(),
-            pcie: coord.pcie.busy_total(),
+            pcie: Duration::ZERO,
             host: Duration::ZERO,
             accel: coord.compute_total,
         };
-        let hop_windows = hop_first
-            .iter()
-            .zip(&hop_last)
-            .enumerate()
-            .filter_map(|(h, (f, l))| {
-                f.zip(*l).map(|(start, end)| HopWindow {
-                    hop: h as u8,
-                    start,
-                    end,
-                })
-            })
-            .collect();
-        let accel_occupancy = {
-            let cw = coord.compute_total.as_secs_f64();
-            let peak_macs =
-                cw * accel.systolic.clock_hz() as f64 * accel.systolic.macs_per_cycle() as f64;
-            let peak_reduce = cw * accel.vector.clock_hz() as f64 * accel.vector.lanes() as f64;
-            AccelOccupancy {
-                systolic: if peak_macs > 0.0 {
-                    energy.macs as f64 / peak_macs
-                } else {
-                    0.0
-                },
-                vector: if peak_reduce > 0.0 {
-                    energy.reduce_ops as f64 / peak_reduce
-                } else {
-                    0.0
-                },
-            }
-        };
+        let accel_occupancy =
+            AccelOccupancy::sustained(&spec.accel_config(), coord.compute_total, &energy);
         let ftl = if coord.obs.is_enabled() {
             Engine::replay_ftl_setup(self.dg, &self.ssd)
         } else {
@@ -1227,22 +931,22 @@ impl<'a> PartitionedEngine<'a> {
             platform: spec.name,
             targets: coord.targets_total,
             batches: batches.len() as u64,
-            nodes_visited,
-            flash_reads,
-            sampler_faults,
+            nodes_visited: totals.nodes_visited,
+            flash_reads: totals.flash_reads,
+            sampler_faults: totals.sampler_faults,
             makespan: coord.makespan - SimTime::ZERO,
             prep_time: coord.prep_total,
             compute_time: coord.compute_total,
-            cmd_breakdown,
+            hop_windows: totals.hop_windows(),
+            cmd_breakdown: totals.cmd_breakdown,
             stages,
-            hop_windows,
-            die_timeline,
-            channel_timeline,
+            die_timeline: totals.die_timeline,
+            channel_timeline: totals.channel_timeline,
             energy,
             total_dies: self.ssd.geometry.total_dies(),
             total_channels: self.ssd.geometry.channels,
             trace,
-            pools,
+            pools: totals.pools,
             spans: coord.obs,
             sampler_executed,
             router: None,
@@ -1250,13 +954,6 @@ impl<'a> PartitionedEngine<'a> {
             accel_occupancy,
             latency,
         }
-    }
-}
-
-pub(crate) fn accel_config(spec: &PlatformSpec) -> beacon_accel::AcceleratorConfig {
-    match spec.compute {
-        ComputeLocation::DiscreteAccel => beacon_accel::AcceleratorConfig::discrete_tpu(),
-        ComputeLocation::SsdAccel => beacon_accel::AcceleratorConfig::ssd_internal(),
     }
 }
 

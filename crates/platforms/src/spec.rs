@@ -240,6 +240,14 @@ impl PlatformSpec {
             && !self.features_cross_pcie
             && !self.host_feature_lookup
     }
+
+    /// The accelerator the platform computes on.
+    pub fn accel_config(&self) -> beacon_accel::AcceleratorConfig {
+        match self.compute {
+            ComputeLocation::DiscreteAccel => beacon_accel::AcceleratorConfig::discrete_tpu(),
+            ComputeLocation::SsdAccel => beacon_accel::AcceleratorConfig::ssd_internal(),
+        }
+    }
 }
 
 #[cfg(test)]
