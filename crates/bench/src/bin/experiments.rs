@@ -11,10 +11,7 @@
 //! simulation cells — and, under `all`, whole figures — across worker
 //! threads. Every cell's seed is fixed by its identity before execution
 //! starts, so stdout is byte-identical at any job count; only the
-//! wall-clock changes. The per-figure timing summary goes to stderr,
-//! and `all` additionally writes a machine-readable
-//! `BENCH_parallel.json` with sequential-vs-parallel wall-clock on the
-//! Fig 14 matrix.
+//! wall-clock changes. The per-figure timing summary goes to stderr.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -26,7 +23,35 @@ use beacon_bench as bench;
 use beacon_bench::{Sweep, DEFAULT_BATCH, DEFAULT_NODES};
 use beacon_platforms::Platform;
 use beacongnn::report::{percent, ratio, Table};
-use beacongnn::{ParallelRunner, ReplayCache};
+
+/// An experiment's entry point; it receives the arguments after the name.
+type Entry = fn(&[String]);
+
+/// Every accepted experiment. `main` dispatches through this table and
+/// the usage message lists it, so the two cannot drift apart.
+const EXPERIMENTS: &[(&str, Entry)] = &[
+    ("fig7a", |_| print!("{}", fig7a())),
+    ("fig7b", |_| print!("{}", fig7b())),
+    ("fig14", |_| print!("{}", fig14())),
+    ("fig15", |_| print!("{}", fig15())),
+    ("fig15f", |_| print!("{}", fig15f())),
+    ("fig16", |_| print!("{}", fig16())),
+    ("fig17", |_| print!("{}", fig17())),
+    ("fig18", |args| {
+        print!("{}", fig18(args.first().map(String::as_str)))
+    }),
+    ("fig19", |_| print!("{}", fig19())),
+    ("table4", |_| print!("{}", table4())),
+    ("trad_ssd", |_| print!("{}", trad_ssd())),
+    ("config", |_| print!("{}", config())),
+    ("query", |_| print!("{}", query())),
+    ("scaleout", scaleout),
+    ("ablation", |_| print!("{}", ablation())),
+    ("interference", |_| print!("{}", interference())),
+    ("obs", obs),
+    ("latency", latency),
+    ("all", |_| run_all()),
+];
 
 fn main() {
     let mut jobs = beacongnn::default_jobs();
@@ -54,75 +79,26 @@ fn main() {
     bench::set_jobs(jobs);
 
     let which = positional.first().map(String::as_str).unwrap_or("all");
-    match which {
-        "fig7a" => print!("{}", fig7a()),
-        "fig7b" => print!("{}", fig7b()),
-        "fig14" => print!("{}", fig14()),
-        "fig15" => print!("{}", fig15()),
-        "fig15f" => print!("{}", fig15f()),
-        "fig16" => print!("{}", fig16()),
-        "fig17" => print!("{}", fig17()),
-        "fig18" => print!("{}", fig18(positional.get(1).map(String::as_str))),
-        "fig19" => print!("{}", fig19()),
-        "table4" => print!("{}", table4()),
-        "trad_ssd" => print!("{}", trad_ssd()),
-        "config" => print!("{}", config()),
-        "query" => print!("{}", query()),
-        "scaleout" => scaleout(&positional[1..]),
-        "ablation" => print!("{}", ablation()),
-        "interference" => print!("{}", interference()),
-        "obs" => obs(&positional[1..]),
-        "latency" => latency(&positional[1..]),
-        "all" => run_all(jobs),
-        other => {
-            eprintln!(
-                "unknown experiment `{other}`; expected one of: fig7a fig14 fig15 fig15f \
-                 fig16 fig17 fig18 [sweep] fig19 table4 trad_ssd query scaleout \
-                 ablation config obs latency all (plus --jobs N)"
-            );
-            std::process::exit(2);
-        }
-    }
-
-    // Profile report goes to stderr only, so stdout stays byte-identical
-    // whether or not the `profile` feature / BEACON_PROFILE are on.
-    if simkit::profile::is_enabled() {
-        eprint!("\n--- profile ---\n{}", simkit::profile::report());
-    }
+    let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == which) else {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown experiment `{which}`; expected one of: {} \
+             (fig18 takes an optional sweep; plus --jobs N)",
+            names.join(" ")
+        );
+        std::process::exit(2);
+    };
+    run(positional.get(1..).unwrap_or_default());
 }
 
-/// Runs every figure. Fig 14 doubles as the parallel-speedup
-/// calibration (its matrix runs once sequentially and once under the
-/// jobs setting); the remaining figures execute concurrently on a
-/// figure-level worker pool and print in fixed order.
-fn run_all(jobs: usize) {
-    // Calibration: the Fig 14 matrix (8 platforms × 5 workloads) timed
-    // both ways. The parallel pass's results also render the figure, so
-    // the calibration costs one extra sequential sweep, not two. The
-    // workload-build phase (cache population during matrix
-    // construction) is timed apart from the execution passes.
-    let tb = Instant::now();
-    let matrix = bench::fig14_matrix(DEFAULT_NODES, DEFAULT_BATCH);
-    let workload_build_s = tb.elapsed().as_secs_f64();
-    // The calibration measures parallel speedup of *full* execution, so
-    // it pins the disabled replay cache: record-once/replay-many (or the
-    // exact-cell memo) would otherwise collapse the second pass and turn
-    // the speedup into a cache benchmark. Results are byte-identical
-    // either way; only the wall-clock semantics are at stake.
-    let no_replay = ReplayCache::disabled();
-    let t0 = Instant::now();
-    let seq_results = matrix.run_sequential_with(&no_replay);
-    let sequential_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let par_results = ParallelRunner::new(jobs).run_with(&matrix, &no_replay);
-    let parallel_s = t1.elapsed().as_secs_f64();
-    drop(seq_results);
-    let fig14_out = fig14_render(&bench::fig14_rows(&par_results));
-
+/// Runs every figure on a figure-level worker pool (each worker steals
+/// the next un-rendered figure) and prints them in fixed order.
+fn run_all() {
     type FigureFn = fn() -> String;
     let figures: Vec<(&str, FigureFn)> = vec![
         ("fig7a", fig7a as FigureFn),
         ("fig7b", fig7b),
+        ("fig14", fig14),
         ("fig15", fig15),
         ("fig15f", fig15f),
         ("fig16", fig16),
@@ -138,11 +114,11 @@ fn run_all(jobs: usize) {
         ("latency", latency_figure_text),
     ];
 
-    // Figure-level pool: each worker steals the next un-rendered figure.
+    let jobs = bench::jobs();
     let next = AtomicUsize::new(0);
     let mut rendered: Vec<Option<(String, f64)>> = Vec::new();
     rendered.resize_with(figures.len(), || None);
-    let workers = jobs.min(figures.len()).max(1);
+    let workers = jobs.min(figures.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -166,62 +142,19 @@ fn run_all(jobs: usize) {
         }
     });
 
-    // stdout: figures in canonical order (fig7a, fig7b, fig14, ...),
-    // independent of schedule.
-    let mut timings: Vec<(&str, f64)> = Vec::new();
-    for ((name, _), slot) in figures.iter().zip(&rendered) {
-        let (_, secs) = slot.as_ref().expect("figure rendered");
-        timings.push((name, *secs));
-        if *name == "fig7b" {
-            timings.push(("fig14", sequential_s + parallel_s));
-        }
+    // stdout: figures in canonical order, independent of schedule;
+    // stderr: the wall-clock summary, kept off stdout so output stays
+    // byte-identical across job counts.
+    let rendered: Vec<(String, f64)> = rendered
+        .into_iter()
+        .map(|slot| slot.expect("figure rendered"))
+        .collect();
+    for (out, _) in &rendered {
+        print!("{out}");
     }
-    for (i, slot) in rendered.iter().enumerate() {
-        print!("{}", slot.as_ref().expect("figure rendered").0);
-        if figures[i].0 == "fig7b" {
-            print!("{fig14_out}");
-        }
-    }
-
-    // stderr: wall-clock summary (kept off stdout so output stays
-    // byte-identical across job counts).
     eprintln!("\n--- timing summary ({jobs} jobs) ---");
-    for (name, secs) in &timings {
+    for ((name, _), (_, secs)) in figures.iter().zip(&rendered) {
         eprintln!("{name:>14}  {secs:8.3} s");
-    }
-    let speedup = if parallel_s > 0.0 {
-        sequential_s / parallel_s
-    } else {
-        1.0
-    };
-    eprintln!(
-        "fig14 matrix ({} cells): build {workload_build_s:.3} s, sequential {sequential_s:.3} s, \
-         parallel {parallel_s:.3} s, speedup {speedup:.2}x",
-        matrix.len()
-    );
-
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"jobs\": {jobs},");
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"calibration_cells\": {},", matrix.len());
-    let _ = writeln!(json, "  \"workload_build_s\": {workload_build_s:.6},");
-    let _ = writeln!(json, "  \"sequential_s\": {sequential_s:.6},");
-    let _ = writeln!(json, "  \"parallel_s\": {parallel_s:.6},");
-    let _ = writeln!(json, "  \"speedup\": {speedup:.4},");
-    json.push_str("  \"figures\": [\n");
-    for (i, (name, secs)) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"seconds\": {secs:.6}}}{comma}"
-        );
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_parallel.json"),
-        Err(e) => eprintln!("could not write BENCH_parallel.json: {e}"),
     }
 }
 
@@ -289,10 +222,7 @@ fn fig7b() -> String {
 }
 
 fn fig14() -> String {
-    fig14_render(&bench::fig14(DEFAULT_NODES, DEFAULT_BATCH))
-}
-
-fn fig14_render(rows: &[bench::Fig14Row]) -> String {
+    let rows = bench::fig14(DEFAULT_NODES, DEFAULT_BATCH);
     let mut out = String::new();
     header(
         &mut out,
@@ -316,7 +246,7 @@ fn fig14_render(rows: &[bench::Fig14Row]) -> String {
                 .expect("cell exists");
             cells.push(ratio(r.normalized));
         }
-        cells.push(ratio(bench::geomean_normalized(rows, p)));
+        cells.push(ratio(bench::geomean_normalized(&rows, p)));
         t.row_owned(cells);
     }
     let _ = writeln!(out, "{}", t.render());

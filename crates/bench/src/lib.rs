@@ -1,8 +1,8 @@
 //! # beacon-bench — the evaluation harness (paper §VII)
 //!
 //! One function per table/figure, each returning structured results so
-//! the `experiments` binary, the Criterion benches, and the regression
-//! tests all share the same code path. See DESIGN.md's experiment index
+//! the `experiments` and `export_csv` binaries and the regression tests
+//! all share the same code path. See DESIGN.md's experiment index
 //! for the mapping.
 //!
 //! Scales: the paper runs hundred-GB datasets on a simulated 1 TB SSD;
@@ -78,11 +78,6 @@ fn workload_with(dataset: Dataset, nodes: usize, batch: usize, batches: usize) -
 /// Cached: repeated calls with the same shape share one prepared image.
 pub fn workload(dataset: Dataset, nodes: usize, batch: usize) -> Arc<Workload> {
     workload_with(dataset, nodes, batch, DEFAULT_BATCHES)
-}
-
-/// Small-scale workload for Criterion benches (kept fast).
-pub fn bench_workload(dataset: Dataset) -> Arc<Workload> {
-    workload_with(dataset, 2_000, 32, 1)
 }
 
 // ---------------------------------------------------------------------
@@ -166,7 +161,7 @@ pub fn fig14_matrix(nodes: usize, batch: usize) -> RunMatrix {
 }
 
 /// Folds one-per-cell metrics of [`fig14_matrix`] into Fig 14 rows.
-pub fn fig14_rows(results: &[RunMetrics]) -> Vec<Fig14Row> {
+fn fig14_rows(results: &[RunMetrics]) -> Vec<Fig14Row> {
     let nplat = Platform::ALL.len();
     let cc_idx = Platform::ALL
         .iter()

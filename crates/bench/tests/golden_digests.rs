@@ -1,6 +1,6 @@
 //! Golden digests: pins the deterministic outputs that the CI
 //! determinism smokes otherwise only check for *self*-consistency
-//! (jobs=1 vs jobs=4, cold vs warm cache). These constants are the
+//! (jobs=1 vs jobs=4, replay on vs off). These constants are the
 //! digests the current implementation produces; any simulation-visible
 //! change — event ordering, timing model, sampler draw order, workload
 //! synthesis — shifts them and fails here, inside plain `cargo test`,
@@ -18,7 +18,7 @@ use beacongnn::{
     SsdConfig, Workload,
 };
 
-/// FNV-1a fold, mirroring `perf_smoke`'s digest of result streams.
+/// FNV-1a fold over a result stream's bytes.
 fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
     for &b in bytes {
@@ -30,8 +30,8 @@ fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// Digest of a run-metrics stream, exactly as `perf_smoke` folds its
-/// `digest matrix …` / `digest fig18 …` stdout lines.
+/// Digest of a run-metrics stream: each cell's nodes visited, flash
+/// reads and makespan, folded in cell order.
 fn metrics_digest(results: &[beacongnn::RunMetrics]) -> u64 {
     results.iter().fold(FNV_OFFSET, |h, m| {
         let h = fnv1a_fold(h, &m.nodes_visited.to_le_bytes());
@@ -40,8 +40,8 @@ fn metrics_digest(results: &[beacongnn::RunMetrics]) -> u64 {
     })
 }
 
-/// The fixed smoke workload of perf_smoke (Amazon, 8k nodes, batch
-/// 128 × 2, seed 7).
+/// The fixed smoke workload: Amazon shape, 8k nodes, two batches of
+/// 128 targets, seed 7.
 fn smoke_workload() -> Workload {
     Workload::builder()
         .dataset(Dataset::Amazon)
@@ -58,35 +58,35 @@ fn registry_digest(reg: &simkit::MetricsRegistry) -> u64 {
     fnv1a_fold(FNV_OFFSET, reg.to_json_string().as_bytes())
 }
 
-/// The `digest workload …` line of perf_smoke: the DirectGraph image
-/// digest of the fixed smoke workload.
+/// The DirectGraph image digest of the fixed smoke workload: pins graph
+/// synthesis, feature synthesis and page encoding.
 #[test]
-fn perf_smoke_workload_digest_is_pinned() {
+fn smoke_workload_digest_is_pinned() {
     let w = smoke_workload();
     assert_eq!(
         w.directgraph().digest(),
         0x26787abe61d5a557,
-        "perf_smoke workload digest drifted"
+        "smoke workload digest drifted"
     );
 }
 
-/// The `digest matrix …` line of perf_smoke: the Fig 14 platform ×
-/// dataset matrix at smoke scale (4k nodes, batch 64), run sequentially.
+/// The Fig 14 platform × dataset matrix at smoke scale (4k nodes,
+/// batch 64), run sequentially.
 #[test]
-fn perf_smoke_matrix_digest_is_pinned() {
+fn smoke_matrix_digest_is_pinned() {
     let matrix = bench::fig14_matrix(4_000, 64);
     let results = matrix.run_sequential();
     assert_eq!(
         metrics_digest(&results),
         0x08f95fdebcdc17d9,
-        "perf_smoke fig14-matrix digest drifted"
+        "smoke fig14-matrix digest drifted"
     );
 }
 
-/// The `digest fig18 …` line of perf_smoke: the controller-core
-/// sensitivity matrix (BG chain × core counts) at smoke scale.
+/// The controller-core sensitivity matrix (BG chain × core counts) at
+/// smoke scale.
 #[test]
-fn perf_smoke_fig18_digest_is_pinned() {
+fn smoke_fig18_digest_is_pinned() {
     let w = bench::workload(Dataset::Amazon, 4_000, 64);
     let mut matrix = RunMatrix::new();
     for &cores in &[1usize, 2, 4, 8] {
@@ -99,7 +99,7 @@ fn perf_smoke_fig18_digest_is_pinned() {
     assert_eq!(
         metrics_digest(&results),
         0x1cf7241d101629eb,
-        "perf_smoke fig18-matrix digest drifted"
+        "smoke fig18-matrix digest drifted"
     );
 }
 

@@ -123,15 +123,9 @@ pub(crate) fn file_path(dir: &Path, fingerprint: &str) -> PathBuf {
 pub(crate) fn load(dir: &Path, fingerprint: &str) -> Option<Workload> {
     let result = try_load(&file_path(dir, fingerprint), fingerprint);
     match &result {
-        Some(_) => {
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
-            simkit::profile::count("workload/disk_cache_hit", 1);
-        }
-        None => {
-            DISK_MISSES.fetch_add(1, Ordering::Relaxed);
-            simkit::profile::count("workload/disk_cache_miss", 1);
-        }
-    }
+        Some(_) => DISK_HITS.fetch_add(1, Ordering::Relaxed),
+        None => DISK_MISSES.fetch_add(1, Ordering::Relaxed),
+    };
     result
 }
 
@@ -143,7 +137,6 @@ pub(crate) fn save(dir: &Path, fingerprint: &str, workload: &Workload) {
 }
 
 fn try_save(dir: &Path, fingerprint: &str, w: &Workload) -> std::io::Result<()> {
-    let _p = simkit::profile::phase("workload/disk_cache_save");
     let mut payload = Vec::new();
     payload.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     put_bytes(&mut payload, fingerprint.as_bytes());
@@ -202,7 +195,6 @@ fn try_save(dir: &Path, fingerprint: &str, w: &Workload) -> std::io::Result<()> 
 }
 
 fn try_load(path: &Path, fingerprint: &str) -> Option<Workload> {
-    let _p = simkit::profile::phase("workload/disk_cache_load");
     let bytes = std::fs::read(path).ok()?;
     if bytes.len() < MAGIC.len() + 8 || &bytes[..MAGIC.len()] != MAGIC {
         return None;
@@ -316,7 +308,6 @@ pub(crate) fn recording_path(dir: &Path, key: &str) -> PathBuf {
 /// Attempts to load the cascade recording for `key` from `dir`.
 /// Returns `None` on any validation failure; callers re-record.
 pub(crate) fn load_recording(dir: &Path, key: &str) -> Option<CascadeRecording> {
-    let _p = simkit::profile::phase("replay/disk_cache_load");
     let bytes = std::fs::read(recording_path(dir, key)).ok()?;
     if bytes.len() < RECORDING_MAGIC.len() + 8 || &bytes[..RECORDING_MAGIC.len()] != RECORDING_MAGIC
     {
@@ -350,7 +341,6 @@ pub(crate) fn save_recording(dir: &Path, key: &str, recording: &CascadeRecording
 }
 
 fn try_save_recording(dir: &Path, key: &str, recording: &CascadeRecording) -> std::io::Result<()> {
-    let _p = simkit::profile::phase("replay/disk_cache_save");
     let mut payload = Vec::new();
     payload.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     put_bytes(&mut payload, key.as_bytes());

@@ -29,15 +29,15 @@
 //!
 //! ## Fallback rules
 //!
-//! A cell runs the untouched full path (counted as `replay/fallback`
-//! while the cache is active) when:
+//! A cell runs the untouched full path (counted in
+//! [`ReplayStats::fallbacks`] while the cache is active) when:
 //!
 //! * its workload has no fingerprint (custom graph), or
 //! * its key appears only once in the matrix *and* no recording for it
 //!   is already cached in memory or on disk (recording would cost more
 //!   than it saves), or
-//! * replay is disabled (`BEACON_REPLAY=0`/`off`, or
-//!   [`ReplayCache::set_enabled`]`(false)`).
+//! * replay is disabled (`BEACON_REPLAY=0`/`off`, or a
+//!   [`ReplayCache::disabled`] instance).
 //!
 //! ## Persistence
 //!
@@ -64,19 +64,18 @@
 //! <replay key>|platform=<name>|ssd=<device configuration>
 //! ```
 //!
-//! and serves later identical cells by cloning — counted as
-//! `replay/memo_hit`. The memo is populated by full runs and replays
-//! alike (so cross-figure deduplication needs no recording), lives in
-//! memory only, and obeys the same kill switches as replay.
+//! and serves later identical cells by cloning — counted in
+//! [`ReplayStats::memo_hits`]. The memo is populated by full runs and
+//! replays alike (so cross-figure deduplication needs no recording),
+//! lives in memory only, and obeys the same kill switches as replay.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use beacon_platforms::{CascadeRecording, Engine, EngineScratch, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
-use simkit::profile;
 
 use crate::diskcache;
 use crate::matrix::RunCell;
@@ -85,10 +84,6 @@ use crate::workload::Workload;
 /// Versions the recording semantics; bump when sampler draw derivation
 /// or the recording's meaning changes.
 const KEY_VERSION: &str = "cascade-v1";
-
-/// Runtime kill-switch shared by every cache instance (scoped disables,
-/// e.g. around calibration loops that must measure full runs).
-static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// `BEACON_REPLAY` environment resolution, done once per process.
 fn env_enabled() -> bool {
@@ -151,10 +146,8 @@ pub struct ReplayCache {
     memo: Mutex<HashMap<String, Arc<RunMetrics>>>,
     disk: Option<PathBuf>,
     /// Instance-level switch; the effective state also requires the
-    /// environment and runtime switches (see [`ReplayCache::is_active`]).
+    /// environment switch (see [`ReplayCache::is_active`]).
     enabled: bool,
-    /// Whether identical cells are served from the exact-cell memo.
-    memoize: bool,
     hits: AtomicU64,
     records: AtomicU64,
     disk_hits: AtomicU64,
@@ -169,7 +162,6 @@ impl ReplayCache {
         ReplayCache {
             disk: diskcache::default_dir(),
             enabled: true,
-            memoize: true,
             ..Self::default()
         }
     }
@@ -178,7 +170,6 @@ impl ReplayCache {
     pub fn in_memory() -> Self {
         ReplayCache {
             enabled: true,
-            memoize: true,
             ..Self::default()
         }
     }
@@ -188,17 +179,8 @@ impl ReplayCache {
         ReplayCache {
             disk: Some(dir.into()),
             enabled: true,
-            memoize: true,
             ..Self::default()
         }
-    }
-
-    /// This cache with the exact-cell memo turned off: identical cells
-    /// re-execute (replaying when keyed). Used to measure the pure
-    /// re-timing cost of replay, which the memo would short-circuit.
-    pub fn without_memo(mut self) -> Self {
-        self.memoize = false;
-        self
     }
 
     /// A cache that never records or replays: every cell runs the full
@@ -213,17 +195,11 @@ impl ReplayCache {
         GLOBAL.get_or_init(ReplayCache::new)
     }
 
-    /// Runtime kill-switch over *every* cache instance. Scoped disables
-    /// (e.g. calibration loops that must time full runs) flip this off
-    /// and back on; the environment variable `BEACON_REPLAY=0` disables
-    /// replay for the whole process instead.
-    pub fn set_enabled(on: bool) {
-        RUNTIME_ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether this instance will record/replay right now.
+    /// Whether this instance will record/replay: it is not
+    /// [`ReplayCache::disabled`], and `BEACON_REPLAY=0` has not
+    /// disabled replay for the whole process.
     pub fn is_active(&self) -> bool {
-        self.enabled && env_enabled() && RUNTIME_ENABLED.load(Ordering::Relaxed)
+        self.enabled && env_enabled()
     }
 
     /// The persistent layer's directory, if one is configured.
@@ -243,7 +219,7 @@ impl ReplayCache {
     }
 
     /// The memo key of one fully-specified cell, or `None` when the
-    /// memo cannot serve it (memo off, cache inactive, or no workload
+    /// memo cannot serve it (cache inactive, or no workload
     /// fingerprint). `SsdConfig`'s `Debug` form is the same identity
     /// string [`RunCell::derive_seed`](crate::RunCell::derive_seed)
     /// hashes. Latency-tracked runs key under a `|lat=` variant so a
@@ -257,7 +233,7 @@ impl ReplayCache {
         seed: u64,
         lat: Option<simkit::Duration>,
     ) -> Option<String> {
-        if !self.memoize || !self.is_active() {
+        if !self.is_active() {
             return None;
         }
         let key = replay_key(workload, seed)?;
@@ -273,7 +249,6 @@ impl ReplayCache {
         let memo = self.memo.lock().expect("replay memo poisoned");
         let m = memo.get(key)?;
         self.memo_hits.fetch_add(1, Ordering::Relaxed);
-        profile::count("replay/memo_hit", 1);
         Some((**m).clone())
     }
 
@@ -345,14 +320,12 @@ impl ReplayCache {
             None => {
                 if self.is_active() {
                     self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                    profile::count("replay/fallback", 1);
                 }
                 cell.execute_with(scratch)
             }
             Some(key) => {
                 let recording = self.get_or_record(key, &cell.workload, cell.seed, scratch);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                profile::count("replay/hit", 1);
                 Engine::new(
                     cell.platform,
                     cell.ssd,
@@ -438,7 +411,6 @@ impl ReplayCache {
                 let mut scratch = EngineScratch::new();
                 let recording = self.get_or_record(&key, workload, seed, &mut scratch);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                profile::count("replay/hit", 1);
                 engine().replay_with(&mut scratch, &recording, workload.batches())
             }
             None => engine().run(workload.batches()),
@@ -497,7 +469,6 @@ impl ReplayCache {
                 // colliding file must re-record, not panic in replay.
                 if rec.matches_batches(workload.batches()) {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    profile::count("replay/disk_hit", 1);
                     let rec = Arc::new(rec);
                     let _ = slot.ready.set(Arc::clone(&rec));
                     return rec;
@@ -511,7 +482,6 @@ impl ReplayCache {
         // canonical config records it cannot matter — this one is just
         // the cheapest well-defined choice.
         self.records.fetch_add(1, Ordering::Relaxed);
-        profile::count("replay/record", 1);
         let ssd =
             SsdConfig::paper_default().with_page_size(workload.directgraph().layout().page_size());
         let (_, recording) = Engine::new(

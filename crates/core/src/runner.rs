@@ -67,8 +67,8 @@ impl<'a> Experiment<'a> {
     /// its memoized metrics, a workload whose cascade is already
     /// recorded replays it under this configuration, and anything else
     /// executes the full engine. All three paths are byte-identical
-    /// (property-tested); disable with `BEACON_REPLAY=0` or
-    /// [`ReplayCache::set_enabled`]`(false)` to force full execution.
+    /// (property-tested); set `BEACON_REPLAY=0` to force full
+    /// execution.
     pub fn run(&self, platform: Platform) -> RunMetrics {
         ReplayCache::global().run_single(platform, self.ssd, self.workload, self.seed)
     }

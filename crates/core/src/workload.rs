@@ -141,7 +141,6 @@ impl WorkloadBuilder {
     /// Returns [`WorkloadError`] if the page size is unsupported or
     /// conversion fails.
     pub fn prepare(self) -> Result<Workload, WorkloadError> {
-        let _prep_phase = simkit::profile::phase("workload/prepare");
         let fingerprint = self.fingerprint();
         let layout = AddrLayout::for_page_size(self.page_size)
             .ok_or(WorkloadError::BadPageSize(self.page_size))?;
@@ -153,28 +152,14 @@ impl WorkloadBuilder {
                 spec.feature_dim = features.dim();
                 (graph, features)
             }
-            None => {
-                let graph = {
-                    let _p = simkit::profile::phase("workload/graph");
-                    spec.build_graph(self.seed)
-                };
-                let features = {
-                    let _p = simkit::profile::phase("workload/features");
-                    spec.build_features(self.seed)
-                };
-                (graph, features)
-            }
+            None => (spec.build_graph(self.seed), spec.build_features(self.seed)),
         };
         let num_nodes = graph.num_nodes();
-        let dg = {
-            let _p = simkit::profile::phase("workload/directgraph");
-            DirectGraphBuilder::new(layout).build(&graph, &features)?
-        };
+        let dg = DirectGraphBuilder::new(layout).build(&graph, &features)?;
         let model = self
             .model
             .unwrap_or_else(|| GnnModelConfig::paper_default(spec.feature_dim));
         let batches = {
-            let _p = simkit::profile::phase("workload/batches");
             let mut stream = MinibatchStream::new(num_nodes, self.batch_size, self.seed ^ 0xBA7C);
             (0..self.batches).map(|_| stream.next_batch()).collect()
         };

@@ -372,7 +372,6 @@ impl DirectGraphBuilder {
         // Placement is inherently sequential (first-fit over a shared
         // open-page window), but cheap; it produces the per-page plan
         // that step 2 parallelizes over.
-        let plan_phase = simkit::profile::phase("directgraph/plan");
         let mut placer = Placer::new(self.layout, self.max_open_pages);
         let mut plans: Vec<NodePlan> = Vec::with_capacity(graph.num_nodes());
         let mut stats = BuildStats::default();
@@ -427,15 +426,11 @@ impl DirectGraphBuilder {
         let directory = NodeDirectory {
             primary: plans.iter().map(|p| p.primary_addr).collect(),
         };
-        // End the plan phase before encode starts (`drop()` would lint
-        // as drop_non_drop when the guard compiles to a no-op ZST).
-        let _ = plan_phase;
 
         // ---- Step 2: serialization. ----
         // Every page's content is fully determined by the step-1 plan,
         // so pages encode independently on build threads, in fixed
         // chunks; results land in index order regardless of schedule.
-        let _encode_phase = simkit::profile::phase("directgraph/encode");
         let mut encoded: Vec<Option<Box<[u8]>>> = Vec::with_capacity(pages.len());
         encoded.resize_with(pages.len(), || None);
         {

@@ -61,7 +61,7 @@ use directgraph::DirectGraph;
 use simkit::obs::SpanRecorder;
 use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
 use simkit::{
-    profile, BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
+    BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
     QueryLat, SerialResource, SimTime, Stage, Trace, NO_PATH,
 };
 
@@ -891,7 +891,6 @@ impl<'a> ArrayEngine<'a> {
     /// empty and only a 1-device replay (the serial metrics verbatim)
     /// is possible.
     pub fn record(&self, batches: &[Vec<NodeId>]) -> ArrayCascade {
-        let _phase = profile::phase("array/record");
         let mut scratch = EngineScratch::new();
         let mut engine = Engine::new(self.platform, self.ssd, self.model, self.dg, self.seed);
         if let Some(epoch) = self.lat_epoch {
@@ -980,7 +979,6 @@ impl<'a> ArrayEngine<'a> {
         pre: Prepass,
         single_throughput: f64,
     ) -> ArrayRunMetrics {
-        let _phase = profile::phase("array/replay");
         let devs = self.array.ssds;
         let hops = self.model.hops as usize + 2;
         let ctx = ReplayCtx {
@@ -1022,10 +1020,6 @@ impl<'a> ArrayEngine<'a> {
         let stats = sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
             self.run_batches(cascade, partition, &ctx, rounds, &mut coord)
         });
-
-        profile::count("array/rounds", stats.rounds);
-        profile::count("array/messages", stats.messages);
-        profile::count("array/devices", devs as u64);
         self.merge(cascade, &pre, coord, lanes, stats, single_throughput)
     }
 
@@ -1170,7 +1164,6 @@ impl<'a> ArrayEngine<'a> {
                 compute_time: coord.device_compute[lane.dev],
             });
         }
-        profile::count("array/events_processed", totals.pools.events_processed);
         let mut energy = coord.energy;
         totals.charge_energy(&mut energy);
 

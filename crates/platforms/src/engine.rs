@@ -30,8 +30,8 @@ use directgraph::DirectGraph;
 use simkit::obs::{SpanRecorder, UnitKind};
 use simkit::resource::Grant;
 use simkit::{
-    profile, BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathAttr,
-    SerialResource, SimTime, Stage,
+    BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathAttr, SerialResource,
+    SimTime, Stage,
 };
 
 use crate::lat::{self, BatchLat};
@@ -735,7 +735,6 @@ impl<'a> Engine<'a> {
     }
 
     fn run_inner(&mut self, batches: &[Vec<NodeId>]) -> RunMetrics {
-        let _run_phase = profile::phase("engine/run");
         let workload = MinibatchWorkload::new(self.model, 0);
         let _ = workload; // per-batch workloads built below (sizes vary)
         let accel = self.spec.accel_config();
@@ -883,8 +882,7 @@ impl<'a> Engine<'a> {
         // to), reused = schedules served within that peak. Unlike raw
         // slab growth they do not depend on how warm the scratch
         // happened to be, so they are byte-identical across schedules
-        // and worker counts. Actual warm-scratch growth stays visible
-        // through the `engine/*` profile counters below.
+        // and worker counts.
         let event_schedules = (cal_stats.slots_allocated - self.cal_base.slots_allocated)
             + (cal_stats.slots_reused - self.cal_base.slots_reused);
         let outcome_acquires = self.outcomes.allocated + self.outcomes.reused;
@@ -897,25 +895,6 @@ impl<'a> Engine<'a> {
             calendar_wheel_high_water: cal_stats.wheel_high_water,
             calendar_far_high_water: cal_stats.far_high_water,
         };
-        profile::count("engine/events_processed", pools.events_processed);
-        profile::count(
-            "engine/event_slots_allocated",
-            cal_stats.slots_allocated - self.cal_base.slots_allocated,
-        );
-        profile::count(
-            "engine/event_slots_reused",
-            cal_stats.slots_reused - self.cal_base.slots_reused,
-        );
-        profile::count("engine/outcome_slots_reused", self.outcomes.reused);
-        // The calendar's live high-water equals the peak the old
-        // per-pop `len()` sampling reported: live count only falls at
-        // pops, and the drain always pops after the last schedule.
-        profile::count("engine/calendar_peak_depth", cal_stats.live_high_water);
-        profile::count(
-            "engine/calendar_wheel_high_water",
-            cal_stats.wheel_high_water,
-        );
-        profile::count("engine/calendar_far_high_water", cal_stats.far_high_water);
 
         // Sustained occupancy: delivered MACs / reduce ops against each
         // array's peak over the whole compute window.
@@ -985,7 +964,6 @@ impl<'a> Engine<'a> {
     /// Simulates batch `bi`'s data preparation starting at `t0`;
     /// returns the completion time.
     fn run_prep(&mut self, bi: usize, batch: &[NodeId], t0: SimTime) -> SimTime {
-        let _prep_phase = profile::phase("engine/prep");
         if let Some(c) = self.cascade.as_mut() {
             c.start_batch();
         }

@@ -180,16 +180,14 @@ impl TimelineBuilder {
 }
 
 /// Allocator-recycling counters from the engine's event and outcome
-/// pools (populated per run; see `simkit::profile` for the richer
-/// opt-in instrumentation).
+/// pools (populated per run).
 ///
 /// Values are *cold-equivalent*: `*_allocated` is the run's peak slots
 /// in use (what a fresh slab would have grown to), `*_reused` the
 /// schedules/commands served within that peak. They describe the run's
 /// concurrency demand, not how warm the executing worker's scratch
 /// happened to be — so they are byte-identical at any worker count and
-/// under record/replay. Actual warm-scratch slab growth is reported
-/// through the `engine/*` profile counters instead.
+/// under record/replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Events dispatched by the engine's drain loop.
@@ -472,8 +470,7 @@ impl RunMetrics {
         // sees it. Every value here is *path-invariant*: a replayed run
         // reports exactly what its full-run twin would, so the section
         // never breaks replay byte-identity. (Cache hit/miss/fallback
-        // counts are process-wide, not per-run — see
-        // `simkit::profile`'s `replay/*` counters.)
+        // counts are per cache, not per run — see `beacongnn::ReplayStats`.)
         let replay = reg.section("replay");
         replay.set_u64("cascade_commands", self.sampler_executed);
         replay.set_u64("cascade_roots", self.targets);

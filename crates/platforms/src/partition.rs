@@ -60,7 +60,7 @@ use directgraph::DirectGraph;
 use simkit::obs::{SpanRecorder, UnitKind};
 use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
 use simkit::{
-    profile, BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
+    BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
     SerialResource, SimTime, Stage, Trace, NO_PATH,
 };
 
@@ -712,7 +712,6 @@ impl<'a> PartitionedEngine<'a> {
     }
 
     fn run_partitioned(&self, spec: &PlatformSpec, batches: &[Vec<NodeId>]) -> RunMetrics {
-        let _run_phase = profile::phase("partition/run");
         let lanes_n = self.ssd.geometry.channels;
         let die_cfg = GnnDieConfig {
             num_hops: self.model.hops,
@@ -755,13 +754,9 @@ impl<'a> PartitionedEngine<'a> {
         };
 
         let window = EpochWindow::new(self.ssd.router_epoch);
-        let stats = sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
+        sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
             self.run_batches(spec, rounds, &mut coord, batches)
         });
-
-        profile::count("partition/rounds", stats.rounds);
-        profile::count("partition/messages", stats.messages);
-        profile::count("partition/lanes", lanes_n as u64);
         self.merge(spec, coord, lanes, batches)
     }
 
@@ -781,7 +776,6 @@ impl<'a> PartitionedEngine<'a> {
         let mut qid_base = 0u32;
 
         for (bi, batch) in batches.iter().enumerate() {
-            let _prep_phase = profile::phase("partition/prep");
             coord.targets_total += batch.len() as u64;
             rounds.broadcast(BatchBroadcast {
                 record_hops: bi == 0,
@@ -895,7 +889,6 @@ impl<'a> PartitionedEngine<'a> {
             coord.obs.absorb(&lane.obs);
             sampler_executed += lane.samplers.iter().map(DieSampler::executed).sum::<u64>();
         }
-        profile::count("partition/events_processed", totals.pools.events_processed);
         let mut energy = coord.energy;
         totals.charge_energy(&mut energy);
 

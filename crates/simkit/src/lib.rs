@@ -42,7 +42,6 @@
 pub mod calendar;
 pub mod obs;
 pub mod par;
-pub mod profile;
 pub mod resource;
 pub mod rng;
 pub mod stats;

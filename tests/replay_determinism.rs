@@ -47,8 +47,8 @@ fn registries(results: &[beacongnn::RunMetrics]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Full-run vs replay byte identity over the figure-style matrix at
-    /// jobs 1, 2 and 8, across workload shapes and seeds.
+    /// Full-run vs replay vs memo byte identity over the figure-style
+    /// matrix at jobs 1, 2 and 8, across workload shapes and seeds.
     #[test]
     fn replay_is_byte_identical_at_every_jobs_count(
         nodes in 300usize..900,
@@ -66,6 +66,15 @@ proptest! {
             prop_assert_eq!(stats.records, 1, "one shared key records once");
             prop_assert_eq!(stats.hits, matrix.len() as u64);
             prop_assert_eq!(stats.fallbacks, 0);
+
+            // A second pass through the same cache is served entirely
+            // from the exact-cell memo: no recording, no replay.
+            let memoized = ParallelRunner::new(jobs).run_with(&matrix, &cache);
+            prop_assert_eq!(&full, &registries(&memoized), "memo pass, jobs={}", jobs);
+            let again = cache.stats();
+            prop_assert_eq!(again.memo_hits, matrix.len() as u64);
+            prop_assert_eq!(again.records, stats.records);
+            prop_assert_eq!(again.hits, stats.hits);
         }
     }
 }
