@@ -59,19 +59,9 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" | "-j" => {
-                let v = args.next().unwrap_or_default();
-                jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                });
-            }
+            "--jobs" | "-j" => jobs = parse_at_least("--jobs", &args.next().unwrap_or_default(), 1),
             other if other.starts_with("--jobs=") => {
-                let v = &other["--jobs=".len()..];
-                jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                });
+                jobs = parse_at_least("--jobs", &other["--jobs=".len()..], 1);
             }
             _ => positional.push(arg),
         }
@@ -89,6 +79,18 @@ fn main() {
         std::process::exit(2);
     };
     run(positional.get(1..).unwrap_or_default());
+}
+
+/// Parses `flag`'s value as an integer of at least `min`, or exits with
+/// status 2.
+fn parse_at_least(flag: &str, v: &str, min: usize) -> usize {
+    match v.parse() {
+        Ok(n) if n >= min => n,
+        _ => {
+            eprintln!("{flag} expects an integer of at least {min}, got `{v}`");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Runs every figure on a figure-level worker pool (each worker steals
@@ -799,20 +801,8 @@ fn obs(args: &[String]) {
                         std::process::exit(2);
                     });
             }
-            "--nodes" => {
-                let v = value("--nodes");
-                nodes = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--nodes expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                });
-            }
-            "--batch" => {
-                let v = value("--batch");
-                batch = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--batch expects a positive integer, got `{v}`");
-                    std::process::exit(2);
-                });
-            }
+            "--nodes" => nodes = parse_at_least("--nodes", &value("--nodes"), 2),
+            "--batch" => batch = parse_at_least("--batch", &value("--batch"), 1),
             "--trace" => trace = Some(value("--trace")),
             "--metrics" => metrics = Some(value("--metrics")),
             other => {

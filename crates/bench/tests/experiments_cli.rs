@@ -1,6 +1,6 @@
 //! The `experiments` binary's command-line surface: a name it does not
 //! know exits with status 2 and a usage message naming every experiment
-//! it does know.
+//! it does know, and so does a size flag below its minimum.
 
 use std::process::Command;
 
@@ -47,5 +47,27 @@ fn unknown_experiment_lists_every_accepted_name() {
         .collect();
     for name in NAMES {
         assert!(listed.contains(&name), "usage omits `{name}`: {stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_sizes_exit_2() {
+    for args in [
+        &["--jobs", "0", "config"][..],
+        &["--jobs=0", "config"],
+        &["obs", "--nodes", "1"],
+        &["obs", "--batch", "0"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("experiments runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(
+            stderr.contains("expects an integer of at least"),
+            "{stderr}"
+        );
     }
 }

@@ -146,7 +146,7 @@ impl RunCell {
     }
 
     /// Runs the simulation with caller-owned scratch buffers, so a
-    /// worker executing many cells reuses one warm calendar slab and
+    /// worker executing many cells reuses one warm calendar and
     /// outcome pool instead of growing fresh ones per cell. Results are
     /// bit-identical to [`RunCell::execute`].
     pub fn execute_with(&self, scratch: &mut EngineScratch) -> RunMetrics {
@@ -309,8 +309,8 @@ impl ParallelRunner {
             let handles: Vec<_> = (0..jobs)
                 .map(|_| {
                     scope.spawn(|| {
-                        // Per-worker scratch: each worker's calendar
-                        // slab, drain buffer and outcome pool warm up
+                        // Per-worker scratch: each worker's calendar,
+                        // drain buffer and outcome pool warm up
                         // once and serve every cell it steals, keeping
                         // workers out of the global allocator (the main
                         // cross-thread contention point).

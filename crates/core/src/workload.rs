@@ -19,6 +19,14 @@ pub enum WorkloadError {
     Build(BuildError),
     /// The requested page size has no valid address layout.
     BadPageSize(usize),
+    /// A synthetic graph of fewer than two nodes, or an empty
+    /// mini-batch: no workload exists at these sizes.
+    BadSize {
+        /// Requested synthetic graph nodes.
+        nodes: usize,
+        /// Requested mini-batch size.
+        batch_size: usize,
+    },
 }
 
 impl fmt::Display for WorkloadError {
@@ -26,6 +34,11 @@ impl fmt::Display for WorkloadError {
         match self {
             WorkloadError::Build(e) => write!(f, "DirectGraph construction failed: {e}"),
             WorkloadError::BadPageSize(s) => write!(f, "unsupported page size {s}"),
+            WorkloadError::BadSize { nodes, batch_size } => write!(
+                f,
+                "cannot build {nodes} nodes in batches of {batch_size}: \
+                 a workload needs at least 2 nodes and a positive batch size"
+            ),
         }
     }
 }
@@ -34,7 +47,7 @@ impl std::error::Error for WorkloadError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WorkloadError::Build(e) => Some(e),
-            WorkloadError::BadPageSize(_) => None,
+            WorkloadError::BadPageSize(_) | WorkloadError::BadSize { .. } => None,
         }
     }
 }
@@ -138,9 +151,16 @@ impl WorkloadBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError`] if the page size is unsupported or
-    /// conversion fails.
+    /// Returns [`WorkloadError`] if the page size is unsupported, a
+    /// synthetic graph would have fewer than two nodes, the batch size
+    /// is zero, or conversion fails.
     pub fn prepare(self) -> Result<Workload, WorkloadError> {
+        if (self.custom.is_none() && self.nodes < 2) || self.batch_size == 0 {
+            return Err(WorkloadError::BadSize {
+                nodes: self.nodes,
+                batch_size: self.batch_size,
+            });
+        }
         let fingerprint = self.fingerprint();
         let layout = AddrLayout::for_page_size(self.page_size)
             .ok_or(WorkloadError::BadPageSize(self.page_size))?;
@@ -307,6 +327,21 @@ mod tests {
         let err = Workload::builder().page_size(1000).prepare().unwrap_err();
         assert_eq!(err, WorkloadError::BadPageSize(1000));
         assert!(err.to_string().contains("1000"));
+    }
+
+    #[test]
+    fn degenerate_sizes_rejected() {
+        for (nodes, batch_size) in [(0, 8), (1, 8), (500, 0)] {
+            let err = Workload::builder()
+                .nodes(nodes)
+                .batch_size(batch_size)
+                .prepare()
+                .unwrap_err();
+            assert_eq!(err, WorkloadError::BadSize { nodes, batch_size });
+        }
+        // Two nodes is the smallest graph the generator can wire up.
+        let w = Workload::builder().nodes(2).batch_size(1).batches(1);
+        assert_eq!(w.prepare().unwrap().graph().num_nodes(), 2);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl Step {
     /// bits, payload (nanoseconds or byte count) in the upper 61. No
     /// modeled duration or transfer approaches 2^61, so the packing is
     /// lossless; it exists purely to shrink the event structs the
-    /// calendar slab and drain loop copy around.
+    /// calendar buckets and drain loop copy around.
     fn pack(self) -> u64 {
         let (tag, payload) = match self {
             Step::Core(d) => (0, d.as_ns()),
@@ -180,7 +180,7 @@ type OutcomeIdx = u32;
 // Flat event-kind discriminants. A calendar event is one packed word —
 // kind in the low three bits, payload (a `CmdStates` slot index, or the
 // hop number for `EV_RELEASE_HOP`) in the upper bits — so the calendar
-// slab holds plain `u64`s instead of a 70-byte enum and the drain
+// buckets hold plain `u64`s instead of a 70-byte enum and the drain
 // loop's dispatch is a branch-predictable jump on three bits.
 /// Command address available at the frontend (lifetime start).
 const EV_ARRIVE: u64 = 0;
@@ -357,7 +357,7 @@ impl OutcomePool {
 }
 
 /// Reusable per-worker simulation buffers: the event calendar (with its
-/// slab pool), the sample-outcome pool, and the hop-release scratch.
+/// bucket capacity), the sample-outcome pool, and the hop-release scratch.
 ///
 /// One scratch serves any number of sequential [`Engine::run_with`]
 /// calls; after the first run its pools are warm and subsequent runs
@@ -404,9 +404,6 @@ pub struct Engine<'a> {
     span_stage: Vec<simkit::obs::Span>,
     /// Memoized flash service times (die sense + channel transfer).
     memo: FlashServiceMemo,
-    /// Calendar pool stats at run start (the calendar may arrive warm
-    /// from a shared scratch), so per-run deltas are reportable.
-    cal_base: simkit::PoolStats,
     events_processed: u64,
 
     // Per-batch state.
@@ -531,7 +528,6 @@ impl<'a> Engine<'a> {
             release_buf: Vec::new(),
             span_stage: Vec::new(),
             memo,
-            cal_base: simkit::PoolStats::default(),
             events_processed: 0,
             outstanding: 0,
             hop_outstanding: vec![0; hops],
@@ -724,7 +720,6 @@ impl<'a> Engine<'a> {
         std::mem::swap(&mut self.states, &mut scratch.states);
         std::mem::swap(&mut self.release_buf, &mut scratch.release_buf);
         std::mem::swap(&mut self.span_stage, &mut scratch.span_stage);
-        self.cal_base = self.calendar.pool_stats();
         let metrics = self.run_inner(batches);
         std::mem::swap(&mut self.calendar, &mut scratch.calendar);
         std::mem::swap(&mut self.outcomes, &mut scratch.outcomes);
@@ -735,8 +730,6 @@ impl<'a> Engine<'a> {
     }
 
     fn run_inner(&mut self, batches: &[Vec<NodeId>]) -> RunMetrics {
-        let workload = MinibatchWorkload::new(self.model, 0);
-        let _ = workload; // per-batch workloads built below (sizes vary)
         let accel = self.spec.accel_config();
 
         let mut prep_total = Duration::ZERO;
@@ -876,25 +869,19 @@ impl<'a> Engine<'a> {
             })
             .collect();
 
-        let cal_stats = self.calendar.pool_stats();
         // Registry pool counters are *cold-equivalent*: allocated = the
-        // run's peak slots in use (what a fresh slab would have grown
-        // to), reused = schedules served within that peak. Unlike raw
-        // slab growth they do not depend on how warm the scratch
-        // happened to be, so they are byte-identical across schedules
-        // and worker counts.
-        let event_schedules = (cal_stats.slots_allocated - self.cal_base.slots_allocated)
-            + (cal_stats.slots_reused - self.cal_base.slots_reused);
+        // run's peak in use, reused = acquisitions beyond that peak.
+        // Unlike raw allocation counts they do not depend on how warm
+        // the scratch happened to be, so they are byte-identical across
+        // schedules and worker counts.
         let outcome_acquires = self.outcomes.allocated + self.outcomes.reused;
-        let pools = PoolCounters {
+        let mut pools = PoolCounters {
             events_processed: self.events_processed,
-            event_slots_allocated: cal_stats.live_high_water,
-            event_slots_reused: event_schedules - cal_stats.live_high_water,
             outcome_slots_allocated: self.outcomes.in_use_high_water,
             outcome_slots_reused: outcome_acquires - self.outcomes.in_use_high_water,
-            calendar_wheel_high_water: cal_stats.wheel_high_water,
-            calendar_far_high_water: cal_stats.far_high_water,
+            ..PoolCounters::default()
         };
+        pools.record_calendar(self.calendar.pool_stats());
 
         // Sustained occupancy: delivered MACs / reduce ops against each
         // array's peak over the whole compute window.
@@ -998,14 +985,6 @@ impl<'a> Engine<'a> {
             self.lat_submit = start;
         }
 
-        // Each visit expands to a handful of pipeline events; reserving
-        // for the batch's full sampled subgraph up front keeps the
-        // calendar heap from reallocating mid-drain.
-        self.calendar.reserve(
-            batch
-                .len()
-                .saturating_mul(self.model.subgraph_nodes() as usize),
-        );
         let root_base = self.replay.map(|r| r.batch_roots[bi]);
         for (slot, &target) in batch.iter().enumerate() {
             let addr = self
@@ -1912,8 +1891,8 @@ mod tests {
     fn steady_state_reuses_event_and_outcome_pools() {
         let m = run_platform(Platform::Bg2, 2, 64);
         assert!(m.pools.events_processed > 1_000, "{:?}", m.pools);
-        // The calendar slab plateaus at peak concurrency; the vast
-        // majority of schedules must be served by recycling.
+        // Pending events plateau at peak concurrency; the vast
+        // majority of schedules land beyond that peak.
         assert!(
             m.pools.event_slots_reused > 4 * m.pools.event_slots_allocated,
             "event pool not recycling in steady state: {:?}",
@@ -1995,7 +1974,7 @@ mod tests {
         ];
         // One shared scratch serves both paths: pool counters are
         // cold-equivalent demand, so interleaving full and replayed
-        // runs on the same warming slab cannot shift a byte.
+        // runs on the same warming scratch cannot shift a byte.
         for p in Platform::ALL {
             for ssd in configs {
                 let full = Engine::new(p, ssd, model, &dg, 42).run_with(&mut scratch, &batches);

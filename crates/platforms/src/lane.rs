@@ -98,13 +98,10 @@ impl LaneStats {
         }
     }
 
-    /// Records the end-of-run pool counters of the lane's calendar
-    /// (created with the lane) and its dies' and channels' busy totals.
+    /// Records the end-of-run counters of the lane's calendar and its
+    /// dies' and channels' busy totals.
     pub fn seal(&mut self, cal: PoolStats, dies: &[SerialResource], chans: &[SerialResource]) {
-        self.pools.event_slots_allocated = cal.slots_allocated;
-        self.pools.event_slots_reused = cal.slots_reused;
-        self.pools.calendar_wheel_high_water = cal.wheel_high_water;
-        self.pools.calendar_far_high_water = cal.far_high_water;
+        self.pools.record_calendar(cal);
         self.flash_busy = dies.iter().map(SerialResource::busy_total).sum();
         self.channel_busy = chans.iter().map(SerialResource::busy_total).sum();
     }

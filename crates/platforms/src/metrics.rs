@@ -4,7 +4,7 @@ use beacon_energy::EnergyLedger;
 use beacon_ssd::{FtlStats, RouterStats};
 use simkit::obs::{MetricsRegistry, SpanRecorder};
 use simkit::stats::Summary;
-use simkit::{Duration, LatencyReport, SimTime};
+use simkit::{Duration, LatencyReport, PoolStats, SimTime};
 
 /// Per-command latency phases (paper Fig 17). Lifetime runs from when
 /// the command's address is available at the frontend controller to when
@@ -179,12 +179,12 @@ impl TimelineBuilder {
     }
 }
 
-/// Allocator-recycling counters from the engine's event and outcome
-/// pools (populated per run).
+/// Concurrency counters of the engine's event calendar and outcome
+/// pool (populated per run).
 ///
-/// Values are *cold-equivalent*: `*_allocated` is the run's peak slots
-/// in use (what a fresh slab would have grown to), `*_reused` the
-/// schedules/commands served within that peak. They describe the run's
+/// `*_allocated` is the run's peak number of entries in use at once
+/// (pending events, live sample outcomes) and `*_reused` the schedules
+/// or acquisitions beyond that peak. They describe the run's
 /// concurrency demand, not how warm the executing worker's scratch
 /// happened to be — so they are byte-identical at any worker count and
 /// under record/replay.
@@ -192,24 +192,33 @@ impl TimelineBuilder {
 pub struct PoolCounters {
     /// Events dispatched by the engine's drain loop.
     pub events_processed: u64,
-    /// Peak calendar slab slots in use (cold-equivalent allocations).
+    /// Peak number of pending calendar events at once.
     pub event_slots_allocated: u64,
-    /// Calendar schedules served within the peak (cold-equivalent
-    /// free-list reuse).
+    /// Calendar schedules beyond that peak.
     pub event_slots_reused: u64,
-    /// Peak sample-outcome slots in use (cold-equivalent allocations).
+    /// Peak sample-outcome slots in use.
     pub outcome_slots_allocated: u64,
-    /// Sample-outcome acquisitions served within the peak
-    /// (cold-equivalent free-list reuse).
+    /// Sample-outcome acquisitions beyond that peak.
     pub outcome_slots_reused: u64,
-    /// High-water mark of events resident in the calendar's near-horizon
-    /// wheel during the run (max across lanes for partitioned runs).
-    /// Diagnostic only — not part of the serialized metrics registry.
+    /// Peak number of pending events inside the watermark's aligned
+    /// 8,192-ns window, excluding those at the watermark (max across
+    /// lanes for lane runs). Diagnostic only — not part of the
+    /// serialized metrics registry.
     pub calendar_wheel_high_water: u64,
-    /// High-water mark of events parked in the calendar's far/overflow
-    /// tier during the run (max across lanes for partitioned runs).
-    /// Diagnostic only — not part of the serialized metrics registry.
+    /// Peak number of pending events beyond that window (max across
+    /// lanes for lane runs). Diagnostic only — not part of the
+    /// serialized metrics registry.
     pub calendar_far_high_water: u64,
+}
+
+impl PoolCounters {
+    /// Fills the calendar fields from one run's calendar statistics.
+    pub(crate) fn record_calendar(&mut self, cal: PoolStats) {
+        self.event_slots_allocated = cal.live_high_water;
+        self.event_slots_reused = cal.schedules - cal.live_high_water;
+        self.calendar_wheel_high_water = cal.wheel_high_water;
+        self.calendar_far_high_water = cal.far_high_water;
+    }
 }
 
 /// Sustained occupancy of the accelerator arrays over the compute

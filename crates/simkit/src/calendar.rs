@@ -1,159 +1,73 @@
 //! The event calendar: a time-ordered priority queue of simulation events.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
-/// A generation-tagged handle to a scheduled event.
-///
-/// Returned by [`Calendar::schedule`]; pass it to [`Calendar::cancel`]
-/// to remove the event before it fires. The generation tag makes stale
-/// handles harmless: once the event has been popped (or cancelled) its
-/// slot is recycled under a new generation, so an old key can never
-/// cancel the slot's next occupant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventKey {
-    slot: u32,
-    gen: u32,
-}
+/// log2 of the aligned window [`PoolStats`] splits pending events by:
+/// an event lies in the watermark's window when `at ^ watermark` is
+/// below `2^WINDOW_BITS` (8,192 ns), i.e. its bucket is at most
+/// `WINDOW_BITS`.
+const WINDOW_BITS: u32 = 13;
 
-/// Allocation and occupancy behaviour of the calendar (see
-/// [`Calendar::pool_stats`]).
-///
-/// The slot counters are cumulative across [`Calendar::reset`] (the
-/// slab itself survives resets, so its growth history does too); the
-/// high-water marks describe one run and rewind to zero on `reset`.
+/// Occupancy of the calendar over one run (see [`Calendar::pool_stats`]).
+/// Every field rewinds to zero on [`Calendar::reset`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Slots created by growing the slab (each one is a real
-    /// allocation-bearing event at some point in the run).
-    pub slots_allocated: u64,
-    /// Schedules served by recycling a previously freed slot — the
-    /// allocations the pool avoided.
-    pub slots_reused: u64,
-    /// Peak number of records resident in the near-horizon wheel
-    /// buckets at once. Resets to zero on [`Calendar::reset`].
-    pub wheel_high_water: u64,
-    /// Peak number of records parked in the far/overflow tier at once.
-    /// Resets to zero on [`Calendar::reset`].
-    pub far_high_water: u64,
-    /// Peak number of live pending events at once (the `len()` high
-    /// water, across all tiers). Resets to zero on [`Calendar::reset`].
+    /// Events scheduled.
+    pub schedules: u64,
+    /// Peak number of pending events at once (the `len()` high water).
     pub live_high_water: u64,
-}
-
-/// One slab slot: the event payload plus its current generation.
-#[derive(Debug, Clone)]
-struct Slot<E> {
-    gen: u32,
-    event: Option<E>,
-}
-
-/// A small Copy record ordered by `(at, seq)`; the payload stays in the
-/// slab so queue operations move 24 bytes, not whole events.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-    gen: u32,
-}
-
-impl Entry {
-    /// The total order the calendar delivers in. `(at, seq)` is unique
-    /// (seq is monotonic), so the queue's internal layout can never
-    /// leak into simulation results.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-/// log2 of the wheel span: the near wheel covers one aligned window of
-/// `WHEEL_SLOTS` nanoseconds with one bucket per nanosecond.
-const WHEEL_BITS: u32 = 13;
-/// Buckets in the near wheel (also the window span in ns).
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-/// u64 words in the occupancy bitmap.
-const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
-
-/// One near-wheel bucket: a FIFO of entries sharing a single timestamp.
-///
-/// Buckets are 1 ns wide, so every record in a bucket has the same
-/// `at` and append order *is* seq order — popping the front yields the
-/// exact `(time, seq)` minimum with no comparisons at all. `head`
-/// indexes the first unpopped record so the front pops in O(1) without
-/// shifting; the vector is cleared (capacity kept) once drained.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    head: u32,
-    v: Vec<Entry>,
-}
-
-/// One far-tier window: all records whose window index exceeds the
-/// wheel's current window, appended in schedule (seq) order.
-///
-/// `min_key` caches the smallest `(at, seq)` in `v` so `peek_time` and
-/// the immediate-ring comparison stay O(1) while the wheel is empty.
-#[derive(Debug, Clone)]
-struct FarWindow {
-    min_key: (SimTime, u64),
-    v: Vec<Entry>,
+    /// Peak number of pending events inside the watermark's aligned
+    /// 8,192-ns window, not counting those at the watermark itself.
+    pub wheel_high_water: u64,
+    /// Peak number of pending events beyond the watermark's aligned
+    /// 8,192-ns window.
+    pub far_high_water: u64,
 }
 
 /// A time-ordered event calendar.
 ///
-/// Events scheduled for the same instant are delivered in the order they
-/// were scheduled (FIFO tie-breaking via a monotonically increasing
-/// sequence number), which keeps simulations deterministic regardless of
-/// queue internals.
+/// Events scheduled for the same instant are delivered in the order
+/// they were scheduled, so a simulation's event order never depends on
+/// the queue's internals.
 ///
-/// # Hierarchical timing wheel
+/// # Monotone radix heap
 ///
-/// Pending events live in one of three tiers, all ordered by the same
-/// `(time, seq)` key:
+/// Simulated time never runs backwards: nothing may be scheduled before
+/// the time most recently popped (the watermark, `last`). That is the
+/// precondition of a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+/// J. ACM 1990). A pending event at `at` lives in bucket
+/// `bit_length(at ^ last)`:
 ///
-/// 1. an **immediate ring** for events scheduled at exactly the current
-///    watermark (zero-delay pipeline handoffs) — plain FIFO;
-/// 2. a **near wheel** of [`WHEEL_SLOTS`] one-nanosecond buckets
-///    covering the aligned window containing the watermark. The bucket
-///    index is `at % WHEEL_SLOTS`; a bitmap tracks occupancy so the
-///    next bucket is found with a word scan, and within a bucket FIFO
-///    order is `(time, seq)` order because 1 ns buckets make all
-///    residents share a timestamp;
-/// 3. a **far tier** (`BTreeMap` keyed by window index) for everything
-///    beyond the current window. When the wheel and ring drain, the
-///    earliest far window is distributed into the wheel in one pass.
+/// - bucket 0 holds the events at exactly `last`, as a FIFO;
+/// - bucket `k` (1–64) holds events that agree with `last` above bit
+///   `k - 1` and have that bit set, so every event in bucket `k` is
+///   earlier than every event in bucket `k + 1`. Each of these buckets
+///   caches its minimum time, and one `u64` mask records which are
+///   occupied.
 ///
-/// Schedule and pop are O(1) amortized: each record is touched once on
-/// insert, at most once on window distribution, and once on pop — there
-/// is no per-operation sift like a heap's.
+/// [`schedule`](Calendar::schedule) appends in O(1). [`pop`](Calendar::pop)
+/// takes the front of bucket 0; when bucket 0 is empty it first moves
+/// `last` to the lowest occupied bucket's minimum and redistributes that
+/// bucket. Its events share `last`'s bits from the bucket's bit upwards,
+/// so each lands in a strictly lower bucket, while events in higher
+/// buckets keep theirs. An event therefore moves at most 64 times; the
+/// engine's traffic moves it about 4 times on average.
+/// [`peek_time`](Calendar::peek_time) is O(1): `last` when bucket 0 is
+/// occupied, otherwise the lowest occupied bucket's cached minimum.
 ///
-/// ## Why delivery order is exactly `(time, seq)`
+/// ## Why delivery order is exactly `(time, schedule order)`
 ///
-/// Within one wheel window, the bucket scan visits times in ascending
-/// order and each bucket is FIFO over a single timestamp. The only
-/// subtlety is records that *descend* from the far tier: a window is
-/// distributed at the instant it becomes current — inside `pop`, before
-/// the watermark (and therefore any future `schedule`) can enter it —
-/// so every record already in the far window carries a lower seq than
-/// any later direct insert into the same bucket, and appending the far
-/// records first preserves FIFO exactly.
-///
-/// # Event pool
-///
-/// Payloads live in a slab with a free list; the wheel and the
-/// immediate ring order small `Copy` records pointing into it. In steady
-/// state — a pipeline scheduling roughly as many events as it pops — the
-/// slab stops growing entirely and every schedule recycles a freed slot,
-/// so the inner loop performs no allocator traffic ([`pool_stats`]
-/// quantifies this). [`schedule`] returns a generation-tagged
-/// [`EventKey`] so callers can [`cancel`] in O(1): the slot's generation
-/// is bumped and the stale queue record is skipped when it surfaces.
-///
-/// [`schedule`]: Calendar::schedule
-/// [`cancel`]: Calendar::cancel
-/// [`pool_stats`]: Calendar::pool_stats
+/// A bucket is a function of `at` and `last` alone, so events with
+/// equal times always share a bucket. Every bucket lists its events in
+/// schedule order: `schedule` appends the newest event at the end, and a
+/// redistribution walks its bucket front to back into lower buckets
+/// that are all empty when it starts (it only runs on the lowest
+/// occupied bucket, with bucket 0 empty). Bucket 0 therefore holds
+/// exactly the events at `last`, the earliest pending time, oldest
+/// first — equal times come out in schedule order without a sequence
+/// number.
 ///
 /// # Examples
 ///
@@ -169,40 +83,22 @@ struct FarWindow {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Calendar<E> {
-    /// Near wheel: `WHEEL_SLOTS` one-ns buckets for the current window.
-    buckets: Vec<Bucket>,
-    /// Bit i set ⇔ bucket i holds at least one record.
-    occupied: [u64; WHEEL_WORDS],
-    /// First ns of the window the wheel currently covers
-    /// (`window_index * WHEEL_SLOTS`).
-    wheel_base: u64,
-    /// Absolute ns the bucket scan resumes from. Invariant: no occupied
-    /// bucket lies before it (inserts clamp it back down).
-    cursor: u64,
-    /// Records resident in wheel buckets (including not-yet-purged
-    /// cancelled ones).
-    wheel_len: usize,
-    /// Far tier: window index → records for that window.
-    far: BTreeMap<u64, FarWindow>,
-    /// Records resident in the far tier (including cancelled ones).
-    far_len: usize,
-    /// Set when a cancel may have invalidated a cached far-window
-    /// `min_key`; verified lazily once the wheel drains.
-    far_dirty: bool,
-    /// Cancelled records still resident in a queue tier. While zero —
-    /// the engine hot loop never cancels — every front is trivially
-    /// live and `purge_front` short-circuits entirely.
-    dead: usize,
-    /// Events scheduled at exactly the watermark instant, FIFO. All
-    /// live entries here share `at == watermark` (the watermark cannot
-    /// pass a pending event).
-    immediate: VecDeque<Entry>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    live: usize,
-    seq: u64,
-    /// Latest time popped so far; used to detect causality violations.
-    watermark: SimTime,
+    /// Bucket 0: the events due at exactly `last`, in schedule order.
+    due: VecDeque<E>,
+    /// `buckets[i]` is bucket `i + 1`: events with
+    /// `bit_length(at ^ last) == i + 1`, in schedule order.
+    buckets: [Vec<(SimTime, E)>; 64],
+    /// `mins[i]` is the earliest time in `buckets[i]`; `SimTime::MAX`
+    /// while it is empty.
+    mins: [SimTime; 64],
+    /// Bit `i` set ⇔ `buckets[i]` is non-empty.
+    occupied: u64,
+    /// The time most recently popped: the causality watermark.
+    last: SimTime,
+    len: usize,
+    /// Pending events beyond the watermark's window (buckets above
+    /// `WINDOW_BITS`), for [`PoolStats::far_high_water`].
+    far: usize,
     stats: PoolStats,
 }
 
@@ -210,472 +106,147 @@ impl<E> Calendar<E> {
     /// Creates an empty calendar.
     pub fn new() -> Self {
         Calendar {
-            buckets: vec![Bucket::default(); WHEEL_SLOTS],
-            occupied: [0; WHEEL_WORDS],
-            wheel_base: 0,
-            cursor: 0,
-            wheel_len: 0,
-            far: BTreeMap::new(),
-            far_len: 0,
-            far_dirty: false,
-            dead: 0,
-            immediate: VecDeque::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            seq: 0,
-            watermark: SimTime::ZERO,
+            due: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [SimTime::MAX; 64],
+            occupied: 0,
+            last: SimTime::ZERO,
+            len: 0,
+            far: 0,
             stats: PoolStats::default(),
         }
     }
 
-    /// Creates an empty calendar with pre-allocated slab capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut cal = Self::new();
-        cal.immediate = VecDeque::with_capacity(cap.min(1024));
-        cal.slots = Vec::with_capacity(cap);
-        cal.free = Vec::with_capacity(cap.min(1024));
-        cal
-    }
-
-    /// Reserves capacity for at least `additional` more events, so a
-    /// burst of scheduling (e.g. a mini-batch fan-out) does not pay
-    /// repeated reallocation.
-    pub fn reserve(&mut self, additional: usize) {
-        let extra = additional.saturating_sub(self.free.len());
-        self.slots.reserve(extra);
-    }
-
-    /// Empties the calendar and rewinds the causality watermark and the
-    /// tie-breaking sequence to zero, **keeping** the slab, free list,
-    /// bucket and ring capacity. A reset calendar behaves exactly like a
-    /// fresh one (identical pop order for identical schedules), which is
-    /// what lets one calendar be reused across independent simulation
-    /// runs without re-growing its pool each time. Slot counters in
-    /// [`pool_stats`](Calendar::pool_stats) persist across resets; the
-    /// high-water marks rewind to zero.
+    /// Empties the calendar and rewinds the watermark and the
+    /// [`pool_stats`](Calendar::pool_stats) to zero, keeping the buckets'
+    /// capacity. A reset calendar behaves exactly like a fresh one
+    /// (identical pop order for identical schedules), so one calendar
+    /// can serve many independent runs.
     pub fn reset(&mut self) {
-        if self.wheel_len > 0 {
-            for b in &mut self.buckets {
-                b.head = 0;
-                b.v.clear();
-            }
-            self.occupied = [0; WHEEL_WORDS];
-            self.wheel_len = 0;
+        self.due.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
         }
-        self.wheel_base = 0;
-        self.cursor = 0;
-        self.far.clear();
-        self.far_len = 0;
-        self.far_dirty = false;
-        self.dead = 0;
-        self.immediate.clear();
-        self.free.clear();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            slot.event = None;
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free.push(i as u32);
-        }
-        self.live = 0;
-        self.seq = 0;
-        self.watermark = SimTime::ZERO;
-        self.stats.wheel_high_water = 0;
-        self.stats.far_high_water = 0;
-        self.stats.live_high_water = 0;
+        self.mins = [SimTime::MAX; 64];
+        self.occupied = 0;
+        self.last = SimTime::ZERO;
+        self.len = 0;
+        self.far = 0;
+        self.stats = PoolStats::default();
     }
 
-    /// Schedules `event` to fire at absolute time `at`, returning a key
-    /// that can [`cancel`](Calendar::cancel) it.
+    /// Schedules `event` to fire at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than the last popped time: scheduling into
     /// the past is a causality bug in the model.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventKey {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
-            at >= self.watermark,
+            at >= self.last,
             "event scheduled in the past: at={at}, watermark={}",
-            self.watermark
+            self.last
         );
-        let seq = self.seq;
-        self.seq += 1;
-        let (slot, gen) = match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slots[i as usize];
-                debug_assert!(s.event.is_none());
-                s.event = Some(event);
-                self.stats.slots_reused += 1;
-                (i, s.gen)
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("calendar slab overflow");
-                self.slots.push(Slot {
-                    gen: 0,
-                    event: Some(event),
-                });
-                self.stats.slots_allocated += 1;
-                (i, 0)
-            }
-        };
-        self.live += 1;
-        if self.live as u64 > self.stats.live_high_water {
-            self.stats.live_high_water = self.live as u64;
+        let bucket = self.file(at, event);
+        self.len += 1;
+        self.stats.schedules += 1;
+        self.stats.live_high_water = self.stats.live_high_water.max(self.len as u64);
+        if bucket > WINDOW_BITS {
+            self.far += 1;
+            self.stats.far_high_water = self.stats.far_high_water.max(self.far as u64);
+        } else if bucket > 0 {
+            self.note_near();
         }
-        let entry = Entry { at, seq, slot, gen };
-        if at == self.watermark {
-            self.immediate.push_back(entry);
-        } else {
-            self.queue_insert(entry);
-        }
-        EventKey { slot, gen }
     }
 
-    /// Routes a future-time entry to the near wheel or the far tier.
+    /// Appends an event to bucket `bit_length(at ^ last)` and returns
+    /// that bucket's number (0 for the FIFO at `last`).
     #[inline]
-    fn queue_insert(&mut self, entry: Entry) {
-        if self.wheel_len == 0 {
-            // An empty wheel may be left anchored ahead of the watermark
-            // (draining far windows whose events were all cancelled
-            // advances the base without a pop). Re-anchor to the
-            // watermark's window so routing below stays ordered: every
-            // pending far window is strictly beyond the watermark's
-            // window, so it remains strictly beyond the re-anchored
-            // wheel too.
-            let anchor = self.watermark.as_ns() & !(WHEEL_SLOTS as u64 - 1);
-            if self.wheel_base != anchor {
-                self.wheel_base = anchor;
-                self.cursor = anchor;
-            }
+    fn file(&mut self, at: SimTime, event: E) -> u32 {
+        let x = at.as_ns() ^ self.last.as_ns();
+        if x == 0 {
+            self.due.push_back(event);
+            return 0;
         }
-        let ns = entry.at.as_ns();
-        if ns >> WHEEL_BITS == self.wheel_base >> WHEEL_BITS {
-            // Current window: straight into its 1 ns bucket.
-            let idx = (ns - self.wheel_base) as usize;
-            let b = &mut self.buckets[idx];
-            b.v.push(entry);
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-            self.wheel_len += 1;
-            if self.wheel_len as u64 > self.stats.wheel_high_water {
-                self.stats.wheel_high_water = self.wheel_len as u64;
-            }
-            // The scan may already have passed this bucket.
-            if ns < self.cursor {
-                self.cursor = ns;
-            }
-        } else {
-            // Beyond the window: park in the far tier.
-            let w = ns >> WHEEL_BITS;
-            debug_assert!(w > self.wheel_base >> WHEEL_BITS);
-            self.far
-                .entry(w)
-                .and_modify(|win| {
-                    // seq is monotonic, so only a strictly earlier time
-                    // can displace the cached minimum.
-                    if entry.at < win.min_key.0 {
-                        win.min_key = entry.key();
-                    }
-                    win.v.push(entry);
-                })
-                .or_insert_with(|| FarWindow {
-                    min_key: entry.key(),
-                    v: vec![entry],
-                });
-            self.far_len += 1;
-            if self.far_len as u64 > self.stats.far_high_water {
-                self.stats.far_high_water = self.far_len as u64;
-            }
-        }
+        let i = 63 - x.leading_zeros() as usize;
+        self.occupied |= 1 << i;
+        self.mins[i] = self.mins[i].min(at);
+        self.buckets[i].push((at, event));
+        i as u32 + 1
     }
 
-    /// Cancels a pending event in O(1) (amortized): the slot is freed
-    /// immediately and the stale queue record is discarded when it
-    /// reaches the front. Returns `true` if the key was live, `false`
-    /// if the event already fired, was already cancelled, or the key is
-    /// from a previous occupancy of its slot.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        let Some(slot) = self.slots.get_mut(key.slot as usize) else {
-            return false;
-        };
-        if slot.gen != key.gen || slot.event.is_none() {
-            return false;
-        }
-        slot.event = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(key.slot);
-        self.live -= 1;
-        self.dead += 1;
-        // The record may sit in a far window whose cached min_key now
-        // points at a dead entry; re-verify once the wheel drains.
-        self.far_dirty = true;
-        self.purge_front();
-        true
-    }
-
-    /// True when `entry` still refers to a live event.
+    /// Raises the window high-water mark to the pending events inside
+    /// the watermark's window but not at it.
     #[inline]
-    fn entry_live(&self, entry: &Entry) -> bool {
-        let slot = &self.slots[entry.slot as usize];
-        slot.gen == entry.gen && slot.event.is_some()
+    fn note_near(&mut self) {
+        let near = (self.len - self.due.len() - self.far) as u64;
+        self.stats.wheel_high_water = self.stats.wheel_high_water.max(near);
     }
 
-    /// Index of the first occupied bucket at or after absolute ns
-    /// `from`. Caller guarantees one exists (`wheel_len > 0` plus the
-    /// cursor invariant).
-    #[inline]
-    fn scan_occupied(&self, from: u64) -> usize {
-        let start = (from - self.wheel_base) as usize;
-        let mut word = start >> 6;
-        let mut bits = self.occupied[word] & (!0u64 << (start & 63));
-        loop {
-            if bits != 0 {
-                return (word << 6) + bits.trailing_zeros() as usize;
+    /// Moves the watermark to the earliest pending time and redistributes
+    /// the lowest occupied bucket, which holds it. Called only when
+    /// bucket 0 is empty and some other bucket is not.
+    fn advance(&mut self) {
+        let i = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << i);
+        self.last = std::mem::replace(&mut self.mins[i], SimTime::MAX);
+        let mut moving = std::mem::take(&mut self.buckets[i]);
+        if i as u32 >= WINDOW_BITS {
+            self.far -= moving.len();
+        }
+        for (at, event) in moving.drain(..) {
+            if self.file(at, event) > WINDOW_BITS {
+                self.far += 1;
             }
-            word += 1;
-            bits = self.occupied[word];
         }
-    }
-
-    /// The front record of the earliest occupied wheel bucket.
-    #[inline]
-    fn wheel_head(&self) -> Option<&Entry> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let idx = self.scan_occupied(self.cursor);
-        let b = &self.buckets[idx];
-        Some(&b.v[b.head as usize])
-    }
-
-    /// Pops the front record of wheel bucket `idx` (the caller has
-    /// already scanned it up and advanced the cursor to it).
-    #[inline]
-    fn bucket_pop(&mut self, idx: usize) -> Entry {
-        let b = &mut self.buckets[idx];
-        let e = b.v[b.head as usize];
-        b.head += 1;
-        if b.head as usize == b.v.len() {
-            b.head = 0;
-            b.v.clear();
-            self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-        }
-        self.wheel_len -= 1;
-        e
-    }
-
-    /// Advances the wheel to the earliest far window and distributes its
-    /// records into buckets. Called only when the wheel is empty; dead
-    /// (cancelled) records are dropped during the pass. Returns `false`
-    /// if the far tier is exhausted.
-    fn advance_to_far(&mut self) -> bool {
-        let Some((&w, _)) = self.far.iter().next() else {
-            return false;
-        };
-        let win = self.far.remove(&w).expect("window just observed");
-        self.far_len -= win.v.len();
-        self.wheel_base = w << WHEEL_BITS;
-        self.cursor = self.wheel_base;
-        for e in win.v {
-            if !self.entry_live(&e) {
-                self.dead -= 1;
-                continue;
-            }
-            let idx = (e.at.as_ns() - self.wheel_base) as usize;
-            let b = &mut self.buckets[idx];
-            b.v.push(e);
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-            self.wheel_len += 1;
-        }
-        if self.wheel_len as u64 > self.stats.wheel_high_water {
-            self.stats.wheel_high_water = self.wheel_len as u64;
-        }
-        true
-    }
-
-    /// Drops cancelled records from the front of the ring and the wheel,
-    /// and re-verifies the earliest far window's cached minimum if a
-    /// cancel may have invalidated it — so `peek_time` and
-    /// `immediate_is_next` always see live, exact heads without
-    /// mutating.
-    fn purge_front(&mut self) {
-        if self.dead == 0 && !self.far_dirty {
-            return;
-        }
-        while let Some(front) = self.immediate.front() {
-            if self.entry_live(front) {
-                break;
-            }
-            self.immediate.pop_front();
-            self.dead -= 1;
-        }
-        while self.wheel_len > 0 {
-            let idx = self.scan_occupied(self.cursor);
-            let b = &self.buckets[idx];
-            let e = b.v[b.head as usize];
-            if self.entry_live(&e) {
-                break;
-            }
-            let b = &mut self.buckets[idx];
-            b.head += 1;
-            if b.head as usize == b.v.len() {
-                b.head = 0;
-                b.v.clear();
-                self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-            }
-            self.wheel_len -= 1;
-            self.dead -= 1;
-            self.cursor = self.wheel_base + idx as u64;
-        }
-        // Far min_keys are only consulted while the wheel is empty, so
-        // that is the only state needing verification (the flag is set
-        // by cancels, which the engine hot loop never issues).
-        while self.wheel_len == 0 && self.far_dirty {
-            let Some((&w, _)) = self.far.iter().next() else {
-                self.far_dirty = false;
-                break;
-            };
-            let mut win = self.far.remove(&w).expect("window just observed");
-            self.far_len -= win.v.len();
-            let before = win.v.len();
-            let slots = &self.slots;
-            win.v.retain(|e| {
-                slots[e.slot as usize].gen == e.gen && slots[e.slot as usize].event.is_some()
-            });
-            self.dead -= before - win.v.len();
-            if win.v.is_empty() {
-                continue; // whole window dead: verify the next one
-            }
-            let mut mk = win.v[0].key();
-            for e in &win.v[1..] {
-                if e.key() < mk {
-                    mk = e.key();
-                }
-            }
-            win.min_key = mk;
-            self.far_len += win.v.len();
-            self.far.insert(w, win);
-            self.far_dirty = false;
-        }
-    }
-
-    /// The `(time, seq)` key of the earliest non-immediate record. All
-    /// wheel times precede all far times (the far tier only holds
-    /// windows beyond the wheel's), so the wheel head wins outright
-    /// whenever the wheel is occupied.
-    #[inline]
-    fn queue_head_key(&self) -> Option<(SimTime, u64)> {
-        if let Some(h) = self.wheel_head() {
-            return Some(h.key());
-        }
-        self.far.values().next().map(|w| w.min_key)
+        // Hand the emptied vector back so the bucket keeps its capacity.
+        self.buckets[i] = moving;
+        self.note_near();
     }
 
     /// Removes and returns the earliest event, advancing the causality
     /// watermark to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = if self.wheel_len > 0 {
-            // One bitmap scan serves both the ordering check against
-            // the immediate ring and the pop itself; advancing the
-            // cursor is safe either way (no occupied bucket precedes
-            // `idx`).
-            let idx = self.scan_occupied(self.cursor);
-            self.cursor = self.wheel_base + idx as u64;
-            let b = &self.buckets[idx];
-            let head_key = b.v[b.head as usize].key();
-            match self.immediate.front() {
-                Some(f) if f.key() < head_key => {
-                    self.immediate.pop_front().expect("front just observed")
-                }
-                _ => self.bucket_pop(idx),
+        if self.due.is_empty() {
+            if self.occupied == 0 {
+                return None;
             }
-        } else if !self.immediate.is_empty() {
-            // Immediate entries sit at the watermark; far windows lie
-            // strictly beyond the wheel's window, so the ring always
-            // wins while the wheel is empty.
-            self.immediate.pop_front().expect("nonempty ring")
-        } else {
-            loop {
-                if !self.advance_to_far() {
-                    // Distributing all-dead far windows above may have
-                    // advanced the (empty) wheel past the watermark;
-                    // re-anchor it so later schedules route against the
-                    // watermark's own window again.
-                    self.wheel_base = self.watermark.as_ns() & !(WHEEL_SLOTS as u64 - 1);
-                    self.cursor = self.wheel_base;
-                    return None;
-                }
-                // A freshly distributed window can be empty if every
-                // record in it was cancelled.
-                if self.wheel_len > 0 {
-                    let idx = self.scan_occupied(self.cursor);
-                    self.cursor = self.wheel_base + idx as u64;
-                    break self.bucket_pop(idx);
-                }
-            }
-        };
-        let slot = &mut self.slots[entry.slot as usize];
-        debug_assert!(slot.gen == entry.gen && slot.event.is_some());
-        let event = slot.event.take().expect("live entry has an event");
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(entry.slot);
-        self.live -= 1;
-        self.watermark = entry.at;
-        self.purge_front();
-        Some((entry.at, event))
-    }
-
-    /// Pops every event with timestamp `<= until` into `out` (appending,
-    /// in delivery order), advancing the watermark as [`Calendar::pop`]
-    /// would. Returns the number of events moved.
-    ///
-    /// This is the engine inner loop's batch fast path: draining one
-    /// instant's events in a block lets the caller iterate a flat buffer
-    /// while newly scheduled same-instant events (which always carry
-    /// higher sequence numbers) land in the next batch — the delivery
-    /// order is identical to repeated `pop` calls.
-    pub fn drain_until(&mut self, until: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
-        let mut n = 0;
-        while self.peek_time().is_some_and(|t| t <= until) {
-            // The unwrap cannot fail: peek_time just saw a live event.
-            out.push(self.pop().expect("event present"));
-            n += 1;
+            self.advance();
         }
-        n
+        let event = self.due.pop_front().expect("advance fills bucket 0");
+        self.len -= 1;
+        Some((self.last, event))
     }
 
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // purge_front maintains the invariant that the ring and wheel
-        // heads are live and the consulted far min is exact, so peeking
-        // needs no skipping.
-        let queued = self.queue_head_key().map(|(t, _)| t);
-        match (self.immediate.front(), queued) {
-            (Some(f), Some(q)) => Some(f.at.min(q)),
-            (Some(f), None) => Some(f.at),
-            (None, q) => q,
+        if !self.due.is_empty() {
+            Some(self.last)
+        } else if self.occupied != 0 {
+            Some(self.mins[self.occupied.trailing_zeros() as usize])
+        } else {
+            None
         }
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 
     /// The latest time returned by [`Calendar::pop`] so far.
     pub fn now(&self) -> SimTime {
-        self.watermark
+        self.last
     }
 
-    /// Cumulative event-pool behaviour plus per-run occupancy marks: how
-    /// many slab slots were ever allocated versus how many schedules
-    /// were served by recycling, and the high-water occupancy of each
-    /// queue tier. A steady-state pipeline should show `slots_allocated`
-    /// plateau at its peak concurrency while `slots_reused` keeps
-    /// growing.
+    /// Occupancy since the last [`reset`](Calendar::reset): events
+    /// scheduled, and the peak number pending in total, inside the
+    /// watermark's window and beyond it.
     pub fn pool_stats(&self) -> PoolStats {
         self.stats
     }
@@ -691,6 +262,16 @@ impl<E> Default for Calendar<E> {
 mod tests {
     use super::*;
     use crate::time::Duration;
+
+    /// Width of the watermark's window that [`PoolStats`] splits by.
+    const SPAN: u64 = 1 << WINDOW_BITS;
+
+    /// The lanes' drain loop: pops every event at or before `until`.
+    fn drain_until(cal: &mut Calendar<char>, until: SimTime, out: &mut Vec<(SimTime, char)>) {
+        while cal.peek_time().is_some_and(|t| t <= until) {
+            out.push(cal.pop().expect("peeked event"));
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -718,13 +299,12 @@ mod tests {
     #[test]
     fn immediate_fast_path_preserves_fifo_with_wheel_ties() {
         let mut cal = Calendar::new();
-        // Two wheel events at t=10, scheduled before the watermark gets
-        // there (seq 0 and 1).
+        // Two events at t=10, scheduled before the watermark gets there.
         cal.schedule(SimTime::from_ns(10), "wheel-a");
         cal.schedule(SimTime::from_ns(10), "wheel-b");
-        assert_eq!(cal.pop().unwrap().1, "wheel-a"); // watermark now 10
-                                                     // An immediate event at the watermark (seq 2) must NOT overtake
-                                                     // the equal-time wheel event with the lower sequence number.
+        assert_eq!(cal.pop().unwrap().1, "wheel-a");
+        // The watermark is now 10. An event scheduled at the watermark
+        // must NOT overtake the equal-time event scheduled before it.
         cal.schedule(SimTime::from_ns(10), "imm-c");
         cal.schedule(SimTime::from_ns(11), "late");
         cal.schedule(SimTime::from_ns(10), "imm-d");
@@ -737,8 +317,8 @@ mod tests {
 
     #[test]
     fn immediate_events_at_time_zero() {
-        // Before any pop the watermark is zero, so t=0 events take the
-        // fast path straight away — and still interleave FIFO.
+        // Before any pop the watermark is zero, so t=0 events go straight
+        // to bucket 0 — and still interleave FIFO.
         let mut cal = Calendar::new();
         cal.schedule(SimTime::ZERO, 0);
         cal.schedule(SimTime::from_ns(5), 2);
@@ -780,8 +360,7 @@ mod tests {
         cal.schedule(SimTime::from_ns(10), 'b');
         cal.schedule(SimTime::from_ns(20), 'c');
         let mut buf = Vec::new();
-        let n = cal.drain_until(SimTime::from_ns(10), &mut buf);
-        assert_eq!(n, 2);
+        drain_until(&mut cal, SimTime::from_ns(10), &mut buf);
         assert_eq!(
             buf,
             vec![(SimTime::from_ns(10), 'a'), (SimTime::from_ns(10), 'b')]
@@ -789,10 +368,10 @@ mod tests {
         // The watermark advanced with the drained events...
         assert_eq!(cal.now(), SimTime::from_ns(10));
         // ...and same-instant events scheduled afterwards still deliver
-        // after the batch (higher seq), before later times.
+        // after the batch, before later times.
         cal.schedule(SimTime::from_ns(10), 'd');
         buf.clear();
-        assert_eq!(cal.drain_until(SimTime::from_ns(30), &mut buf), 2);
+        drain_until(&mut cal, SimTime::from_ns(30), &mut buf);
         assert_eq!(
             buf,
             vec![(SimTime::from_ns(10), 'd'), (SimTime::from_ns(20), 'c')]
@@ -803,112 +382,51 @@ mod tests {
     #[test]
     fn drain_until_advances_watermark_monotonically() {
         let mut cal = Calendar::new();
-        for t in [5u64, 1, 9, 1, 5] {
-            cal.schedule(SimTime::from_ns(t), t);
+        for (t, c) in [(5u64, 'a'), (1, 'b'), (9, 'c'), (1, 'd'), (5, 'e')] {
+            cal.schedule(SimTime::from_ns(t), c);
         }
         let mut buf = Vec::new();
-        cal.drain_until(SimTime::from_ns(5), &mut buf);
-        let times: Vec<u64> = buf.iter().map(|&(t, _)| t.as_ns()).collect();
-        assert_eq!(times, vec![1, 1, 5, 5]);
+        drain_until(&mut cal, SimTime::from_ns(5), &mut buf);
+        let order: Vec<(u64, char)> = buf.iter().map(|&(t, c)| (t.as_ns(), c)).collect();
+        assert_eq!(order, vec![(1, 'b'), (1, 'd'), (5, 'a'), (5, 'e')]);
         assert_eq!(cal.now(), SimTime::from_ns(5));
         assert_eq!(cal.len(), 1);
+        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(9)));
         // Causality: the watermark now rejects anything before 5 ns.
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cal.schedule(SimTime::from_ns(3), 3);
+            cal.schedule(SimTime::from_ns(3), 'f');
         }));
         assert!(r.is_err(), "pre-watermark schedule must panic after drain");
     }
 
     #[test]
     fn drain_until_on_empty_is_noop() {
-        let mut cal: Calendar<()> = Calendar::with_capacity(16);
+        let mut cal = Calendar::new();
         let mut buf = Vec::new();
-        assert_eq!(cal.drain_until(SimTime::from_ns(100), &mut buf), 0);
+        drain_until(&mut cal, SimTime::from_ns(100), &mut buf);
         assert!(buf.is_empty());
-        cal.reserve(32);
+        assert_eq!(cal.peek_time(), None);
+        assert_eq!(cal.now(), SimTime::ZERO);
         assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn cancel_removes_event_everywhere() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_ns(10), 'a');
-        let b = cal.schedule(SimTime::from_ns(10), 'b');
-        cal.schedule(SimTime::from_ns(20), 'c');
-        assert!(cal.cancel(a));
-        assert_eq!(cal.len(), 2);
-        // Cancelling twice (or after the fact) is a no-op.
-        assert!(!cal.cancel(a));
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(10), 'b')));
-        assert!(!cal.cancel(b), "popped event is no longer cancellable");
-        // Immediate-ring events cancel too.
-        let d = cal.schedule(SimTime::from_ns(10), 'd');
-        assert!(cal.cancel(d));
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(20), 'c')));
-        assert_eq!(cal.pop(), None);
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn cancelled_head_keeps_peek_accurate() {
-        let mut cal = Calendar::new();
-        let early = cal.schedule(SimTime::from_ns(5), 'x');
-        cal.schedule(SimTime::from_ns(9), 'y');
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(5)));
-        assert!(cal.cancel(early));
-        // The cancelled head must not leak into peek_time or drain.
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(9)));
-        let mut buf = Vec::new();
-        assert_eq!(cal.drain_until(SimTime::from_ns(9), &mut buf), 1);
-        assert_eq!(buf, vec![(SimTime::from_ns(9), 'y')]);
-    }
-
-    #[test]
-    fn cancelled_far_min_keeps_peek_accurate() {
-        // The far tier caches each window's min key; cancelling that
-        // exact event must not leak the stale minimum into peek_time.
-        let span = WHEEL_SLOTS as u64;
-        let mut cal = Calendar::new();
-        let early = cal.schedule(SimTime::from_ns(3 * span + 7), 'x');
-        cal.schedule(SimTime::from_ns(3 * span + 900), 'y');
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(3 * span + 7)));
-        assert!(cal.cancel(early));
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(3 * span + 900)));
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(3 * span + 900), 'y')));
-        assert_eq!(cal.pop(), None);
     }
 
     #[test]
     fn far_windows_deliver_in_time_seq_order() {
-        // Spread events across several wheel windows, with ties inside
-        // a distant window, and interleave a post-distribution insert.
-        let span = WHEEL_SLOTS as u64;
+        // Spread events across several windows, with ties inside a
+        // distant one, and interleave an insert after it is redistributed.
         let mut cal = Calendar::new();
-        cal.schedule(SimTime::from_ns(2 * span + 5), "far-a"); // seq 0
-        cal.schedule(SimTime::from_ns(5), "near"); // seq 1
-        cal.schedule(SimTime::from_ns(2 * span + 5), "far-b"); // seq 2
-        cal.schedule(SimTime::from_ns(7 * span + 1), "farther"); // seq 3
+        cal.schedule(SimTime::from_ns(2 * SPAN + 5), "far-a");
+        cal.schedule(SimTime::from_ns(5), "near");
+        cal.schedule(SimTime::from_ns(2 * SPAN + 5), "far-b");
+        cal.schedule(SimTime::from_ns(7 * SPAN + 1), "farther");
         assert_eq!(cal.pop().unwrap().1, "near");
         assert_eq!(cal.pop().unwrap().1, "far-a");
-        // The wheel now covers window 2: same-bucket inserts append
-        // after the descended far records (higher seq).
-        cal.schedule(SimTime::from_ns(2 * span + 5), "late-tie");
+        // far-b now sits at the watermark: a new tie appends after it.
+        cal.schedule(SimTime::from_ns(2 * SPAN + 5), "late-tie");
         assert_eq!(cal.pop().unwrap().1, "far-b");
         assert_eq!(cal.pop().unwrap().1, "late-tie");
         assert_eq!(cal.pop().unwrap().1, "farther");
         assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn stale_keys_never_touch_reused_slots() {
-        let mut cal = Calendar::new();
-        let old = cal.schedule(SimTime::from_ns(1), 'a');
-        cal.pop();
-        // The slot is recycled for a new event under a new generation.
-        let fresh = cal.schedule(SimTime::from_ns(2), 'b');
-        assert_eq!(old.slot, fresh.slot, "slot should be recycled");
-        assert!(!cal.cancel(old), "stale key must be inert");
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(2), 'b')));
     }
 
     #[test]
@@ -924,33 +442,57 @@ mod tests {
         }
         while cal.pop().is_some() {}
         let stats = cal.pool_stats();
-        assert_eq!(
-            stats.slots_allocated, 4,
-            "slab must plateau at peak concurrency"
-        );
-        assert_eq!(stats.slots_reused, 996, "steady state must recycle");
+        assert_eq!(stats.schedules, 1000);
         assert_eq!(stats.live_high_water, 4, "peak concurrency is 4");
     }
 
     #[test]
     fn high_water_marks_track_tier_occupancy() {
-        let span = WHEEL_SLOTS as u64;
         let mut cal = Calendar::new();
+        cal.schedule(SimTime::ZERO, 'w'); // at the watermark: neither
         cal.schedule(SimTime::from_ns(1), 'a');
-        cal.schedule(SimTime::from_ns(2), 'b');
-        cal.schedule(SimTime::from_ns(span + 1), 'c'); // far tier
+        cal.schedule(SimTime::from_ns(SPAN - 1), 'b'); // window's last ns
+        cal.schedule(SimTime::from_ns(SPAN), 'c'); // next window: far
+        cal.schedule(SimTime::from_ns(3 * SPAN), 'd');
         let s = cal.pool_stats();
+        assert_eq!(s.schedules, 5);
+        assert_eq!(s.live_high_water, 5);
         assert_eq!(s.wheel_high_water, 2);
-        assert_eq!(s.far_high_water, 1);
-        assert_eq!(s.live_high_water, 3);
-        while cal.pop().is_some() {}
-        // Marks are per-run: reset rewinds them but not the slot totals.
-        cal.reset();
+        assert_eq!(s.far_high_water, 2);
+        // Once the watermark enters the next window, the window moves
+        // with it: `SPAN + 2 .. 2 * SPAN - 1` is inside, `2 * SPAN` beyond.
+        for expect in ['w', 'a', 'b', 'c'] {
+            assert_eq!(cal.pop().unwrap().1, expect);
+        }
+        assert_eq!(cal.now(), SimTime::from_ns(SPAN));
+        cal.schedule(SimTime::from_ns(SPAN + 2), 'e');
+        cal.schedule(SimTime::from_ns(SPAN + 3), 'f');
+        cal.schedule(SimTime::from_ns(2 * SPAN - 1), 'g');
+        cal.schedule(SimTime::from_ns(2 * SPAN), 'h');
         let s = cal.pool_stats();
-        assert_eq!(s.wheel_high_water, 0);
-        assert_eq!(s.far_high_water, 0);
-        assert_eq!(s.live_high_water, 0);
-        assert_eq!(s.slots_allocated, 3);
+        assert_eq!(s.schedules, 9);
+        assert_eq!(s.live_high_water, 5);
+        assert_eq!(s.wheel_high_water, 3);
+        assert_eq!(s.far_high_water, 2);
+        while cal.pop().is_some() {}
+        // Marks are per-run: reset rewinds every field.
+        cal.reset();
+        assert_eq!(cal.pool_stats(), PoolStats::default());
+    }
+
+    #[test]
+    fn far_events_count_once_they_leave_the_window() {
+        // A far event distributed into the watermark's window moves from
+        // the far count to the window count.
+        let mut cal = Calendar::new();
+        for t in [SPAN + 1, SPAN + 2, SPAN + 3] {
+            cal.schedule(SimTime::from_ns(t), 'x');
+        }
+        assert_eq!(cal.pool_stats().far_high_water, 3);
+        assert_eq!(cal.pool_stats().wheel_high_water, 0);
+        cal.pop(); // watermark SPAN + 1: two events left in its window
+        assert_eq!(cal.pool_stats().wheel_high_water, 2);
+        assert_eq!(cal.pool_stats().far_high_water, 3);
     }
 
     #[test]
@@ -973,40 +515,17 @@ mod tests {
         assert_eq!(reused.now(), SimTime::ZERO);
         assert!(reused.is_empty());
         assert_eq!(run(&mut reused), expect);
-        // The second pass allocated nothing new.
-        assert_eq!(reused.pool_stats().slots_allocated, 4);
-        assert!(reused.pool_stats().slots_reused >= 4);
-    }
-
-    #[test]
-    fn empty_pop_after_cancelled_far_windows_reanchors_wheel() {
-        // Cancelling every far event and then popping to exhaustion
-        // used to leave the (empty) wheel anchored in a future window:
-        // a later schedule into an earlier window would then misroute
-        // and deliver out of order.
-        let span = WHEEL_SLOTS as u64;
-        let mut cal = Calendar::new();
-        let k1 = cal.schedule(SimTime::from_ns(5 * span + 7), 1u32);
-        let k2 = cal.schedule(SimTime::from_ns(9 * span + 3), 2);
-        assert!(cal.cancel(k1));
-        assert!(cal.cancel(k2));
-        assert_eq!(cal.pop(), None);
-        // Earlier window first, then the old (stale-anchor) window: the
-        // pop order must follow timestamps, not wheel-residency.
-        cal.schedule(SimTime::from_ns(2 * span + 1), 3);
-        cal.schedule(SimTime::from_ns(5 * span + 8), 4);
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(2 * span + 1), 3)));
-        assert_eq!(cal.pop(), Some((SimTime::from_ns(5 * span + 8), 4)));
-        assert_eq!(cal.pop(), None);
+        // The stats describe the second run only.
+        assert_eq!(reused.pool_stats(), fresh.pool_stats());
+        assert_eq!(reused.pool_stats().schedules, 4);
     }
 
     #[test]
     fn reset_clears_far_tier() {
-        let span = WHEEL_SLOTS as u64;
         let run = |cal: &mut Calendar<u32>| -> Vec<u64> {
-            cal.schedule(SimTime::from_ns(4 * span + 2), 1);
+            cal.schedule(SimTime::from_ns(4 * SPAN + 2), 1);
             cal.schedule(SimTime::from_ns(9), 2);
-            cal.schedule(SimTime::from_ns(span - 1), 3);
+            cal.schedule(SimTime::from_ns(SPAN - 1), 3);
             let mut out = Vec::new();
             while let Some((t, _)) = cal.pop() {
                 out.push(t.as_ns());
@@ -1015,8 +534,30 @@ mod tests {
         };
         let mut cal = Calendar::new();
         let expect = run(&mut cal);
+        let stats = cal.pool_stats();
         cal.reset();
         assert_eq!(run(&mut cal), expect);
-        assert_eq!(cal.pool_stats().slots_allocated, 3);
+        assert_eq!(cal.pool_stats(), stats);
+        // Reset with events still pending in high buckets.
+        cal.schedule(SimTime::from_ns(u64::MAX), 9);
+        cal.schedule(SimTime::from_ns(5 * SPAN), 8);
+        cal.reset();
+        assert_eq!(cal.peek_time(), None);
+        assert_eq!(run(&mut cal), expect);
+    }
+
+    #[test]
+    fn extreme_times_use_the_top_bucket() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::MAX, 'z');
+        cal.schedule(SimTime::from_ns(1 << 63), 'y');
+        cal.schedule(SimTime::from_ns(1), 'x');
+        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(1)));
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(1), 'x')));
+        assert_eq!(cal.peek_time(), Some(SimTime::from_ns(1 << 63)));
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(1 << 63), 'y')));
+        assert_eq!(cal.pop(), Some((SimTime::MAX, 'z')));
+        assert_eq!(cal.pop(), None);
+        assert_eq!(cal.now(), SimTime::MAX);
     }
 }

@@ -49,7 +49,7 @@ pub mod sync;
 pub mod time;
 pub mod trace;
 
-pub use calendar::{Calendar, EventKey, PoolStats};
+pub use calendar::{Calendar, PoolStats};
 pub use obs::latency::{
     ChainTable, LatencyHistogram, LatencyReport, PathArena, PathAttr, QueryLat, Stage, NO_PATH,
 };

@@ -9,7 +9,6 @@
 //!   serial pipe, which is the standard store-and-forward approximation
 //!   used by SimpleSSD/MQSim-style simulators.
 
-use crate::stats::UtilizationTracker;
 use crate::time::{Duration, SimTime};
 
 /// A resource that serves one request at a time, FCFS.
@@ -32,7 +31,6 @@ use crate::time::{Duration, SimTime};
 #[derive(Debug, Clone)]
 pub struct SerialResource {
     next_free: SimTime,
-    util: UtilizationTracker,
     served: u64,
     busy_total: Duration,
     wait_total: Duration,
@@ -59,7 +57,6 @@ impl SerialResource {
     pub fn new() -> Self {
         SerialResource {
             next_free: SimTime::ZERO,
-            util: UtilizationTracker::new(),
             served: 0,
             busy_total: Duration::ZERO,
             wait_total: Duration::ZERO,
@@ -102,11 +99,9 @@ impl SerialResource {
         self.wait_total
     }
 
-    /// Busy fraction of the window `[0, end]`.
-    pub fn utilization(&mut self, end: SimTime) -> f64 {
-        // Rebuild from busy_total: the tracker variant is unnecessary since
-        // grants are non-overlapping by construction.
-        let _ = &self.util;
+    /// Busy fraction of the window `[0, end]` (grants never overlap,
+    /// so busy time is the plain sum of service times).
+    pub fn utilization(&self, end: SimTime) -> f64 {
         if end == SimTime::ZERO {
             return 0.0;
         }
@@ -181,7 +176,7 @@ impl BandwidthResource {
     }
 
     /// Busy fraction of the window `[0, end]`.
-    pub fn utilization(&mut self, end: SimTime) -> f64 {
+    pub fn utilization(&self, end: SimTime) -> f64 {
         self.pipe.utilization(end)
     }
 }

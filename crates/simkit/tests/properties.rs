@@ -89,154 +89,117 @@ proptest! {
     }
 }
 
+/// One operation of a calendar-versus-model run.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Schedule this many ns after the watermark.
+    After(u64),
+    /// Schedule at the time of the pending event with this index
+    /// (modulo the pending count), or at the watermark if none is.
+    Tie(usize),
+    Pop,
+    Reset,
+}
+
+/// Runs `ops` against a calendar and a flat reference model: pending
+/// events as `(at, id)`, where `id` is the index of the scheduling op
+/// and so rises in schedule order, delivered at the `(at, id)` minimum.
+/// Every pop is compared, and so are `len()` and `peek_time()` after
+/// every operation; at the end both are drained and compared.
+fn check_against_model(ops: &[Op]) {
+    let mut cal = Calendar::new();
+    let mut model: Vec<(u64, usize)> = Vec::new();
+    let mut watermark = 0u64;
+    for (id, &op) in ops.iter().enumerate() {
+        match op {
+            Op::After(delta) => {
+                let at = watermark + delta;
+                cal.schedule(SimTime::from_ns(at), id);
+                model.push((at, id));
+            }
+            Op::Tie(pick) => {
+                let at = match model.len() {
+                    0 => watermark,
+                    n => model[pick % n].0,
+                };
+                cal.schedule(SimTime::from_ns(at), id);
+                model.push((at, id));
+            }
+            Op::Pop => match model.iter().enumerate().min_by_key(|&(_, &e)| e) {
+                Some((i, _)) => {
+                    let (at, id) = model.remove(i);
+                    watermark = at;
+                    assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
+                }
+                None => assert_eq!(cal.pop(), None),
+            },
+            Op::Reset => {
+                cal.reset();
+                model.clear();
+                watermark = 0;
+            }
+        }
+        assert_eq!(cal.len(), model.len());
+        let earliest = model.iter().map(|&(at, _)| at).min();
+        assert_eq!(cal.peek_time(), earliest.map(SimTime::from_ns));
+    }
+    model.sort_unstable();
+    for &(at, id) in &model {
+        assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
+    }
+    assert_eq!(cal.pop(), None);
+}
+
 proptest! {
-    /// The pooled slab/free-list calendar is a drop-in replacement for a
-    /// naive sorted-list calendar: under arbitrary interleavings of
-    /// schedules, pops, and cancels (including stale-key cancels), the
-    /// delivery order — nondecreasing time with FIFO tie-breaking — is
-    /// identical to the reference model's.
+    /// The radix-heap calendar is a drop-in replacement for a naive
+    /// sorted-list calendar: under arbitrary interleavings of schedules
+    /// a few ns ahead (dense ties, many at the watermark itself), pops
+    /// and resets, it delivers in the model's order — nondecreasing
+    /// time with FIFO tie-breaking — and agrees on `len` and
+    /// `peek_time` throughout.
     #[test]
     fn pooled_calendar_matches_reference_model(
-        ops in proptest::collection::vec((0u8..10, 0u64..60, 0u64..1000), 1..300),
+        raw in proptest::collection::vec((0u8..40, 0u64..60), 1..300),
     ) {
-        let mut cal = simkit::Calendar::new();
-        // Reference model: live events as (at, seq, id); delivery order
-        // is the (at, seq) minimum. `keys` remembers every key ever
-        // issued so cancels can target live, popped, and already-
-        // cancelled events alike.
-        let mut model: Vec<(u64, u64, u32)> = Vec::new();
-        let mut keys: Vec<(simkit::EventKey, u64, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
-        let mut next_id = 0u32;
-        let mut watermark = 0u64;
-        for (kind, a, b) in ops {
-            match kind {
-                // Schedule at or after the watermark (weight 6/10; a=0
-                // exercises the immediate-ring fast path).
-                0..=5 => {
-                    let at = watermark + a;
-                    let key = cal.schedule(SimTime::from_ns(at), next_id);
-                    model.push((at, seq, next_id));
-                    keys.push((key, at, seq, next_id));
-                    seq += 1;
-                    next_id += 1;
-                }
-                // Pop and compare against the model's (at, seq) minimum.
-                6 | 7 => {
-                    let expect = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &(at, s, _))| (at, s))
-                        .map(|(i, _)| i);
-                    match expect {
-                        Some(i) => {
-                            let (at, _, id) = model.remove(i);
-                            watermark = at;
-                            prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
-                        }
-                        None => prop_assert_eq!(cal.pop(), None),
-                    }
-                }
-                // Cancel an arbitrary previously issued key; it must
-                // succeed exactly when the event is still live.
-                _ => {
-                    if keys.is_empty() {
-                        continue;
-                    }
-                    let (key, at, s, id) = keys[(b as usize) % keys.len()];
-                    let live = model.iter().position(|&e| e == (at, s, id));
-                    let cancelled = cal.cancel(key);
-                    match live {
-                        Some(i) => {
-                            prop_assert!(cancelled, "live event must cancel");
-                            model.remove(i);
-                        }
-                        None => prop_assert!(!cancelled, "stale key must be inert"),
-                    }
-                }
-            }
-            prop_assert_eq!(cal.len(), model.len());
-        }
-        // Drain the remainder and compare the full tail order.
-        model.sort_by_key(|&(at, s, _)| (at, s));
-        for &(at, _, id) in &model {
-            prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
-        }
-        prop_assert_eq!(cal.pop(), None);
+        let ops: Vec<Op> = raw
+            .into_iter()
+            .map(|(kind, a)| match kind {
+                0..=23 => Op::After(a),
+                24..=38 => Op::Pop,
+                _ => Op::Reset,
+            })
+            .collect();
+        check_against_model(&ops);
     }
 
-    /// The cross-tier variant of the reference-model test: time deltas
-    /// up to 100_000 ns span many 8192-ns wheel windows, so schedules
-    /// land in the far tier, promote into the wheel as the watermark
-    /// advances, and wrap the wheel's bucket array repeatedly. Order
-    /// and cancel semantics must stay identical to the flat model.
+    /// The wide-range variant: deltas are `2^k + r` with `r < 2^k` for
+    /// `k` in 0..=40, so schedules land in every bucket up to 41, and
+    /// redistributions cascade down through the buckets as the
+    /// watermark advances. Tie operations schedule at an already
+    /// pending time, so equal times also arrive from different
+    /// watermarks. Order, `len` and `peek_time` must match the model.
     #[test]
     fn calendar_matches_reference_across_tiers(
-        ops in proptest::collection::vec((0u8..10, 0u64..100_000, 0u64..1000), 1..200),
+        raw in proptest::collection::vec((0u8..40, 0u32..41, any::<u64>()), 1..200),
     ) {
-        let mut cal = simkit::Calendar::new();
-        let mut model: Vec<(u64, u64, u32)> = Vec::new();
-        let mut keys: Vec<(simkit::EventKey, u64, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
-        let mut next_id = 0u32;
-        let mut watermark = 0u64;
-        for (kind, a, b) in ops {
-            match kind {
-                0..=5 => {
-                    let at = watermark + a;
-                    let key = cal.schedule(SimTime::from_ns(at), next_id);
-                    model.push((at, seq, next_id));
-                    keys.push((key, at, seq, next_id));
-                    seq += 1;
-                    next_id += 1;
-                }
-                6 | 7 => {
-                    let expect = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &(at, s, _))| (at, s))
-                        .map(|(i, _)| i);
-                    match expect {
-                        Some(i) => {
-                            let (at, _, id) = model.remove(i);
-                            watermark = at;
-                            prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
-                        }
-                        None => prop_assert_eq!(cal.pop(), None),
-                    }
-                }
-                _ => {
-                    if keys.is_empty() {
-                        continue;
-                    }
-                    let (key, at, s, id) = keys[(b as usize) % keys.len()];
-                    let live = model.iter().position(|&e| e == (at, s, id));
-                    let cancelled = cal.cancel(key);
-                    match live {
-                        Some(i) => {
-                            prop_assert!(cancelled, "live event must cancel");
-                            model.remove(i);
-                        }
-                        None => prop_assert!(!cancelled, "stale key must be inert"),
-                    }
-                }
-            }
-            prop_assert_eq!(cal.len(), model.len());
-        }
-        model.sort_by_key(|&(at, s, _)| (at, s));
-        for &(at, _, id) in &model {
-            prop_assert_eq!(cal.pop(), Some((SimTime::from_ns(at), id)));
-        }
-        prop_assert_eq!(cal.pop(), None);
+        let ops: Vec<Op> = raw
+            .into_iter()
+            .map(|(kind, k, r)| match kind {
+                0..=5 => Op::Tie(r as usize),
+                6..=23 => Op::After((1u64 << k) + r % (1u64 << k)),
+                24..=38 => Op::Pop,
+                _ => Op::Reset,
+            })
+            .collect();
+        check_against_model(&ops);
     }
 
     /// Equal timestamps drain in schedule order even when the tied
-    /// group sits beyond the wheel window at schedule time (far tier)
-    /// and is only promoted into the wheel later: the `(time, seq)`
-    /// tie-break survives the tier migration.
+    /// group sits many buckets above the watermark at schedule time and
+    /// is redistributed bucket by bucket on its way down.
     #[test]
     fn calendar_far_tier_preserves_fifo_ties(
-        tie_at in 8_192u64..200_000,
+        tie_at in 8_192u64..(1u64 << 40),
         n in 2usize..64,
     ) {
         let mut cal = simkit::Calendar::new();
@@ -249,10 +212,9 @@ proptest! {
         prop_assert_eq!(cal.pop(), None);
     }
 
-    /// `reset` restores a calendar that has events resident in every
-    /// tier (immediate ring, wheel, far map) to a pristine state: the
-    /// next schedule/pop cycle behaves exactly like a fresh calendar's,
-    /// with tie-break sequence numbering restarted.
+    /// `reset` restores a calendar that has events pending in many
+    /// buckets to a pristine state: the next schedule/pop cycle behaves
+    /// exactly like a fresh calendar's.
     #[test]
     fn calendar_reset_then_reuse_across_tiers(
         first in proptest::collection::vec(0u64..100_000, 1..100),
@@ -281,14 +243,16 @@ proptest! {
             prop_assert_eq!(cal.pop(), Some(expect));
         }
         prop_assert_eq!(cal.pop(), None);
+        prop_assert_eq!(cal.pool_stats(), fresh.pool_stats());
     }
 
-    /// `drain_until` is equivalent to repeated `pop` calls: same events,
-    /// same order, same watermark afterwards.
+    /// Draining in rounds — popping while `peek_time` is at or below a
+    /// rising horizon, as the lanes do — delivers exactly the sequence
+    /// of repeated `pop` calls and leaves the same watermark.
     #[test]
     fn drain_until_equals_repeated_pop(
-        times in proptest::collection::vec(0u64..50, 1..150),
-        cut in 0u64..50,
+        times in proptest::collection::vec(0u64..50_000, 1..150),
+        cuts in proptest::collection::vec(0u64..50_000, 1..8),
     ) {
         let mut a = simkit::Calendar::new();
         let mut b = simkit::Calendar::new();
@@ -296,14 +260,18 @@ proptest! {
             a.schedule(SimTime::from_ns(t), i);
             b.schedule(SimTime::from_ns(t), i);
         }
+        let mut cuts = cuts;
+        cuts.sort_unstable();
         let mut drained = Vec::new();
-        a.drain_until(SimTime::from_ns(cut), &mut drained);
-        let mut popped = Vec::new();
-        while b.peek_time().is_some_and(|t| t <= SimTime::from_ns(cut)) {
-            popped.push(b.pop().unwrap());
+        for cut in cuts {
+            while a.peek_time().is_some_and(|t| t <= SimTime::from_ns(cut)) {
+                drained.push(a.pop().unwrap());
+            }
         }
+        let popped: Vec<_> = (0..drained.len()).map(|_| b.pop().unwrap()).collect();
         prop_assert_eq!(drained, popped);
         prop_assert_eq!(a.now(), b.now());
         prop_assert_eq!(a.len(), b.len());
+        prop_assert_eq!(a.peek_time(), b.peek_time());
     }
 }

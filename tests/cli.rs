@@ -116,3 +116,17 @@ fn missing_dataset_flag_is_an_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--dataset"));
 }
+
+#[test]
+fn degenerate_sizes_are_usage_errors() {
+    for args in [
+        ["run", "--dataset", "amazon", "--nodes", "1"],
+        ["run", "--dataset", "amazon", "--batch", "0"],
+    ] {
+        let out = beacongnn().args(args).output().expect("executes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("at least 2 nodes"), "{args:?}: {stderr}");
+    }
+}
