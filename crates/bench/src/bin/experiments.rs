@@ -5,17 +5,21 @@
 //! cargo run --release -p beacon-bench --bin experiments fig14     # one figure
 //! cargo run --release -p beacon-bench --bin experiments fig18 cores
 //! cargo run --release -p beacon-bench --bin experiments all --jobs 8
+//! cargo run --release -p beacon-bench --bin experiments all --csv out_dir
 //! ```
 //!
 //! `--jobs N` (default: all available cores) fans independent
 //! simulation cells — and, under `all`, whole figures — across worker
 //! threads. Every cell's seed is fixed by its identity before execution
-//! starts, so stdout is byte-identical at any job count; only the
-//! wall-clock changes. The per-figure timing summary goes to stderr.
+//! starts, so stdout and every written file are byte-identical at any
+//! job count; only the wall-clock changes. `--csv DIR` writes each
+//! figure's rows as CSV files under `DIR`, from the same rows the
+//! figure prints. Stdout carries only figure text; the per-figure
+//! timing summary and file-write confirmations go to stderr.
 
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::BufWriter;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -23,62 +27,216 @@ use beacon_bench as bench;
 use beacon_bench::{Sweep, DEFAULT_BATCH, DEFAULT_NODES};
 use beacon_platforms::Platform;
 use beacongnn::report::{percent, ratio, Table};
+use simkit::obs::format_f64;
+use simkit::MetricValue;
 
-/// An experiment's entry point; it receives the arguments after the name.
-type Entry = fn(&[String]);
+/// One experiment: its name, the arguments it takes, and its entry
+/// point.
+struct Entry {
+    name: &'static str,
+    /// Flags that take a value (`--flag VALUE`).
+    flags: &'static [&'static str],
+    /// Whether it takes one optional positional argument.
+    positional: bool,
+    run: fn(&Args) -> Output,
+}
 
-/// Every accepted experiment. `main` dispatches through this table and
-/// the usage message lists it, so the two cannot drift apart.
-const EXPERIMENTS: &[(&str, Entry)] = &[
-    ("fig7a", |_| print!("{}", fig7a())),
-    ("fig7b", |_| print!("{}", fig7b())),
-    ("fig14", |_| print!("{}", fig14())),
-    ("fig15", |_| print!("{}", fig15())),
-    ("fig15f", |_| print!("{}", fig15f())),
-    ("fig16", |_| print!("{}", fig16())),
-    ("fig17", |_| print!("{}", fig17())),
-    ("fig18", |args| {
-        print!("{}", fig18(args.first().map(String::as_str)))
-    }),
-    ("fig19", |_| print!("{}", fig19())),
-    ("table4", |_| print!("{}", table4())),
-    ("trad_ssd", |_| print!("{}", trad_ssd())),
-    ("config", |_| print!("{}", config())),
-    ("query", |_| print!("{}", query())),
-    ("scaleout", scaleout),
-    ("ablation", |_| print!("{}", ablation())),
-    ("interference", |_| print!("{}", interference())),
-    ("obs", obs),
-    ("latency", latency),
-    ("all", |_| run_all()),
+/// An experiment that takes no arguments of its own.
+const fn figure(name: &'static str, run: fn(&Args) -> Output) -> Entry {
+    Entry {
+        name,
+        flags: &[],
+        positional: false,
+        run,
+    }
+}
+
+/// Every accepted experiment. `main` dispatches through this table,
+/// `all` runs it, and the usage message lists it, so none of them can
+/// drift apart.
+const EXPERIMENTS: &[Entry] = &[
+    figure("fig7a", fig7a),
+    figure("fig7b", fig7b),
+    figure("fig14", fig14),
+    figure("fig15", fig15),
+    figure("fig15f", fig15f),
+    figure("fig16", fig16),
+    figure("fig17", fig17),
+    Entry {
+        name: "fig18",
+        flags: &[],
+        positional: true,
+        run: fig18,
+    },
+    figure("fig19", fig19),
+    figure("table4", table4),
+    figure("trad_ssd", trad_ssd),
+    figure("config", config),
+    figure("query", query),
+    Entry {
+        name: "scaleout",
+        flags: &["--metrics"],
+        positional: false,
+        run: scaleout,
+    },
+    figure("ablation", ablation),
+    figure("interference", interference),
+    Entry {
+        name: "obs",
+        flags: &[
+            "--platform",
+            "--dataset",
+            "--nodes",
+            "--batch",
+            "--trace",
+            "--metrics",
+        ],
+        positional: false,
+        run: obs,
+    },
+    Entry {
+        name: "latency",
+        flags: &["--metrics", "--latency-csv", "--window-csv"],
+        positional: false,
+        run: latency,
+    },
+    figure("all", all),
 ];
 
+/// Experiments `all` leaves out: the configuration dump, the
+/// observability smoke and itself.
+const NOT_IN_ALL: [&str; 3] = ["config", "obs", "all"];
+
+/// The arguments one experiment runs with.
+#[derive(Default)]
+struct Args {
+    /// `--csv DIR`: the directory CSV files go to.
+    csv: Option<PathBuf>,
+    /// The experiment's own `--flag VALUE` pairs.
+    flags: Vec<(&'static str, String)>,
+    /// Its positional argument.
+    positional: Option<String>,
+}
+
+impl Args {
+    /// The value of `flag`, if it was given.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// What one experiment produced: the figure text for stdout and the
+/// files it writes, by path.
+#[derive(Default)]
+struct Output {
+    text: String,
+    files: Vec<(PathBuf, Vec<u8>)>,
+}
+
+impl Output {
+    fn new(text: String) -> Self {
+        Output {
+            text,
+            files: Vec::new(),
+        }
+    }
+
+    /// Adds CSV file `name` under the `--csv` directory, if one was
+    /// given: the header line, then one line per row.
+    fn csv(
+        &mut self,
+        args: &Args,
+        name: &str,
+        header: &str,
+        rows: impl IntoIterator<Item = String>,
+    ) {
+        let Some(dir) = &args.csv else { return };
+        let mut body = format!("{header}\n");
+        for row in rows {
+            body.push_str(&row);
+            body.push('\n');
+        }
+        self.files.push((dir.join(name), body.into_bytes()));
+    }
+
+    /// Adds the file at `path`, if one was given, with the bytes
+    /// `render` writes.
+    fn file(&mut self, path: Option<&str>, render: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) {
+        let Some(path) = path else { return };
+        let mut bytes = Vec::new();
+        render(&mut bytes).expect("rendering into memory cannot fail");
+        self.files.push((PathBuf::from(path), bytes));
+    }
+}
+
 fn main() {
+    let (entry, args) = parse(std::env::args().skip(1).collect());
+    let out = (entry.run)(&args);
+    print!("{}", out.text);
+    for (path, bytes) in &out.files {
+        write_file(path, bytes);
+    }
+}
+
+/// Parses the command line: the global `--jobs N` and `--csv DIR`
+/// anywhere, then the experiment name (default `all`) and that
+/// experiment's own arguments. Exits with status 2 on an unknown name or
+/// on any argument the experiment does not take.
+fn parse(argv: Vec<String>) -> (&'static Entry, Args) {
     let mut jobs = beacongnn::default_jobs();
-    let mut positional: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut csv = None;
+    let mut rest: Vec<String> = Vec::new();
+    let mut it = argv.into_iter();
+    while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--jobs" | "-j" => jobs = parse_at_least("--jobs", &args.next().unwrap_or_default(), 1),
+            "--jobs" | "-j" => jobs = parse_at_least("--jobs", &it.next().unwrap_or_default(), 1),
             other if other.starts_with("--jobs=") => {
                 jobs = parse_at_least("--jobs", &other["--jobs=".len()..], 1);
             }
-            _ => positional.push(arg),
+            "--csv" => csv = Some(PathBuf::from(value_of("--csv", it.next()))),
+            _ => rest.push(arg),
         }
     }
     bench::set_jobs(jobs);
 
-    let which = positional.first().map(String::as_str).unwrap_or("all");
-    let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == which) else {
-        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    let mut rest = rest.into_iter();
+    let which = rest.next().unwrap_or_else(|| "all".to_string());
+    let Some(entry) = EXPERIMENTS.iter().find(|e| e.name == which) else {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         eprintln!(
             "unknown experiment `{which}`; expected one of: {} \
-             (fig18 takes an optional sweep; plus --jobs N)",
+             (fig18 takes an optional sweep; plus --jobs N and --csv DIR)",
             names.join(" ")
         );
         std::process::exit(2);
     };
-    run(positional.get(1..).unwrap_or_default());
+    let mut args = Args {
+        csv,
+        ..Args::default()
+    };
+    while let Some(arg) = rest.next() {
+        if let Some(&flag) = entry.flags.iter().find(|&&f| f == arg) {
+            args.flags.push((flag, value_of(flag, rest.next())));
+        } else if entry.positional && args.positional.is_none() && !arg.starts_with('-') {
+            args.positional = Some(arg);
+        } else {
+            eprintln!("`{}` does not take `{arg}`", entry.name);
+            std::process::exit(2);
+        }
+    }
+    (entry, args)
+}
+
+/// A flag's value, or exit with status 2 if the command line ended.
+fn value_of(flag: &str, value: Option<String>) -> String {
+    value.unwrap_or_else(|| {
+        eprintln!("{flag} expects a value");
+        std::process::exit(2);
+    })
 }
 
 /// Parses `flag`'s value as an integer of at least `min`, or exits with
@@ -93,32 +251,33 @@ fn parse_at_least(flag: &str, v: &str, min: usize) -> usize {
     }
 }
 
-/// Runs every figure on a figure-level worker pool (each worker steals
-/// the next un-rendered figure) and prints them in fixed order.
-fn run_all() {
-    type FigureFn = fn() -> String;
-    let figures: Vec<(&str, FigureFn)> = vec![
-        ("fig7a", fig7a as FigureFn),
-        ("fig7b", fig7b),
-        ("fig14", fig14),
-        ("fig15", fig15),
-        ("fig15f", fig15f),
-        ("fig16", fig16),
-        ("fig17", fig17),
-        ("fig18", || fig18(None)),
-        ("fig19", fig19),
-        ("table4", table4),
-        ("trad_ssd", trad_ssd),
-        ("query", query),
-        ("scaleout", scaleout_figure),
-        ("ablation", ablation),
-        ("interference", interference),
-        ("latency", latency_figure_text),
-    ];
+/// Writes one output file, creating missing parent directories, or
+/// exits with status 1 on an I/O error.
+fn write_file(path: &Path, bytes: &[u8]) {
+    let written = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => std::fs::create_dir_all(dir),
+        _ => Ok(()),
+    }
+    .and_then(|()| std::fs::write(path, bytes));
+    if let Err(e) = written {
+        eprintln!("write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    eprintln!("wrote {}", path.display());
+}
+
+/// Runs every experiment except [`NOT_IN_ALL`] on a figure-level worker
+/// pool (each worker steals the next un-rendered figure) and returns
+/// their output in table order.
+fn all(args: &Args) -> Output {
+    let figures: Vec<&Entry> = EXPERIMENTS
+        .iter()
+        .filter(|e| !NOT_IN_ALL.contains(&e.name))
+        .collect();
 
     let jobs = bench::jobs();
     let next = AtomicUsize::new(0);
-    let mut rendered: Vec<Option<(String, f64)>> = Vec::new();
+    let mut rendered: Vec<Option<(Output, f64)>> = Vec::new();
     rendered.resize_with(figures.len(), || None);
     let workers = jobs.min(figures.len());
     std::thread::scope(|scope| {
@@ -128,9 +287,9 @@ fn run_all() {
                     let mut mine = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((_, f)) = figures.get(i) else { break };
+                        let Some(entry) = figures.get(i) else { break };
                         let t = Instant::now();
-                        let out = f();
+                        let out = (entry.run)(args);
                         mine.push((i, out, t.elapsed().as_secs_f64()));
                     }
                     mine
@@ -144,27 +303,25 @@ fn run_all() {
         }
     });
 
-    // stdout: figures in canonical order, independent of schedule;
-    // stderr: the wall-clock summary, kept off stdout so output stays
-    // byte-identical across job counts.
-    let rendered: Vec<(String, f64)> = rendered
-        .into_iter()
-        .map(|slot| slot.expect("figure rendered"))
-        .collect();
-    for (out, _) in &rendered {
-        print!("{out}");
-    }
+    // Output in canonical order, independent of schedule; the
+    // wall-clock summary goes to stderr so output stays byte-identical
+    // across job counts.
+    let mut all = Output::default();
     eprintln!("\n--- timing summary ({jobs} jobs) ---");
-    for ((name, _), (_, secs)) in figures.iter().zip(&rendered) {
-        eprintln!("{name:>14}  {secs:8.3} s");
+    for (entry, slot) in figures.iter().zip(rendered) {
+        let (out, secs) = slot.expect("figure rendered");
+        eprintln!("{:>14}  {secs:8.3} s", entry.name);
+        all.text.push_str(&out.text);
+        all.files.extend(out.files);
     }
+    all
 }
 
 fn header(out: &mut String, title: &str) {
     let _ = writeln!(out, "\n=== {title} ===\n");
 }
 
-fn fig7a() -> String {
+fn fig7a(args: &Args) -> Output {
     let mut out = String::new();
     header(
         &mut out,
@@ -190,10 +347,19 @@ fn fig7a() -> String {
     }
     let _ = writeln!(out, "{}", t.render());
     let _ = writeln!(out, "paper: 8 dies give ~1.49x throughput at ~7.7x latency");
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "fig7a_die_scaling.csv",
+        "dies,throughput_pages_per_s,avg_latency_ns",
+        sweep
+            .iter()
+            .map(|p| format!("{},{},{}", p.dies, p.throughput, p.avg_latency.as_ns())),
+    );
     out
 }
 
-fn fig7b() -> String {
+fn fig7b(_: &Args) -> Output {
     let mut out = String::new();
     header(
         &mut out,
@@ -220,10 +386,10 @@ fn fig7b() -> String {
         "paper: the strict hop order (Fig 5) leaves dies idle at every hop boundary;\n\
          larger batches dilute but never remove the barrier cost"
     );
-    out
+    Output::new(out)
 }
 
-fn fig14() -> String {
+fn fig14(args: &Args) -> Output {
     let rows = bench::fig14(DEFAULT_NODES, DEFAULT_BATCH);
     let mut out = String::new();
     header(
@@ -257,11 +423,24 @@ fn fig14() -> String {
         "paper (avg): SmartSage 2.11x, GList 1.42x, BG-1 2.35x, BG-SP 5.47x over BG-1,\n\
          BG-DGSP +20% over BG-SP, BG-2 +41% over BG-DGSP, BG-2 = 21.70x CC overall"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "fig14_throughput.csv",
+        "dataset,platform,normalized_vs_cc,targets_per_s",
+        rows.iter().map(|r| {
+            format!(
+                "{},{},{:.4},{:.1}",
+                r.dataset, r.platform, r.normalized, r.targets_per_sec
+            )
+        }),
+    );
     out
 }
 
-fn fig15() -> String {
+fn fig15(args: &Args) -> Output {
     let mut out = String::new();
+    let mut curves = Vec::new();
     header(
         &mut out,
         "Fig 15a-e — active flash channels/dies over time (amazon)",
@@ -288,6 +467,9 @@ fn fig15() -> String {
         };
         let _ = writeln!(out, "   dies  {}", spark(&c.dies, 128.0));
         let _ = writeln!(out, "   chans {}", spark(&c.channels, 16.0));
+        for (i, (d, ch)) in c.dies.iter().zip(&c.channels).enumerate() {
+            curves.push(format!("{},{},{:.3},{:.3}", p, i, d, ch));
+        }
     }
     let _ = writeln!(
         out,
@@ -310,10 +492,17 @@ fn fig15() -> String {
          channel-starved (short features); amazon highest on both — hence used for all\n\
          single-workload experiments"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "fig15_utilization.csv",
+        "platform,slice_index,active_dies,active_channels",
+        curves,
+    );
     out
 }
 
-fn fig15f() -> String {
+fn fig15f(_: &Args) -> Output {
     let mut out = String::new();
     header(&mut out, "Fig 15f — stage latency breakdown (amazon)");
     let mut t = Table::new(&[
@@ -339,11 +528,12 @@ fn fig15f() -> String {
         "paper: CC dominated by PCIe transfer; BG-1/BG-DG by flash (page) I/O;\n\
          host-side delay is a minor part everywhere"
     );
-    out
+    Output::new(out)
 }
 
-fn fig16() -> String {
+fn fig16(args: &Args) -> Output {
     let mut out = String::new();
+    let mut windows = Vec::new();
     header(
         &mut out,
         "Fig 16 — hop timeline of the data-preparation stage (amazon)",
@@ -359,6 +549,13 @@ fn fig16() -> String {
         let _ = write!(out, "{:>8}: ", p.to_string());
         for w in &m.hop_windows {
             let _ = write!(out, "hop{} [{} - {}]  ", w.hop, w.start, w.end);
+            windows.push(format!(
+                "{},{},{},{}",
+                p,
+                w.hop,
+                w.start.as_ns(),
+                w.end.as_ns()
+            ));
         }
         let _ = writeln!(out, "overlap {}", percent(bench::hop_overlap_fraction(&m)));
     }
@@ -367,11 +564,19 @@ fn fig16() -> String {
         "\npaper: BG-1/BG-SP have strictly ordered hops with gaps; BG-DG/BG-DGSP/BG-2\n\
          overlap hops, BG-2 creating the largest overlap"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "fig16_hop_timeline.csv",
+        "platform,hop,start_ns,end_ns",
+        windows,
+    );
     out
 }
 
-fn fig17() -> String {
+fn fig17(args: &Args) -> Output {
     let mut out = String::new();
+    let (mut breakdown, mut registry) = (Vec::new(), Vec::new());
     header(
         &mut out,
         "Fig 17 — flash command latency breakdown (amazon)",
@@ -393,6 +598,28 @@ fn fig17() -> String {
             percent(a),
             format!("{:.1}us", m.cmd_breakdown.mean_lifetime_ns() / 1000.0),
         ]);
+        breakdown.push(format!(
+            "{},{:.4},{:.4},{:.4},{:.1}",
+            p,
+            w,
+            f,
+            a,
+            m.cmd_breakdown.mean_lifetime_ns()
+        ));
+        // The full registry, one row per field. Sections and fields are
+        // enumerated generically, so sections added later land here
+        // automatically instead of being dropped by a hardcoded list.
+        for (section, s) in m.metrics_registry().iter() {
+            for (field, value) in s.iter() {
+                let v = match value {
+                    MetricValue::Bool(b) => b.to_string(),
+                    MetricValue::U64(x) => x.to_string(),
+                    MetricValue::F64(x) => format_f64(*x),
+                    MetricValue::Str(s) => s.clone(),
+                };
+                registry.push(format!("{p},{section},{field},{v}"));
+            }
+        }
     }
     let _ = writeln!(out, "{}", t.render());
     let _ = writeln!(
@@ -401,11 +628,24 @@ fn fig17() -> String {
          classes; DirectGraph lengthens wait_before (more ready commands); BG-2 cuts\n\
          wait time ~68% vs BG-DGSP"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "fig17_cmd_breakdown.csv",
+        "platform,wait_before_frac,flash_frac,wait_after_frac,mean_lifetime_ns",
+        breakdown,
+    );
+    out.csv(
+        args,
+        "metrics_registry.csv",
+        "platform,section,field,value",
+        registry,
+    );
     out
 }
 
-fn fig18(which: Option<&str>) -> String {
-    let sweeps: Vec<Sweep> = match which {
+fn fig18(args: &Args) -> Output {
+    let sweeps: Vec<Sweep> = match args.positional.as_deref() {
         None | Some("all") => Sweep::ALL.to_vec(),
         Some("batch") => vec![Sweep::BatchSize],
         Some("bandwidth") => vec![Sweep::ChannelBandwidth],
@@ -419,9 +659,19 @@ fn fig18(which: Option<&str>) -> String {
         }
     };
     let mut out = String::new();
+    let mut csv = Vec::new();
     for sweep in sweeps {
         header(&mut out, &format!("Fig 18 — sensitivity: {}", sweep.name()));
         let rows = bench::fig18(sweep, DEFAULT_NODES);
+        csv.extend(rows.iter().map(|r| {
+            format!(
+                "{},{},{},{:.1}",
+                sweep.name(),
+                r.platform,
+                r.point,
+                r.targets_per_sec
+            )
+        }));
         let points = sweep.points();
         let mut headers: Vec<String> = vec!["platform".into()];
         headers.extend(points.iter().map(|p| p.to_string()));
@@ -446,10 +696,17 @@ fn fig18(which: Option<&str>) -> String {
         }
         let _ = writeln!(out, "{}", t.render());
     }
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "fig18_sensitivity.csv",
+        "sweep,platform,point,targets_per_s",
+        csv,
+    );
     out
 }
 
-fn fig19() -> String {
+fn fig19(args: &Args) -> Output {
     let mut out = String::new();
     header(
         &mut out,
@@ -495,10 +752,33 @@ fn fig19() -> String {
         "paper: CC spends 57% outside storage; BG-1/BG-DG spend 75% staging pages to\n\
          DRAM; BG-2 = 9.86x CC and 4.25x BG-1 efficiency at 13.4 W average"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "fig19_energy.csv",
+        "platform,flash_j,channel_j,dram_j,pcie_j,cores_j,host_j,accel_j,\
+         targets_per_joule,avg_power_w",
+        rows.iter().map(|r| {
+            let b = r.breakdown;
+            format!(
+                "{},{:.6e},{:.6e},{:.6e},{:.6e},{:.6e},{:.6e},{:.6e},{:.2},{:.2}",
+                r.platform,
+                b.flash,
+                b.channel,
+                b.dram,
+                b.pcie,
+                b.cores,
+                b.host,
+                b.accel,
+                r.efficiency,
+                r.avg_power
+            )
+        }),
+    );
     out
 }
 
-fn table4() -> String {
+fn table4(args: &Args) -> Output {
     let mut out = String::new();
     header(&mut out, "Table IV — DirectGraph storage inflation");
     let rows = bench::table4(DEFAULT_NODES);
@@ -521,10 +801,22 @@ fn table4() -> String {
         out,
         "paper: reddit 2.8%, amazon 4.1%, movielens 3.5%, OGBN 32.3%, PPI 3.5%"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "table4_inflation.csv",
+        "dataset,paper_raw_gb,inflation,page_utilization",
+        rows.iter().map(|r| {
+            format!(
+                "{},{},{:.4},{:.4}",
+                r.dataset, r.paper_raw_gb, r.inflation, r.page_utilization
+            )
+        }),
+    );
     out
 }
 
-fn trad_ssd() -> String {
+fn trad_ssd(args: &Args) -> Output {
     let mut out = String::new();
     header(
         &mut out,
@@ -541,10 +833,17 @@ fn trad_ssd() -> String {
         "paper: BG-1 2.20x, BG-DG 2.50x, BG-SP 3.19x, BG-DGSP 4.19x, BG-2 4.19x\n\
          (BG-2 ~ BG-DGSP: firmware suffices at 20us reads)"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "sec7e_traditional.csv",
+        "platform,normalized_vs_cc",
+        rows.iter().map(|(p, x)| format!("{p},{x:.4}")),
+    );
     out
 }
 
-fn query() -> String {
+fn query(args: &Args) -> Output {
     let mut out = String::new();
     header(
         &mut out,
@@ -569,6 +868,14 @@ fn query() -> String {
         out,
         "paper §VIII: one host round + no channel congestion => much lower query delay"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "ext_query_latency.csv",
+        "platform,mean_ns,max_ns",
+        rows.iter()
+            .map(|r| format!("{},{},{}", r.platform, r.mean.as_ns(), r.max.as_ns())),
+    );
     out
 }
 
@@ -577,51 +884,8 @@ fn query() -> String {
 /// partition strategies and fabrics. `--metrics` writes the 8-device
 /// bfs_grow PCIe-P2P cell's full registry (per-device + fabric-link
 /// sections) as JSON.
-fn scaleout(args: &[String]) {
-    let mut metrics: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--metrics" => {
-                metrics = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--metrics expects a path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown scaleout flag `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = bench::scaleout(DEFAULT_NODES, DEFAULT_BATCH, bench::jobs());
-    print!("{}", scaleout_render(&report));
-    if let Some(path) = metrics {
-        let file = File::create(&path).unwrap_or_else(|e| {
-            eprintln!("create {path}: {e}");
-            std::process::exit(1);
-        });
-        report
-            .showcase
-            .metrics_registry()
-            .write_json(BufWriter::new(file))
-            .unwrap_or_else(|e| {
-                eprintln!("write {path}: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("metrics written to {path}");
-    }
-}
-
-fn scaleout_figure() -> String {
-    scaleout_render(&bench::scaleout(
-        DEFAULT_NODES,
-        DEFAULT_BATCH,
-        bench::jobs(),
-    ))
-}
-
-fn scaleout_render(report: &bench::ScaleoutReport) -> String {
+fn scaleout(args: &Args) -> Output {
+    let report = bench::scaleout(DEFAULT_NODES, DEFAULT_BATCH);
     let mut out = String::new();
     header(
         &mut out,
@@ -671,10 +935,14 @@ fn scaleout_render(report: &bench::ScaleoutReport) -> String {
          partitions win end-to-end; on clustered graphs the ranking flips (see the\n\
          beacon-platforms array tests). A thin fabric caps scaling outright."
     );
+    let mut out = Output::new(out);
+    out.file(args.get("--metrics"), |w| {
+        report.showcase.metrics_registry().write_json(w)
+    });
     out
 }
 
-fn ablation() -> String {
+fn ablation(_: &Args) -> Output {
     let mut out = String::new();
     header(
         &mut out,
@@ -696,10 +964,10 @@ fn ablation() -> String {
         "paper §VIII: at high flash throughput SSD DRAM becomes the bottleneck; higher\n\
          memory bandwidth or direct flash->SRAM I/O relieves it"
     );
-    out
+    Output::new(out)
 }
 
-fn interference() -> String {
+fn interference(args: &Args) -> Output {
     let mut out = String::new();
     header(
         &mut out,
@@ -721,10 +989,24 @@ fn interference() -> String {
          small batches keep the deferral window (and thus the regular-I/O latency hit)\n\
          short"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "ext_interference.csv",
+        "batch_size,batch_window_ns,expected_deferral_ns",
+        rows.iter().map(|r| {
+            format!(
+                "{},{},{}",
+                r.batch_size,
+                r.batch_window.as_ns(),
+                r.expected_deferral.as_ns()
+            )
+        }),
+    );
     out
 }
 
-fn config() -> String {
+fn config(_: &Args) -> Output {
     let mut out = String::new();
     header(&mut out, "Table II/III — configuration inputs");
     let ssd = beacongnn::SsdConfig::paper_default();
@@ -753,64 +1035,44 @@ fn config() -> String {
         ]);
     }
     let _ = writeln!(out, "\n{}", t.render());
-    out
+    Output::new(out)
 }
 
 /// `obs` — the observability smoke: one observed run (spans + metrics
 /// report) plus an all-platform matrix summary executed through the
-/// parallel runner at the `--jobs` setting.
+/// parallel runner at the `--jobs` setting. `--trace` writes the run's
+/// spans as Chrome trace JSON, `--metrics` its registry as JSON.
 ///
 /// All stdout and both export files derive from the simulation alone,
 /// so they are byte-identical at any job count — CI diffs them across
-/// `--jobs 1` and `--jobs 4`. File-write confirmations go to stderr
-/// (paths differ between CI passes).
-fn obs(args: &[String]) {
-    let mut platform = Platform::Bg2;
-    let mut dataset = beacongnn::Dataset::Amazon;
-    let mut nodes = 4_000usize;
-    let mut batch = 64usize;
-    let mut trace: Option<String> = None;
-    let mut metrics: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} expects a value");
+/// `--jobs 1` and `--jobs 4`.
+fn obs(args: &Args) -> Output {
+    let platform = args.get("--platform").map_or(Platform::Bg2, |v| {
+        Platform::ALL
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(v))
+            .unwrap_or_else(|| {
+                eprintln!("unknown platform `{v}`");
                 std::process::exit(2);
             })
-        };
-        match arg.as_str() {
-            "--platform" => {
-                let v = value("--platform");
-                platform = Platform::ALL
-                    .into_iter()
-                    .find(|p| p.name().eq_ignore_ascii_case(&v))
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown platform `{v}`");
-                        std::process::exit(2);
-                    });
-            }
-            "--dataset" => {
-                let v = value("--dataset");
-                dataset = beacongnn::Dataset::ALL
-                    .into_iter()
-                    .find(|d| d.name().eq_ignore_ascii_case(&v))
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown dataset `{v}`");
-                        std::process::exit(2);
-                    });
-            }
-            "--nodes" => nodes = parse_at_least("--nodes", &value("--nodes"), 2),
-            "--batch" => batch = parse_at_least("--batch", &value("--batch"), 1),
-            "--trace" => trace = Some(value("--trace")),
-            "--metrics" => metrics = Some(value("--metrics")),
-            other => {
-                eprintln!("unknown obs flag `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
+    });
+    let dataset = args
+        .get("--dataset")
+        .map_or(beacongnn::Dataset::Amazon, |v| {
+            beacongnn::Dataset::ALL
+                .into_iter()
+                .find(|d| d.name().eq_ignore_ascii_case(v))
+                .unwrap_or_else(|| {
+                    eprintln!("unknown dataset `{v}`");
+                    std::process::exit(2);
+                })
+        });
+    let nodes = args
+        .get("--nodes")
+        .map_or(4_000, |v| parse_at_least("--nodes", v, 2));
+    let batch = args
+        .get("--batch")
+        .map_or(64, |v| parse_at_least("--batch", v, 1));
 
     let (m, reg) = bench::obs_report(platform, dataset, nodes, batch);
 
@@ -842,38 +1104,20 @@ fn obs(args: &[String]) {
         reg.section_names().len().to_string(),
     ]);
     let _ = writeln!(out, "{}", t.render());
-    print!("{out}");
 
-    if let Some(path) = trace {
-        let file = File::create(&path).unwrap_or_else(|e| {
-            eprintln!("create {path}: {e}");
-            std::process::exit(1);
-        });
-        simkit::ChromeTraceWriter::write(&m.spans, BufWriter::new(file)).unwrap_or_else(|e| {
-            eprintln!("write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("trace written to {path} ({} spans)", m.spans.len());
-        if m.spans.dropped() > 0 {
-            eprintln!(
-                "warning: {} spans were dropped at capacity {} — the exported trace is \
-                 incomplete; re-run with a larger span capacity",
-                m.spans.dropped(),
-                m.spans.capacity()
-            );
-        }
+    let trace = args.get("--trace");
+    if trace.is_some() && m.spans.dropped() > 0 {
+        eprintln!(
+            "warning: {} spans were dropped at capacity {} — the exported trace is \
+             incomplete; re-run with a larger span capacity",
+            m.spans.dropped(),
+            m.spans.capacity()
+        );
     }
-    if let Some(path) = metrics {
-        let file = File::create(&path).unwrap_or_else(|e| {
-            eprintln!("create {path}: {e}");
-            std::process::exit(1);
-        });
-        reg.write_json(BufWriter::new(file)).unwrap_or_else(|e| {
-            eprintln!("write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("metrics written to {path}");
-    }
+    let mut out = Output::new(out);
+    out.file(trace, |w| simkit::ChromeTraceWriter::write(&m.spans, w));
+    out.file(args.get("--metrics"), |w| reg.write_json(w));
+    out
 }
 
 /// `latency [--metrics PATH] [--latency-csv PATH] [--window-csv PATH]`
@@ -887,77 +1131,7 @@ fn obs(args: &[String]) {
 /// Everything derives from the simulation alone, so stdout and all
 /// three exports are byte-identical at any `--jobs` count and whether
 /// or not replay is enabled — CI diffs them across both axes.
-fn latency(args: &[String]) {
-    let mut metrics: Option<String> = None;
-    let mut query_csv: Option<String> = None;
-    let mut window_csv: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} expects a path");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--metrics" => metrics = Some(value("--metrics")),
-            "--latency-csv" => query_csv = Some(value("--latency-csv")),
-            "--window-csv" => window_csv = Some(value("--window-csv")),
-            other => {
-                eprintln!("unknown latency flag `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    print!("{}", latency_figure_text());
-
-    if metrics.is_none() && query_csv.is_none() && window_csv.is_none() {
-        return;
-    }
-    let m = bench::latency_showcase(DEFAULT_NODES);
-    let create = |path: &str| {
-        File::create(path).unwrap_or_else(|e| {
-            eprintln!("create {path}: {e}");
-            std::process::exit(1);
-        })
-    };
-    if let Some(path) = metrics {
-        m.metrics_registry()
-            .write_json(BufWriter::new(create(&path)))
-            .unwrap_or_else(|e| {
-                eprintln!("write {path}: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("metrics written to {path}");
-    }
-    if let Some(path) = query_csv {
-        m.latency
-            .write_query_csv(BufWriter::new(create(&path)))
-            .unwrap_or_else(|e| {
-                eprintln!("write {path}: {e}");
-                std::process::exit(1);
-            });
-        eprintln!(
-            "per-query latency written to {path} ({} queries)",
-            m.latency.queries().len()
-        );
-    }
-    if let Some(path) = window_csv {
-        m.latency
-            .write_window_csv(BufWriter::new(create(&path)))
-            .unwrap_or_else(|e| {
-                eprintln!("write {path}: {e}");
-                std::process::exit(1);
-            });
-        eprintln!(
-            "windowed latency written to {path} ({} windows)",
-            m.latency.windows().len()
-        );
-    }
-}
-
-fn latency_figure_text() -> String {
+fn latency(args: &Args) -> Output {
     let mut out = String::new();
     header(
         &mut out,
@@ -996,5 +1170,35 @@ fn latency_figure_text() -> String {
          out-of-order streaming keeps the tail flat where CC pays PCIe staging and\n\
          BG-1 pays the hop barrier on every chain"
     );
+    let mut out = Output::new(out);
+    out.csv(
+        args,
+        "ext_latency_tail.csv",
+        "platform,batch_size,mean_ns,p50_ns,p99_ns,p999_ns,max_ns,\
+         queue_frac,dominant,dominant_frac",
+        rows.iter().map(|r| {
+            format!(
+                "{},{},{:.1},{},{},{},{},{:.4},{},{:.4}",
+                r.platform,
+                r.batch_size,
+                r.mean_ns,
+                r.p50_ns,
+                r.p99_ns,
+                r.p999_ns,
+                r.max_ns,
+                r.queue_frac,
+                r.dominant,
+                r.dominant_frac
+            )
+        }),
+    );
+    let exports = ["--metrics", "--latency-csv", "--window-csv"].map(|f| args.get(f));
+    if exports.iter().any(Option::is_some) {
+        let m = bench::latency_showcase(DEFAULT_NODES);
+        let [metrics, queries, windows] = exports;
+        out.file(metrics, |w| m.metrics_registry().write_json(w));
+        out.file(queries, |w| m.latency.write_query_csv(w));
+        out.file(windows, |w| m.latency.write_window_csv(w));
+    }
     out
 }

@@ -1,9 +1,9 @@
 //! # beacon-bench — the evaluation harness (paper §VII)
 //!
 //! One function per table/figure, each returning structured results so
-//! the `experiments` and `export_csv` binaries and the regression tests
-//! all share the same code path. See DESIGN.md's experiment index
-//! for the mapping.
+//! the `experiments` binary (its figure text and `--csv` files alike)
+//! and the regression tests all share the same code path. See
+//! DESIGN.md's experiment index for the mapping.
 //!
 //! Scales: the paper runs hundred-GB datasets on a simulated 1 TB SSD;
 //! this harness defaults to 10–20k-node synthetic graphs with matched
@@ -676,8 +676,9 @@ pub struct ScaleoutReport {
 /// under each partition strategy and fabric. The sampling cascade is
 /// recorded once from the serial engine and replayed per cell (it
 /// depends on none of the swept parameters), so the sweep costs one
-/// full simulation plus cheap timing replays.
-pub fn scaleout(nodes: usize, batch: usize, threads: usize) -> ScaleoutReport {
+/// full simulation plus cheap timing replays. Each cell's device lanes
+/// run inline on the calling thread.
+pub fn scaleout(nodes: usize, batch: usize) -> ScaleoutReport {
     let w = workload(Dataset::Amazon, nodes, batch);
     let exp = Experiment::new(&w);
     let cascade = exp
@@ -695,7 +696,6 @@ pub fn scaleout(nodes: usize, batch: usize, threads: usize) -> ScaleoutReport {
                         Platform::Bg2,
                         ArrayConfig::pcie_p2p(devices).with_fabric(cfg),
                     )
-                    .threads(threads)
                     .run_recorded(&cascade, &part);
                 rows.push(ScaleoutRow {
                     devices,
@@ -1030,7 +1030,7 @@ mod tests {
 
     #[test]
     fn scaleout_grid_shape_and_identities() {
-        let report = scaleout(2_000, 32, 2);
+        let report = scaleout(2_000, 32);
         assert_eq!(
             report.rows.len(),
             SCALEOUT_DEVICES.len() * PartitionStrategy::ALL.len() * scaleout_fabrics().len()

@@ -148,7 +148,7 @@ fn partitioned_engine_registry_digest_is_pinned() {
     .run(w.batches());
     assert_eq!(
         registry_digest(&m.metrics_registry()),
-        0xf6bb_0508_6453_cf75,
+        0x1d1b_23bb_3e35_60b8,
         "partitioned-engine registry digest drifted"
     );
 }
@@ -172,7 +172,7 @@ fn array_engine_registry_digest_is_pinned() {
     let m = engine.run_recorded(&cascade, &Partition::hash(w.graph(), 4));
     assert_eq!(
         registry_digest(&m.metrics_registry()),
-        0x554a_8304_edab_3788,
+        0x42a5_d780_6b6d_0d1f,
         "array-engine registry digest drifted"
     );
 }

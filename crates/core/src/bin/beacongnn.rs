@@ -47,7 +47,7 @@ fn print_usage() {
         "usage:\n  beacongnn convert --dataset <name> [--nodes N] --out <file.dgr>\n  \
          beacongnn inspect <file.dgr>\n  \
          beacongnn run --dataset <name> [--nodes N] [--platform P] [--batch N] [--batches N]\n      \
-         [--trace out.json|out.csv] [--metrics out.metrics.json]\n      \
+         [--trace out.json] [--metrics out.metrics.json]\n      \
          [--latency-csv out.csv] [--latency-epoch-us N]\n  \
          beacongnn compare --dataset <name> [--nodes N] [--batch N]\n\
          datasets: reddit amazon movielens ogbn ppi\n\
@@ -178,26 +178,17 @@ fn inspect(args: &[String]) -> Result<(), String> {
 fn run(args: &[String]) -> Result<(), String> {
     let flags = Flags { args };
     let platform = parse_platform(flags.get("--platform").unwrap_or("BG-2"))?;
-    let w = build_workload(&flags)?;
     let trace_path = flags.get("--trace");
+    if let Some(path) = trace_path.filter(|p| p.ends_with(".csv")) {
+        return Err(format!(
+            "--trace writes Chrome trace-event JSON; got `{path}` (use a .json path)"
+        ));
+    }
+    let w = build_workload(&flags)?;
     let metrics_path = flags.get("--metrics");
     let latency_csv = flags.get("--latency-csv");
     let latency_epoch = simkit::Duration::from_us(flags.parse("--latency-epoch-us", 1_000u64)?);
-    // `--trace foo.csv` keeps the legacy event-ring CSV; any other
-    // extension gets a Chrome trace-event JSON (Perfetto-loadable).
-    let csv_trace = trace_path.is_some_and(|p| p.ends_with(".csv"));
-    let m = if csv_trace {
-        // Legacy CSV trace runs through the engine directly.
-        beacongnn::platforms::Engine::new(
-            platform,
-            Experiment::new(&w).config(),
-            w.model(),
-            w.directgraph(),
-            w.seed(),
-        )
-        .with_trace(1 << 20)
-        .run(w.batches())
-    } else if latency_csv.is_some() {
+    let m = if latency_csv.is_some() {
         // Per-query latency tracking, optionally alongside spans.
         let mut engine = beacongnn::platforms::Engine::new(
             platform,
@@ -218,31 +209,20 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     if let Some(path) = trace_path {
         let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        if csv_trace {
-            m.trace
-                .to_csv(BufWriter::new(file))
-                .map_err(|e| format!("write {path}: {e}"))?;
-            println!(
-                "trace written to {path} ({} events, {} dropped)",
-                m.trace.len(),
-                m.trace.dropped()
+        simkit::ChromeTraceWriter::write(&m.spans, BufWriter::new(file))
+            .map_err(|e| format!("write {path}: {e}"))?;
+        println!(
+            "trace written to {path} ({} spans, {} dropped)",
+            m.spans.len(),
+            m.spans.dropped()
+        );
+        if m.spans.dropped() > 0 {
+            eprintln!(
+                "warning: {} spans were dropped at capacity {} — the exported trace \
+                 is incomplete",
+                m.spans.dropped(),
+                m.spans.capacity()
             );
-        } else {
-            simkit::ChromeTraceWriter::write(&m.spans, BufWriter::new(file))
-                .map_err(|e| format!("write {path}: {e}"))?;
-            println!(
-                "trace written to {path} ({} spans, {} dropped)",
-                m.spans.len(),
-                m.spans.dropped()
-            );
-            if m.spans.dropped() > 0 {
-                eprintln!(
-                    "warning: {} spans were dropped at capacity {} — the exported trace \
-                     is incomplete",
-                    m.spans.dropped(),
-                    m.spans.capacity()
-                );
-            }
         }
     }
     if let Some(path) = metrics_path {

@@ -57,7 +57,7 @@ pub use beacon_platforms::{
 pub use beacon_ssd::{FabricConfig, SsdConfig};
 pub use matrix::{default_jobs, ParallelRunner, RunCell, RunMatrix, WorkloadCache};
 pub use replaycache::{replay_key, ReplayCache, ReplayStats};
-pub use runner::{Experiment, ThroughputStats};
+pub use runner::Experiment;
 pub use workload::{Workload, WorkloadBuilder, WorkloadError};
 
 // Re-export substrates for power users.

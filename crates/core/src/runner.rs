@@ -187,71 +187,6 @@ impl<'a> Experiment<'a> {
             .map(|(p, m)| (p, m.throughput() / base))
             .collect()
     }
-
-    /// Runs one platform under `seeds` different TRNG seeds and returns
-    /// throughput statistics — the sampling randomness is the only
-    /// stochastic input, so this quantifies run-to-run spread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is zero.
-    pub fn run_seeds(&self, platform: Platform, seeds: usize) -> ThroughputStats {
-        assert!(seeds > 0, "need at least one seed");
-        let samples: Vec<f64> = (0..seeds as u64)
-            .map(|i| {
-                Experiment {
-                    workload: self.workload,
-                    ssd: self.ssd,
-                    seed: self.seed ^ (i << 13),
-                }
-                .run(platform)
-                .throughput()
-            })
-            .collect();
-        ThroughputStats::from_samples(&samples)
-    }
-}
-
-/// Throughput statistics over repeated seeded runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputStats {
-    /// Number of runs.
-    pub runs: usize,
-    /// Mean targets/second.
-    pub mean: f64,
-    /// Sample standard deviation (0 for a single run).
-    pub stdev: f64,
-    /// Minimum observed.
-    pub min: f64,
-    /// Maximum observed.
-    pub max: f64,
-}
-
-impl ThroughputStats {
-    fn from_samples(samples: &[f64]) -> Self {
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
-        ThroughputStats {
-            runs: n,
-            mean,
-            stdev: var.sqrt(),
-            min: samples.iter().cloned().fold(f64::INFINITY, f64::min),
-            max: samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-
-    /// Coefficient of variation (stdev / mean).
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            return 0.0;
-        }
-        self.stdev / self.mean
-    }
 }
 
 #[cfg(test)]
@@ -302,15 +237,19 @@ mod tests {
         // Sampling randomness should move throughput only slightly —
         // the workload shape, not the draw, determines performance.
         let w = small_workload();
-        let stats = Experiment::new(&w).run_seeds(Platform::Bg2, 4);
-        assert_eq!(stats.runs, 4);
-        assert!(stats.mean > 0.0);
-        assert!(stats.min <= stats.mean && stats.mean <= stats.max);
-        assert!(
-            stats.cv() < 0.15,
-            "run-to-run CV {:.3} too high",
-            stats.cv()
-        );
+        let samples: Vec<f64> = (0..4u64)
+            .map(|i| {
+                Experiment::new(&w)
+                    .seed(w.seed() ^ (i << 13))
+                    .run(Platform::Bg2)
+                    .throughput()
+            })
+            .collect();
+        let mean = samples.iter().sum::<f64>() / 4.0;
+        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / 3.0;
+        let cv = var.sqrt() / mean;
+        assert!(mean > 0.0);
+        assert!(cv < 0.15, "run-to-run CV {cv:.3} too high");
     }
 
     #[test]

@@ -62,7 +62,7 @@ use simkit::obs::SpanRecorder;
 use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
 use simkit::{
     BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
-    QueryLat, SerialResource, SimTime, Stage, Trace, NO_PATH,
+    QueryLat, SerialResource, SimTime, Stage, NO_PATH,
 };
 
 use crate::engine::{Engine, EngineScratch, FlashServiceMemo, NODE_ID_BYTES, ON_DIE_SAMPLE_TIME};
@@ -1255,7 +1255,6 @@ impl<'a> ArrayEngine<'a> {
             energy,
             total_dies: self.ssd.geometry.total_dies() * devs,
             total_channels: self.ssd.geometry.channels * devs,
-            trace: Trace::with_capacity(0),
             pools: totals.pools,
             spans: SpanRecorder::disabled(),
             sampler_executed: cascade.single.sampler_executed,

@@ -428,7 +428,6 @@ pub struct Engine<'a> {
     /// First page index of the conventional feature-table region (used
     /// only by host-feature-lookup platforms).
     feature_page_base: u64,
-    trace: simkit::Trace,
     /// Observability spans (disabled by default; one branch per site).
     obs: SpanRecorder,
     /// Functional command-router mirror, instantiated only on
@@ -546,7 +545,6 @@ impl<'a> Engine<'a> {
             sampler_faults: 0,
             channel_bytes_accum: 0,
             feature_page_base: dg.image().pages_written() as u64 + 64,
-            trace: simkit::Trace::with_capacity(0),
             obs: SpanRecorder::disabled(),
             router: None,
             cascade: None,
@@ -576,15 +574,6 @@ impl<'a> Engine<'a> {
     pub fn with_latency(mut self, epoch: Duration) -> Self {
         self.lat_on = true;
         self.lat_epoch = epoch;
-        self
-    }
-
-    /// Enables event tracing bounded to `capacity` events. The trace
-    /// records die senses, channel transfers and command completions
-    /// and is returned in [`RunMetrics::trace`] (export with
-    /// [`simkit::Trace::to_csv`]).
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace = simkit::Trace::with_capacity(capacity);
         self
     }
 
@@ -918,7 +907,6 @@ impl<'a> Engine<'a> {
             energy: std::mem::replace(&mut self.energy, EnergyLedger::new()),
             total_dies: self.ssd.geometry.total_dies(),
             total_channels: self.ssd.geometry.channels,
-            trace: std::mem::replace(&mut self.trace, simkit::Trace::with_capacity(0)),
             pools,
             spans: std::mem::replace(&mut self.obs, SpanRecorder::disabled()),
             sampler_executed: self.samplers.iter().map(DieSampler::executed).sum::<u64>()
@@ -1186,10 +1174,6 @@ impl<'a> Engine<'a> {
             p.add(Stage::Queue, grant.start.saturating_duration_since(now));
             p.add(Stage::DieSense, grant.end - grant.start);
         }
-        if self.trace.is_enabled() {
-            self.trace
-                .record(grant.start, "die_sense", die as u64, cmd.sample.hop as f64);
-        }
         if self.obs.is_enabled() {
             self.span_stage.push(simkit::obs::Span {
                 kind: UnitKind::Die,
@@ -1289,10 +1273,6 @@ impl<'a> Engine<'a> {
             let p = &mut self.lat_paths[si as usize];
             p.add(Stage::Queue, grant.start.saturating_duration_since(now));
             p.add(Stage::Channel, grant.end - grant.start);
-        }
-        if self.trace.is_enabled() {
-            self.trace
-                .record(grant.start, "chan_xfer", channel as u64, bytes as f64);
         }
         if self.obs.is_enabled() {
             self.span_stage.push(simkit::obs::Span {
@@ -1434,14 +1414,6 @@ impl<'a> Engine<'a> {
         self.cmd_breakdown
             .wait_after_flash
             .record_duration(chan_wait + now.saturating_duration_since(xfer_end));
-        if self.trace.is_enabled() {
-            self.trace.record(
-                now,
-                "cmd_done",
-                cmd.sample.subgraph as u64,
-                cmd.sample.hop as f64,
-            );
-        }
         if self.obs.is_enabled() {
             self.span_stage.push(simkit::obs::Span {
                 kind: UnitKind::Engine,
@@ -1766,21 +1738,16 @@ mod tests {
         let model = GnnModelConfig::paper_default(64);
         let batch: Vec<NodeId> = (0..8).map(NodeId::new).collect();
         let m = Engine::new(Platform::Bg2, SsdConfig::paper_default(), model, &dg, 1)
-            .with_trace(100_000)
+            .with_obs(100_000)
             .run(&[batch]);
-        assert!(!m.trace.is_empty());
-        let kinds: std::collections::HashSet<&str> = m.trace.iter().map(|e| e.kind).collect();
-        for k in ["die_sense", "chan_xfer", "cmd_done"] {
-            assert!(kinds.contains(k), "missing {k}");
+        assert_eq!(m.spans.dropped(), 0);
+        let names: std::collections::HashSet<&str> = m.spans.iter().map(|s| s.name).collect();
+        for name in ["sense", "xfer", "cmd_done"] {
+            assert!(names.contains(name), "missing {name}");
         }
         // One cmd_done per flash command.
-        let dones = m.trace.iter().filter(|e| e.kind == "cmd_done").count() as u64;
+        let dones = m.spans.iter().filter(|s| s.name == "cmd_done").count() as u64;
         assert_eq!(dones, m.flash_reads);
-        // Timestamps nondecreasing within the ring? Not guaranteed
-        // globally (events record at grant times), but CSV export works.
-        let mut buf = Vec::new();
-        m.trace.to_csv(&mut buf).unwrap();
-        assert!(buf.len() > 100);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use metrics::{
     TimelineBuilder,
 };
 pub use partition::PartitionedEngine;
-pub use query::{measure_query_latency, query_latency_under_load, QueryLatency};
+pub use query::{measure_query_latency, QueryLatency};
 pub use replay::CascadeRecording;
 pub use spec::{
     BackendControl, ComputeLocation, Platform, PlatformSpec, SamplingLocation, TransferGranularity,

@@ -294,9 +294,6 @@ pub struct RunMetrics {
     pub total_dies: usize,
     /// Channel count of the simulated backend.
     pub total_channels: usize,
-    /// Optional event trace (empty unless enabled via
-    /// [`Engine::with_trace`](crate::Engine::with_trace)).
-    pub trace: simkit::Trace,
     /// Event/outcome pool recycling behaviour of this run.
     pub pools: PoolCounters,
     /// Observability spans (empty unless enabled via
@@ -465,7 +462,6 @@ impl RunMetrics {
         let trace = reg.section("trace");
         trace.set_u64("spans", self.spans.len() as u64);
         trace.set_u64("spans_dropped", self.spans.dropped());
-        trace.set_u64("legacy_events", self.trace.len() as u64);
 
         // Per-query latency: tail percentiles and critical-path stage
         // totals. Rendered even when tracking was off (`enabled` tells
@@ -514,6 +510,7 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn cmd_breakdown_fractions_sum_to_one() {
@@ -553,6 +550,38 @@ mod tests {
         assert!((tl.mean_active(SimTime::from_ns(20)) - 1.0).abs() < 1e-12);
         assert_eq!(tl.len(), 2);
         assert!(!tl.is_empty());
+    }
+
+    proptest! {
+        /// Slicing loses no busy time: for random intervals pushed into
+        /// two builders, one absorbed into the other, the curve's sum
+        /// times the slice width equals the busy total.
+        #[test]
+        fn timeline_integral_matches_busy_total(
+            left in proptest::collection::vec((0u64..200, 1u64..100), 0..30),
+            right in proptest::collection::vec((0u64..200, 1u64..100), 1..30),
+            slice in 1u64..50,
+        ) {
+            let fill = |intervals: &[(u64, u64)]| {
+                let mut tl = TimelineBuilder::new();
+                for &(start, len) in intervals {
+                    tl.push(SimTime::from_ns(start), SimTime::from_ns(start + len));
+                }
+                tl
+            };
+            let mut tl = fill(&left);
+            tl.absorb(&fill(&right));
+            let end = left.iter().chain(&right).map(|&(s, l)| s + l).max().unwrap();
+            let curve = tl.curve(Duration::from_ns(slice), SimTime::from_ns(end));
+            let integral = curve.iter().sum::<f64>() * slice as f64;
+            let busy = tl.busy_total().as_ns() as f64;
+            prop_assert!(
+                (integral - busy).abs() < 1e-6 * busy.max(1.0),
+                "integral {} vs busy total {}",
+                integral,
+                busy
+            );
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ use simkit::obs::{SpanRecorder, UnitKind};
 use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
 use simkit::{
     BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
-    SerialResource, SimTime, Stage, Trace, NO_PATH,
+    SerialResource, SimTime, Stage, NO_PATH,
 };
 
 use crate::engine::{Engine, FlashServiceMemo, OutcomePool, NODE_ID_BYTES, ON_DIE_SAMPLE_TIME};
@@ -172,7 +172,6 @@ struct ChannelLane<'a> {
     outbox: MessagePool<Msg>,
 
     stats: LaneStats,
-    trace: Trace,
     obs: SpanRecorder,
 
     /// Global query-id base of the batch in flight (latency tracking,
@@ -193,7 +192,6 @@ impl<'a> ChannelLane<'a> {
         dg: &'a DirectGraph,
         seed: u64,
         hops: usize,
-        trace_capacity: usize,
         obs_capacity: usize,
         lat_queries: Option<usize>,
     ) -> Self {
@@ -217,7 +215,6 @@ impl<'a> ChannelLane<'a> {
             parked_free: Vec::new(),
             outbox: MessagePool::new(),
             stats: LaneStats::new(hops),
-            trace: Trace::with_capacity(trace_capacity),
             obs: if obs_capacity > 0 {
                 SpanRecorder::with_capacity(obs_capacity)
             } else {
@@ -253,10 +250,6 @@ impl<'a> ChannelLane<'a> {
         let local = die / self.ssd.geometry.channels;
         let grant = self.dies[local].acquire(now, self.memo.die_service);
         self.stats.die_timeline.push(grant.start, grant.end);
-        if self.trace.is_enabled() {
-            self.trace
-                .record(grant.start, "die_sense", die as u64, cmd.sample.hop as f64);
-        }
         if self.obs.is_enabled() {
             self.obs.record(
                 UnitKind::Die,
@@ -297,10 +290,6 @@ impl<'a> ChannelLane<'a> {
         let service = self.memo.xfer_service(bytes);
         let grant = self.chan.acquire(now, service);
         self.stats.channel_timeline.push(grant.start, grant.end);
-        if self.trace.is_enabled() {
-            self.trace
-                .record(grant.start, "chan_xfer", self.channel as u64, bytes as f64);
-        }
         if self.obs.is_enabled() {
             self.obs.record(
                 UnitKind::Channel,
@@ -386,14 +375,6 @@ impl<'a> ChannelLane<'a> {
             .cmd_breakdown
             .wait_after_flash
             .record_duration(chan_wait + now.saturating_duration_since(xfer_end));
-        if self.trace.is_enabled() {
-            self.trace.record(
-                now,
-                "cmd_done",
-                cmd.sample.subgraph as u64,
-                cmd.sample.hop as f64,
-            );
-        }
         if self.obs.is_enabled() {
             self.obs
                 .instant(UnitKind::Engine, 0, "cmd_done", now, cmd.sample.hop as f64);
@@ -609,7 +590,6 @@ pub struct PartitionedEngine<'a> {
     dg: &'a DirectGraph,
     seed: u64,
     threads: usize,
-    trace_capacity: usize,
     obs_capacity: usize,
     lat_epoch: Option<Duration>,
 }
@@ -641,7 +621,6 @@ impl<'a> PartitionedEngine<'a> {
             dg,
             seed,
             threads: 1,
-            trace_capacity: 0,
             obs_capacity: 0,
             lat_epoch: None,
         }
@@ -652,12 +631,6 @@ impl<'a> PartitionedEngine<'a> {
     /// the round protocol runs inline with no threads.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables event tracing (per lane, merged in channel order).
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -697,9 +670,6 @@ impl<'a> PartitionedEngine<'a> {
         let spec = self.platform.spec();
         if !Self::partitionable(&spec) {
             let mut engine = Engine::new(self.platform, self.ssd, self.model, self.dg, self.seed);
-            if self.trace_capacity > 0 {
-                engine = engine.with_trace(self.trace_capacity);
-            }
             if self.obs_capacity > 0 {
                 engine = engine.with_obs(self.obs_capacity);
             }
@@ -731,7 +701,6 @@ impl<'a> PartitionedEngine<'a> {
                     self.dg,
                     self.seed,
                     hops,
-                    self.trace_capacity,
                     self.obs_capacity,
                     lat_queries,
                 )
@@ -876,7 +845,6 @@ impl<'a> PartitionedEngine<'a> {
         batches: &[Vec<NodeId>],
     ) -> RunMetrics {
         let mut totals = LaneStats::new(self.model.hops as usize + 2);
-        let mut trace = Trace::with_capacity(self.trace_capacity);
         let mut sampler_executed = 0u64;
         for lane in &mut lanes {
             let chans = std::slice::from_ref(&lane.chan);
@@ -885,7 +853,6 @@ impl<'a> PartitionedEngine<'a> {
             stats.pools.outcome_slots_allocated = lane.outcomes.allocated;
             stats.pools.outcome_slots_reused = lane.outcomes.reused;
             totals.absorb(stats);
-            trace.absorb(&lane.trace);
             coord.obs.absorb(&lane.obs);
             sampler_executed += lane.samplers.iter().map(DieSampler::executed).sum::<u64>();
         }
@@ -938,7 +905,6 @@ impl<'a> PartitionedEngine<'a> {
             energy,
             total_dies: self.ssd.geometry.total_dies(),
             total_channels: self.ssd.geometry.channels,
-            trace,
             pools: totals.pools,
             spans: coord.obs,
             sampler_executed,

@@ -64,31 +64,6 @@ pub fn measure_query_latency(
     }
 }
 
-/// Query latency when the device is busy with a training mini-batch
-/// (§VI-G): the query defers to the batch boundary, so its latency is
-/// the expected remaining batch time plus the idle-device query time.
-///
-/// Returns `(idle_latency, loaded_latency)` where the loaded figure
-/// assumes the query arrives uniformly within the batch window.
-pub fn query_latency_under_load(
-    platform: Platform,
-    ssd: SsdConfig,
-    model: GnnModelConfig,
-    dg: &DirectGraph,
-    query: &[NodeId],
-    training_batch: &[NodeId],
-    seed: u64,
-) -> (Duration, Duration) {
-    let idle = Engine::new(platform, ssd, model, dg, seed)
-        .run(std::slice::from_ref(&query.to_vec()))
-        .makespan;
-    let batch_window = Engine::new(platform, ssd, model, dg, seed ^ 0xB47C)
-        .run(std::slice::from_ref(&training_batch.to_vec()))
-        .makespan;
-    // Uniform arrival: expected residual window is half the batch.
-    (idle, batch_window / 2 + idle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,29 +131,6 @@ mod tests {
             bg2.mean < Duration::from_ms(1),
             "query latency {}",
             bg2.mean
-        );
-    }
-
-    #[test]
-    fn load_defers_queries_by_the_batch_window() {
-        let (dg, model) = setup();
-        let query: Vec<NodeId> = vec![NodeId::new(3)];
-        let batch: Vec<NodeId> = (0..128).map(NodeId::new).collect();
-        let (idle, loaded) = query_latency_under_load(
-            Platform::Bg2,
-            SsdConfig::paper_default(),
-            model,
-            &dg,
-            &query,
-            &batch,
-            4,
-        );
-        assert!(loaded > idle, "background load must add deferral");
-        // The §VI-G cost: roughly half the training batch's window.
-        assert!(
-            loaded - idle > Duration::from_us(50),
-            "deferral {}",
-            loaded - idle
         );
     }
 

@@ -17,9 +17,8 @@
 //! * [`sync`] — conservative-lookahead primitives for partitioned
 //!   event loops: epoch-window horizon math and a deterministically
 //!   ordered cross-partition message pool.
-//! * [`stats`] — counters, streaming summaries, fixed-bin histograms,
-//!   time-weighted utilization trackers and event timelines used to
-//!   regenerate the paper's figures.
+//! * [`stats`] — streaming min/max/mean summaries, snapshotted into
+//!   metric reports.
 //! * [`resource`] — first-come-first-served serial and bandwidth
 //!   resources with queueing-delay accounting.
 //! * [`obs`] — sim-time observability: unit-keyed spans, Chrome
@@ -47,7 +46,6 @@ pub mod rng;
 pub mod stats;
 pub mod sync;
 pub mod time;
-pub mod trace;
 
 pub use calendar::{Calendar, PoolStats};
 pub use obs::latency::{
@@ -60,4 +58,3 @@ pub use resource::{BandwidthResource, SerialResource};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use sync::{EpochWindow, MessagePool};
 pub use time::{Duration, SimTime};
-pub use trace::{Trace, TraceEvent};

@@ -6,8 +6,7 @@
 //! - [`SpanRecorder`] collects [`Span`]s — intervals of simulated time
 //!   keyed by a `(unit kind, unit index)` pair. A disabled recorder
 //!   (capacity 0, the default) costs one predictable branch per record
-//!   site, mirroring the [`Trace`](crate::Trace) pattern the engine hot
-//!   path already proved cheap.
+//!   site, so the engine hot path pays almost nothing for it.
 //! - [`ChromeTraceWriter`] exports a recorder as Chrome trace-event
 //!   JSON, loadable in [Perfetto](https://ui.perfetto.dev) or
 //!   `chrome://tracing`. Events are sorted by `(time, unit, seq)` so
@@ -23,7 +22,7 @@
 
 use std::io::{self, Write};
 
-use crate::stats::{Histogram, Summary};
+use crate::stats::Summary;
 use crate::time::{Duration, SimTime};
 
 pub mod latency;
@@ -439,18 +438,6 @@ impl Section {
         self.set_f64(&format!("{prefix}_max"), s.max().unwrap_or(0.0));
     }
 
-    /// Snapshots a [`Histogram`] as
-    /// `<prefix>_{count,mean_ns,p50_ns,p99_ns,max_ns,overflow}`.
-    pub fn set_histogram(&mut self, prefix: &str, h: &Histogram) {
-        let ns = |d: Option<Duration>| d.map_or(0, |d| d.as_ns());
-        self.set_u64(&format!("{prefix}_count"), h.count());
-        self.set_u64(&format!("{prefix}_mean_ns"), ns(h.mean()));
-        self.set_u64(&format!("{prefix}_p50_ns"), ns(h.percentile(0.50)));
-        self.set_u64(&format!("{prefix}_p99_ns"), ns(h.percentile(0.99)));
-        self.set_u64(&format!("{prefix}_max_ns"), ns(h.max()));
-        self.set_u64(&format!("{prefix}_overflow"), h.overflow());
-    }
-
     /// Looks a value up (mainly for tests).
     pub fn get(&self, key: &str) -> Option<&MetricValue> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -691,16 +678,9 @@ mod tests {
         let mut s = Summary::default();
         s.record(2.0);
         s.record(4.0);
-        let mut h = Histogram::new(Duration::from_ns(10), 4);
-        h.record(Duration::from_ns(5));
-        h.record(Duration::from_ns(500));
         let mut sec = Section::default();
         sec.set_summary("lat", &s);
-        sec.set_histogram("q", &h);
         assert_eq!(sec.get("lat_count"), Some(&MetricValue::U64(2)));
         assert_eq!(sec.get("lat_mean"), Some(&MetricValue::F64(3.0)));
-        assert_eq!(sec.get("q_count"), Some(&MetricValue::U64(2)));
-        assert_eq!(sec.get("q_overflow"), Some(&MetricValue::U64(1)));
-        assert_eq!(sec.get("q_max_ns"), Some(&MetricValue::U64(500)));
     }
 }

@@ -1,62 +1,11 @@
-//! Measurement instruments for simulations.
+//! Streaming summary statistics for simulations.
 //!
-//! These are the instruments the BeaconGNN figures are built from:
-//!
-//! * [`Counter`] — monotonically increasing event/byte counters.
-//! * [`Summary`] — streaming min/max/mean/sum of durations or values.
-//! * [`Histogram`] — fixed-bin latency histograms with percentile queries.
-//! * [`UtilizationTracker`] — time-weighted busy fraction of a resource
-//!   (used for Fig 15's active-channel/die curves).
-//! * [`BusyTimeline`] — per-interval active-unit counts sampled over time.
+//! [`Summary`] keeps the count, sum, minimum and maximum of a stream of
+//! observations (command lifetimes, queue waits) without storing them;
+//! [`Section::set_summary`](crate::obs::Section::set_summary) snapshots
+//! one into a metrics report.
 
-use std::fmt;
-
-use crate::time::{Duration, SimTime};
-
-/// A monotonically increasing count.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::stats::Counter;
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one to the counter.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Returns the current count.
-    #[inline]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
+use crate::time::Duration;
 
 /// Streaming summary statistics over `f64` observations.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -125,248 +74,9 @@ impl Summary {
     }
 }
 
-/// A histogram over durations with fixed-width bins plus an overflow bin.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::stats::Histogram;
-/// use simkit::Duration;
-///
-/// let mut h = Histogram::new(Duration::from_us(1), 100);
-/// h.record(Duration::from_us(3));
-/// h.record(Duration::from_us(50));
-/// assert_eq!(h.count(), 2);
-/// assert!(h.percentile(0.99).unwrap() >= Duration::from_us(50));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bin_width: Duration,
-    bins: Vec<u64>,
-    overflow: u64,
-    summary: Summary,
-}
-
-impl Histogram {
-    /// Creates a histogram with `nbins` bins of width `bin_width` and an
-    /// overflow bin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_width` is zero or `nbins` is zero.
-    pub fn new(bin_width: Duration, nbins: usize) -> Self {
-        assert!(!bin_width.is_zero(), "bin width must be positive");
-        assert!(nbins > 0, "need at least one bin");
-        Histogram {
-            bin_width,
-            bins: vec![0; nbins],
-            overflow: 0,
-            summary: Summary::new(),
-        }
-    }
-
-    /// Records a duration.
-    pub fn record(&mut self, d: Duration) {
-        let idx = (d.as_ns() / self.bin_width.as_ns()) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.summary.record_duration(d);
-    }
-
-    /// Total recorded observations.
-    pub fn count(&self) -> u64 {
-        self.summary.count()
-    }
-
-    /// Mean duration, or `None` when empty.
-    pub fn mean(&self) -> Option<Duration> {
-        self.summary.mean().map(Duration::from_ns_f64)
-    }
-
-    /// Maximum recorded duration, or `None` when empty.
-    pub fn max(&self) -> Option<Duration> {
-        self.summary.max().map(Duration::from_ns_f64)
-    }
-
-    /// Observations that landed past the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The `q`-quantile (0.0–1.0) as the upper edge of the containing bin;
-    /// observations in the overflow bin report the recorded maximum.
-    ///
-    /// Returns `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not within `[0, 1]`.
-    pub fn percentile(&self, q: f64) -> Option<Duration> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.bin_width * (i as u64 + 1));
-            }
-        }
-        self.max()
-    }
-}
-
-/// Tracks the time-weighted busy fraction of a single resource.
-///
-/// Call [`UtilizationTracker::set_busy`] on every busy/idle transition and
-/// [`UtilizationTracker::finish`] at end of simulation.
-#[derive(Debug, Clone)]
-pub struct UtilizationTracker {
-    busy: bool,
-    last_change: SimTime,
-    busy_time: Duration,
-}
-
-impl UtilizationTracker {
-    /// Creates a tracker that is idle at time zero.
-    pub fn new() -> Self {
-        UtilizationTracker {
-            busy: false,
-            last_change: SimTime::ZERO,
-            busy_time: Duration::ZERO,
-        }
-    }
-
-    /// Records a busy/idle transition at time `now`.
-    pub fn set_busy(&mut self, now: SimTime, busy: bool) {
-        if self.busy {
-            self.busy_time += now.saturating_duration_since(self.last_change);
-        }
-        self.busy = busy;
-        self.last_change = now;
-    }
-
-    /// Closes the tracking window at `end` and returns total busy time.
-    pub fn finish(&mut self, end: SimTime) -> Duration {
-        self.set_busy(end, self.busy);
-        self.busy_time
-    }
-
-    /// Accumulated busy time so far (excluding any open busy interval).
-    pub fn busy_time(&self) -> Duration {
-        self.busy_time
-    }
-
-    /// Busy fraction of the window `[0, end]`, in `[0, 1]`.
-    pub fn utilization(&mut self, end: SimTime) -> f64 {
-        let busy = self.finish(end);
-        if end == SimTime::ZERO {
-            return 0.0;
-        }
-        busy.as_ns() as f64 / end.as_ns() as f64
-    }
-}
-
-impl Default for UtilizationTracker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Samples how many units of a group (dies, channels) are active per fixed
-/// time slice — the instrument behind the paper's Fig 15(a–e).
-#[derive(Debug, Clone)]
-pub struct BusyTimeline {
-    slice: Duration,
-    /// busy-unit-nanoseconds accumulated per slice.
-    acc: Vec<u64>,
-    active: u64,
-    last_change: SimTime,
-}
-
-impl BusyTimeline {
-    /// Creates a timeline with the given sampling slice width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is zero.
-    pub fn new(slice: Duration) -> Self {
-        assert!(!slice.is_zero(), "slice must be positive");
-        BusyTimeline {
-            slice,
-            acc: Vec::new(),
-            active: 0,
-            last_change: SimTime::ZERO,
-        }
-    }
-
-    /// Records that one more unit became active at `now`.
-    pub fn unit_up(&mut self, now: SimTime) {
-        self.advance(now);
-        self.active += 1;
-    }
-
-    /// Records that one unit became idle at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no unit is currently active.
-    pub fn unit_down(&mut self, now: SimTime) {
-        self.advance(now);
-        assert!(self.active > 0, "unit_down with zero active units");
-        self.active -= 1;
-    }
-
-    fn advance(&mut self, now: SimTime) {
-        let mut t = self.last_change;
-        while t < now {
-            let slice_idx = (t.as_ns() / self.slice.as_ns()) as usize;
-            let slice_end = SimTime::from_ns((slice_idx as u64 + 1) * self.slice.as_ns());
-            let seg_end = slice_end.min(now);
-            if self.acc.len() <= slice_idx {
-                self.acc.resize(slice_idx + 1, 0);
-            }
-            self.acc[slice_idx] += self.active * (seg_end - t).as_ns();
-            t = seg_end;
-        }
-        self.last_change = now;
-    }
-
-    /// Finalizes at `end` and returns the mean number of active units per
-    /// slice, in slice order.
-    pub fn finish(mut self, end: SimTime) -> Vec<f64> {
-        self.advance(end);
-        let slice_ns = self.slice.as_ns() as f64;
-        self.acc
-            .iter()
-            .map(|&busy_ns| busy_ns as f64 / slice_ns)
-            .collect()
-    }
-
-    /// Number of currently active units.
-    pub fn active(&self) -> u64 {
-        self.active
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.to_string(), "11");
-    }
 
     #[test]
     fn summary_tracks_extremes() {
@@ -383,136 +93,5 @@ mod tests {
         s.merge(&t);
         assert_eq!(s.count(), 3);
         assert_eq!(s.max(), Some(100.0));
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(Duration::from_us(1), 10);
-        for us in 1..=9 {
-            h.record(Duration::from_us(us));
-        }
-        // Median of 1..9 us is 5 us, which lands in bin [5,6): the
-        // histogram reports the bin's upper edge.
-        assert_eq!(h.percentile(0.5), Some(Duration::from_us(6)));
-        assert_eq!(h.percentile(1.0), Some(Duration::from_us(10)));
-        assert_eq!(h.mean(), Some(Duration::from_us(5)));
-    }
-
-    #[test]
-    fn histogram_overflow_reports_max() {
-        let mut h = Histogram::new(Duration::from_us(1), 4);
-        h.record(Duration::from_us(100));
-        assert_eq!(h.percentile(0.5), Some(Duration::from_us(100)));
-        assert_eq!(h.max(), Some(Duration::from_us(100)));
-    }
-
-    #[test]
-    fn histogram_empty_percentiles_are_none() {
-        let h = Histogram::new(Duration::from_us(1), 4);
-        assert_eq!(h.percentile(0.0), None);
-        assert_eq!(h.percentile(0.5), None);
-        assert_eq!(h.percentile(1.0), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.overflow(), 0);
-    }
-
-    #[test]
-    fn histogram_single_sample_every_quantile() {
-        let mut h = Histogram::new(Duration::from_us(1), 10);
-        h.record(Duration::from_us(3));
-        // With one observation every quantile (including q=0, whose
-        // rank clamps to the first observation) lands in its bin and
-        // reports the bin's upper edge.
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.percentile(q), Some(Duration::from_us(4)), "q={q}");
-        }
-        assert_eq!(h.overflow(), 0);
-    }
-
-    #[test]
-    fn histogram_all_in_overflow_bin() {
-        let mut h = Histogram::new(Duration::from_ns(10), 3);
-        for ns in [40, 50, 60] {
-            h.record(Duration::from_ns(ns));
-        }
-        assert_eq!(h.overflow(), 3);
-        // Every quantile walks past the (empty) regular bins and falls
-        // back to the recorded maximum.
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(h.percentile(q), Some(Duration::from_ns(60)), "q={q}");
-        }
-        assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn histogram_boundary_sample_lands_in_overflow() {
-        // A sample exactly at nbins * bin_width is the first value past
-        // the last bin's half-open range.
-        let mut h = Histogram::new(Duration::from_ns(10), 3);
-        h.record(Duration::from_ns(30));
-        assert_eq!(h.overflow(), 1);
-        h.record(Duration::from_ns(29));
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn utilization_zero_length_busy_intervals() {
-        let mut u = UtilizationTracker::new();
-        // Busy then immediately idle at the same instant: no busy time.
-        u.set_busy(SimTime::from_ns(10), true);
-        u.set_busy(SimTime::from_ns(10), false);
-        assert_eq!(u.busy_time(), Duration::ZERO);
-        // A run of zero-length toggles at one instant stays at zero.
-        for _ in 0..3 {
-            u.set_busy(SimTime::from_ns(20), true);
-            u.set_busy(SimTime::from_ns(20), false);
-        }
-        assert_eq!(u.finish(SimTime::from_ns(20)), Duration::ZERO);
-        assert_eq!(u.utilization(SimTime::from_ns(100)), 0.0);
-        // Zero-length toggles between real busy spans don't disturb the
-        // accumulated total.
-        let mut v = UtilizationTracker::new();
-        v.set_busy(SimTime::from_ns(0), true);
-        v.set_busy(SimTime::from_ns(10), true); // redundant re-assert
-        v.set_busy(SimTime::from_ns(30), false);
-        assert_eq!(v.finish(SimTime::from_ns(30)), Duration::from_ns(30));
-    }
-
-    #[test]
-    fn utilization_zero_window_is_zero() {
-        let mut u = UtilizationTracker::new();
-        assert_eq!(u.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut u = UtilizationTracker::new();
-        u.set_busy(SimTime::from_ns(0), true);
-        u.set_busy(SimTime::from_ns(30), false);
-        u.set_busy(SimTime::from_ns(70), true);
-        let frac = u.utilization(SimTime::from_ns(100));
-        assert!((frac - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_timeline_splits_slices() {
-        let mut tl = BusyTimeline::new(Duration::from_ns(10));
-        tl.unit_up(SimTime::from_ns(0));
-        tl.unit_up(SimTime::from_ns(5));
-        tl.unit_down(SimTime::from_ns(15));
-        let curve = tl.finish(SimTime::from_ns(20));
-        // Slice 0: 1 unit for 5ns + 2 units for 5ns = 15 unit-ns -> 1.5.
-        // Slice 1: 2 units for 5ns + 1 unit for 5ns = 15 unit-ns -> 1.5.
-        assert_eq!(curve, vec![1.5, 1.5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero active")]
-    fn timeline_underflow_panics() {
-        let mut tl = BusyTimeline::new(Duration::from_ns(10));
-        tl.unit_down(SimTime::from_ns(1));
     }
 }

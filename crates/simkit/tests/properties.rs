@@ -51,42 +51,6 @@ proptest! {
         }
         prop_assert_eq!(r.busy_total(), busy_total);
     }
-
-    /// Busy-timeline accounting integrates exactly: total busy
-    /// unit-time equals the sum over slices of (active × slice width).
-    #[test]
-    fn busy_timeline_integral_matches(
-        intervals in proptest::collection::vec((0u64..200, 1u64..100), 1..50),
-    ) {
-        use simkit::stats::BusyTimeline;
-        // Convert to nested, chronologically ordered up/down events.
-        let mut events: Vec<(u64, bool)> = Vec::new();
-        let mut expected: u64 = 0;
-        for &(start, len) in &intervals {
-            events.push((start, true));
-            events.push((start + len, false));
-            expected += len;
-        }
-        events.sort_by_key(|&(t, up)| (t, !up));
-        let mut tl = BusyTimeline::new(Duration::from_ns(7));
-        let mut end = 0u64;
-        for (t, up) in events {
-            if up {
-                tl.unit_up(SimTime::from_ns(t));
-            } else {
-                tl.unit_down(SimTime::from_ns(t));
-            }
-            end = end.max(t);
-        }
-        let curve = tl.finish(SimTime::from_ns(end));
-        let integral: f64 = curve.iter().sum::<f64>() * 7.0;
-        prop_assert!(
-            (integral - expected as f64).abs() < 1e-6,
-            "integral {} vs expected {}",
-            integral,
-            expected
-        );
-    }
 }
 
 /// One operation of a calendar-versus-model run.

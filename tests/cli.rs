@@ -130,3 +130,49 @@ fn degenerate_sizes_are_usage_errors() {
         assert!(stderr.contains("at least 2 nodes"), "{args:?}: {stderr}");
     }
 }
+
+/// A `beacongnn run` over a small workload, writing its trace to `path`.
+fn run_with_trace(path: &std::path::Path) -> std::process::Output {
+    beacongnn()
+        .args([
+            "run",
+            "--dataset",
+            "amazon",
+            "--nodes",
+            "1000",
+            "--batch",
+            "8",
+            "--batches",
+            "1",
+            "--trace",
+        ])
+        .arg(path)
+        .output()
+        .expect("run executes")
+}
+
+#[test]
+fn csv_trace_path_is_a_usage_error() {
+    let path = std::env::temp_dir().join(format!("beacongnn-cli-{}-trace.csv", std::process::id()));
+    let out = run_with_trace(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("JSON"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs");
+    assert!(!path.exists(), "nothing is written");
+}
+
+#[test]
+fn trace_writes_chrome_trace_json() {
+    let path =
+        std::env::temp_dir().join(format!("beacongnn-cli-{}-trace.json", std::process::id()));
+    let out = run_with_trace(&path);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&path).expect("trace written");
+    assert!(json.contains("\"traceEvents\""), "not a Chrome trace");
+    std::fs::remove_file(&path).ok();
+}
