@@ -106,13 +106,26 @@ impl DirectGraph {
         Ok(())
     }
 
+    /// The number of bytes [`save`](Self::save) writes.
+    pub fn saved_len(&self) -> usize {
+        MAGIC.len()
+            + 4
+            + 8
+            + 4 * self.directory().len()
+            + 5 * 8
+            + 8
+            + self.image().pages_written() * (8 + self.layout().page_size())
+    }
+
     /// Deserializes an image from `reader`.
     ///
     /// A `&mut` reference can be passed as the reader.
     ///
     /// # Errors
     ///
-    /// Returns [`LoadError`] on malformed input.
+    /// Returns [`LoadError`] on malformed input, including a node count
+    /// larger than the stream: the directory grows as entries are read,
+    /// so a hostile count never allocates more than the input holds.
     pub fn load<R: Read>(mut reader: R) -> Result<DirectGraph, LoadError> {
         let mut magic = [0u8; 4];
         reader.read_exact(&mut magic)?;
@@ -123,7 +136,7 @@ impl DirectGraph {
         let layout = AddrLayout::for_page_size(page_size as usize)
             .ok_or(LoadError::BadPageSize(page_size))?;
         let n = read_u64(&mut reader)? as usize;
-        let mut primary = Vec::with_capacity(n);
+        let mut primary = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             primary.push(PhysAddr::from_raw(read_u32(&mut reader)?));
         }
@@ -181,6 +194,7 @@ mod tests {
         let dg = build_dg(300);
         let mut buf = Vec::new();
         dg.save(&mut buf).unwrap();
+        assert_eq!(buf.len(), dg.saved_len());
         let loaded = DirectGraph::load(buf.as_slice()).unwrap();
         assert_eq!(loaded.stats(), dg.stats());
         assert_eq!(loaded.directory(), dg.directory());
@@ -222,6 +236,20 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes());
         let err = DirectGraph::load(buf.as_slice()).unwrap_err();
         assert!(matches!(err, LoadError::BadPageSize(777)));
+    }
+
+    #[test]
+    fn hostile_node_count_is_an_error() {
+        // A header alone claiming 2^40 (a 4 TiB directory) or 2^62 nodes
+        // (beyond any allocation): the stream ends at the first entry.
+        for n in [1u64 << 40, 1u64 << 62] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(b"DGR1");
+            buf.extend_from_slice(&4096u32.to_le_bytes());
+            buf.extend_from_slice(&n.to_le_bytes());
+            let err = DirectGraph::load(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, LoadError::Io(_)), "{n}: {err}");
+        }
     }
 
     #[test]

@@ -18,6 +18,17 @@
 //! `(seed, node)`, so node ranges can be generated on any number of
 //! [`simkit::par`] worker threads — with fixed chunk boundaries — and
 //! still produce byte-identical CSR output at every thread count.
+//!
+//! Chung-Lu wiring is the bulk of a large build: every edge maps a
+//! uniform draw `x ∈ [0, total)` to the first node whose cumulative
+//! weight reaches `x`. A search of the whole cumulative array misses
+//! cache at every level once it outgrows L2, so [`power_law`] first
+//! jumps through a guide table: `n + 2` bucket entries, each naming the
+//! first node whose cumulative weight lands in that bucket or a later
+//! one. Two adjacent entries bracket the answer, and a search of that
+//! short range finishes the draw. The result is the index a full search
+//! returns, not an approximation of it (see [`power_law`]), so graphs
+//! and everything built from them stay byte-identical.
 
 use simkit::{par, SplitMix64};
 
@@ -110,6 +121,21 @@ impl PowerLawConfig {
 /// `avg_degree` within a few percent; wiring is Chung-Lu (endpoints chosen
 /// proportional to degree weight).
 ///
+/// Each endpoint draw `x` resolves to the first node `i` with
+/// `cumulative[i] ≥ x`, found through a guide table. With
+/// `bucket(x) = min(⌊x · n / total⌋, n)`, `guide[b]` is the first node
+/// whose cumulative weight has a bucket of at least `b` (capped at
+/// `n − 1`), and a draw searches only `cumulative[guide[b]..guide[b + 1]]`
+/// for `b = bucket(x)`. The bracket is exact: `bucket` is monotone and
+/// `cumulative` strictly increasing (every weight is at least 1), so
+/// every node before `guide[b]` has a cumulative weight below `x`, and
+/// the node at `guide[b + 1]` (when not capped) has one above it. The
+/// draw therefore returns the index a search of the whole array would,
+/// clamped to `n − 1`. The RNG streams, the self-loop rejection and the
+/// chunking are untouched, so the generated graph for a given
+/// `(config, seed)` is unchanged, and so is every cached workload built
+/// from it: the lookup needs no disk-cache format bump.
+///
 /// # Panics
 ///
 /// Panics if `num_nodes < 2` or `avg_degree <= 0`.
@@ -190,15 +216,9 @@ pub fn power_law(cfg: &PowerLawConfig, seed: u64) -> CsrGraph {
     }
     drop(raw);
 
-    // Chung-Lu target sampling: alias-free cumulative-weight binary
-    // search. Prefix sums are sequential (order-fixed f64 accumulation).
-    let mut cumulative: Vec<f64> = Vec::with_capacity(n);
-    let mut acc = 0.0;
-    for &d in &degrees {
-        acc += d;
-        cumulative.push(acc);
-    }
-    let total = acc;
+    // Chung-Lu target sampling over the real-valued weights.
+    let targets = WeightIndex::new(&degrees);
+    let total = targets.total();
 
     let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
     offsets.push(0);
@@ -213,7 +233,7 @@ pub fn power_law(cfg: &PowerLawConfig, seed: u64) -> CsrGraph {
     {
         let offsets = &offsets;
         let int_degrees = &int_degrees;
-        let cumulative = &cumulative;
+        let targets = &targets;
         let mut rest = adjacency.as_mut_slice();
         let mut jobs = Vec::with_capacity(n.div_ceil(NODE_CHUNK));
         for start in (0..n).step_by(NODE_CHUNK) {
@@ -228,10 +248,7 @@ pub fn power_law(cfg: &PowerLawConfig, seed: u64) -> CsrGraph {
                     for _ in 0..node_degree {
                         let mut v;
                         loop {
-                            let x = rng.next_f64() * total;
-                            v = match cumulative.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
-                                Ok(i) | Err(i) => i.min(n - 1),
-                            };
+                            v = targets.find(rng.next_f64() * total);
                             if v != u {
                                 break;
                             }
@@ -245,6 +262,66 @@ pub fn power_law(cfg: &PowerLawConfig, seed: u64) -> CsrGraph {
         par::run_jobs(jobs);
     }
     CsrGraph::from_raw_parts(offsets, adjacency)
+}
+
+/// Chung-Lu endpoint lookup: cumulative weights plus the guide table
+/// that brackets each search (see [`power_law`] for why the bracket is
+/// exact).
+struct WeightIndex {
+    /// Prefix sums of the weights, accumulated sequentially so the f64
+    /// rounding is fixed.
+    cumulative: Vec<f64>,
+    /// `guide[b]`: the first node whose cumulative weight has a bucket
+    /// of at least `b`, or `n − 1` if none does; `n + 2` entries.
+    guide: Vec<u32>,
+    /// `n / total`, so `bucket(x) = ⌊x · per_weight⌋`. Only the
+    /// monotonicity of `bucket` matters for exactness, not its rounding.
+    per_weight: f64,
+}
+
+impl WeightIndex {
+    /// Indexes `weights`, each at least 1 (so the prefix sums strictly
+    /// increase).
+    fn new(weights: &[f64]) -> Self {
+        let n = weights.len();
+        let mut cumulative = Vec::with_capacity(n);
+        let mut acc = 0.0;
+        for &w in weights {
+            acc += w;
+            cumulative.push(acc);
+        }
+        let mut index = WeightIndex {
+            cumulative,
+            guide: Vec::with_capacity(n + 2),
+            per_weight: n as f64 / acc,
+        };
+        for (i, &c) in index.cumulative.iter().enumerate() {
+            let b = index.bucket(c);
+            if index.guide.len() <= b {
+                index.guide.resize(b + 1, i as u32);
+            }
+        }
+        index.guide.resize(n + 2, (n - 1) as u32);
+        index
+    }
+
+    /// Sum of all weights.
+    fn total(&self) -> f64 {
+        self.cumulative[self.cumulative.len() - 1]
+    }
+
+    /// `min(⌊x · n / total⌋, n)`: monotone in `x`.
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.per_weight) as usize).min(self.cumulative.len())
+    }
+
+    /// The first node whose cumulative weight reaches `x`, clamped to
+    /// `n − 1`.
+    fn find(&self, x: f64) -> usize {
+        let b = self.bucket(x);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        lo + self.cumulative[lo..hi].partition_point(|&c| c < x)
+    }
 }
 
 fn draw_other(rng: &mut SplitMix64, n: u64, exclude: u32) -> u64 {
@@ -407,6 +484,7 @@ pub fn bipartite(users: usize, items: usize, ratings_per_user: usize, seed: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn uniform_is_deterministic() {
@@ -487,6 +565,76 @@ mod tests {
             (8526064610743682520, vec![10, 21, 5, 62, 11]),
             "degree sequence drifted for fixed seed"
         );
+    }
+
+    fn adjacency_fnv(g: &CsrGraph) -> u64 {
+        let mut h = 0xcbf29ce484222325u64;
+        for v in g.adjacency() {
+            for b in v.as_u32().to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        }
+        h
+    }
+
+    /// Regression pin for Chung-Lu wiring: an FNV-1a of the full
+    /// adjacency (every endpoint, in order) for the degree pin's config
+    /// and for a reddit-shaped one (heavy tail, dense, hubs capped above
+    /// `n`). Taken with the whole-array binary search the guide table
+    /// replaced; any lookup that is not exact shows up here.
+    #[test]
+    fn power_law_adjacency_pinned() {
+        let g = power_law(&PowerLawConfig::new(4_000, 16.0), 99);
+        assert_eq!(
+            (adjacency_fnv(&g), g.num_edges()),
+            (0xfa23_8a94_9ca8_b979, 63_942)
+        );
+        let mut reddit = PowerLawConfig::new(3_000, 492.0);
+        reddit.exponent = 2.1;
+        let g = power_law(&reddit, 99);
+        assert_eq!(
+            (adjacency_fnv(&g), g.num_edges()),
+            (0x26e7_d9e0_2137_7f61, 1_471_395)
+        );
+    }
+
+    proptest! {
+        /// The guide-table lookup is exact: at every boundary point of
+        /// random, all-equal and single-hub weight vectors it returns the
+        /// whole-array `binary_search_by` index, clamped to `n − 1`.
+        #[test]
+        fn guide_table_lookup_matches_binary_search(
+            weights in proptest::collection::vec(1.0f64..1e4, 2..2_001),
+            shape in 0u8..3,
+            hub in 0usize..2_000,
+        ) {
+            let mut weights = weights;
+            let n = weights.len();
+            match shape {
+                1 => {
+                    let w = weights[0];
+                    weights.fill(w);
+                }
+                2 => {
+                    weights.fill(1.0);
+                    weights[hub % n] = 1e4;
+                }
+                _ => {}
+            }
+            let index = WeightIndex::new(&weights);
+            let cumulative = &index.cumulative;
+            let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+            let points = std::iter::once(0.0)
+                .chain(cumulative.iter().flat_map(|&c| [c, below(c)]))
+                .chain(std::iter::once(below(index.total())));
+            for x in points {
+                let expected = match cumulative.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
+                    Ok(i) | Err(i) => i.min(n - 1),
+                };
+                prop_assert_eq!(index.find(x), expected, "n {} shape {} x {}", n, shape, x);
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,32 @@ fn convert_then_inspect_roundtrip() {
 }
 
 #[test]
+fn inspect_rejects_hostile_node_counts() {
+    // 16-byte DGR1 headers (magic, page size 4096, node count) claiming
+    // a 4 TiB directory and one past any allocation.
+    for n in [1u64 << 40, 1u64 << 62] {
+        let path = std::env::temp_dir().join(format!(
+            "beacongnn-cli-{}-nodes-{n:x}.dgr",
+            std::process::id()
+        ));
+        let mut bytes = b"DGR1".to_vec();
+        bytes.extend_from_slice(&4096u32.to_le_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let out = beacongnn()
+            .arg("inspect")
+            .arg(&path)
+            .output()
+            .expect("inspect runs");
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{n}: {stderr}");
+        assert!(stderr.contains("i/o"), "{n}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{n}: {stderr}");
+    }
+}
+
+#[test]
 fn run_reports_metrics() {
     let out = beacongnn()
         .args([
