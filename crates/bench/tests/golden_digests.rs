@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use beacon_bench as bench;
-use beacongnn::platforms::PartitionedEngine;
+use beacongnn::platforms::{Engine, PartitionedEngine};
 use beacongnn::{
     ArrayConfig, ArrayEngine, Dataset, Experiment, Partition, Platform, RunCell, RunMatrix,
     SsdConfig, Workload,
@@ -150,6 +150,76 @@ fn partitioned_engine_registry_digest_is_pinned() {
         registry_digest(&m.metrics_registry()),
         0x1d1b_23bb_3e35_60b8,
         "partitioned-engine registry digest drifted"
+    );
+}
+
+/// Span capacity of the observed pins: large enough that no smoke run
+/// drops a span, so the trace digest covers every recorded span.
+const PIN_SPANS: usize = 1 << 22;
+
+/// Digest of an observed run: the full registry JSON, then the Chrome
+/// trace bytes its spans render to.
+fn observed_digest(m: &beacongnn::RunMetrics) -> u64 {
+    assert_eq!(m.spans.dropped(), 0, "pin capacity too small");
+    let mut trace = Vec::new();
+    simkit::ChromeTraceWriter::write(&m.spans, &mut trace).expect("in-memory trace");
+    fnv1a_fold(registry_digest(&m.metrics_registry()), &trace)
+}
+
+/// The serial engine with spans and per-query latency on, on the smoke
+/// workload: pins the batch pipeline's prep / batch-feature / compute
+/// spans, their record order, and the latency tail, for a host-path
+/// platform whose features cross PCIe (CC), the firmware path (BG-1)
+/// and the router path (BG-2).
+#[test]
+fn observed_serial_engine_digests_are_pinned() {
+    let w = smoke_workload();
+    let got: Vec<String> = [Platform::Cc, Platform::Bg1, Platform::Bg2]
+        .into_iter()
+        .map(|p| {
+            let m = Engine::new(
+                p,
+                SsdConfig::paper_default(),
+                w.model(),
+                w.directgraph(),
+                7,
+            )
+            .with_obs(PIN_SPANS)
+            .with_latency(simkit::Duration::from_ms(1))
+            .run(w.batches());
+            format!("{p} {:#018x}", observed_digest(&m))
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            "CC 0x390d8ad0f1604fe7",
+            "BG-1 0x92c15cafded9c5e6",
+            "BG-2 0x196fe1ae8e9097bb",
+        ],
+        "observed serial-engine digests drifted"
+    );
+}
+
+/// The partitioned engine's registry and trace with spans and latency
+/// on: the coordinator's batch-phase spans come before every lane's.
+#[test]
+fn observed_partitioned_engine_digest_is_pinned() {
+    let w = smoke_workload();
+    let m = PartitionedEngine::new(
+        Platform::Bg2,
+        SsdConfig::paper_default(),
+        w.model(),
+        w.directgraph(),
+        7,
+    )
+    .with_obs(PIN_SPANS)
+    .with_latency(simkit::Duration::from_ms(1))
+    .run(w.batches());
+    assert_eq!(
+        observed_digest(&m),
+        0x24f0_4488_4b63_ec8e,
+        "observed partitioned-engine digest drifted"
     );
 }
 
