@@ -177,16 +177,10 @@ fn observed_serial_engine_digests_are_pinned() {
     let got: Vec<String> = [Platform::Cc, Platform::Bg1, Platform::Bg2]
         .into_iter()
         .map(|p| {
-            let m = Engine::new(
-                p,
-                SsdConfig::paper_default(),
-                w.model(),
-                w.directgraph(),
-                7,
-            )
-            .with_obs(PIN_SPANS)
-            .with_latency(simkit::Duration::from_ms(1))
-            .run(w.batches());
+            let m = Engine::new(p, SsdConfig::paper_default(), w.model(), w.directgraph(), 7)
+                .with_obs(PIN_SPANS)
+                .with_latency(simkit::Duration::from_ms(1))
+                .run(w.batches());
             format!("{p} {:#018x}", observed_digest(&m))
         })
         .collect();

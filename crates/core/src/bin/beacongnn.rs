@@ -142,7 +142,13 @@ fn inspect(args: &[String]) -> Result<(), String> {
     let path = flags.positional().ok_or("expected a .dgr file path")?;
     let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     let dg = DirectGraph::load(BufReader::new(file)).map_err(|e| e.to_string())?;
+    // Firmware-grade validation first: an image that fails it gets no
+    // statistics table.
+    beacongnn::directgraph::Validator::new(&dg)
+        .verify_image()
+        .map_err(|e| format!("image failed validation: {e}"))?;
     let stats = dg.stats();
+    let stored = dg.image().stored_bytes();
     let mut t = Table::new(&["property", "value"]);
     t.row_owned(vec!["nodes".into(), dg.directory().len().to_string()]);
     t.row_owned(vec!["edges".into(), stats.edges.to_string()]);
@@ -162,15 +168,13 @@ fn inspect(args: &[String]) -> Result<(), String> {
         "secondary sections".into(),
         stats.secondary_sections.to_string(),
     ]);
-    t.row_owned(vec![
-        "page utilization".into(),
-        percent(stats.used_bytes as f64 / dg.image().stored_bytes() as f64),
-    ]);
+    let utilization = if stored == 0 {
+        "n/a".to_string()
+    } else {
+        percent(stats.used_bytes as f64 / stored as f64)
+    };
+    t.row_owned(vec!["page utilization".into(), utilization]);
     println!("{}", t.render());
-    // Firmware-grade validation.
-    beacongnn::directgraph::Validator::new(&dg)
-        .verify_image()
-        .map_err(|e| format!("image failed validation: {e}"))?;
     println!("image passes §VI-E validation");
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! the DirectGraph image — is the dominant cost of starting any
 //! experiment process, and it repeats identically in every process that
 //! sweeps the same dataset. This module persists fully prepared
-//! [`Workload`]s keyed by [`WorkloadBuilder::fingerprint`] so a second
+//! [`Workload`]s keyed by [`Workload::fingerprint`] so a second
 //! process (or a second `cargo test` binary) deserializes in
 //! milliseconds instead of rebuilding.
 //!

@@ -423,11 +423,11 @@ impl ReplayCache {
 
     /// Records the workload's sampling cascade into this cache (loading
     /// it from disk if a sibling process already recorded it) so that
-    /// subsequent [`ReplayCache::run_single`] /
-    /// [`ReplayCache::run_single_lat`] calls replay instead of running
-    /// the sampler. Returns whether a recording is now available —
-    /// `false` when the cache is inactive or the workload has no
-    /// fingerprint. The record cost amortizes whenever more than one
+    /// subsequent [`Experiment::run`](crate::Experiment::run) /
+    /// [`Experiment::run_latency`](crate::Experiment::run_latency) calls
+    /// replay instead of running the sampler. Returns whether a
+    /// recording is now available — `false` when the cache is inactive
+    /// or the workload has no fingerprint. The record cost amortizes whenever more than one
     /// platform or device configuration runs the same workload.
     pub fn prime_recording(&self, workload: &Workload, seed: u64) -> bool {
         if !self.is_active() {

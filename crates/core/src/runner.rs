@@ -1,9 +1,6 @@
 //! Experiment runner: platforms × workloads × device configs.
 
-use beacon_graph::Partition;
-use beacon_platforms::{
-    ArrayConfig, ArrayEngine, ArrayRunMetrics, Engine, PartitionedEngine, Platform, RunMetrics,
-};
+use beacon_platforms::{ArrayConfig, ArrayEngine, Engine, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 
 use crate::replaycache::ReplayCache;
@@ -73,24 +70,6 @@ impl<'a> Experiment<'a> {
         ReplayCache::global().run_single(platform, self.ssd, self.workload, self.seed)
     }
 
-    /// Runs one platform on the partitioned per-channel engine with
-    /// `threads` worker threads (see
-    /// [`PartitionedEngine`](beacon_platforms::PartitionedEngine)).
-    /// Results are byte-identical at any thread count; platforms whose
-    /// pipeline is not channel-separable (everything except BG-2) fall
-    /// back to the serial engine and match [`Experiment::run`] exactly.
-    pub fn run_partitioned(&self, platform: Platform, threads: usize) -> RunMetrics {
-        PartitionedEngine::new(
-            platform,
-            self.ssd,
-            self.workload.model(),
-            self.workload.directgraph(),
-            self.seed,
-        )
-        .threads(threads)
-        .run(self.workload.batches())
-    }
-
     /// Builds the multi-SSD array engine for one platform (see
     /// [`ArrayEngine`]): the graph shards across `array.ssds` devices
     /// and cross-partition expansions ride the configured fabric. Use
@@ -106,23 +85,6 @@ impl<'a> Experiment<'a> {
             self.workload.directgraph(),
             self.seed,
         )
-    }
-
-    /// Records and replays one platform on a multi-SSD array in a
-    /// single call: the workload's target batches route to the devices
-    /// owning them under `partition`, device lanes replay in parallel
-    /// on `threads` workers, and the report is byte-identical at any
-    /// thread count.
-    pub fn run_array(
-        &self,
-        platform: Platform,
-        array: ArrayConfig,
-        threads: usize,
-        partition: &Partition,
-    ) -> ArrayRunMetrics {
-        self.array_engine(platform, array)
-            .threads(threads)
-            .run(partition, self.workload.batches())
     }
 
     /// Runs one platform with the sim-time observability layer enabled:
@@ -193,6 +155,7 @@ impl<'a> Experiment<'a> {
 mod tests {
     use super::*;
     use crate::workload::Workload;
+    use beacon_graph::Partition;
 
     fn small_workload() -> Workload {
         Workload::builder()
@@ -257,12 +220,9 @@ mod tests {
         let w = small_workload();
         let exp = Experiment::new(&w);
         let single = exp.run(Platform::Bg2);
-        let array = exp.run_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(1),
-            1,
-            &Partition::hash(w.graph(), 1),
-        );
+        let array = exp
+            .array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(1))
+            .run(&Partition::hash(w.graph(), 1), w.batches());
         assert_eq!(array.metrics.makespan, single.makespan);
         assert_eq!(array.metrics.flash_reads, single.flash_reads);
         assert!((array.efficiency() - 1.0).abs() < 1e-12);
@@ -273,12 +233,9 @@ mod tests {
         let w = small_workload();
         let exp = Experiment::new(&w);
         let single = exp.run(Platform::Bg2);
-        let array = exp.run_array(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            2,
-            &Partition::hash(w.graph(), 4),
-        );
+        let array = exp
+            .array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(4))
+            .run(&Partition::hash(w.graph(), 4), w.batches());
         assert_eq!(array.devices, 4);
         assert_eq!(
             array.per_device.iter().map(|d| d.flash_reads).sum::<u64>(),

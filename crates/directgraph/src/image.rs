@@ -238,6 +238,10 @@ impl std::error::Error for SectionParseError {}
 #[derive(Debug, Clone)]
 pub struct PageStore {
     layout: AddrLayout,
+    /// Page index of `pages[0]`. The slot table spans only the written
+    /// index range, so an image relocated far up the address space
+    /// costs no more memory than one starting at page 0.
+    base: u64,
     pages: Vec<Option<Box<[u8]>>>,
     written: usize,
 }
@@ -247,6 +251,7 @@ impl PageStore {
     pub fn new(layout: AddrLayout) -> Self {
         PageStore {
             layout,
+            base: 0,
             pages: Vec::new(),
             written: 0,
         }
@@ -264,7 +269,15 @@ impl PageStore {
     /// Panics if `page.len()` differs from the layout's page size.
     pub fn write_page(&mut self, index: PageIndex, page: Box<[u8]>) {
         assert_eq!(page.len(), self.layout.page_size(), "page size mismatch");
-        let i = index.as_usize();
+        let index = index.as_u64();
+        if self.pages.is_empty() {
+            self.base = index;
+        } else if index < self.base {
+            let below = (self.base - index) as usize;
+            self.pages.splice(0..0, std::iter::repeat_n(None, below));
+            self.base = index;
+        }
+        let i = (index - self.base) as usize;
         if self.pages.len() <= i {
             self.pages.resize(i + 1, None);
         }
@@ -276,7 +289,24 @@ impl PageStore {
 
     /// Reads a page's bytes, or `None` if never written.
     pub fn read_page(&self, index: PageIndex) -> Option<&[u8]> {
-        self.pages.get(index.as_usize()).and_then(|p| p.as_deref())
+        // Below `base` the difference wraps past every slot.
+        let i = index.as_u64().wrapping_sub(self.base);
+        self.pages.get(i as usize).and_then(|p| p.as_deref())
+    }
+
+    /// Bytes the slot table would take once `index` is written: one
+    /// slot per index from the lowest written page to the highest.
+    pub fn table_bytes_with(&self, index: PageIndex) -> u64 {
+        let index = index.as_u64();
+        let lo = if self.pages.is_empty() {
+            index
+        } else {
+            self.base.min(index)
+        };
+        let hi = (self.base + self.pages.len() as u64)
+            .saturating_sub(1)
+            .max(index);
+        (hi - lo + 1) * std::mem::size_of::<Option<Box<[u8]>>>() as u64
     }
 
     /// Number of pages written.
@@ -296,10 +326,10 @@ impl PageStore {
 
     /// Iterates over `(index, bytes)` of written pages.
     pub fn iter_pages(&self) -> impl Iterator<Item = (PageIndex, &[u8])> + '_ {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_deref().map(|b| (PageIndex::new(i as u64), b)))
+        self.pages.iter().enumerate().filter_map(|(i, p)| {
+            p.as_deref()
+                .map(|b| (PageIndex::new(self.base + i as u64), b))
+        })
     }
 
     /// Parses the section at `addr`, walking the page's section sequence

@@ -38,8 +38,12 @@ pub enum LoadError {
     BadMagic([u8; 4]),
     /// The stored page size has no valid address layout.
     BadPageSize(u32),
-    /// A page record exceeds the layout's index range.
+    /// A page record exceeds the layout's index range, or the page
+    /// index set is so sparse that its slot table would outgrow the
+    /// page bytes read.
     PageIndexOutOfRange(u64),
+    /// The page count disagrees with the stored build statistics.
+    PageCountMismatch { pages: u64, stats: u64 },
 }
 
 impl fmt::Display for LoadError {
@@ -49,6 +53,10 @@ impl fmt::Display for LoadError {
             LoadError::BadMagic(m) => write!(f, "bad magic {m:02x?}"),
             LoadError::BadPageSize(s) => write!(f, "unsupported page size {s}"),
             LoadError::PageIndexOutOfRange(i) => write!(f, "page index {i} out of range"),
+            LoadError::PageCountMismatch { pages, stats } => write!(
+                f,
+                "{pages} pages stored, but the build statistics count {stats}"
+            ),
         }
     }
 }
@@ -149,7 +157,14 @@ impl DirectGraph {
             edges: read_u64(&mut reader)?,
         };
         let num_pages = read_u64(&mut reader)?;
+        if num_pages != stats.total_pages() {
+            return Err(LoadError::PageCountMismatch {
+                pages: num_pages,
+                stats: stats.total_pages(),
+            });
+        }
         let mut store = PageStore::new(layout);
+        let mut bytes_read = 0u64;
         for _ in 0..num_pages {
             let idx = read_u64(&mut reader)?;
             if idx > layout.max_page_index() {
@@ -157,7 +172,14 @@ impl DirectGraph {
             }
             let mut page = vec![0u8; page_size as usize];
             reader.read_exact(&mut page)?;
-            store.write_page(PageIndex::new(idx), page.into_boxed_slice());
+            bytes_read += u64::from(page_size);
+            // A sparse index set may not grow the slot table past the
+            // page bytes read.
+            let idx = PageIndex::new(idx);
+            if store.table_bytes_with(idx) > bytes_read {
+                return Err(LoadError::PageIndexOutOfRange(idx.as_u64()));
+            }
+            store.write_page(idx, page.into_boxed_slice());
         }
         Ok(DirectGraph::from_parts(layout, store, directory, stats))
     }
@@ -250,6 +272,53 @@ mod tests {
             let err = DirectGraph::load(buf.as_slice()).unwrap_err();
             assert!(matches!(err, LoadError::Io(_)), "{n}: {err}");
         }
+    }
+
+    /// A DGR1 stream with 4 KB zeroed pages at `pages`, an empty
+    /// directory, and statistics counting `stat_pages` pages.
+    fn pages_at(stat_pages: u64, pages: &[u64]) -> Vec<u8> {
+        let mut buf = b"DGR1".to_vec();
+        buf.extend_from_slice(&4096u32.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        for stat in [stat_pages, 0, 0, 0, 0] {
+            buf.extend_from_slice(&stat.to_le_bytes());
+        }
+        buf.extend_from_slice(&(pages.len() as u64).to_le_bytes());
+        for &idx in pages {
+            buf.extend_from_slice(&idx.to_le_bytes());
+            buf.extend_from_slice(&[0u8; 4096]);
+        }
+        buf
+    }
+
+    #[test]
+    fn hostile_page_index_is_an_error() {
+        let last = AddrLayout::for_page_size(4096).unwrap().max_page_index();
+        // Pages at 0 and at the last index: 8 KB of pages behind a
+        // 2^28-slot table.
+        let err = DirectGraph::load(pages_at(2, &[0, last]).as_slice()).unwrap_err();
+        assert!(
+            matches!(err, LoadError::PageIndexOutOfRange(i) if i == last),
+            "{err}"
+        );
+        // A lone page there behind zeroed statistics.
+        let err = DirectGraph::load(pages_at(0, &[last]).as_slice()).unwrap_err();
+        assert!(
+            matches!(err, LoadError::PageCountMismatch { pages: 1, stats: 0 }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn relocated_image_roundtrips_at_any_offset() {
+        let mut dg = build_dg(120);
+        dg.relocate_pages(|p| PageIndex::new(p.as_u64() + (1 << 20)))
+            .unwrap();
+        let mut buf = Vec::new();
+        dg.save(&mut buf).unwrap();
+        let loaded = DirectGraph::load(buf.as_slice()).unwrap();
+        assert_eq!(loaded.digest(), dg.digest());
+        assert_eq!(loaded.image().pages_written(), dg.image().pages_written());
     }
 
     #[test]

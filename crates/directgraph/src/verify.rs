@@ -36,6 +36,8 @@ pub enum ValidationError {
     TargetMismatch { node: NodeId, addr: PhysAddr },
     /// A page failed to parse during flush-time verification.
     PageCorrupt { page: PageIndex, detail: String },
+    /// A directory entry points at a page the image never wrote.
+    DanglingDirectoryEntry { node: NodeId, addr: PhysAddr },
 }
 
 impl fmt::Display for ValidationError {
@@ -55,6 +57,9 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::PageCorrupt { page, detail } => {
                 write!(f, "page {page} corrupt: {detail}")
+            }
+            ValidationError::DanglingDirectoryEntry { node, addr } => {
+                write!(f, "{node}'s directory entry {addr} is unwritten")
             }
         }
     }
@@ -91,15 +96,24 @@ impl<'a> Validator<'a> {
         Validator { dg }
     }
 
-    /// Flush-time check: walks every written page and verifies that all
-    /// embedded section addresses (inline neighbors, secondary pointers)
-    /// stay within the allocated page set.
+    /// Flush-time check: verifies that every directory entry points at
+    /// a written page, then walks every written page and verifies that
+    /// all embedded section addresses (inline neighbors, secondary
+    /// pointers) stay within the allocated page set.
     ///
     /// # Errors
     ///
     /// Returns the first violation found.
     pub fn verify_image(&self) -> Result<(), ValidationError> {
         let layout = self.dg.layout();
+        let directory = self.dg.directory();
+        for i in 0..directory.len() {
+            let node = NodeId::new(i as u32);
+            let addr = directory.primary_addr(node).expect("index in range");
+            if !self.dg.image().contains_page(layout.unpack(addr).0) {
+                return Err(ValidationError::DanglingDirectoryEntry { node, addr });
+            }
+        }
         for (page_idx, _) in self.dg.image().iter_pages() {
             let sections = self.dg.image().parse_all_sections(page_idx).map_err(|e| {
                 ValidationError::PageCorrupt {

@@ -54,20 +54,21 @@
 //! value produces byte-identical reports.
 
 use beacon_energy::EnergyLedger;
-use beacon_gnn::{GnnModelConfig, MinibatchWorkload};
+use beacon_gnn::GnnModelConfig;
 use beacon_graph::{NodeId, Partition};
 use beacon_ssd::{FabricConfig, SsdConfig};
 use directgraph::DirectGraph;
 use simkit::obs::SpanRecorder;
 use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
 use simkit::{
-    BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
-    QueryLat, SerialResource, SimTime, Stage, NO_PATH,
+    BandwidthResource, Calendar, ChainTable, Duration, PathArena, PathAttr, SerialResource,
+    SimTime, Stage, NO_PATH,
 };
 
-use crate::engine::{Engine, EngineScratch, FlashServiceMemo, NODE_ID_BYTES, ON_DIE_SAMPLE_TIME};
+use crate::engine::{Engine, EngineScratch, FlashServiceMemo, ON_DIE_SAMPLE_TIME};
 use crate::lane::{BatchBroadcast, LaneStats};
-use crate::metrics::{AccelOccupancy, RunMetrics, StageBreakdown};
+use crate::metrics::{RunMetrics, StageBreakdown};
+use crate::pipeline::Pipeline;
 use crate::replay::{CascadeRec, CascadeRecording};
 use crate::spec::Platform;
 
@@ -685,7 +686,7 @@ impl sync::Lane for DevLane<'_> {
 }
 
 /// Coordinator-side state: the fabric links (which lanes may not
-/// touch) plus the batch-pipeline bookkeeping.
+/// touch) plus the §VI-D batch pipeline, one accelerator per device.
 struct ACoordinator {
     links: Vec<BandwidthResource>,
     hop_latency: Duration,
@@ -695,28 +696,11 @@ struct ACoordinator {
     /// current batch lands (gates that device's compute start).
     feature_ready: Vec<SimTime>,
     energy: EnergyLedger,
-    prep_total: Duration,
-    compute_total: Duration,
-    device_compute: Vec<Duration>,
-    device_targets: Vec<u64>,
-    makespan: SimTime,
-    targets_total: u64,
+    pipe: Pipeline,
     lat_on: bool,
     /// Chains extended by cross-device feature returns (the fabric leg
     /// from the retrieving device back to the query's home device).
     lat_chains: ChainTable,
-    lat_batches: Vec<ABatchLat>,
-}
-
-/// One mini-batch's shared latency context in the array engine: the
-/// global prep barrier plus per-device compute windows and feature
-/// gates (queries retire on their home device's accelerator).
-struct ABatchLat {
-    submit: SimTime,
-    prep_gate: SimTime,
-    feature_ready: Vec<SimTime>,
-    compute_start: Vec<SimTime>,
-    compute_end: Vec<SimTime>,
 }
 
 impl ACoordinator {
@@ -936,7 +920,6 @@ impl<'a> ArrayEngine<'a> {
             "partition/array size mismatch"
         );
         let pre = prepass(&cascade.recording, &cascade.batches, partition);
-        let single_throughput = cascade.single.throughput();
         if devs == 1 {
             let m = cascade.single.clone();
             let per_device = vec![DeviceMetrics {
@@ -954,8 +937,8 @@ impl<'a> ArrayEngine<'a> {
             }];
             return ArrayRunMetrics {
                 devices: 1,
+                single_throughput: m.throughput(),
                 metrics: m,
-                single_throughput,
                 per_device,
                 links: vec![FabricLinkMetrics::default()],
                 total_edges: pre.total_edges,
@@ -969,7 +952,7 @@ impl<'a> ArrayEngine<'a> {
             self.platform.spec().channel_separable(),
             "multi-device array replay requires a channel-separable platform (BG-2)"
         );
-        self.replay(cascade, partition, pre, single_throughput)
+        self.replay(cascade, partition, pre)
     }
 
     fn replay(
@@ -977,7 +960,6 @@ impl<'a> ArrayEngine<'a> {
         cascade: &ArrayCascade,
         partition: &Partition,
         pre: Prepass,
-        single_throughput: f64,
     ) -> ArrayRunMetrics {
         let devs = self.array.ssds;
         let hops = self.model.hops as usize + 2;
@@ -1005,27 +987,27 @@ impl<'a> ArrayEngine<'a> {
             link_msgs: vec![0; devs],
             feature_ready: vec![SimTime::ZERO; devs],
             energy: EnergyLedger::new(),
-            prep_total: Duration::ZERO,
-            compute_total: Duration::ZERO,
-            device_compute: vec![Duration::ZERO; devs],
-            device_targets: vec![0; devs],
-            makespan: SimTime::ZERO,
-            targets_total: 0,
+            pipe: Pipeline::new(
+                &self.platform.spec(),
+                self.model,
+                &self.ssd,
+                devs,
+                self.lat_epoch,
+            ),
             lat_on: self.lat_epoch.is_some(),
             lat_chains: ChainTable::new(lat.map_or(0, |(_, queries)| queries)),
-            lat_batches: Vec::new(),
         };
 
         let window = EpochWindow::new(self.array.fabric.hop_latency);
         let stats = sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
             self.run_batches(cascade, partition, &ctx, rounds, &mut coord)
         });
-        self.merge(cascade, &pre, coord, lanes, stats, single_throughput)
+        self.merge(cascade, partition, &pre, coord, lanes, stats)
     }
 
-    /// The serial engine's batch pipeline with `run_prep` replaced by
-    /// the round loop and per-device compute: each device aggregates
-    /// the targets homed on it, gated by its inbound feature returns.
+    /// Runs each batch's preparation as a round loop between the
+    /// pipeline's open and close; each device then computes the targets
+    /// homed on it, gated by its inbound feature returns.
     fn run_batches(
         &self,
         cascade: &ArrayCascade,
@@ -1034,39 +1016,17 @@ impl<'a> ArrayEngine<'a> {
         rounds: &mut Rounds<'_, DevLane<'_>>,
         coord: &mut ACoordinator,
     ) {
-        let accel = self.platform.spec().accel_config();
         let devs = self.array.ssds;
-        let mut compute_free = vec![SimTime::ZERO; devs];
-        let mut prep_cursor = SimTime::ZERO;
-        let mut compute_ends: Vec<Vec<SimTime>> = Vec::with_capacity(cascade.batches.len());
-
         for (bi, batch) in cascade.batches.iter().enumerate() {
-            coord.targets_total += batch.len() as u64;
             rounds.broadcast(BatchBroadcast {
                 record_hops: bi == 0,
                 ..BatchBroadcast::default()
             });
-            // §VI-D double buffering, array-wide: every device's DRAM
-            // region must have released its half before the next prep
-            // starts (the round loop advances all lanes together).
-            let buffer_ready = if bi >= 2 {
-                compute_ends[bi - 2]
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(SimTime::ZERO)
-            } else {
-                SimTime::ZERO
-            };
-            let prep_start = prep_cursor.max(buffer_ready);
             // BG-2 is direct-graph: one customized NVMe command per
             // device carries its shard of primary-section addresses
             // (host→device is the host PCIe link, not the fabric).
-            let start = prep_start + self.ssd.host.nvme_roundtrip;
-            coord.energy.pcie_bytes += batch.len() as u64 * NODE_ID_BYTES;
-            for slot in &mut coord.feature_ready {
-                *slot = SimTime::ZERO;
-            }
+            let (_, start) = coord.pipe.open(batch.len(), &mut coord.energy);
+            coord.feature_ready.fill(SimTime::ZERO);
 
             let base = cascade.recording.batch_roots[bi];
             let root_path = coord.lat_on.then(PathAttr::default);
@@ -1075,56 +1035,18 @@ impl<'a> ArrayEngine<'a> {
                 rounds.post(owner, start, (DevEvent::Arrive(rec), root_path));
             }
             rounds.run_until_idle(start, |at, msg, out| coord.apply(ctx, at, msg, out));
-
             let prep_end = rounds.prep_end().max(start);
-            coord.prep_total += prep_end - prep_start;
-            prep_cursor = prep_end;
 
-            // Per-device compute overlaps the next batch's prep. A
-            // device aggregates its home targets once the global prep
-            // drained, its inbound feature returns landed, and its own
-            // accelerator freed up.
-            let mut ends = vec![SimTime::ZERO; devs];
-            let mut starts = vec![SimTime::ZERO; devs];
             let mut home_counts = vec![0u64; devs];
             for &t in batch {
                 home_counts[partition.part_of(t) as usize] += 1;
             }
-            for (d, &count) in home_counts.iter().enumerate() {
-                if count == 0 {
-                    ends[d] = compute_free[d];
-                    starts[d] = compute_free[d];
-                    continue;
-                }
-                let wl = MinibatchWorkload::new(self.model, count).with_training(true);
-                let compute_start = prep_end.max(coord.feature_ready[d]).max(compute_free[d]);
-                starts[d] = compute_start;
-                if !self.ssd.dram_bypass {
-                    let bytes =
-                        count * self.model.subgraph_nodes() * self.model.feature_bytes() as u64;
-                    coord.energy.dram_bytes += bytes;
-                }
-                let ct = wl.compute_time(&accel);
-                coord.compute_total += ct;
-                coord.device_compute[d] += ct;
-                coord.device_targets[d] += count;
-                compute_free[d] = compute_start + ct;
-                ends[d] = compute_free[d];
-                coord.makespan = coord.makespan.max(compute_free[d]);
-                coord.energy.macs += wl.total_macs();
-                coord.energy.reduce_ops += wl.total_reduce_ops();
-            }
-            coord.makespan = coord.makespan.max(prep_end);
-            if coord.lat_on {
-                coord.lat_batches.push(ABatchLat {
-                    submit: start,
-                    prep_gate: prep_end,
-                    feature_ready: coord.feature_ready.clone(),
-                    compute_start: starts.clone(),
-                    compute_end: ends.clone(),
-                });
-            }
-            compute_ends.push(ends);
+            let c = &mut *coord;
+            let work = (0..devs)
+                .filter(|&d| home_counts[d] > 0)
+                .map(|d| (d, home_counts[d], c.feature_ready[d]));
+            let mut obs = SpanRecorder::disabled();
+            c.pipe.close(prep_end, work, None, &mut c.energy, &mut obs);
         }
     }
 
@@ -1134,14 +1056,27 @@ impl<'a> ArrayEngine<'a> {
     fn merge(
         &self,
         cascade: &ArrayCascade,
+        partition: &Partition,
         pre: &Prepass,
         coord: ACoordinator,
         mut lanes: Vec<DevLane<'_>>,
         rounds: sync::RoundStats,
-        single_throughput: f64,
     ) -> ArrayRunMetrics {
         let spec = self.platform.spec();
         let devs = self.array.ssds;
+        // Chain tables fold commutatively, but keep the fixed device
+        // order anyway (cheap, and self-evidently stable).
+        let mut chains = ChainTable::default();
+        chains.absorb(&coord.lat_chains);
+        for lane in &lanes {
+            chains.absorb(&lane.chains);
+        }
+        // Each query retires on its target's home device.
+        let targets = cascade.batches.concat();
+        let home = |q: usize| partition.part_of(targets[q]) as usize;
+        let per_accel = coord.pipe.per_accelerator();
+        let run = coord.pipe.finish(&coord.energy, &chains, home);
+
         let mut totals = LaneStats::new(self.model.hops as usize + 2);
         let mut per_device = Vec::with_capacity(devs);
         let mut dram_busy = Duration::ZERO;
@@ -1150,9 +1085,10 @@ impl<'a> ArrayEngine<'a> {
             stats.seal(lane.calendar.pool_stats(), &lane.dies, &lane.chans);
             totals.absorb(stats);
             dram_busy += lane.dram.busy_total();
+            let (compute_time, targets) = per_accel[lane.dev];
             per_device.push(DeviceMetrics {
                 device: lane.dev,
-                targets: coord.device_targets[lane.dev],
+                targets,
                 flash_reads: stats.flash_reads,
                 nodes_visited: stats.nodes_visited,
                 sampler_faults: stats.sampler_faults,
@@ -1161,7 +1097,7 @@ impl<'a> ArrayEngine<'a> {
                 die_busy: stats.flash_busy,
                 channel_busy: stats.channel_busy,
                 dram_busy: lane.dram.busy_total(),
-                compute_time: coord.device_compute[lane.dev],
+                compute_time,
             });
         }
         let mut energy = coord.energy;
@@ -1185,68 +1121,14 @@ impl<'a> ArrayEngine<'a> {
             // Cross-device traffic rides PCIe-P2P / NVMe-oF links.
             pcie: fabric_busy,
             host: Duration::ZERO,
-            accel: coord.compute_total,
-        };
-        let accel_occupancy =
-            AccelOccupancy::sustained(&spec.accel_config(), coord.compute_total, &energy);
-
-        let latency = if let Some(epoch) = self.lat_epoch {
-            // Chain tables fold commutatively, but keep the fixed
-            // device order anyway (cheap, and self-evidently stable).
-            let mut chains = ChainTable::new(coord.targets_total as usize);
-            chains.absorb(&coord.lat_chains);
-            for lane in &lanes {
-                chains.absorb(&lane.chains);
-            }
-            // Extend each query's winning chain through its home
-            // device's compute tail: the wait for the prep barrier is
-            // queueing, the wait for the last inbound feature return is
-            // fabric time, the wait for the accelerator is queueing,
-            // and the compute window is accelerator time — so stage
-            // nanoseconds sum exactly to `end - submit`.
-            let mut queries = Vec::with_capacity(coord.targets_total as usize);
-            let mut qid = 0usize;
-            for (bi, batch) in cascade.batches.iter().enumerate() {
-                let b = &coord.lat_batches[bi];
-                let base = cascade.recording.batch_roots[bi] as usize;
-                for slot in 0..batch.len() {
-                    let d = pre.owner[base + slot] as usize;
-                    let (chain_end, mut path) = match chains.get(qid) {
-                        Some(&(e, p)) => (e, p),
-                        None => (b.submit, PathAttr::default()),
-                    };
-                    let g1 = b.prep_gate.max(chain_end);
-                    path.add(Stage::Queue, g1 - chain_end);
-                    let g2 = g1.max(b.feature_ready[d]);
-                    path.add(Stage::Fabric, g2 - g1);
-                    let cs = b.compute_start[d];
-                    path.add(Stage::Queue, cs.saturating_duration_since(g2));
-                    path.add(Stage::Accel, b.compute_end[d] - cs);
-                    queries.push(QueryLat {
-                        batch: bi as u32,
-                        slot: slot as u32,
-                        submit: b.submit,
-                        end: b.compute_end[d],
-                        path,
-                    });
-                    qid += 1;
-                }
-            }
-            LatencyReport::build(epoch, queries)
-        } else {
-            LatencyReport::disabled()
+            accel: run.compute_time,
         };
 
         let metrics = RunMetrics {
             platform: spec.name,
-            targets: coord.targets_total,
-            batches: cascade.batches.len() as u64,
             nodes_visited: totals.nodes_visited,
             flash_reads: totals.flash_reads,
             sampler_faults: totals.sampler_faults,
-            makespan: coord.makespan - SimTime::ZERO,
-            prep_time: coord.prep_total,
-            compute_time: coord.compute_total,
             hop_windows: totals.hop_windows(),
             cmd_breakdown: totals.cmd_breakdown,
             stages,
@@ -1260,14 +1142,13 @@ impl<'a> ArrayEngine<'a> {
             sampler_executed: cascade.single.sampler_executed,
             router: None,
             ftl: None,
-            accel_occupancy,
-            latency,
+            ..run
         };
 
         ArrayRunMetrics {
             devices: devs,
             metrics,
-            single_throughput,
+            single_throughput: cascade.single.throughput(),
             per_device,
             links,
             total_edges: pre.total_edges,

@@ -23,22 +23,20 @@
 
 use beacon_energy::EnergyLedger;
 use beacon_flash::{DieSampler, GnnDieConfig, SampleCommand, SampleOutcome};
-use beacon_gnn::{GnnModelConfig, MinibatchWorkload};
+use beacon_gnn::GnnModelConfig;
 use beacon_graph::NodeId;
 use beacon_ssd::{CommandRouter, Ftl, FtlStats, HostAdapter, SsdConfig};
 use directgraph::DirectGraph;
 use simkit::obs::{SpanRecorder, UnitKind};
 use simkit::resource::Grant;
 use simkit::{
-    BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathAttr, SerialResource,
-    SimTime, Stage,
+    BandwidthResource, Calendar, ChainTable, Duration, PathAttr, SerialResource, SimTime, Stage,
 };
 
-use crate::lat::{self, BatchLat};
 use crate::metrics::{
-    AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown,
-    TimelineBuilder,
+    CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown, TimelineBuilder,
 };
+use crate::pipeline::Pipeline;
 use crate::replay::{CascadeRecorder, CascadeRecording};
 use crate::spec::{BackendControl, Platform, PlatformSpec, SamplingLocation, TransferGranularity};
 
@@ -469,10 +467,6 @@ pub struct Engine<'a> {
     lat_chains: ChainTable,
     /// Global query-id base of the batch currently in preparation.
     lat_qid_base: u32,
-    /// Submission time of the batch currently in preparation.
-    lat_submit: SimTime,
-    /// Per-batch compute-tail context for `lat::finalize`.
-    lat_batches: Vec<BatchLat>,
 }
 
 impl<'a> Engine<'a> {
@@ -557,8 +551,6 @@ impl<'a> Engine<'a> {
             lat_inherit: PathAttr::default(),
             lat_chains: ChainTable::default(),
             lat_qid_base: 0,
-            lat_submit: SimTime::ZERO,
-            lat_batches: Vec::new(),
             ssd,
         }
     }
@@ -719,106 +711,26 @@ impl<'a> Engine<'a> {
     }
 
     fn run_inner(&mut self, batches: &[Vec<NodeId>]) -> RunMetrics {
-        let accel = self.spec.accel_config();
-
-        let mut prep_total = Duration::ZERO;
-        let mut compute_total = Duration::ZERO;
-        let mut compute_free = SimTime::ZERO;
-        let mut makespan = SimTime::ZERO;
-        let mut targets_total = 0u64;
-        let mut prep_cursor = SimTime::ZERO;
-        let mut compute_ends: Vec<SimTime> = Vec::with_capacity(batches.len());
-
+        let lat_epoch = self.lat_on.then_some(self.lat_epoch);
+        let mut pipe = Pipeline::new(&self.spec, self.model, &self.ssd, 1, lat_epoch);
         if self.lat_on {
             let total: usize = batches.iter().map(Vec::len).sum();
             self.lat_chains.reset(total);
-            self.lat_batches.clear();
             self.lat_qid_base = 0;
         }
 
         for (bi, batch) in batches.iter().enumerate() {
-            targets_total += batch.len() as u64;
             self.record_hops = bi == 0;
-            // §VI-D double buffering (see beacon_ssd::gnn_engine): the
-            // DRAM region has two halves, so batch i's preparation can
-            // only start once batch i-2's computation released its half.
-            let buffer_ready = if bi >= 2 {
-                compute_ends[bi - 2]
-            } else {
-                SimTime::ZERO
-            };
-            let prep_start = prep_cursor.max(buffer_ready);
-            let prep_end = self.run_prep(bi, batch, prep_start);
-            prep_total += prep_end - prep_start;
-            prep_cursor = prep_end;
-            if self.obs.is_enabled() {
-                self.obs
-                    .record(UnitKind::Engine, 0, "prep", prep_start, prep_end, bi as f64);
-            }
-
-            // Computation of this batch overlaps the next batch's prep.
-            // The paper's experiments run GNN *training*, so the
-            // workload includes the backward pass.
-            let wl = MinibatchWorkload::new(self.model, batch.len() as u64).with_training(true);
-            let mut compute_start = prep_end.max(compute_free);
-            let mut lat_pcie = None;
-            if self.spec.features_cross_pcie {
-                // Ship the batch's features + subgraph metadata to the
-                // discrete accelerator.
-                let bytes = batch.len() as u64
-                    * self.model.subgraph_nodes()
-                    * (self.model.feature_bytes() as u64 + NODE_ID_BYTES);
-                let grant = self.pcie.transfer(compute_start, bytes);
-                lat_pcie = Some((grant.start, grant.end));
-                self.energy.pcie_bytes += bytes;
-                if self.obs.is_enabled() {
-                    self.obs.record(
-                        UnitKind::Pcie,
-                        0,
-                        "batch_features",
-                        grant.start,
-                        grant.end,
-                        bytes as f64,
-                    );
-                }
-                compute_start = grant.end;
-            } else if !self.ssd.dram_bypass {
-                // SSD accelerator streams features from internal DRAM
-                // (unless direct flash→SRAM I/O is enabled, §VIII).
-                let bytes = batch.len() as u64
-                    * self.model.subgraph_nodes()
-                    * self.model.feature_bytes() as u64;
-                self.energy.dram_bytes += bytes;
-            }
-            let ct = wl.compute_time(&accel);
-            compute_total += ct;
-            compute_free = compute_start + ct;
-            compute_ends.push(compute_free);
-            if self.obs.is_enabled() {
-                self.obs.record(
-                    UnitKind::Accelerator,
-                    0,
-                    "compute",
-                    compute_start,
-                    compute_free,
-                    bi as f64,
-                );
-            }
-            makespan = makespan.max(compute_free).max(prep_end);
-            self.energy.macs += wl.total_macs();
-            self.energy.reduce_ops += wl.total_reduce_ops();
-            if self.lat_on {
-                self.lat_batches.push(BatchLat {
-                    base: self.lat_qid_base,
-                    len: batch.len() as u32,
-                    submit: self.lat_submit,
-                    prep_gate: prep_end,
-                    pcie: lat_pcie,
-                    compute_start,
-                    compute_end: compute_free,
-                });
-                self.lat_qid_base += batch.len() as u32;
-            }
+            let (prep_start, submit) = pipe.open(batch.len(), &mut self.energy);
+            let prep_end = self.run_prep(bi, batch, prep_start, submit);
+            pipe.close(
+                prep_end,
+                [(0, batch.len() as u64, SimTime::ZERO)],
+                Some(&mut self.pcie),
+                &mut self.energy,
+                &mut self.obs,
+            );
+            self.lat_qid_base += batch.len() as u32;
         }
 
         // Energy from resource busy totals.
@@ -833,6 +745,7 @@ impl<'a> Engine<'a> {
             .map(SerialResource::busy_total)
             .sum::<Duration>();
         self.energy.channel_bytes = self.channel_bytes_accum;
+        let run = pipe.finish(&self.energy, &self.lat_chains, |_| 0);
 
         let stages = StageBreakdown {
             flash_read: self.dies.iter().map(SerialResource::busy_total).sum(),
@@ -841,7 +754,7 @@ impl<'a> Engine<'a> {
             dram: self.dram.busy_total(),
             pcie: self.pcie.busy_total(),
             host: self.host_cores.iter().map(SerialResource::busy_total).sum(),
-            accel: compute_total,
+            accel: run.compute_time,
         };
 
         let hop_windows = self
@@ -872,9 +785,6 @@ impl<'a> Engine<'a> {
         };
         pools.record_calendar(self.calendar.pool_stats());
 
-        // Sustained occupancy: delivered MACs / reduce ops against each
-        // array's peak over the whole compute window.
-        let accel_occupancy = AccelOccupancy::sustained(&accel, compute_total, &self.energy);
         // FTL statistics come from replaying the DirectGraph setup
         // flush — observability runs only (the plain path never builds
         // an FTL).
@@ -883,22 +793,12 @@ impl<'a> Engine<'a> {
         } else {
             None
         };
-        let latency = if self.lat_on {
-            lat::finalize(self.lat_epoch, &self.lat_chains, &self.lat_batches)
-        } else {
-            LatencyReport::disabled()
-        };
 
         RunMetrics {
             platform: self.spec.name,
-            targets: targets_total,
-            batches: batches.len() as u64,
             nodes_visited: self.nodes_visited,
             flash_reads: self.flash_reads,
             sampler_faults: self.sampler_faults,
-            makespan: makespan - SimTime::ZERO,
-            prep_time: prep_total,
-            compute_time: compute_total,
             cmd_breakdown: std::mem::take(&mut self.cmd_breakdown),
             stages,
             hop_windows,
@@ -913,8 +813,7 @@ impl<'a> Engine<'a> {
                 + self.replay_executed,
             router: self.router.as_ref().map(CommandRouter::stats),
             ftl,
-            accel_occupancy,
-            latency,
+            ..run
         }
     }
 
@@ -936,9 +835,9 @@ impl<'a> Engine<'a> {
         Some(host.ftl().stats())
     }
 
-    /// Simulates batch `bi`'s data preparation starting at `t0`;
-    /// returns the completion time.
-    fn run_prep(&mut self, bi: usize, batch: &[NodeId], t0: SimTime) -> SimTime {
+    /// Simulates batch `bi`'s data preparation, which starts at `t0`
+    /// and reaches the device at `start`; returns the completion time.
+    fn run_prep(&mut self, bi: usize, batch: &[NodeId], t0: SimTime, start: SimTime) -> SimTime {
         if let Some(c) = self.cascade.as_mut() {
             c.start_batch();
         }
@@ -955,22 +854,10 @@ impl<'a> Engine<'a> {
         self.outstanding = 0;
         self.prep_end = t0;
 
-        // Mini-batch start: host ships target addresses (one customized
-        // NVMe command for the whole batch).
-        let host_setup = if self.spec.direct_graph {
-            // Targets carry primary-section addresses directly.
-            self.ssd.host.nvme_roundtrip
-        } else {
-            // Host translates each target through its metadata + FS.
-            self.ssd.host.nvme_roundtrip + self.ssd.host.translate_per_node * batch.len() as u64
-        };
-        let start = t0 + host_setup;
-        self.energy.pcie_bytes += batch.len() as u64 * NODE_ID_BYTES;
         if self.lat_on {
             // Roots start with an empty path; the chain clock starts at
             // `start` (the host handed the batch to the device).
             self.lat_inherit = PathAttr::default();
-            self.lat_submit = start;
         }
 
         let root_base = self.replay.map(|r| r.batch_roots[bi]);

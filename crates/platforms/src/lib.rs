@@ -12,7 +12,7 @@
 //! * [`PartitionedEngine`] — the same BG-2 pipeline as N per-channel
 //!   event loops under conservative lookahead (see [`partition`]),
 //!   with identical output at any worker-thread count.
-//! * [`ArrayEngine`] — the simulated multi-SSD array (see [`array`]):
+//! * [`ArrayEngine`] — the simulated multi-SSD array (see [`array`](mod@array)):
 //!   one device lane per SSD behind a partition-aware host router,
 //!   with an explicit fabric cost model and the same determinism
 //!   guarantee. Both lane engines run on one lane runtime,
@@ -47,10 +47,10 @@
 pub mod array;
 pub mod engine;
 mod lane;
-pub(crate) mod lat;
 pub mod metrics;
 pub mod motivation;
 pub mod partition;
+mod pipeline;
 pub mod query;
 pub mod replay;
 pub mod spec;

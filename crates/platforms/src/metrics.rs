@@ -255,7 +255,7 @@ impl AccelOccupancy {
 }
 
 /// The complete result of one simulated run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Platform display name.
     pub platform: &'static str,

@@ -2,11 +2,11 @@
 //!
 //! [`PartitionedEngine`] runs one simulation as N independent event
 //! loops — one *lane* per flash channel — instead of the single serial
-//! calendar of [`Engine`](crate::Engine). BeaconGNN's BG-2 pipeline
-//! makes this natural: with the hardware command router in control and
-//! die-level sampling, a command's whole lifetime (router issue → die
-//! sense → channel transfer → router parse) touches only the resources
-//! of one channel; lanes interact solely when
+//! calendar of [`Engine`]. BeaconGNN's BG-2 pipeline makes this
+//! natural: with the hardware command router in control and die-level
+//! sampling, a command's whole lifetime (router issue → die sense →
+//! channel transfer → router parse) touches only the resources of one
+//! channel; lanes interact solely when
 //!
 //! * a sampled child command targets a die on another channel (router
 //!   crossbar forward), or
@@ -32,10 +32,10 @@
 //! partition count are invisible**, so any `threads(n)` produces
 //! byte-identical output to `threads(1)`, which runs the identical
 //! round protocol inline with no worker threads (the serial fallback).
-//! The legacy serial [`Engine`](crate::Engine) remains untouched and
-//! bit-stable; platforms whose spec keeps firmware, the host, or a hop
-//! barrier in the control path (everything except BG-2) are not
-//! channel-separable and transparently fall back to it.
+//! The legacy serial [`Engine`] remains untouched and bit-stable;
+//! platforms whose spec keeps firmware, the host, or a hop barrier in
+//! the control path (everything except BG-2) are not channel-separable
+//! and transparently fall back to it.
 //!
 //! Determinism argument, in full:
 //!
@@ -53,21 +53,21 @@
 
 use beacon_energy::EnergyLedger;
 use beacon_flash::{DieSampler, GnnDieConfig, SampleCommand};
-use beacon_gnn::{GnnModelConfig, MinibatchWorkload};
+use beacon_gnn::GnnModelConfig;
 use beacon_graph::NodeId;
 use beacon_ssd::SsdConfig;
 use directgraph::DirectGraph;
 use simkit::obs::{SpanRecorder, UnitKind};
 use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
 use simkit::{
-    BandwidthResource, Calendar, ChainTable, Duration, LatencyReport, PathArena, PathAttr,
-    SerialResource, SimTime, Stage, NO_PATH,
+    BandwidthResource, Calendar, ChainTable, Duration, PathArena, PathAttr, SerialResource,
+    SimTime, Stage, NO_PATH,
 };
 
-use crate::engine::{Engine, FlashServiceMemo, OutcomePool, NODE_ID_BYTES, ON_DIE_SAMPLE_TIME};
+use crate::engine::{Engine, FlashServiceMemo, OutcomePool, ON_DIE_SAMPLE_TIME};
 use crate::lane::{BatchBroadcast, LaneStats};
-use crate::lat::{self, BatchLat};
-use crate::metrics::{AccelOccupancy, RunMetrics, StageBreakdown};
+use crate::metrics::{RunMetrics, StageBreakdown};
+use crate::pipeline::Pipeline;
 use crate::spec::{Platform, PlatformSpec};
 
 /// The deterministic identity of one sampling command: mini-batch slot
@@ -494,17 +494,13 @@ impl sync::Lane for ChannelLane<'_> {
 }
 
 /// Coordinator-side state: the shared DRAM lanes may not touch, plus
-/// the batch-pipeline bookkeeping carried over from the serial engine.
+/// the §VI-D batch pipeline.
 struct Coordinator {
     dram: BandwidthResource,
     energy: EnergyLedger,
     obs: SpanRecorder,
-    prep_total: Duration,
-    compute_total: Duration,
-    makespan: SimTime,
-    targets_total: u64,
+    pipe: Pipeline,
     lat_on: bool,
-    lat_batches: Vec<BatchLat>,
 }
 
 impl Coordinator {
@@ -557,7 +553,7 @@ impl Coordinator {
     }
 }
 
-/// The partitioned BG-2 engine. Construct like [`Engine`](crate::Engine),
+/// The partitioned BG-2 engine. Construct like [`Engine`],
 /// pick a worker-thread count, and [`run`](PartitionedEngine::run):
 ///
 /// ```
@@ -664,8 +660,8 @@ impl<'a> PartitionedEngine<'a> {
     }
 
     /// Runs the workload. Non-partitionable platforms run on the serial
-    /// [`Engine`](crate::Engine) (identical output to calling it
-    /// directly); partitionable ones run the round protocol.
+    /// [`Engine`] (identical output to calling it directly);
+    /// partitionable ones run the round protocol.
     pub fn run(self, batches: &[Vec<NodeId>]) -> RunMetrics {
         let spec = self.platform.spec();
         if !Self::partitionable(&spec) {
@@ -714,53 +710,32 @@ impl<'a> PartitionedEngine<'a> {
             } else {
                 SpanRecorder::disabled()
             },
-            prep_total: Duration::ZERO,
-            compute_total: Duration::ZERO,
-            makespan: SimTime::ZERO,
-            targets_total: 0,
+            pipe: Pipeline::new(spec, self.model, &self.ssd, 1, self.lat_epoch),
             lat_on: self.lat_epoch.is_some(),
-            lat_batches: Vec::new(),
         };
 
         let window = EpochWindow::new(self.ssd.router_epoch);
         sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
-            self.run_batches(spec, rounds, &mut coord, batches)
+            self.run_batches(rounds, &mut coord, batches)
         });
-        self.merge(spec, coord, lanes, batches)
+        self.merge(spec, coord, lanes)
     }
 
-    /// The batch pipeline of the serial engine's `run_inner`, with
-    /// `run_prep` replaced by the round loop.
+    /// Runs each batch's preparation as a round loop between the
+    /// pipeline's open and close.
     fn run_batches(
         &self,
-        spec: &PlatformSpec,
         rounds: &mut Rounds<'_, ChannelLane<'a>>,
         coord: &mut Coordinator,
         batches: &[Vec<NodeId>],
     ) {
-        let accel = spec.accel_config();
-        let mut compute_free = SimTime::ZERO;
-        let mut prep_cursor = SimTime::ZERO;
-        let mut compute_ends: Vec<SimTime> = Vec::with_capacity(batches.len());
         let mut qid_base = 0u32;
-
         for (bi, batch) in batches.iter().enumerate() {
-            coord.targets_total += batch.len() as u64;
             rounds.broadcast(BatchBroadcast {
                 record_hops: bi == 0,
                 qid_base,
             });
-            let buffer_ready = if bi >= 2 {
-                compute_ends[bi - 2]
-            } else {
-                SimTime::ZERO
-            };
-            let prep_start = prep_cursor.max(buffer_ready);
-            // BG-2 is direct-graph: one customized NVMe command carries
-            // the whole batch's primary-section addresses.
-            let start = prep_start + self.ssd.host.nvme_roundtrip;
-            coord.energy.pcie_bytes += batch.len() as u64 * NODE_ID_BYTES;
-
+            let (_, start) = coord.pipe.open(batch.len(), &mut coord.energy);
             let root_path = coord.lat_on.then(PathAttr::default);
             let channels = self.ssd.geometry.channels;
             for (slot, &target) in batch.iter().enumerate() {
@@ -781,56 +756,11 @@ impl<'a> PartitionedEngine<'a> {
                 rounds.post(lane, start, (LaneEvent::Arrive(cmd), root_path));
             }
             rounds.run_until_idle(start, |at, msg, out| coord.apply(at, msg, out));
-
             let prep_end = rounds.prep_end().max(start);
-            coord.prep_total += prep_end - prep_start;
-            prep_cursor = prep_end;
-            if coord.obs.is_enabled() {
-                coord
-                    .obs
-                    .record(UnitKind::Engine, 0, "prep", prep_start, prep_end, bi as f64);
-            }
-
-            // Computation overlaps the next batch's prep, exactly as in
-            // the serial engine (§VI-D double buffering).
-            let wl = MinibatchWorkload::new(self.model, batch.len() as u64).with_training(true);
-            let compute_start = prep_end.max(compute_free);
-            if !self.ssd.dram_bypass {
-                let bytes = batch.len() as u64
-                    * self.model.subgraph_nodes()
-                    * self.model.feature_bytes() as u64;
-                coord.energy.dram_bytes += bytes;
-            }
-            let ct = wl.compute_time(&accel);
-            coord.compute_total += ct;
-            compute_free = compute_start + ct;
-            compute_ends.push(compute_free);
-            if coord.obs.is_enabled() {
-                coord.obs.record(
-                    UnitKind::Accelerator,
-                    0,
-                    "compute",
-                    compute_start,
-                    compute_free,
-                    bi as f64,
-                );
-            }
-            coord.makespan = coord.makespan.max(compute_free).max(prep_end);
-            coord.energy.macs += wl.total_macs();
-            coord.energy.reduce_ops += wl.total_reduce_ops();
-            if coord.lat_on {
-                // Features stage through shared DRAM on BG-2 — no batch
-                // PCIe shipment gates compute.
-                coord.lat_batches.push(BatchLat {
-                    base: qid_base,
-                    len: batch.len() as u32,
-                    submit: start,
-                    prep_gate: prep_end,
-                    pcie: None,
-                    compute_start,
-                    compute_end: compute_free,
-                });
-            }
+            let work = [(0, batch.len() as u64, SimTime::ZERO)];
+            let c = &mut *coord;
+            c.pipe
+                .close(prep_end, work, None, &mut c.energy, &mut c.obs);
             qid_base += batch.len() as u32;
         }
     }
@@ -842,10 +772,12 @@ impl<'a> PartitionedEngine<'a> {
         spec: &PlatformSpec,
         mut coord: Coordinator,
         mut lanes: Vec<ChannelLane<'a>>,
-        batches: &[Vec<NodeId>],
     ) -> RunMetrics {
         let mut totals = LaneStats::new(self.model.hops as usize + 2);
         let mut sampler_executed = 0u64;
+        // Chain tables fold commutatively, but keep the fixed channel
+        // order anyway (cheap, and self-evidently stable).
+        let mut chains = ChainTable::default();
         for lane in &mut lanes {
             let chans = std::slice::from_ref(&lane.chan);
             let stats = &mut lane.stats;
@@ -855,9 +787,11 @@ impl<'a> PartitionedEngine<'a> {
             totals.absorb(stats);
             coord.obs.absorb(&lane.obs);
             sampler_executed += lane.samplers.iter().map(DieSampler::executed).sum::<u64>();
+            chains.absorb(&lane.chains);
         }
         let mut energy = coord.energy;
         totals.charge_energy(&mut energy);
+        let run = coord.pipe.finish(&energy, &chains, |_| 0);
 
         let stages = StageBreakdown {
             flash_read: totals.flash_busy,
@@ -866,37 +800,19 @@ impl<'a> PartitionedEngine<'a> {
             dram: coord.dram.busy_total(),
             pcie: Duration::ZERO,
             host: Duration::ZERO,
-            accel: coord.compute_total,
+            accel: run.compute_time,
         };
-        let accel_occupancy =
-            AccelOccupancy::sustained(&spec.accel_config(), coord.compute_total, &energy);
         let ftl = if coord.obs.is_enabled() {
             Engine::replay_ftl_setup(self.dg, &self.ssd)
         } else {
             None
         };
-        let latency = if let Some(epoch) = self.lat_epoch {
-            // Chain tables fold commutatively, but keep the fixed
-            // channel order anyway (cheap, and self-evidently stable).
-            let mut chains = ChainTable::new(coord.targets_total as usize);
-            for lane in &lanes {
-                chains.absorb(&lane.chains);
-            }
-            lat::finalize(epoch, &chains, &coord.lat_batches)
-        } else {
-            LatencyReport::disabled()
-        };
 
         RunMetrics {
             platform: spec.name,
-            targets: coord.targets_total,
-            batches: batches.len() as u64,
             nodes_visited: totals.nodes_visited,
             flash_reads: totals.flash_reads,
             sampler_faults: totals.sampler_faults,
-            makespan: coord.makespan - SimTime::ZERO,
-            prep_time: coord.prep_total,
-            compute_time: coord.compute_total,
             hop_windows: totals.hop_windows(),
             cmd_breakdown: totals.cmd_breakdown,
             stages,
@@ -910,8 +826,7 @@ impl<'a> PartitionedEngine<'a> {
             sampler_executed,
             router: None,
             ftl,
-            accel_occupancy,
-            latency,
+            ..run
         }
     }
 }

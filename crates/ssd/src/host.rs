@@ -157,6 +157,11 @@ impl HostAdapter {
                     page: source_page.as_u64(),
                 }
             }
+            // The entry is the target address the host would ship for
+            // `node`, and it cannot verify.
+            directgraph::ValidationError::DanglingDirectoryEntry { node, .. } => {
+                HostError::BadTarget { node }
+            }
             _ => HostError::NotFlushed,
         })?;
         let page_indices: Vec<PageIndex> = dg.image().iter_pages().map(|(i, _)| i).collect();

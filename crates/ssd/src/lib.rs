@@ -1,4 +1,4 @@
-//! # beacon-ssd — the SSD controller substrate (paper §II-B2, §V-B, §VI)
+//! # beacon-ssd — the SSD controller substrate (paper §II-B2, §V-B, §VI-A/E/F)
 //!
 //! Everything between the host interface and the flash dies:
 //!
@@ -16,15 +16,16 @@
 //!   of DirectGraph blocks and wear-leveling reclamation that migrates
 //!   DirectGraph to fresh blocks, rewriting every embedded physical
 //!   address.
-//! * [`modes`] — the §VI-G regular-I/O vs acceleration mode arbitration
-//!   (regular requests defer to mini-batch boundaries).
+//!
+//! The §VI-D firmware GNN engine — preparation of one mini-batch
+//! pipelined with computation of the previous one over two DRAM buffer
+//! halves — is timed by the batch pipeline in `beacon-platforms`, which
+//! every engine there runs.
 
 pub mod bitmap;
 pub mod config;
 pub mod ftl;
-pub mod gnn_engine;
 pub mod host;
-pub mod modes;
 pub mod nvme;
 pub mod reliability;
 pub mod router;
@@ -32,9 +33,7 @@ pub mod router;
 pub use bitmap::BlockBitmap;
 pub use config::{FabricConfig, FirmwareCosts, HostCosts, SsdConfig};
 pub use ftl::{BlockId, Ftl, FtlError, FtlStats, Ppa};
-pub use gnn_engine::{BatchState, GnnEngine};
 pub use host::{HostAdapter, HostError};
-pub use modes::{DeviceMode, ModeController};
 pub use nvme::{NvmeCommand, QueuePair, TargetRecord};
 pub use reliability::{ReclamationOutcome, ScrubReport, Scrubber};
 pub use router::{CommandRouter, RouterStats};

@@ -63,6 +63,83 @@ fn inspect_rejects_hostile_node_counts() {
     }
 }
 
+/// A DGR1 image with 4 KB pages: raw directory entries, build
+/// statistics counting `primary_pages` primary pages and `used_bytes`
+/// used bytes, and one zeroed page at each of `page_indices`.
+fn dgr1(directory: &[u32], primary_pages: u64, used_bytes: u64, page_indices: &[u64]) -> Vec<u8> {
+    let mut bytes = b"DGR1".to_vec();
+    bytes.extend_from_slice(&4096u32.to_le_bytes());
+    bytes.extend_from_slice(&(directory.len() as u64).to_le_bytes());
+    for raw in directory {
+        bytes.extend_from_slice(&raw.to_le_bytes());
+    }
+    for stat in [primary_pages, 0, 0, used_bytes, 0] {
+        bytes.extend_from_slice(&stat.to_le_bytes());
+    }
+    bytes.extend_from_slice(&(page_indices.len() as u64).to_le_bytes());
+    for idx in page_indices {
+        bytes.extend_from_slice(&idx.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 4096]);
+    }
+    bytes
+}
+
+/// Runs `inspect` on `bytes` saved to a temporary file.
+fn inspect_bytes(name: &str, bytes: &[u8]) -> std::process::Output {
+    let path =
+        std::env::temp_dir().join(format!("beacongnn-cli-{}-{name}.dgr", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let out = beacongnn()
+        .arg("inspect")
+        .arg(&path)
+        .output()
+        .expect("inspect runs");
+    std::fs::remove_file(&path).ok();
+    out
+}
+
+#[test]
+fn inspect_rejects_hostile_page_indices() {
+    // The last 4 KB page index. A lone page there behind an empty
+    // directory and zeroed statistics is a 4,168-byte file; a page at 0
+    // plus one there would need a 2^28-slot table for 8 KB of pages.
+    let last = (1u64 << 28) - 1;
+    let lone = dgr1(&[], 0, 0, &[last]);
+    assert_eq!(lone.len(), 4_168);
+    for (name, bytes, want) in [
+        ("lone-page", lone, "build statistics count 0"),
+        ("sparse-pages", dgr1(&[], 2, 0, &[0, last]), "out of range"),
+    ] {
+        let out = inspect_bytes(name, &bytes);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains(want), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn inspect_rejects_dangling_directory_entries() {
+    // One node whose entry points at page 5, slot 0 (4 KB pages keep 4
+    // slot bits), in images that wrote no page or only page 0. With no
+    // page written, the utilization row divides by zero stored bytes.
+    let entry = 5u32 << 4;
+    for (name, bytes) in [
+        ("no-pages-nan", dgr1(&[entry], 0, 0, &[])),
+        ("no-pages-inf", dgr1(&[entry], 0, 64, &[])),
+        ("page-zero-only", dgr1(&[entry], 1, 64, &[0])),
+    ] {
+        let out = inspect_bytes(name, &bytes);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stdout}{stderr}");
+        assert!(stderr.contains("unwritten"), "{name}: {stderr}");
+        assert!(
+            !stdout.contains("NaN") && !stdout.contains("inf"),
+            "{name}: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn run_reports_metrics() {
     let out = beacongnn()
