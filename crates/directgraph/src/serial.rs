@@ -114,17 +114,6 @@ impl DirectGraph {
         Ok(())
     }
 
-    /// The number of bytes [`save`](Self::save) writes.
-    pub fn saved_len(&self) -> usize {
-        MAGIC.len()
-            + 4
-            + 8
-            + 4 * self.directory().len()
-            + 5 * 8
-            + 8
-            + self.image().pages_written() * (8 + self.layout().page_size())
-    }
-
     /// Deserializes an image from `reader`.
     ///
     /// A `&mut` reference can be passed as the reader.
@@ -216,7 +205,6 @@ mod tests {
         let dg = build_dg(300);
         let mut buf = Vec::new();
         dg.save(&mut buf).unwrap();
-        assert_eq!(buf.len(), dg.saved_len());
         let loaded = DirectGraph::load(buf.as_slice()).unwrap();
         assert_eq!(loaded.stats(), dg.stats());
         assert_eq!(loaded.directory(), dg.directory());

@@ -270,7 +270,7 @@ impl DieSampler {
         match section {
             SectionView::Primary(p) => {
                 out.visited = Some(p.node);
-                out.feature_bytes = p.feature_bytes;
+                out.feature_bytes = p.feature().len();
                 if cmd.hop >= self.config.num_hops {
                     return Ok(()); // final hop: feature retrieval only
                 }

@@ -77,33 +77,45 @@ pub struct CsrGraph {
 impl CsrGraph {
     /// Assembles a graph directly from CSR arrays, validating the
     /// invariants [`CsrGraphBuilder::build`] guarantees. This is the
-    /// fast path for generators and deserializers that compute offsets
-    /// up front and fill adjacency ranges independently (possibly in
-    /// parallel) instead of growing per-node vectors.
+    /// fast path for generators that compute offsets up front and fill
+    /// adjacency ranges independently (possibly in parallel) instead of
+    /// growing per-node vectors.
     ///
     /// # Panics
     ///
-    /// Panics if `offsets` is empty, does not start at 0, is not
-    /// monotone, or does not end at `adjacency.len()`, or if any
-    /// adjacency entry is out of node range.
+    /// Panics with the [`CsrError`] that
+    /// [`try_from_raw_parts`](Self::try_from_raw_parts) returns.
     pub fn from_raw_parts(offsets: Vec<u64>, adjacency: Vec<NodeId>) -> Self {
-        assert!(!offsets.is_empty(), "offsets must have at least one entry");
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be monotone"
-        );
-        assert_eq!(
-            *offsets.last().unwrap(),
-            adjacency.len() as u64,
-            "offsets must end at adjacency length"
-        );
+        Self::try_from_raw_parts(offsets, adjacency).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`from_raw_parts`](Self::from_raw_parts), but returns an
+    /// error instead of panicking: the form for arrays read from disk.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken invariant: `offsets` is empty, does not
+    /// start at 0, is not monotone, or does not end at
+    /// `adjacency.len()`, or an adjacency entry is out of node range.
+    pub fn try_from_raw_parts(offsets: Vec<u64>, adjacency: Vec<NodeId>) -> Result<Self, CsrError> {
+        let (&first, &last) = offsets
+            .first()
+            .zip(offsets.last())
+            .ok_or(CsrError::NoOffsets)?;
+        if first != 0 {
+            return Err(CsrError::NonZeroStart);
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(CsrError::NotMonotone);
+        }
+        if last != adjacency.len() as u64 {
+            return Err(CsrError::EndMismatch);
+        }
         let n = offsets.len() - 1;
-        assert!(
-            adjacency.iter().all(|v| v.index() < n),
-            "adjacency entry out of node range"
-        );
-        CsrGraph { offsets, adjacency }
+        if adjacency.iter().any(|v| v.index() >= n) {
+            return Err(CsrError::TargetOutOfRange);
+        }
+        Ok(CsrGraph { offsets, adjacency })
     }
 
     /// The CSR offset array (`num_nodes + 1` entries).
@@ -190,6 +202,36 @@ impl CsrGraph {
         self.neighbors(u).contains(&v)
     }
 }
+
+/// A CSR invariant that raw arrays break (see
+/// [`CsrGraph::try_from_raw_parts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CsrError {
+    /// The offset array is empty.
+    NoOffsets,
+    /// The first offset is not 0.
+    NonZeroStart,
+    /// An offset is smaller than the one before it.
+    NotMonotone,
+    /// The last offset is not the adjacency length.
+    EndMismatch,
+    /// An adjacency entry names a node past the last one.
+    TargetOutOfRange,
+}
+
+impl fmt::Display for CsrError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            CsrError::NoOffsets => "offsets must have at least one entry",
+            CsrError::NonZeroStart => "offsets must start at 0",
+            CsrError::NotMonotone => "offsets must be monotone",
+            CsrError::EndMismatch => "offsets must end at adjacency length",
+            CsrError::TargetOutOfRange => "adjacency entry out of node range",
+        })
+    }
+}
+
+impl std::error::Error for CsrError {}
 
 /// Incremental builder for [`CsrGraph`].
 #[derive(Debug, Clone, Default)]
@@ -354,5 +396,24 @@ mod tests {
     #[should_panic(expected = "adjacency entry out of node range")]
     fn raw_parts_rejects_out_of_range_target() {
         CsrGraph::from_raw_parts(vec![0, 1], vec![NodeId::new(5)]);
+    }
+
+    #[test]
+    fn try_raw_parts_names_the_broken_invariant() {
+        let v = NodeId::new;
+        for (offsets, adjacency, want) in [
+            (vec![], vec![], CsrError::NoOffsets),
+            (vec![1, 1], vec![v(0)], CsrError::NonZeroStart),
+            (vec![0, 2, 1], vec![v(0)], CsrError::NotMonotone),
+            (vec![0, 1], vec![v(0), v(0)], CsrError::EndMismatch),
+            (vec![0, 1], vec![v(1)], CsrError::TargetOutOfRange),
+        ] {
+            assert_eq!(CsrGraph::try_from_raw_parts(offsets, adjacency), Err(want));
+        }
+        let g = diamond();
+        assert_eq!(
+            CsrGraph::try_from_raw_parts(g.offsets().to_vec(), g.adjacency().to_vec()),
+            Ok(g)
+        );
     }
 }

@@ -34,7 +34,7 @@ pub mod io;
 pub mod minibatch;
 pub mod partition;
 
-pub use csr::{CsrGraph, CsrGraphBuilder, NodeId};
+pub use csr::{CsrError, CsrGraph, CsrGraphBuilder, NodeId};
 pub use datasets::{Dataset, DatasetSpec};
 pub use features::FeatureTable;
 pub use minibatch::MinibatchStream;
