@@ -116,6 +116,41 @@ fn recording_round_trips_through_the_disk_cache() {
 }
 
 #[test]
+fn damaged_recording_files_are_recorded_again() {
+    // A truncated or bit-flipped brc1- file is a miss: the next cache
+    // instance records the cascade again (and publishes it again)
+    // instead of replaying or panicking, and every cell's output stays
+    // the same.
+    let dir = std::env::temp_dir().join(format!("beacon-replay-damaged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = workload(500, 6, 23);
+    let matrix = figure_style_matrix(&w);
+    let full = registries(&matrix.run_sequential_with(&ReplayCache::with_disk_dir(&dir)));
+    let file = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("brc1-")
+        })
+        .expect("the first pass saved its recording");
+    let pristine = std::fs::read(&file).unwrap();
+    let mut flipped = pristine.clone();
+    flipped[pristine.len() / 2] ^= 0x10;
+    for damaged in [pristine[..pristine.len() / 2].to_vec(), flipped] {
+        std::fs::write(&file, &damaged).unwrap();
+        let cache = ReplayCache::with_disk_dir(&dir);
+        assert_eq!(registries(&matrix.run_sequential_with(&cache)), full);
+        let stats = cache.stats();
+        assert_eq!((stats.disk_hits, stats.records), (0, 1));
+        assert_eq!(std::fs::read(&file).unwrap(), pristine, "recorded again");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn key_breaking_cells_fall_back_to_the_full_path() {
     use beacon_graph::FeatureTable;
     // A custom-graph workload has no fingerprint, hence no replay key:
