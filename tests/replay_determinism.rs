@@ -6,15 +6,24 @@
 
 use std::sync::Arc;
 
+use beacongnn::platforms::Engine;
 use beacongnn::{
-    Dataset, ParallelRunner, Platform, ReplayCache, RunCell, RunMatrix, SsdConfig, Workload,
+    Dataset, Experiment, ParallelRunner, Platform, ReplayCache, RunCell, RunMatrix, SsdConfig,
+    Workload,
 };
 use proptest::prelude::*;
 
+/// Windowing epoch of the latency-tracked cells.
+const EPOCH: simkit::Duration = simkit::Duration::from_us(200);
+
 fn workload(nodes: usize, batch: usize, seed: u64) -> Arc<Workload> {
+    preset_workload(Dataset::Amazon, nodes, batch, seed)
+}
+
+fn preset_workload(dataset: Dataset, nodes: usize, batch: usize, seed: u64) -> Arc<Workload> {
     Arc::new(
         Workload::builder()
-            .dataset(Dataset::Amazon)
+            .dataset(dataset)
             .nodes(nodes)
             .batch_size(batch)
             .batches(2)
@@ -44,20 +53,52 @@ fn registries(results: &[beacongnn::RunMetrics]) -> Vec<String> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+/// One drawn device: channels, dies per channel, cores, channel
+/// bandwidth in MB/s, traditional (20 µs) flash, DRAM bypass.
+type SsdDraw = (usize, usize, usize, u64, bool, bool);
 
-    /// Full-run vs replay vs memo byte identity over the figure-style
-    /// matrix at jobs 1, 2 and 8, across workload shapes and seeds.
+fn ssd_config((channels, dies, cores, mbps, traditional, bypass): SsdDraw) -> SsdConfig {
+    let base = if traditional {
+        SsdConfig::traditional()
+    } else {
+        SsdConfig::paper_default()
+    };
+    base.with_channels(channels)
+        .with_dies_per_channel(dies)
+        .with_cores(cores)
+        .with_channel_bandwidth(mbps * 1_000_000)
+        .with_dram_bypass(bypass)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Full-run vs replay vs memo byte identity at jobs 1, 2 and 8, over
+    /// random dataset presets, workload shapes and seeds, with all eight
+    /// platforms each under its own random device. Latency-tracked cells
+    /// must also reproduce the full run's latency report.
     #[test]
     fn replay_is_byte_identical_at_every_jobs_count(
+        dataset in 0usize..5,
         nodes in 300usize..900,
         batch in 4usize..12,
         seed in 0u64..1_000,
+        ssds in proptest::collection::vec(
+            (1usize..9, 1usize..5, 1usize..5, 333u64..2400, any::<bool>(), any::<bool>()),
+            8..9,
+        ),
+        tracked in proptest::collection::vec(any::<bool>(), 8..9),
     ) {
-        let w = workload(nodes, batch, seed);
-        let matrix = figure_style_matrix(&w);
-        let full = registries(&matrix.run_sequential_with(&ReplayCache::disabled()));
+        let w = preset_workload(Dataset::ALL[dataset], nodes, batch, seed);
+        let mut matrix = RunMatrix::new();
+        for (&p, &draw) in Platform::ALL.iter().zip(&ssds) {
+            matrix.push(RunCell::new(p, Arc::clone(&w)).ssd(ssd_config(draw)));
+        }
+        let full: Vec<String> = matrix
+            .cells()
+            .iter()
+            .map(|c| c.execute().metrics_registry().to_json_string())
+            .collect();
         for jobs in [1usize, 2, 8] {
             let cache = ReplayCache::in_memory();
             let replayed = ParallelRunner::new(jobs).run_with(&matrix, &cache);
@@ -75,6 +116,26 @@ proptest! {
             prop_assert_eq!(again.memo_hits, matrix.len() as u64);
             prop_assert_eq!(again.records, stats.records);
             prop_assert_eq!(again.hits, stats.hits);
+        }
+
+        // Latency-tracked cells: replayed and memo-served runs against
+        // the full engine run with latency tracking.
+        for (cell, _) in matrix.cells().iter().zip(&tracked).filter(|(_, &t)| t) {
+            let exp = Experiment::new(&w).ssd(cell.ssd).seed(cell.seed);
+            prop_assert!(exp.prime_replay());
+            let reference = Engine::new(cell.platform, cell.ssd, w.model(), w.directgraph(), cell.seed)
+                .with_latency(EPOCH)
+                .run(w.batches());
+            prop_assert!(reference.latency.is_enabled());
+            for pass in ["replay", "memo"] {
+                let m = exp.run_latency(cell.platform, EPOCH);
+                prop_assert_eq!(
+                    reference.metrics_registry().to_json_string(),
+                    m.metrics_registry().to_json_string(),
+                    "{} {} pass", cell.platform, pass
+                );
+                prop_assert_eq!(&reference.latency, &m.latency, "{} {} pass", cell.platform, pass);
+            }
         }
     }
 }
