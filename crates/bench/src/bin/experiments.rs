@@ -20,7 +20,6 @@
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use beacon_bench as bench;
@@ -274,42 +273,24 @@ fn all(args: &Args) -> Output {
         .iter()
         .filter(|e| !NOT_IN_ALL.contains(&e.name))
         .collect();
-
     let jobs = bench::jobs();
-    let next = AtomicUsize::new(0);
-    let mut rendered: Vec<Option<(Output, f64)>> = Vec::new();
-    rendered.resize_with(figures.len(), || None);
-    let workers = jobs.min(figures.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(entry) = figures.get(i) else { break };
-                        let t = Instant::now();
-                        let out = (entry.run)(args);
-                        mine.push((i, out, t.elapsed().as_secs_f64()));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, out, secs) in handle.join().expect("figure worker panicked") {
-                rendered[i] = Some((out, secs));
-            }
-        }
-    });
+    let rendered = simkit::par::map_indexed(
+        jobs,
+        figures.len(),
+        || (),
+        |_, i| {
+            let t = Instant::now();
+            let out = (figures[i].run)(args);
+            (out, t.elapsed().as_secs_f64())
+        },
+    );
 
     // Output in canonical order, independent of schedule; the
     // wall-clock summary goes to stderr so output stays byte-identical
     // across job counts.
     let mut all = Output::default();
     eprintln!("\n--- timing summary ({jobs} jobs) ---");
-    for (entry, slot) in figures.iter().zip(rendered) {
-        let (out, secs) = slot.expect("figure rendered");
+    for (entry, (out, secs)) in figures.iter().zip(rendered) {
         eprintln!("{:>14}  {secs:8.3} s", entry.name);
         all.text.push_str(&out.text);
         all.files.extend(out.files);
@@ -445,8 +426,12 @@ fn fig15(args: &Args) -> Output {
         &mut out,
         "Fig 15a-e — active flash channels/dies over time (amazon)",
     );
-    for p in [Platform::BgSp, Platform::BgDgsp, Platform::Bg2] {
-        let c = bench::fig15_curves(p, DEFAULT_NODES, DEFAULT_BATCH);
+    let platforms = [Platform::BgSp, Platform::BgDgsp, Platform::Bg2];
+    for (p, c) in platforms.into_iter().zip(bench::fig15_curves(
+        &platforms,
+        DEFAULT_NODES,
+        DEFAULT_BATCH,
+    )) {
         let _ = writeln!(
             out,
             "{:>8}: mean die util {} | mean channel util {} | slice {}",
@@ -508,8 +493,8 @@ fn fig15f(_: &Args) -> Output {
     let mut t = Table::new(&[
         "platform", "flash", "channel", "firmware", "dram", "pcie", "host", "accel",
     ]);
-    for p in Platform::ALL {
-        let m = bench::fig15f(p, DEFAULT_NODES, DEFAULT_BATCH);
+    let runs = bench::amazon_runs(&Platform::ALL, DEFAULT_NODES, DEFAULT_BATCH);
+    for (p, m) in Platform::ALL.into_iter().zip(runs) {
         let s = m.stages;
         t.row_owned(vec![
             p.to_string(),
@@ -538,14 +523,17 @@ fn fig16(args: &Args) -> Output {
         &mut out,
         "Fig 16 — hop timeline of the data-preparation stage (amazon)",
     );
-    for p in [
+    let platforms = [
         Platform::Bg1,
         Platform::BgDg,
         Platform::BgSp,
         Platform::BgDgsp,
         Platform::Bg2,
-    ] {
-        let m = bench::fig16(p, DEFAULT_NODES, 64);
+    ];
+    for (p, m) in platforms
+        .into_iter()
+        .zip(bench::amazon_runs(&platforms, DEFAULT_NODES, 64))
+    {
         let _ = write!(out, "{:>8}: ", p.to_string());
         for w in &m.hop_windows {
             let _ = write!(out, "hop{} [{} - {}]  ", w.hop, w.start, w.end);
@@ -588,8 +576,8 @@ fn fig17(args: &Args) -> Output {
         "wait_after_flash",
         "mean lifetime",
     ]);
-    for p in Platform::BG_CHAIN {
-        let m = bench::fig17(p, DEFAULT_NODES, DEFAULT_BATCH);
+    let runs = bench::amazon_runs(&Platform::BG_CHAIN, DEFAULT_NODES, DEFAULT_BATCH);
+    for (p, m) in Platform::BG_CHAIN.into_iter().zip(runs) {
         let (w, f, a) = m.cmd_breakdown.fractions();
         t.row_owned(vec![
             p.to_string(),

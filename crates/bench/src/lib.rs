@@ -224,27 +224,36 @@ pub struct UtilizationCurves {
     pub channel_utilization: f64,
 }
 
-/// Runs one platform on amazon and extracts its utilization curves.
-pub fn fig15_curves(platform: Platform, nodes: usize, batch: usize) -> UtilizationCurves {
-    let w = workload(Dataset::Amazon, nodes, batch);
-    let m = Experiment::new(&w).run(platform);
-    let slice = Duration::from_us(50);
-    let end = simkit::SimTime::ZERO + m.prep_time;
-    UtilizationCurves {
-        platform,
-        dies: m.die_timeline.curve(slice, end),
-        channels: m.channel_timeline.curve(slice, end),
-        slice,
-        die_utilization: m.die_utilization(),
-        channel_utilization: m.channel_utilization(),
-    }
+/// Runs each of `platforms` on amazon, as one matrix: the cells behind
+/// Fig 15's utilization curves, Fig 15f's stage breakdown
+/// ([`RunMetrics::stages`]), Fig 16's hop timeline
+/// ([`RunMetrics::hop_windows`]) and Fig 17's command breakdown
+/// ([`RunMetrics::cmd_breakdown`]). Metrics come back in `platforms`
+/// order.
+pub fn amazon_runs(platforms: &[Platform], nodes: usize, batch: usize) -> Vec<RunMetrics> {
+    let mut matrix = RunMatrix::new();
+    matrix.add_platforms(platforms, &workload(Dataset::Amazon, nodes, batch));
+    run_matrix(&matrix)
 }
 
-/// Fig 15f: runs one platform on amazon and returns its metrics (the
-/// stage breakdown lives in [`RunMetrics::stages`]).
-pub fn fig15f(platform: Platform, nodes: usize, batch: usize) -> RunMetrics {
-    let w = workload(Dataset::Amazon, nodes, batch);
-    Experiment::new(&w).run(platform)
+/// Runs each platform on amazon and extracts its utilization curves.
+pub fn fig15_curves(platforms: &[Platform], nodes: usize, batch: usize) -> Vec<UtilizationCurves> {
+    let slice = Duration::from_us(50);
+    platforms
+        .iter()
+        .zip(amazon_runs(platforms, nodes, batch))
+        .map(|(&platform, m)| {
+            let end = simkit::SimTime::ZERO + m.prep_time;
+            UtilizationCurves {
+                platform,
+                dies: m.die_timeline.curve(slice, end),
+                channels: m.channel_timeline.curve(slice, end),
+                slice,
+                die_utilization: m.die_utilization(),
+                channel_utilization: m.channel_utilization(),
+            }
+        })
+        .collect()
 }
 
 /// Fig 15a–e's per-workload claim: BG-2's die/channel utilization per
@@ -267,12 +276,6 @@ pub fn fig15_dataset_utilization(nodes: usize, batch: usize) -> Vec<(Dataset, f6
 // Fig 16 — hop timeline.
 // ---------------------------------------------------------------------
 
-/// Hop windows of one platform's first batch on amazon.
-pub fn fig16(platform: Platform, nodes: usize, batch: usize) -> RunMetrics {
-    let w = workload(Dataset::Amazon, nodes, batch);
-    Experiment::new(&w).run(platform)
-}
-
 /// Fraction of hop-window time that overlaps an adjacent hop (0 for a
 /// strictly barriered platform).
 pub fn hop_overlap_fraction(m: &RunMetrics) -> f64 {
@@ -288,17 +291,6 @@ pub fn hop_overlap_fraction(m: &RunMetrics) -> f64 {
         return 0.0;
     }
     overlap.as_ns() as f64 / total.as_ns() as f64
-}
-
-// ---------------------------------------------------------------------
-// Fig 17 — command latency breakdown.
-// ---------------------------------------------------------------------
-
-/// Runs one platform on amazon; the breakdown lives in
-/// [`RunMetrics::cmd_breakdown`].
-pub fn fig17(platform: Platform, nodes: usize, batch: usize) -> RunMetrics {
-    let w = workload(Dataset::Amazon, nodes, batch);
-    Experiment::new(&w).run(platform)
 }
 
 // ---------------------------------------------------------------------
@@ -728,7 +720,7 @@ pub fn dram_ablation(nodes: usize, batch: usize) -> Vec<(&'static str, f64)> {
     let base = SsdConfig::paper_default()
         .with_channels(32)
         .with_dies_per_channel(16);
-    let configs: Vec<(&'static str, SsdConfig)> = vec![
+    let configs = [
         ("32ch x 16die, baseline DRAM", base),
         ("32ch x 16die, HBM", base.with_hbm()),
         (
@@ -736,16 +728,17 @@ pub fn dram_ablation(nodes: usize, batch: usize) -> Vec<(&'static str, f64)> {
             base.with_dram_bypass(true),
         ),
     ];
+    let mut matrix = RunMatrix::new();
+    for &(_, ssd) in &configs {
+        matrix.push(RunCell::new(Platform::Bg2, Arc::clone(&w)).ssd(ssd));
+    }
+    // Report the data-preparation rate: at this geometry the backend
+    // outruns the mini-batch computation, so end-to-end throughput
+    // would mask the DRAM effect §VIII describes.
     configs
-        .into_iter()
-        .map(|(name, ssd)| {
-            // Report the data-preparation rate: at this geometry the
-            // backend outruns the mini-batch computation, so end-to-end
-            // throughput would mask the DRAM effect §VIII describes.
-            let m = Experiment::new(&w).ssd(ssd).run(Platform::Bg2);
-            let prep_rate = m.targets as f64 / m.prep_time.as_secs_f64();
-            (name, prep_rate)
-        })
+        .iter()
+        .zip(run_matrix(&matrix))
+        .map(|(&(name, _), m)| (name, m.targets as f64 / m.prep_time.as_secs_f64()))
         .collect()
 }
 
@@ -888,21 +881,24 @@ fn latency_row(platform: Platform, batch_size: usize, m: &RunMetrics) -> Latency
 
 /// Runs the latency figure: [`LATENCY_PLATFORMS`] at each arrival
 /// intensity of [`LATENCY_BATCHES`], with per-query latency tracking
-/// on. Each intensity's sampling cascade is recorded once and replayed
-/// per platform (replay is byte-identical to the full path, so whether
-/// `BEACON_REPLAY` is on changes only the wall-clock).
+/// on, as one matrix. Each intensity's sampling cascade is recorded
+/// once and replayed per platform (replay is byte-identical to the full
+/// path, so whether `BEACON_REPLAY` is on changes only the wall-clock).
 pub fn latency_figure(nodes: usize) -> Vec<LatencyRow> {
-    let mut rows = Vec::new();
+    let mut matrix = RunMatrix::new();
     for &batch in &LATENCY_BATCHES {
         let w = workload_with(Dataset::Amazon, nodes, batch, 2);
-        let exp = Experiment::new(&w);
-        exp.prime_replay();
         for p in LATENCY_PLATFORMS {
-            let m = exp.run_latency(p, LATENCY_EPOCH);
-            rows.push(latency_row(p, batch, &m));
+            matrix.push(RunCell::new(p, Arc::clone(&w)).latency(LATENCY_EPOCH));
         }
     }
-    rows
+    let cells = LATENCY_BATCHES
+        .iter()
+        .flat_map(|&batch| LATENCY_PLATFORMS.map(|p| (p, batch)));
+    cells
+        .zip(run_matrix(&matrix))
+        .map(|((p, batch), m)| latency_row(p, batch, &m))
+        .collect()
 }
 
 /// The latency figure's showcase cell — BG-2 at the highest swept
@@ -912,9 +908,9 @@ pub fn latency_figure(nodes: usize) -> Vec<LatencyRow> {
 pub fn latency_showcase(nodes: usize) -> RunMetrics {
     let batch = LATENCY_BATCHES[LATENCY_BATCHES.len() - 1];
     let w = workload_with(Dataset::Amazon, nodes, batch, 2);
-    let exp = Experiment::new(&w);
-    exp.prime_replay();
-    exp.run_latency(Platform::Bg2, LATENCY_EPOCH)
+    let mut matrix = RunMatrix::new();
+    matrix.push(RunCell::new(Platform::Bg2, w).latency(LATENCY_EPOCH));
+    run_matrix(&matrix).pop().expect("one cell, one result")
 }
 
 /// Measures the §VI-G deferral window across batch sizes on BG-2.
@@ -950,10 +946,8 @@ mod tests {
 
     #[test]
     fn fig14_small_scale_ordering() {
-        let w = workload(Dataset::Amazon, 3_000, 64);
-        let exp = Experiment::new(&w);
-        let cc = exp.run(Platform::Cc).throughput();
-        let bg2 = exp.run(Platform::Bg2).throughput();
+        let runs = amazon_runs(&[Platform::Cc, Platform::Bg2], 3_000, 64);
+        let (cc, bg2) = (runs[0].throughput(), runs[1].throughput());
         assert!(bg2 > 4.0 * cc, "BG-2/CC = {:.1}", bg2 / cc);
     }
 
@@ -970,13 +964,13 @@ mod tests {
 
     #[test]
     fn hop_overlap_discriminates_platforms() {
-        let barrier = fig16(Platform::Bg1, 2_000, 32);
-        let ooo = fig16(Platform::Bg2, 2_000, 32);
-        assert_eq!(hop_overlap_fraction(&barrier), 0.0);
+        let runs = amazon_runs(&[Platform::Bg1, Platform::Bg2], 2_000, 32);
+        let (barrier, ooo) = (&runs[0], &runs[1]);
+        assert_eq!(hop_overlap_fraction(barrier), 0.0);
         assert!(
-            hop_overlap_fraction(&ooo) > 0.1,
+            hop_overlap_fraction(ooo) > 0.1,
             "{}",
-            hop_overlap_fraction(&ooo)
+            hop_overlap_fraction(ooo)
         );
     }
 

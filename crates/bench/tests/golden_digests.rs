@@ -14,8 +14,7 @@ use std::sync::Arc;
 use beacon_bench as bench;
 use beacongnn::platforms::{Engine, PartitionedEngine};
 use beacongnn::{
-    ArrayConfig, ArrayEngine, Dataset, Experiment, Partition, Platform, RunCell, RunMatrix,
-    SsdConfig, Workload,
+    ArrayConfig, ArrayEngine, Dataset, Partition, Platform, RunCell, RunMatrix, SsdConfig, Workload,
 };
 
 /// FNV-1a fold over a result stream's bytes.
@@ -110,7 +109,9 @@ fn smoke_fig18_digest_is_pinned() {
 #[test]
 fn latency_report_digest_is_pinned() {
     let w = bench::workload(Dataset::Amazon, 4_000, 64);
-    let m = Experiment::new(&w).run_latency(Platform::Bg2, simkit::Duration::from_ms(1));
+    let mut matrix = RunMatrix::new();
+    matrix.push(RunCell::new(Platform::Bg2, w).latency(simkit::Duration::from_ms(1)));
+    let m = matrix.run_sequential().pop().expect("one cell, one result");
     let lat = &m.latency;
     let h = lat.histogram();
     let mut d = FNV_OFFSET;

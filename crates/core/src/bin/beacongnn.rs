@@ -14,10 +14,11 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use beacongnn::directgraph::DirectGraph;
 use beacongnn::report::{percent, ratio, throughput, Table};
-use beacongnn::{Dataset, Experiment, Platform, Workload};
+use beacongnn::{Dataset, Experiment, Platform, RunMatrix, Workload};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -280,13 +281,18 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn compare(args: &[String]) -> Result<(), String> {
     let flags = Flags { args };
-    let w = build_workload(&flags)?;
-    let exp = Experiment::new(&w);
-    let norm = exp.normalized_throughput(&Platform::ALL);
+    let w = Arc::new(build_workload(&flags)?);
+    let mut matrix = RunMatrix::new();
+    matrix.add_platforms(&Platform::ALL, &w);
+    let runs = matrix.run_parallel(beacongnn::default_jobs());
+    let cc = runs[0].throughput();
     let mut t = Table::new(&["platform", "throughput", "vs CC"]);
-    let runs = exp.run_all(&Platform::ALL);
-    for ((p, x), (_, m)) in norm.iter().zip(&runs) {
-        t.row_owned(vec![p.to_string(), throughput(m.throughput()), ratio(*x)]);
+    for (p, m) in Platform::ALL.iter().zip(&runs) {
+        t.row_owned(vec![
+            p.to_string(),
+            throughput(m.throughput()),
+            ratio(m.throughput() / cc),
+        ]);
     }
     println!("{}", t.render());
     Ok(())

@@ -17,9 +17,10 @@
 //! This crate is the user-facing facade: build a workload once with
 //! [`Workload::builder`] + [`WorkloadBuilder::prepare`], run any of the
 //! paper's eight platforms on it with [`Experiment::run`], fan whole
-//! sweeps across cores deterministically with [`RunMatrix`] +
-//! [`ParallelRunner`], and format paper-style comparison tables with
-//! [`report`].
+//! sweeps across cores deterministically with
+//! [`RunMatrix::run_parallel`] (both go through one record/replay
+//! executor, [`ReplayCache`]), and format paper-style comparison tables
+//! with [`report`].
 //!
 //! ## Quickstart
 //!
@@ -55,7 +56,7 @@ pub use beacon_platforms::{
     ArrayCascade, ArrayConfig, ArrayEngine, ArrayRunMetrics, CascadeRecording, Platform, RunMetrics,
 };
 pub use beacon_ssd::{FabricConfig, SsdConfig};
-pub use matrix::{default_jobs, ParallelRunner, RunCell, RunMatrix, WorkloadCache};
+pub use matrix::{default_jobs, RunCell, RunMatrix, WorkloadCache};
 pub use replaycache::{replay_key, ReplayCache, ReplayStats};
 pub use runner::Experiment;
 pub use workload::{Workload, WorkloadBuilder, WorkloadError};

@@ -7,16 +7,21 @@
 //! keeps the two concerns apart:
 //!
 //! * **Identity** — a [`RunCell`] owns everything one simulation needs
-//!   (platform, shared [`Workload`], [`SsdConfig`], seed). Seeds are
-//!   either inherited from the workload (matching the legacy
-//!   [`Experiment`](crate::Experiment) path bit-for-bit) or derived
+//!   (platform, shared [`Workload`], [`SsdConfig`], seed, optional
+//!   latency tracking). Seeds are either inherited from the workload
+//!   (matching [`Experiment`](crate::Experiment) bit-for-bit) or derived
 //!   from the *cell's identity* via [`RunCell::derive_seed`] — never
 //!   from the position a cell happens to run in.
-//! * **Schedule** — [`ParallelRunner`] fans cells out over scoped
-//!   worker threads and writes each result into the cell's own indexed
-//!   slot. Workers steal cells from a shared counter, so the schedule
-//!   varies run to run, but no cell can observe it: output order and
-//!   content are byte-identical at any `--jobs` count, including 1.
+//! * **Schedule** — [`RunMatrix::run_parallel`] fans cells out over
+//!   scoped worker threads ([`simkit::par::map_indexed`]) and writes each
+//!   result into the cell's own indexed slot. Workers steal cells from a
+//!   shared counter, so the schedule varies run to run, but no cell can
+//!   observe it: output order and content are byte-identical at any
+//!   `--jobs` count, including 1.
+//!
+//! Every simulated cell, matrix or [`Experiment::run`](crate::Experiment::run),
+//! executes through [`ReplayCache`]'s one executor, which decides per
+//! cell whether to record, replay or run in full.
 //!
 //! Shared immutable inputs (the DirectGraph image, CSR graph and
 //! feature table inside a [`Workload`]) are reference-counted with
@@ -26,11 +31,11 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use beacon_platforms::{Engine, EngineScratch, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
+use simkit::Duration;
 
 use crate::diskcache;
 use crate::replaycache::ReplayCache;
@@ -93,6 +98,9 @@ pub struct RunCell {
     pub ssd: SsdConfig,
     /// Die-TRNG seed for this cell.
     pub seed: u64,
+    /// Per-query latency tracking's window epoch, or `None` for an
+    /// untracked run (see [`RunCell::latency`]).
+    pub latency: Option<Duration>,
 }
 
 impl RunCell {
@@ -107,6 +115,7 @@ impl RunCell {
             workload,
             ssd,
             seed,
+            latency: None,
         }
     }
 
@@ -120,6 +129,15 @@ impl RunCell {
     /// Overrides the seed explicitly.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Tracks per-query latency: the cell's metrics carry the latency
+    /// histogram, tail percentiles and critical-path attribution, with
+    /// per-window percentile rows every `epoch` of sim time. Timing is
+    /// unchanged; latency tracking is bookkeeping only.
+    pub fn latency(mut self, epoch: Duration) -> Self {
+        self.latency = Some(epoch);
         self
     }
 
@@ -139,7 +157,7 @@ impl RunCell {
         self
     }
 
-    /// Runs the simulation.
+    /// Runs the simulation in full (never through a replay cache).
     pub fn execute(&self) -> RunMetrics {
         let mut scratch = EngineScratch::new();
         self.execute_with(&mut scratch)
@@ -150,14 +168,48 @@ impl RunCell {
     /// outcome pool instead of growing fresh ones per cell. Results are
     /// bit-identical to [`RunCell::execute`].
     pub fn execute_with(&self, scratch: &mut EngineScratch) -> RunMetrics {
-        Engine::new(
+        let cell = self.by_ref();
+        cell.engine().run_with(scratch, cell.workload.batches())
+    }
+
+    /// This cell with its workload borrowed.
+    pub(crate) fn by_ref(&self) -> CellRef<'_> {
+        CellRef {
+            platform: self.platform,
+            workload: &self.workload,
+            ssd: self.ssd,
+            seed: self.seed,
+            latency: self.latency,
+        }
+    }
+}
+
+/// A cell whose workload is borrowed: the unit [`ReplayCache`] plans
+/// and executes. [`RunCell`]s and [`Experiment`](crate::Experiment)
+/// runs both lower to it, so one executor serves both.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellRef<'a> {
+    pub(crate) platform: Platform,
+    pub(crate) workload: &'a Workload,
+    pub(crate) ssd: SsdConfig,
+    pub(crate) seed: u64,
+    pub(crate) latency: Option<Duration>,
+}
+
+impl<'a> CellRef<'a> {
+    /// The cell's engine, latency tracking included when requested.
+    pub(crate) fn engine(&self) -> Engine<'a> {
+        let engine = Engine::new(
             self.platform,
             self.ssd,
             self.workload.model(),
             self.workload.directgraph(),
             self.seed,
-        )
-        .run_with(scratch, self.workload.batches())
+        );
+        match self.latency {
+            Some(epoch) => engine.with_latency(epoch),
+            None => engine,
+        }
     }
 }
 
@@ -183,8 +235,7 @@ impl RunMatrix {
     }
 
     /// Appends one default cell per platform (shared workload,
-    /// paper-default SSD, workload seed) — the matrix equivalent of
-    /// `Experiment::run_all`.
+    /// paper-default SSD, workload seed).
     pub fn add_platforms(&mut self, platforms: &[Platform], workload: &Arc<Workload>) {
         for &p in platforms {
             self.push(RunCell::new(p, Arc::clone(workload)));
@@ -229,119 +280,39 @@ impl RunMatrix {
     /// byte-identical to the full path, so results never depend on
     /// whether a cell replayed.
     pub fn run_sequential(&self) -> Vec<RunMetrics> {
-        self.run_sequential_with(ReplayCache::global())
+        self.run_parallel(1)
     }
 
     /// [`RunMatrix::run_sequential`] against a caller-owned
     /// [`ReplayCache`] (tests inject isolated or disabled caches).
     pub fn run_sequential_with(&self, cache: &ReplayCache) -> Vec<RunMetrics> {
-        let plan = cache.plan(&self.cells);
-        let mut scratch = EngineScratch::new();
-        self.cells
-            .iter()
-            .zip(&plan)
-            .map(|(c, k)| cache.execute_cell(c, k.as_deref(), &mut scratch))
-            .collect()
+        self.run_parallel_with(1, cache)
     }
 
-    /// Executes the matrix on `jobs` worker threads; see
-    /// [`ParallelRunner::run`].
-    pub fn run_parallel(&self, jobs: usize) -> Vec<RunMetrics> {
-        ParallelRunner::new(jobs).run(self)
-    }
-}
-
-/// Executes a [`RunMatrix`] across scoped worker threads.
-///
-/// Workers pull cell indices from a shared atomic counter (work
-/// stealing, so an unlucky long cell does not stall a whole stripe) and
-/// write each result into the cell's own slot. Because every cell's
-/// seed is fixed before execution starts and cells share no mutable
-/// state, the result vector is bit-identical to
-/// [`RunMatrix::run_sequential`] at any job count.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelRunner {
-    jobs: usize,
-}
-
-impl ParallelRunner {
-    /// A runner with an explicit worker count (clamped to ≥ 1).
-    pub fn new(jobs: usize) -> Self {
-        ParallelRunner { jobs: jobs.max(1) }
-    }
-
-    /// A runner sized to the host: one worker per available core.
-    pub fn host_sized() -> Self {
-        Self::new(default_jobs())
-    }
-
-    /// The worker count in effect.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Executes every cell of `matrix` and returns the metrics in cell
-    /// order.
+    /// Executes the matrix on `jobs` worker threads (clamped to 1 and
+    /// to the cell count) through [`ReplayCache::global`], and returns
+    /// the metrics in cell order.
+    ///
+    /// Workers pull cell indices from a shared counter, so an unlucky
+    /// long cell does not stall a whole stripe, and each keeps one warm
+    /// scratch for every cell it takes. Every cell's seed is fixed before
+    /// execution starts and cells share no mutable state, so the result
+    /// is bit-identical to [`RunMatrix::run_sequential`] at any job
+    /// count.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics (a cell's simulation panicked).
-    pub fn run(&self, matrix: &RunMatrix) -> Vec<RunMetrics> {
-        self.run_with(matrix, ReplayCache::global())
+    /// Re-raises a panic from any cell's simulation.
+    pub fn run_parallel(&self, jobs: usize) -> Vec<RunMetrics> {
+        self.run_parallel_with(jobs, ReplayCache::global())
     }
 
-    /// [`ParallelRunner::run`] against a caller-owned [`ReplayCache`]
-    /// (tests inject isolated or disabled caches). The replay plan is
-    /// fixed before any worker starts — the identical plan the
-    /// sequential path computes — so the work-stealing schedule cannot
-    /// influence which cells replay.
-    pub fn run_with(&self, matrix: &RunMatrix, cache: &ReplayCache) -> Vec<RunMetrics> {
-        let cells = matrix.cells();
-        let jobs = self.jobs.min(cells.len().max(1));
-        if jobs <= 1 {
-            return matrix.run_sequential_with(cache);
-        }
-        let plan = cache.plan(cells);
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<RunMetrics>> = Vec::new();
-        results.resize_with(cells.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // Per-worker scratch: each worker's calendar,
-                        // drain buffer and outcome pool warm up
-                        // once and serve every cell it steals, keeping
-                        // workers out of the global allocator (the main
-                        // cross-thread contention point).
-                        let mut scratch = EngineScratch::new();
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(cell) = cells.get(i) else { break };
-                            let key = plan[i].as_deref();
-                            mine.push((i, cache.execute_cell(cell, key, &mut scratch)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, metrics) in handle.join().expect("experiment worker panicked") {
-                    results[i] = Some(metrics);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.expect("every cell executed"))
-            .collect()
-    }
-}
-
-impl Default for ParallelRunner {
-    fn default() -> Self {
-        Self::host_sized()
+    /// [`RunMatrix::run_parallel`] against a caller-owned
+    /// [`ReplayCache`]. The replay plan is fixed before any worker
+    /// starts, so the schedule cannot influence which cells replay.
+    pub fn run_parallel_with(&self, jobs: usize, cache: &ReplayCache) -> Vec<RunMetrics> {
+        let cells: Vec<CellRef<'_>> = self.cells.iter().map(RunCell::by_ref).collect();
+        cache.run(&cells, jobs)
     }
 }
 
@@ -564,9 +535,14 @@ mod tests {
 
     #[test]
     fn runner_clamps_jobs_and_handles_empty() {
-        let runner = ParallelRunner::new(0);
-        assert_eq!(runner.jobs(), 1);
-        assert!(runner.run(&RunMatrix::new()).is_empty());
+        let w = small_workload();
+        let mut matrix = RunMatrix::new();
+        matrix.add_platforms(&[Platform::Bg2], &w);
+        assert_eq!(
+            key(&matrix.run_parallel(0)[0]),
+            key(&matrix.run_sequential()[0])
+        );
+        assert!(RunMatrix::new().run_parallel(4).is_empty());
         assert!(RunMatrix::new().is_empty());
         assert!(default_jobs() >= 1);
     }

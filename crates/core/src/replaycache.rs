@@ -78,7 +78,7 @@ use beacon_platforms::{CascadeRecording, Engine, EngineScratch, Platform, RunMet
 use beacon_ssd::SsdConfig;
 
 use crate::diskcache;
-use crate::matrix::RunCell;
+use crate::matrix::CellRef;
 use crate::workload::Workload;
 
 /// Versions the recording semantics; bump when sampler draw derivation
@@ -136,8 +136,8 @@ struct Slot {
 /// [`RunCell`]s by replaying it.
 ///
 /// Internally synchronized; the process-wide instance behind
-/// [`ReplayCache::global`] is what [`crate::RunMatrix::run_sequential`]
-/// and [`crate::ParallelRunner::run`] consult. Tests inject their own
+/// [`ReplayCache::global`] is what [`crate::RunMatrix::run_parallel`]
+/// and [`crate::Experiment::run`] consult. Tests inject their own
 /// instances ([`ReplayCache::in_memory`], [`ReplayCache::with_disk_dir`],
 /// [`ReplayCache::disabled`]) so they never mutate process-global state.
 #[derive(Debug, Default)]
@@ -222,23 +222,20 @@ impl ReplayCache {
     /// memo cannot serve it (cache inactive, or no workload
     /// fingerprint). `SsdConfig`'s `Debug` form is the same identity
     /// string [`RunCell::derive_seed`](crate::RunCell::derive_seed)
-    /// hashes. Latency-tracked runs key under a `|lat=` variant so a
+    /// hashes. Latency-tracked cells key under a `|lat=` variant so a
     /// plain run's memoized metrics (whose latency report is disabled)
     /// are never served to a latency request, or vice versa.
-    fn memo_key(
-        &self,
-        platform: Platform,
-        ssd: &SsdConfig,
-        workload: &Workload,
-        seed: u64,
-        lat: Option<simkit::Duration>,
-    ) -> Option<String> {
+    fn memo_key(&self, cell: &CellRef<'_>) -> Option<String> {
         if !self.is_active() {
             return None;
         }
-        let key = replay_key(workload, seed)?;
-        let mut key = format!("{key}|platform={}|ssd={ssd:?}", platform.spec().name);
-        if let Some(epoch) = lat {
+        let key = replay_key(cell.workload, cell.seed)?;
+        let mut key = format!(
+            "{key}|platform={}|ssd={:?}",
+            cell.platform.spec().name,
+            cell.ssd
+        );
+        if let Some(epoch) = cell.latency {
             key.push_str(&format!("|lat={}", epoch.as_ns()));
         }
         Some(key)
@@ -260,22 +257,32 @@ impl ReplayCache {
         memo.entry(key).or_insert_with(|| Arc::new(metrics.clone()));
     }
 
-    /// Decides, before a matrix executes, which cells replay: for each
+    /// Executes `cells` on up to `jobs` workers and returns their
+    /// metrics in cell order: the one executor behind every matrix and
+    /// every [`Experiment::run`](crate::Experiment::run). The plan is
+    /// fixed first, so the schedule cannot influence what replays.
+    pub(crate) fn run(&self, cells: &[CellRef<'_>], jobs: usize) -> Vec<RunMetrics> {
+        let plan = self.plan(cells);
+        simkit::par::map_indexed(jobs, cells.len(), EngineScratch::new, |scratch, i| {
+            self.execute_cell(&cells[i], plan[i].as_deref(), scratch)
+        })
+    }
+
+    /// Decides, before any cell executes, which cells replay: for each
     /// cell either `Some(key)` (record-once/replay-many) or `None` (full
     /// run). A key qualifies when ≥ 2 cells share it — the record cost
-    /// amortizes inside this matrix — or a recording for it is already
-    /// cached in memory or on disk. The plan is fixed up front and
-    /// shared verbatim by the sequential and parallel paths, so the
-    /// executor's schedule can never influence what replays; and since
-    /// replay is byte-identical to a full run, the plan itself only ever
-    /// affects wall-clock, not results.
-    pub(crate) fn plan(&self, cells: &[RunCell]) -> Vec<Option<String>> {
+    /// amortizes inside this run — or a recording for it is already
+    /// cached in memory or on disk. This is the only place that chooses
+    /// between record, replay and full run; since replay is
+    /// byte-identical to a full run, the plan only ever affects
+    /// wall-clock, not results.
+    fn plan(&self, cells: &[CellRef<'_>]) -> Vec<Option<String>> {
         if !self.is_active() {
             return vec![None; cells.len()];
         }
         let keys: Vec<Option<String>> = cells
             .iter()
-            .map(|c| replay_key(&c.workload, c.seed))
+            .map(|c| replay_key(c.workload, c.seed))
             .collect();
         let mut counts: HashMap<String, usize> = HashMap::new();
         for k in keys.iter().flatten() {
@@ -300,40 +307,32 @@ impl ReplayCache {
             .is_some_and(|dir| diskcache::recording_path(dir, key).exists())
     }
 
-    /// Executes one cell under the pre-computed plan: serving identical
+    /// Executes one cell under the plan: serving identical
     /// already-executed cells from the memo, replaying via the cached
     /// recording when `key` is set, and running the untouched full path
     /// otherwise (memoizing either outcome for later identical cells).
-    pub(crate) fn execute_cell(
+    fn execute_cell(
         &self,
-        cell: &RunCell,
+        cell: &CellRef<'_>,
         key: Option<&str>,
         scratch: &mut EngineScratch,
     ) -> RunMetrics {
-        let memo_key = self.memo_key(cell.platform, &cell.ssd, &cell.workload, cell.seed, None);
-        if let Some(mk) = &memo_key {
-            if let Some(m) = self.memo_get(mk) {
-                return m;
-            }
+        let memo_key = self.memo_key(cell);
+        if let Some(m) = memo_key.as_deref().and_then(|k| self.memo_get(k)) {
+            return m;
         }
+        let batches = cell.workload.batches();
         let metrics = match key {
             None => {
                 if self.is_active() {
                     self.fallbacks.fetch_add(1, Ordering::Relaxed);
                 }
-                cell.execute_with(scratch)
+                cell.engine().run_with(scratch, batches)
             }
             Some(key) => {
-                let recording = self.get_or_record(key, &cell.workload, cell.seed, scratch);
+                let recording = self.get_or_record(key, cell.workload, cell.seed, scratch);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Engine::new(
-                    cell.platform,
-                    cell.ssd,
-                    cell.workload.model(),
-                    cell.workload.directgraph(),
-                    cell.seed,
-                )
-                .replay_with(scratch, &recording, cell.workload.batches())
+                cell.engine().replay_with(scratch, &recording, batches)
             }
         };
         if let Some(mk) = memo_key {
@@ -342,93 +341,12 @@ impl ReplayCache {
         metrics
     }
 
-    /// Executes one stand-alone run (the [`crate::Experiment::run`]
-    /// path) through the cache: identical earlier runs — including
-    /// matrix cells — are served from the memo, a key whose recording
-    /// is already cached replays, and everything else runs the full
-    /// path and populates the memo. A single run never *records*: with
-    /// no sibling cells to amortize it, recording costs more than it
-    /// saves (the same rule [`ReplayCache::plan`] applies to single-use
-    /// keys).
-    pub(crate) fn run_single(
-        &self,
-        platform: Platform,
-        ssd: SsdConfig,
-        workload: &Workload,
-        seed: u64,
-    ) -> RunMetrics {
-        self.run_single_inner(platform, ssd, workload, seed, None)
-    }
-
-    /// [`ReplayCache::run_single`] with per-query latency tracking
-    /// enabled at `epoch` (the [`crate::Experiment::run_latency`]
-    /// path). Latency runs share the same recordings as plain runs —
-    /// the cascade does not depend on whether latency is tracked — but
-    /// memoize under their own `|lat=` variant key.
-    pub(crate) fn run_single_lat(
-        &self,
-        platform: Platform,
-        ssd: SsdConfig,
-        workload: &Workload,
-        seed: u64,
-        epoch: simkit::Duration,
-    ) -> RunMetrics {
-        self.run_single_inner(platform, ssd, workload, seed, Some(epoch))
-    }
-
-    fn run_single_inner(
-        &self,
-        platform: Platform,
-        ssd: SsdConfig,
-        workload: &Workload,
-        seed: u64,
-        lat: Option<simkit::Duration>,
-    ) -> RunMetrics {
-        let engine = || {
-            let e = Engine::new(
-                platform,
-                ssd,
-                workload.model(),
-                workload.directgraph(),
-                seed,
-            );
-            match lat {
-                Some(epoch) => e.with_latency(epoch),
-                None => e,
-            }
-        };
-        if !self.is_active() {
-            return engine().run(workload.batches());
-        }
-        let mk = self.memo_key(platform, &ssd, workload, seed, lat);
-        if let Some(mk) = &mk {
-            if let Some(m) = self.memo_get(mk) {
-                return m;
-            }
-        }
-        let metrics = match replay_key(workload, seed).filter(|k| self.has_recording(k)) {
-            Some(key) => {
-                let mut scratch = EngineScratch::new();
-                let recording = self.get_or_record(&key, workload, seed, &mut scratch);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                engine().replay_with(&mut scratch, &recording, workload.batches())
-            }
-            None => engine().run(workload.batches()),
-        };
-        if let Some(mk) = mk {
-            self.memo_put(mk, &metrics);
-        }
-        metrics
-    }
-
     /// Records the workload's sampling cascade into this cache (loading
     /// it from disk if a sibling process already recorded it) so that
-    /// subsequent [`Experiment::run`](crate::Experiment::run) /
-    /// [`Experiment::run_latency`](crate::Experiment::run_latency) calls
-    /// replay instead of running the sampler. Returns whether a
+    /// later cells over the same workload and seed replay instead of
+    /// running the sampler, even one at a time. Returns whether a
     /// recording is now available — `false` when the cache is inactive
-    /// or the workload has no fingerprint. The record cost amortizes whenever more than one
-    /// platform or device configuration runs the same workload.
+    /// or the workload has no fingerprint.
     pub fn prime_recording(&self, workload: &Workload, seed: u64) -> bool {
         if !self.is_active() {
             return false;

@@ -1,8 +1,9 @@
 //! Experiment runner: platforms × workloads × device configs.
 
-use beacon_platforms::{ArrayConfig, ArrayEngine, Engine, Platform, RunMetrics};
+use beacon_platforms::{ArrayConfig, ArrayEngine, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 
+use crate::matrix::CellRef;
 use crate::replaycache::ReplayCache;
 use crate::workload::Workload;
 
@@ -56,18 +57,30 @@ impl<'a> Experiment<'a> {
         self.ssd
     }
 
+    /// One platform's cell, with the workload borrowed.
+    fn cell(&self, platform: Platform) -> CellRef<'a> {
+        CellRef {
+            platform,
+            workload: self.workload,
+            ssd: self.ssd,
+            seed: self.seed,
+            latency: None,
+        }
+    }
+
     /// Runs one platform end-to-end.
     ///
-    /// The run is served through [`ReplayCache::global`]: an identical
-    /// earlier run (same platform, device configuration, workload and
-    /// seed — whether from an [`Experiment`] or a matrix cell) returns
-    /// its memoized metrics, a workload whose cascade is already
-    /// recorded replays it under this configuration, and anything else
-    /// executes the full engine. All three paths are byte-identical
-    /// (property-tested); set `BEACON_REPLAY=0` to force full
-    /// execution.
+    /// The run is a one-cell plan on [`ReplayCache::global`], the same
+    /// executor every [`RunMatrix`](crate::RunMatrix) uses: an identical
+    /// earlier cell (same platform, device configuration, workload and
+    /// seed) returns its memoized metrics, a workload whose cascade is
+    /// already recorded replays it under this configuration, and
+    /// anything else executes the full engine. All three paths are
+    /// byte-identical (property-tested); set `BEACON_REPLAY=0` to force
+    /// full execution.
     pub fn run(&self, platform: Platform) -> RunMetrics {
-        ReplayCache::global().run_single(platform, self.ssd, self.workload, self.seed)
+        let mut runs = ReplayCache::global().run(&[self.cell(platform)], 1);
+        runs.pop().expect("one cell, one result")
     }
 
     /// Builds the multi-SSD array engine for one platform (see
@@ -93,61 +106,13 @@ impl<'a> Experiment<'a> {
     /// mirror statistics (BG-2), and the FTL setup-replay statistics.
     ///
     /// Timing is identical to [`Experiment::run`]; observability is
-    /// bookkeeping only.
+    /// bookkeeping only. The run is always a direct engine run, never
+    /// served by the replay cache.
     pub fn run_observed(&self, platform: Platform, span_capacity: usize) -> RunMetrics {
-        Engine::new(
-            platform,
-            self.ssd,
-            self.workload.model(),
-            self.workload.directgraph(),
-            self.seed,
-        )
-        .with_obs(span_capacity)
-        .run(self.workload.batches())
-    }
-
-    /// Runs one platform with per-query latency tracking enabled: the
-    /// returned metrics carry the streaming latency histogram, tail
-    /// percentiles and per-query critical-path stage attribution (the
-    /// `latency` and `latency_breakdown` registry sections), with
-    /// per-window percentile rows every `epoch` of sim time.
-    ///
-    /// Timing is identical to [`Experiment::run`]; latency tracking is
-    /// bookkeeping only. The run is served through
-    /// [`ReplayCache::global`] like [`Experiment::run`] — a cached
-    /// cascade replays (byte-identical, property-tested) and identical
-    /// latency runs are memoized under their own variant key, so a
-    /// plain run's metrics (whose latency report is disabled) are never
-    /// served here.
-    pub fn run_latency(&self, platform: Platform, epoch: simkit::Duration) -> RunMetrics {
-        ReplayCache::global().run_single_lat(platform, self.ssd, self.workload, self.seed, epoch)
-    }
-
-    /// Records this experiment's sampling cascade into the global
-    /// replay cache (or loads a previously persisted recording), so
-    /// that subsequent [`Experiment::run`] / [`Experiment::run_latency`]
-    /// calls over the same workload and seed replay it instead of
-    /// re-running the sampler. Returns whether a recording is
-    /// available; `false` when replay is disabled or the workload has
-    /// no fingerprint. Worth calling once before sweeping several
-    /// platforms or device configurations over one workload.
-    pub fn prime_replay(&self) -> bool {
-        ReplayCache::global().prime_recording(self.workload, self.seed)
-    }
-
-    /// Runs several platforms and returns `(platform, metrics)` pairs.
-    pub fn run_all(&self, platforms: &[Platform]) -> Vec<(Platform, RunMetrics)> {
-        platforms.iter().map(|&p| (p, self.run(p))).collect()
-    }
-
-    /// Runs `platforms` and returns their throughputs normalized to the
-    /// first entry (the paper normalizes to CC).
-    pub fn normalized_throughput(&self, platforms: &[Platform]) -> Vec<(Platform, f64)> {
-        let runs = self.run_all(platforms);
-        let base = runs.first().map(|(_, m)| m.throughput()).unwrap_or(1.0);
-        runs.into_iter()
-            .map(|(p, m)| (p, m.throughput() / base))
-            .collect()
+        self.cell(platform)
+            .engine()
+            .with_obs(span_capacity)
+            .run(self.workload.batches())
     }
 }
 
@@ -174,18 +139,6 @@ mod tests {
         assert_eq!(m.platform, "BG-2");
         assert_eq!(m.targets, 16);
         assert!(m.throughput() > 0.0);
-    }
-
-    #[test]
-    fn normalized_throughput_base_is_one() {
-        let w = small_workload();
-        let norm = Experiment::new(&w).normalized_throughput(&[
-            Platform::Cc,
-            Platform::Bg1,
-            Platform::Bg2,
-        ]);
-        assert_eq!(norm[0].1, 1.0);
-        assert!(norm[2].1 > norm[0].1);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! runtime (used by benchmarks sweeping thread counts and by
 //! determinism tests).
 //!
+//! [`map_indexed`] is the same discipline for callers that pick their
+//! own worker count (the experiment runners' `--jobs`): each index's
+//! result lands in its own slot, so the output is in index order at any
+//! worker count.
+//!
 //! # Examples
 //!
 //! ```
@@ -105,6 +110,64 @@ where
             });
         }
     });
+}
+
+/// Computes `f(&mut state, i)` for every `i` in `0..n` on up to
+/// `workers` scoped threads and returns the results in index order.
+///
+/// Each worker makes one `state` with `init` and passes it to every
+/// index it takes (a reusable scratch), and takes the next index from a
+/// shared counter, so one slow index does not hold up a fixed stripe.
+/// With one worker, or at most one index, everything runs inline on the
+/// caller's thread, in order. The output cannot observe the schedule as
+/// long as `f`'s result depends only on `i`, not on what the state
+/// served before.
+///
+/// # Panics
+///
+/// Re-raises a panic from `f` (or `init`) on the caller's thread.
+pub fn map_indexed<S, T, I, F>(workers: usize, n: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let workers = workers.min(n);
+    if workers <= 1 {
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<Option<T>> = Vec::new();
+    out.resize_with(n, || None);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break mine;
+                        }
+                        mine.push((i, f(&mut state, i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let mine = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, v) in mine {
+                out[i] = Some(v);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|v| v.expect("every index mapped"))
+        .collect()
 }
 
 /// Splits `data` into fixed `chunk`-element pieces and applies `f` to
@@ -218,6 +281,51 @@ mod tests {
         // thread, in submission order.
         assert_eq!(inline_hits.load(Ordering::Relaxed), 8);
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_indexed_is_in_index_order_at_any_worker_count() {
+        let expected: Vec<u64> = (0..50u64).map(|i| i * i).collect();
+        for workers in [0, 1, 2, 8, 100] {
+            let inits = AtomicUsize::new(0);
+            let got = map_indexed(
+                workers,
+                50,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0u64
+                },
+                |served, i| {
+                    *served += 1;
+                    (i * i) as u64
+                },
+            );
+            assert_eq!(got, expected, "workers={workers}");
+            // One state per worker, never more workers than indices.
+            assert!(inits.load(Ordering::Relaxed) <= workers.clamp(1, 50));
+        }
+        assert!(map_indexed(4, 0, || (), |_, i| i).is_empty());
+    }
+
+    #[test]
+    fn map_indexed_runs_inline_with_one_worker() {
+        let caller = std::thread::current().id();
+        let threads = map_indexed(1, 4, || (), |_, _| std::thread::current().id());
+        assert!(threads.iter().all(|&t| t == caller));
+    }
+
+    #[test]
+    #[should_panic(expected = "index 3 failed")]
+    fn map_indexed_re_raises_a_worker_panic() {
+        map_indexed(
+            2,
+            6,
+            || (),
+            |_, i| {
+                assert!(i != 3, "index {i} failed");
+                i
+            },
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use beacongnn::energy::EnergyLedger;
-use beacongnn::{Experiment, ParallelRunner, Platform, RunCell, RunMatrix, RunMetrics, Workload};
+use beacongnn::{Experiment, Platform, RunCell, RunMatrix, RunMetrics, Workload};
 
 const SEEDS: [u64; 3] = [3, 2024, 0xBEAC];
 
@@ -62,16 +62,8 @@ fn jobs_one_and_four_are_identical_across_seeds() {
     for seed in SEEDS {
         let w = workload(seed);
         let matrix = matrix_for(&w);
-        let j1: Vec<Signature> = ParallelRunner::new(1)
-            .run(&matrix)
-            .iter()
-            .map(signature)
-            .collect();
-        let j4: Vec<Signature> = ParallelRunner::new(4)
-            .run(&matrix)
-            .iter()
-            .map(signature)
-            .collect();
+        let j1: Vec<Signature> = matrix.run_parallel(1).iter().map(signature).collect();
+        let j4: Vec<Signature> = matrix.run_parallel(4).iter().map(signature).collect();
         assert_eq!(j1, j4, "jobs=1 vs jobs=4 diverged at workload seed {seed}");
     }
 }

@@ -6,11 +6,7 @@
 
 use std::sync::Arc;
 
-use beacongnn::platforms::Engine;
-use beacongnn::{
-    Dataset, Experiment, ParallelRunner, Platform, ReplayCache, RunCell, RunMatrix, SsdConfig,
-    Workload,
-};
+use beacongnn::{Dataset, Platform, ReplayCache, RunCell, RunMatrix, SsdConfig, Workload};
 use proptest::prelude::*;
 
 /// Windowing epoch of the latency-tracked cells.
@@ -53,6 +49,12 @@ fn registries(results: &[beacongnn::RunMetrics]) -> Vec<String> {
         .collect()
 }
 
+/// Whether every cell's latency report, per-query rows and windows
+/// included, matches between two runs of one matrix.
+fn same_latency(a: &[beacongnn::RunMetrics], b: &[beacongnn::RunMetrics]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.latency == b.latency)
+}
+
 /// One drawn device: channels, dies per channel, cores, channel
 /// bandwidth in MB/s, traditional (20 µs) flash, DRAM bypass.
 type SsdDraw = (usize, usize, usize, u64, bool, bool);
@@ -75,8 +77,9 @@ proptest! {
 
     /// Full-run vs replay vs memo byte identity at jobs 1, 2 and 8, over
     /// random dataset presets, workload shapes and seeds, with all eight
-    /// platforms each under its own random device. Latency-tracked cells
-    /// must also reproduce the full run's latency report.
+    /// platforms each under its own random device and each drawn with or
+    /// without latency tracking. Latency-tracked cells must also
+    /// reproduce the full run's latency report.
     #[test]
     fn replay_is_byte_identical_at_every_jobs_count(
         dataset in 0usize..5,
@@ -91,18 +94,20 @@ proptest! {
     ) {
         let w = preset_workload(Dataset::ALL[dataset], nodes, batch, seed);
         let mut matrix = RunMatrix::new();
-        for (&p, &draw) in Platform::ALL.iter().zip(&ssds) {
-            matrix.push(RunCell::new(p, Arc::clone(&w)).ssd(ssd_config(draw)));
+        for ((&p, &draw), &lat) in Platform::ALL.iter().zip(&ssds).zip(&tracked) {
+            let cell = RunCell::new(p, Arc::clone(&w)).ssd(ssd_config(draw));
+            matrix.push(if lat { cell.latency(EPOCH) } else { cell });
         }
-        let full: Vec<String> = matrix
-            .cells()
-            .iter()
-            .map(|c| c.execute().metrics_registry().to_json_string())
-            .collect();
+        let full_runs: Vec<_> = matrix.cells().iter().map(RunCell::execute).collect();
+        for (m, &lat) in full_runs.iter().zip(&tracked) {
+            prop_assert_eq!(m.latency.is_enabled(), lat);
+        }
+        let full = registries(&full_runs);
         for jobs in [1usize, 2, 8] {
             let cache = ReplayCache::in_memory();
-            let replayed = ParallelRunner::new(jobs).run_with(&matrix, &cache);
+            let replayed = matrix.run_parallel_with(jobs, &cache);
             prop_assert_eq!(&full, &registries(&replayed), "jobs={}", jobs);
+            prop_assert!(same_latency(&full_runs, &replayed), "jobs={}", jobs);
             let stats = cache.stats();
             prop_assert_eq!(stats.records, 1, "one shared key records once");
             prop_assert_eq!(stats.hits, matrix.len() as u64);
@@ -110,32 +115,13 @@ proptest! {
 
             // A second pass through the same cache is served entirely
             // from the exact-cell memo: no recording, no replay.
-            let memoized = ParallelRunner::new(jobs).run_with(&matrix, &cache);
+            let memoized = matrix.run_parallel_with(jobs, &cache);
             prop_assert_eq!(&full, &registries(&memoized), "memo pass, jobs={}", jobs);
+            prop_assert!(same_latency(&full_runs, &memoized), "memo pass, jobs={}", jobs);
             let again = cache.stats();
             prop_assert_eq!(again.memo_hits, matrix.len() as u64);
             prop_assert_eq!(again.records, stats.records);
             prop_assert_eq!(again.hits, stats.hits);
-        }
-
-        // Latency-tracked cells: replayed and memo-served runs against
-        // the full engine run with latency tracking.
-        for (cell, _) in matrix.cells().iter().zip(&tracked).filter(|(_, &t)| t) {
-            let exp = Experiment::new(&w).ssd(cell.ssd).seed(cell.seed);
-            prop_assert!(exp.prime_replay());
-            let reference = Engine::new(cell.platform, cell.ssd, w.model(), w.directgraph(), cell.seed)
-                .with_latency(EPOCH)
-                .run(w.batches());
-            prop_assert!(reference.latency.is_enabled());
-            for pass in ["replay", "memo"] {
-                let m = exp.run_latency(cell.platform, EPOCH);
-                prop_assert_eq!(
-                    reference.metrics_registry().to_json_string(),
-                    m.metrics_registry().to_json_string(),
-                    "{} {} pass", cell.platform, pass
-                );
-                prop_assert_eq!(&reference.latency, &m.latency, "{} {} pass", cell.platform, pass);
-            }
         }
     }
 }
@@ -159,7 +145,7 @@ fn recording_round_trips_through_the_disk_cache() {
     // Second "process": fresh in-memory map, same directory — must
     // reload the recording instead of re-recording, at any jobs count.
     let second = ReplayCache::with_disk_dir(&dir);
-    let b = registries(&ParallelRunner::new(4).run_with(&matrix, &second));
+    let b = registries(&matrix.run_parallel_with(4, &second));
     assert_eq!(b, full);
     let stats = second.stats();
     assert_eq!(stats.records, 0, "recording must come from disk");
