@@ -283,9 +283,11 @@ pub(crate) fn load_recording(dir: &Path, key: &str) -> Option<CascadeRecording> 
     CascadeRecording::from_bytes(&body)
 }
 
-/// Best-effort save of `recording` under `key` in `dir`; I/O failures
-/// only cost the next process a re-record.
-pub(crate) fn save_recording(dir: &Path, key: &str, recording: &CascadeRecording) {
+/// Best-effort save of `recording` under replay key `key` (see
+/// [`crate::replay_key`]) in `dir`, in the checksummed container every
+/// [`crate::ReplayCache`] on `dir` loads; I/O failures only cost the
+/// next process a re-record.
+pub fn save_recording(dir: &Path, key: &str, recording: &CascadeRecording) {
     let path = recording_path(dir, key);
     let _ = publish(dir, &path, RECORDING_MAGIC, key, |out| {
         out.put_bytes(&recording.to_bytes())

@@ -44,8 +44,10 @@
 //! Recordings persist through the same directory as the BWC1 workload
 //! cache, in `brc1-` containers (see [`crate::diskcache`]); a second
 //! process replays without ever recording. A loaded recording is
-//! validated (checksum, key echo, structural invariants, batch shape)
-//! before use; anything suspect is silently re-recorded.
+//! validated (checksum, key echo, structural invariants, and every
+//! field replay indexes or sums against the live workload, see
+//! [`CascadeRecording::fits`]) before use; anything suspect is silently
+//! recorded again and republished.
 //!
 //! ## Exact-cell memo
 //!
@@ -383,9 +385,14 @@ impl ReplayCache {
         // In-memory miss: a sibling process may have recorded this key.
         if let Some(dir) = self.disk.as_deref() {
             if let Some(rec) = diskcache::load_recording(dir, key) {
-                // Shape-check against the live workload: a stale or
-                // colliding file must re-record, not panic in replay.
-                if rec.matches_batches(workload.batches()) {
+                // Check against the live workload: a stale, colliding or
+                // crafted file must re-record, not panic or mis-time the
+                // replay.
+                if rec.fits(
+                    &workload.model(),
+                    workload.directgraph(),
+                    workload.batches(),
+                ) {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     let rec = Arc::new(rec);
                     let _ = slot.ready.set(Arc::clone(&rec));

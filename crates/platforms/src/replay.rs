@@ -20,8 +20,9 @@
 //! command stream under its own resource model.
 
 use beacon_flash::{SampleCommand, SampleOutcome};
+use beacon_gnn::GnnModelConfig;
 use beacon_graph::NodeId;
-use directgraph::PhysAddr;
+use directgraph::{DirectGraph, PhysAddr};
 
 /// One flash command of a recorded sampling cascade: its content (what
 /// the command asked for) and its outcome (what the die returned) —
@@ -114,6 +115,51 @@ impl CascadeRecording {
             }
         }
         true
+    }
+
+    /// Whether every field the serial replay indexes or sums holds a
+    /// value the recorder could have written for this workload, so a
+    /// recording read from disk can neither panic nor mis-time the
+    /// replay. Beyond [`CascadeRecording::matches_batches`]: each root
+    /// targets its batch slot's directory address; every target is a
+    /// written page of `dg`; every hop is within `model.hops`; every
+    /// child keeps its parent's subgraph, hence its root's slot; every
+    /// visited node is in the graph; and only visits carry feature
+    /// bytes, at most one page of them (a primary section's feature
+    /// slice). `die` and `result_bytes` are read only by the array's
+    /// device lanes, which replay recordings they made themselves.
+    pub fn fits(&self, model: &GnnModelConfig, dg: &DirectGraph, batches: &[Vec<NodeId>]) -> bool {
+        if !self.matches_batches(batches) {
+            return false;
+        }
+        let directory = dg.directory();
+        let roots_match = batches
+            .iter()
+            .zip(&self.batch_roots)
+            .all(|(batch, &start)| {
+                batch
+                    .iter()
+                    .zip(&self.recs[start as usize..])
+                    .all(|(&node, r)| {
+                        directory.primary_addr(node).map(PhysAddr::to_raw) == Some(r.target)
+                    })
+            });
+        let page_size = dg.layout().page_size();
+        roots_match
+            && self.recs.iter().all(|r| {
+                let (page, _) = dg.layout().unpack(PhysAddr::from_raw(r.target));
+                let start = r.children_start as usize;
+                let children = self
+                    .recs
+                    .get(start..start + r.children_len as usize)
+                    .unwrap_or_default();
+                let max_feature_bytes = if r.visited == u32::MAX { 0 } else { page_size };
+                r.hop <= model.hops
+                    && dg.image().contains_page(page)
+                    && (r.visited == u32::MAX || (r.visited as usize) < directory.len())
+                    && r.feature_bytes as usize <= max_feature_bytes
+                    && children.iter().all(|c| c.subgraph == r.subgraph)
+            })
     }
 
     /// Reconstructs record `rec`'s command content.

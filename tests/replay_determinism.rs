@@ -6,7 +6,11 @@
 
 use std::sync::Arc;
 
-use beacongnn::{Dataset, Platform, ReplayCache, RunCell, RunMatrix, SsdConfig, Workload};
+use beacongnn::platforms::{Engine, EngineScratch};
+use beacongnn::{
+    diskcache, replay_key, CascadeRecording, Dataset, Platform, ReplayCache, RunCell, RunMatrix,
+    SsdConfig, Workload,
+};
 use proptest::prelude::*;
 
 /// Windowing epoch of the latency-tracked cells.
@@ -195,6 +199,107 @@ fn damaged_recording_files_are_recorded_again() {
         assert_eq!(std::fs::read(&file).unwrap(), pristine, "recorded again");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Byte layout of `CascadeRecording::to_bytes`: a 16-byte header, then
+/// 40 bytes per record with these field offsets.
+const HEADER: usize = 16;
+const REC: usize = 40;
+const TARGET: usize = 0;
+const SUBGRAPH: usize = 4;
+const VISITED: usize = 16;
+const FEATURE_BYTES: usize = 20;
+const HOP: usize = 38;
+
+/// Publishes under `w`'s replay key in a fresh directory the honest
+/// recording of `w` after `patch` rewrites its bytes (the container
+/// checksum is recomputed on publish: it is not a MAC). `patch` gets
+/// the bytes and the offset of the first visiting hop-1 record. A cache
+/// on that directory must treat the file as a miss: record again,
+/// republish, and produce the full run's registries for CC and a
+/// latency-tracked BG-2 cell.
+fn hostile_recording_is_recorded_again(name: &str, patch: impl Fn(&mut [u8], usize)) {
+    let dir = std::env::temp_dir().join(format!(
+        "beacon-replay-hostile-{name}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = workload(500, 6, 37);
+    let mut matrix = RunMatrix::new();
+    matrix.push(RunCell::new(Platform::Cc, Arc::clone(&w)));
+    matrix.push(RunCell::new(Platform::Bg2, Arc::clone(&w)).latency(EPOCH));
+    let full = registries(&matrix.run_sequential_with(&ReplayCache::disabled()));
+
+    let (_, honest) = Engine::new(
+        Platform::Bg2,
+        matrix.cells()[0].ssd,
+        w.model(),
+        w.directgraph(),
+        w.seed(),
+    )
+    .record_cascade(&mut EngineScratch::new(), w.batches());
+    let mut bytes = honest.to_bytes();
+    let field = |b: &[u8], rec: usize, at: usize| {
+        u32::from_le_bytes(b[rec + at..rec + at + 4].try_into().unwrap())
+    };
+    let child = (0..honest.commands())
+        .map(|i| HEADER + i * REC)
+        .find(|&rec| bytes[rec + HOP] == 1 && field(&bytes, rec, VISITED) != u32::MAX)
+        .expect("a visiting hop-1 record");
+    patch(&mut bytes, child);
+    let hostile = CascadeRecording::from_bytes(&bytes).expect("structurally sound");
+    assert_ne!(hostile, honest);
+    diskcache::save_recording(&dir, &replay_key(&w, w.seed()).unwrap(), &hostile);
+
+    let cache = ReplayCache::with_disk_dir(&dir);
+    assert_eq!(registries(&matrix.run_sequential_with(&cache)), full);
+    let stats = cache.stats();
+    assert_eq!((stats.disk_hits, stats.records), (0, 1), "{name}");
+    // Republished: the next cache on the directory loads the honest
+    // recording.
+    let next = ReplayCache::with_disk_dir(&dir);
+    assert_eq!(registries(&matrix.run_sequential_with(&next)), full);
+    let stats = next.stats();
+    assert_eq!((stats.disk_hits, stats.records), (1, 0), "{name}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn put_u32(bytes: &mut [u8], at: usize, value: u32) {
+    bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+#[test]
+fn recording_with_a_hop_out_of_range_is_recorded_again() {
+    hostile_recording_is_recorded_again("hop", |b, child| b[child + HOP] = 200);
+}
+
+#[test]
+fn recording_with_a_target_off_the_image_is_recorded_again() {
+    hostile_recording_is_recorded_again("target", |b, child| put_u32(b, child + TARGET, u32::MAX));
+    // A written page, but not the directory address of root 0's slot.
+    hostile_recording_is_recorded_again("root-target", |b, _| {
+        let other = u32::from_le_bytes(b[HEADER + REC..][..4].try_into().unwrap());
+        put_u32(b, HEADER + TARGET, other)
+    });
+}
+
+#[test]
+fn recording_with_a_visited_node_out_of_range_is_recorded_again() {
+    hostile_recording_is_recorded_again("visited", |b, child| {
+        put_u32(b, child + VISITED, 2_000_000_000)
+    });
+}
+
+#[test]
+fn recording_with_a_subgraph_outside_its_batch_is_recorded_again() {
+    hostile_recording_is_recorded_again("subgraph", |b, child| put_u32(b, child + SUBGRAPH, 1_000));
+}
+
+#[test]
+fn recording_with_oversized_feature_bytes_is_recorded_again() {
+    hostile_recording_is_recorded_again("feature-bytes", |b, child| {
+        put_u32(b, child + FEATURE_BYTES, u32::MAX)
+    });
 }
 
 #[test]
