@@ -1266,6 +1266,88 @@ mod tests {
         assert!((array.efficiency() - 1.0).abs() < 1e-12);
     }
 
+    /// Every registry section of `m` except `pools` (host bookkeeping:
+    /// event and slot counts, which the lane's fused schedule changes).
+    fn sections_but_pools(m: &RunMetrics) -> Vec<(String, simkit::obs::Section)> {
+        m.metrics_registry()
+            .iter()
+            .filter(|&(name, _)| name != "pools")
+            .map(|(name, section)| (name.to_string(), section.clone()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// `run_recorded` returns the recorded serial run verbatim at one
+        /// device, so nothing else pins the lane replay (`DevLane`) to the
+        /// serial engine there. This calls the lane replay itself at one
+        /// device, over random graph shapes, the paper default, seven
+        /// one-knob variants and one random device, each with latency
+        /// tracking off and on, and expects the serial BG-2 engine's
+        /// registry in every section but `pools`.
+        #[test]
+        fn one_device_lane_replay_matches_the_serial_engine(
+            (nodes, avg_degree, dim, batch, seed) in
+                (300usize..1_500, 2u32..30, 8usize..200, 4usize..48, 0u64..1_000),
+            (channels, dies, cores, mbps, traditional, bypass) in
+                (1usize..33, 1usize..17, 1usize..9, 333u64..2_400, proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+        ) {
+            let graph = generate::power_law(
+                &generate::PowerLawConfig::new(nodes, avg_degree as f64),
+                seed,
+            );
+            let feats = FeatureTable::synthetic(nodes, dim, seed);
+            let dg = DirectGraphBuilder::new(AddrLayout::for_page_size(4096).unwrap())
+                .build(&graph, &feats)
+                .unwrap();
+            let model = GnnModelConfig::paper_default(dim);
+            let batches: Vec<Vec<NodeId>> = (0..2)
+                .map(|b| (0..batch).map(|i| NodeId::new((b * batch + i) as u32)).collect())
+                .collect();
+            let base = SsdConfig::paper_default();
+            let random = if traditional { SsdConfig::traditional() } else { base }
+                .with_channels(channels)
+                .with_dies_per_channel(dies)
+                .with_cores(cores)
+                .with_channel_bandwidth(mbps * 1_000_000)
+                .with_dram_bypass(bypass);
+            let configs = [
+                base,
+                base.with_channels(4),
+                base.with_channels(4).with_dies_per_channel(2),
+                base.with_channel_bandwidth(333_000_000),
+                base.with_cores(1),
+                SsdConfig::traditional(),
+                base.with_dram_bypass(true),
+                base.with_channels(32).with_dies_per_channel(16),
+                random,
+            ];
+            let part = Partition::hash(&graph, 1);
+            for ssd in configs {
+                for epoch in [None, Some(Duration::from_us(100))] {
+                    let mut serial = Engine::new(Platform::Bg2, ssd, model, &dg, seed);
+                    let mut array =
+                        ArrayEngine::new(Platform::Bg2, ArrayConfig::pcie_p2p(1), ssd, model, &dg, seed);
+                    if let Some(epoch) = epoch {
+                        serial = serial.with_latency(epoch);
+                        array = array.with_latency(epoch);
+                    }
+                    let serial = serial.run(&batches);
+                    let cascade = array.record(&batches);
+                    let pre = prepass(&cascade.recording, &cascade.batches, &part);
+                    let lane = array.replay(&cascade, &part, pre);
+                    proptest::prop_assert_eq!(lane.devices, 1);
+                    proptest::prop_assert_eq!(
+                        sections_but_pools(&lane.metrics),
+                        sections_but_pools(&serial),
+                        "{:?}, latency {:?}", ssd, epoch
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn device_work_sums_to_single_engine() {
         let (dg, model, batches) = setup();
