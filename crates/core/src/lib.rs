@@ -45,6 +45,7 @@
 
 pub mod diskcache;
 pub mod matrix;
+mod oncemap;
 pub mod replaycache;
 pub mod report;
 pub mod runner;

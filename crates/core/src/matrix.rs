@@ -29,15 +29,15 @@
 //! [`WorkloadCache`] completes the picture for sweeps that vary only
 //! the device configuration: each distinct workload is prepared once.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use beacon_platforms::{Engine, EngineScratch, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 use simkit::Duration;
 
 use crate::diskcache;
+use crate::oncemap::OnceMap;
 use crate::replaycache::ReplayCache;
 use crate::workload::{Workload, WorkloadBuilder, WorkloadError};
 
@@ -323,15 +323,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// One cache entry: a once-cell for the prepared workload plus a build
-/// lock so concurrent requests for the *same* key build once and wait,
-/// while requests for *different* keys build fully concurrently.
-#[derive(Debug, Default)]
-struct CacheSlot {
-    ready: OnceLock<Arc<Workload>>,
-    building: Mutex<()>,
-}
-
 /// Prepares each distinct workload once and hands out [`Arc`] clones.
 ///
 /// Sweeps that vary only the device configuration (core counts, channel
@@ -358,7 +349,7 @@ struct CacheSlot {
 /// tests, which must not share a process-global path).
 #[derive(Debug, Default)]
 pub struct WorkloadCache {
-    map: Mutex<HashMap<String, Arc<CacheSlot>>>,
+    map: OnceMap<Workload>,
     disk: Option<PathBuf>,
 }
 
@@ -366,7 +357,7 @@ impl WorkloadCache {
     /// An empty cache with the environment-resolved persistent layer.
     pub fn new() -> Self {
         WorkloadCache {
-            map: Mutex::default(),
+            map: OnceMap::default(),
             disk: diskcache::default_dir(),
         }
     }
@@ -379,7 +370,7 @@ impl WorkloadCache {
     /// An empty cache persisting to `dir`.
     pub fn with_disk_dir(dir: impl Into<PathBuf>) -> Self {
         WorkloadCache {
-            map: Mutex::default(),
+            map: OnceMap::default(),
             disk: Some(dir.into()),
         }
     }
@@ -402,58 +393,28 @@ impl WorkloadCache {
         let Some(key) = builder.fingerprint() else {
             return Ok(Arc::new(builder.prepare()?));
         };
-        let slot = {
-            let mut map = self.map.lock().expect("workload cache poisoned");
-            Arc::clone(map.entry(key.clone()).or_default())
-        };
-        if let Some(w) = slot.ready.get() {
-            return Ok(Arc::clone(w));
-        }
-        // Serialize builders of *this* key only; re-check under the
-        // lock in case a racing builder just finished.
-        let _build = slot.building.lock().expect("workload build lock poisoned");
-        if let Some(w) = slot.ready.get() {
-            return Ok(Arc::clone(w));
-        }
-        // In-memory miss: a sibling process may have already built and
-        // persisted this workload.
-        if let Some(dir) = &self.disk {
-            if let Some(w) = diskcache::load(dir, &key) {
-                let w = Arc::new(w);
-                let _ = slot.ready.set(Arc::clone(&w));
+        self.map.get_or_try_build(&key, || {
+            // In-memory miss: a sibling process may have already built
+            // and persisted this workload.
+            if let Some(w) = self
+                .disk
+                .as_deref()
+                .and_then(|dir| diskcache::load(dir, &key))
+            {
                 return Ok(w);
             }
-        }
-        match builder.prepare() {
-            Ok(w) => {
-                if let Some(dir) = &self.disk {
-                    diskcache::save(dir, &key, &w);
-                }
-                let w = Arc::new(w);
-                let _ = slot.ready.set(Arc::clone(&w));
-                Ok(w)
+            let w = builder.prepare()?;
+            if let Some(dir) = &self.disk {
+                diskcache::save(dir, &key, &w);
             }
-            Err(e) => {
-                let mut map = self.map.lock().expect("workload cache poisoned");
-                if let Some(s) = map.get(&key) {
-                    if Arc::ptr_eq(s, &slot) {
-                        map.remove(&key);
-                    }
-                }
-                Err(e)
-            }
-        }
+            Ok(w)
+        })
     }
 
     /// Number of distinct workloads currently cached (slots still being
     /// built do not count).
     pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .expect("workload cache poisoned")
-            .values()
-            .filter(|s| s.ready.get().is_some())
-            .count()
+        self.map.len()
     }
 
     /// Returns `true` if nothing is cached.
@@ -463,7 +424,7 @@ impl WorkloadCache {
 
     /// Drops every cached workload (outstanding `Arc`s stay valid).
     pub fn clear(&self) {
-        self.map.lock().expect("workload cache poisoned").clear();
+        self.map.clear();
     }
 }
 

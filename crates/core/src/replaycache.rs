@@ -72,6 +72,7 @@
 //! lives in memory only, and obeys the same kill switches as replay.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -81,6 +82,7 @@ use beacon_ssd::SsdConfig;
 
 use crate::diskcache;
 use crate::matrix::CellRef;
+use crate::oncemap::OnceMap;
 use crate::workload::Workload;
 
 /// Versions the recording semantics; bump when sampler draw derivation
@@ -125,15 +127,6 @@ pub struct ReplayStats {
     pub memo_hits: u64,
 }
 
-/// One recording entry: a once-cell plus a build lock so concurrent
-/// workers needing the *same* key record once and wait, while distinct
-/// keys record fully concurrently (mirrors `WorkloadCache`'s slots).
-#[derive(Debug, Default)]
-struct Slot {
-    ready: OnceLock<Arc<CascadeRecording>>,
-    building: Mutex<()>,
-}
-
 /// Caches one [`CascadeRecording`] per replay key and executes
 /// [`RunCell`]s by replaying it.
 ///
@@ -144,7 +137,9 @@ struct Slot {
 /// [`ReplayCache::disabled`]) so they never mutate process-global state.
 #[derive(Debug, Default)]
 pub struct ReplayCache {
-    map: Mutex<HashMap<String, Arc<Slot>>>,
+    /// Recordings by replay key; concurrent workers needing the *same*
+    /// key record once and wait, distinct keys record concurrently.
+    map: OnceMap<CascadeRecording>,
     memo: Mutex<HashMap<String, Arc<RunMetrics>>>,
     disk: Option<PathBuf>,
     /// Instance-level switch; the effective state also requires the
@@ -298,15 +293,11 @@ impl ReplayCache {
     /// Whether a recording for `key` already exists in memory or on
     /// disk (without loading it).
     fn has_recording(&self, key: &str) -> bool {
-        {
-            let map = self.map.lock().expect("replay cache poisoned");
-            if map.get(key).is_some_and(|s| s.ready.get().is_some()) {
-                return true;
-            }
-        }
-        self.disk
-            .as_deref()
-            .is_some_and(|dir| diskcache::recording_path(dir, key).exists())
+        self.map.is_ready(key)
+            || self
+                .disk
+                .as_deref()
+                .is_some_and(|dir| diskcache::recording_path(dir, key).exists())
     }
 
     /// Executes one cell under the plan: serving identical
@@ -371,68 +362,46 @@ impl ReplayCache {
         seed: u64,
         scratch: &mut EngineScratch,
     ) -> Arc<CascadeRecording> {
-        let slot = {
-            let mut map = self.map.lock().expect("replay cache poisoned");
-            Arc::clone(map.entry(key.to_string()).or_default())
-        };
-        if let Some(r) = slot.ready.get() {
-            return Arc::clone(r);
-        }
-        let _build = slot.building.lock().expect("replay build lock poisoned");
-        if let Some(r) = slot.ready.get() {
-            return Arc::clone(r);
-        }
-        // In-memory miss: a sibling process may have recorded this key.
-        if let Some(dir) = self.disk.as_deref() {
-            if let Some(rec) = diskcache::load_recording(dir, key) {
-                // Check against the live workload: a stale, colliding or
-                // crafted file must re-record, not panic or mis-time the
-                // replay.
-                if rec.fits(
-                    &workload.model(),
-                    workload.directgraph(),
-                    workload.batches(),
-                ) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    let rec = Arc::new(rec);
-                    let _ = slot.ready.set(Arc::clone(&rec));
-                    return rec;
-                }
+        let recorded = self.map.get_or_try_build(key, || {
+            // In-memory miss: a sibling process may have recorded this
+            // key. Check it against the live workload: a stale,
+            // colliding or crafted file must re-record, not panic or
+            // mis-time the replay.
+            let model = workload.model();
+            let loaded = self
+                .disk
+                .as_deref()
+                .and_then(|dir| diskcache::load_recording(dir, key))
+                .filter(|rec| rec.fits(&model, workload.directgraph(), workload.batches()));
+            if let Some(rec) = loaded {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok::<_, Infallible>(rec);
             }
-        }
-        // Record from the canonical engine: BG-2 (the only platform
-        // whose command stream is channel-separable and barrier-free)
-        // under the paper-default device at the workload's page size.
-        // The cascade is platform/timing-independent, so *which*
-        // canonical config records it cannot matter — this one is just
-        // the cheapest well-defined choice.
-        self.records.fetch_add(1, Ordering::Relaxed);
-        let ssd =
-            SsdConfig::paper_default().with_page_size(workload.directgraph().layout().page_size());
-        let (_, recording) = Engine::new(
-            Platform::Bg2,
-            ssd,
-            workload.model(),
-            workload.directgraph(),
-            seed,
-        )
-        .record_cascade(scratch, workload.batches());
-        if let Some(dir) = self.disk.as_deref() {
-            diskcache::save_recording(dir, key, &recording);
-        }
-        let recording = Arc::new(recording);
-        let _ = slot.ready.set(Arc::clone(&recording));
+            // Record from the canonical engine: BG-2 (the only platform
+            // whose command stream is channel-separable and
+            // barrier-free) under the paper-default device at the
+            // workload's page size. The cascade is
+            // platform/timing-independent, so *which* canonical config
+            // records it cannot matter — this one is just the cheapest
+            // well-defined choice.
+            self.records.fetch_add(1, Ordering::Relaxed);
+            let ssd = SsdConfig::paper_default()
+                .with_page_size(workload.directgraph().layout().page_size());
+            let (_, recording) =
+                Engine::new(Platform::Bg2, ssd, model, workload.directgraph(), seed)
+                    .record_cascade(scratch, workload.batches());
+            if let Some(dir) = self.disk.as_deref() {
+                diskcache::save_recording(dir, key, &recording);
+            }
+            Ok(recording)
+        });
+        let Ok(recording) = recorded;
         recording
     }
 
     /// Number of recordings currently resident in memory.
     pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .expect("replay cache poisoned")
-            .values()
-            .filter(|s| s.ready.get().is_some())
-            .count()
+        self.map.len()
     }
 
     /// Returns `true` if no recordings are resident.
@@ -443,7 +412,7 @@ impl ReplayCache {
     /// Drops every resident recording and memoized cell (disk files are
     /// kept).
     pub fn clear(&self) {
-        self.map.lock().expect("replay cache poisoned").clear();
+        self.map.clear();
         self.memo.lock().expect("replay memo poisoned").clear();
     }
 }
