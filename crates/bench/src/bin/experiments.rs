@@ -26,6 +26,7 @@ use beacon_bench as bench;
 use beacon_bench::{Sweep, DEFAULT_BATCH, DEFAULT_NODES};
 use beacon_platforms::Platform;
 use beacongnn::report::{percent, ratio, Table};
+use beacongnn::Dataset;
 use simkit::obs::format_f64;
 use simkit::MetricValue;
 
@@ -298,6 +299,11 @@ fn all(args: &Args) -> Output {
     all
 }
 
+/// Each of `platforms` run on amazon at harness scale, in order.
+fn amazon_runs(platforms: &[Platform], batch: usize) -> Vec<beacongnn::RunMetrics> {
+    bench::platform_runs(platforms, Dataset::Amazon, DEFAULT_NODES, batch)
+}
+
 fn header(out: &mut String, title: &str) {
     let _ = writeln!(out, "\n=== {title} ===\n");
 }
@@ -388,7 +394,7 @@ fn fig14(args: &Args) -> Output {
     ]);
     for p in Platform::ALL {
         let mut cells = vec![p.to_string()];
-        for d in beacongnn::Dataset::ALL {
+        for d in Dataset::ALL {
             let r = rows
                 .iter()
                 .find(|r| r.platform == p && r.dataset == d)
@@ -427,11 +433,8 @@ fn fig15(args: &Args) -> Output {
         "Fig 15a-e — active flash channels/dies over time (amazon)",
     );
     let platforms = [Platform::BgSp, Platform::BgDgsp, Platform::Bg2];
-    for (p, c) in platforms.into_iter().zip(bench::fig15_curves(
-        &platforms,
-        DEFAULT_NODES,
-        DEFAULT_BATCH,
-    )) {
+    for c in bench::fig15_curves(&platforms, DEFAULT_NODES, DEFAULT_BATCH) {
+        let p = c.platform;
         let _ = writeln!(
             out,
             "{:>8}: mean die util {} | mean channel util {} | slice {}",
@@ -493,11 +496,10 @@ fn fig15f(_: &Args) -> Output {
     let mut t = Table::new(&[
         "platform", "flash", "channel", "firmware", "dram", "pcie", "host", "accel",
     ]);
-    let runs = bench::amazon_runs(&Platform::ALL, DEFAULT_NODES, DEFAULT_BATCH);
-    for (p, m) in Platform::ALL.into_iter().zip(runs) {
+    for m in amazon_runs(&Platform::ALL, DEFAULT_BATCH) {
         let s = m.stages;
         t.row_owned(vec![
-            p.to_string(),
+            m.platform.to_string(),
             format!("{}", s.flash_read),
             format!("{}", s.channel),
             format!("{}", s.firmware),
@@ -530,11 +532,9 @@ fn fig16(args: &Args) -> Output {
         Platform::BgDgsp,
         Platform::Bg2,
     ];
-    for (p, m) in platforms
-        .into_iter()
-        .zip(bench::amazon_runs(&platforms, DEFAULT_NODES, 64))
-    {
-        let _ = write!(out, "{:>8}: ", p.to_string());
+    for m in amazon_runs(&platforms, 64) {
+        let p = m.platform;
+        let _ = write!(out, "{p:>8}: ");
         for w in &m.hop_windows {
             let _ = write!(out, "hop{} [{} - {}]  ", w.hop, w.start, w.end);
             windows.push(format!(
@@ -576,8 +576,8 @@ fn fig17(args: &Args) -> Output {
         "wait_after_flash",
         "mean lifetime",
     ]);
-    let runs = bench::amazon_runs(&Platform::BG_CHAIN, DEFAULT_NODES, DEFAULT_BATCH);
-    for (p, m) in Platform::BG_CHAIN.into_iter().zip(runs) {
+    for m in amazon_runs(&Platform::BG_CHAIN, DEFAULT_BATCH) {
+        let p = m.platform;
         let (w, f, a) = m.cmd_breakdown.fractions();
         t.row_owned(vec![
             p.to_string(),
@@ -1013,7 +1013,7 @@ fn config(_: &Args) -> Output {
         ssd.pcie_bandwidth as f64 / 1e9,
     );
     let mut t = Table::new(&["dataset", "avg degree", "feature dim", "paper raw (GB)"]);
-    for d in beacongnn::Dataset::ALL {
+    for d in Dataset::ALL {
         let s = beacongnn::DatasetSpec::preset(d);
         t.row_owned(vec![
             d.to_string(),
@@ -1044,17 +1044,15 @@ fn obs(args: &Args) -> Output {
                 std::process::exit(2);
             })
     });
-    let dataset = args
-        .get("--dataset")
-        .map_or(beacongnn::Dataset::Amazon, |v| {
-            beacongnn::Dataset::ALL
-                .into_iter()
-                .find(|d| d.name().eq_ignore_ascii_case(v))
-                .unwrap_or_else(|| {
-                    eprintln!("unknown dataset `{v}`");
-                    std::process::exit(2);
-                })
-        });
+    let dataset = args.get("--dataset").map_or(Dataset::Amazon, |v| {
+        Dataset::ALL
+            .into_iter()
+            .find(|d| d.name().eq_ignore_ascii_case(v))
+            .unwrap_or_else(|| {
+                eprintln!("unknown dataset `{v}`");
+                std::process::exit(2);
+            })
+    });
     let nodes = args
         .get("--nodes")
         .map_or(4_000, |v| parse_at_least("--nodes", v, 2));

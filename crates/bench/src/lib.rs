@@ -19,7 +19,9 @@ use beacon_graph::{CsrGraph, Partition};
 use beacon_platforms::motivation::{die_scaling_sweep, DieScalingPoint};
 use beacon_platforms::{ArrayConfig, ArrayRunMetrics, Platform, RunMetrics};
 use beacon_ssd::FabricConfig;
-use beacongnn::{Dataset, Experiment, RunCell, RunMatrix, SsdConfig, Workload, WorkloadCache};
+use beacongnn::{
+    Dataset, Experiment, RunCell, RunMatrix, SsdConfig, Workload, WorkloadBuilder, WorkloadCache,
+};
 use simkit::Duration;
 
 /// Default node scale for harness workloads.
@@ -46,8 +48,13 @@ pub fn jobs() -> usize {
     JOBS.load(Ordering::Relaxed).max(1)
 }
 
-/// Executes a figure's matrix under the harness-wide jobs setting.
-fn run_matrix(matrix: &RunMatrix) -> Vec<RunMetrics> {
+/// Executes a figure's cells as one matrix under the harness-wide jobs
+/// setting; metrics come back in cell order.
+fn run_cells(cells: impl IntoIterator<Item = RunCell>) -> Vec<RunMetrics> {
+    let mut matrix = RunMatrix::new();
+    for cell in cells {
+        matrix.push(cell);
+    }
     matrix.run_parallel(jobs())
 }
 
@@ -59,18 +66,22 @@ fn cache() -> &'static WorkloadCache {
     CACHE.get_or_init(WorkloadCache::new)
 }
 
+/// The harness workload builder with an explicit batch count.
+fn builder(dataset: Dataset, nodes: usize, batch: usize, batches: usize) -> WorkloadBuilder {
+    Workload::builder()
+        .dataset(dataset)
+        .nodes(nodes)
+        .batch_size(batch)
+        .batches(batches)
+        .seed(SEED)
+}
+
 /// Prepares (or fetches from the cache) a workload with an explicit
 /// batch count.
 fn workload_with(dataset: Dataset, nodes: usize, batch: usize, batches: usize) -> Arc<Workload> {
+    let builder = builder(dataset, nodes, batch, batches);
     cache()
-        .get_or_prepare(
-            Workload::builder()
-                .dataset(dataset)
-                .nodes(nodes)
-                .batch_size(batch)
-                .batches(batches)
-                .seed(SEED),
-        )
+        .get_or_prepare(builder)
         .expect("harness workload prepares")
 }
 
@@ -111,12 +122,10 @@ pub struct BarrierIdleRow {
 /// Runs the Fig 7b barrier-cost sweep over batch sizes.
 pub fn fig7b(nodes: usize) -> Vec<BarrierIdleRow> {
     let sizes = [32usize, 64, 128, 256];
-    let mut matrix = RunMatrix::new();
-    for &batch_size in &sizes {
+    let results = run_cells(sizes.iter().flat_map(|&batch_size| {
         let w = workload_with(Dataset::Amazon, nodes, batch_size, 2);
-        matrix.add_platforms(&[Platform::BgSp, Platform::BgDgsp], &w);
-    }
-    let results = run_matrix(&matrix);
+        [Platform::BgSp, Platform::BgDgsp].map(|p| RunCell::new(p, Arc::clone(&w)))
+    }));
     sizes
         .iter()
         .zip(results.chunks(2))
@@ -186,7 +195,7 @@ fn fig14_rows(results: &[RunMetrics]) -> Vec<Fig14Row> {
 
 /// Runs all eight platforms on all five workloads.
 pub fn fig14(nodes: usize, batch: usize) -> Vec<Fig14Row> {
-    fig14_rows(&run_matrix(&fig14_matrix(nodes, batch)))
+    fig14_rows(&fig14_matrix(nodes, batch).run_parallel(jobs()))
 }
 
 /// The geometric-mean normalized throughput of `platform` across all
@@ -224,16 +233,21 @@ pub struct UtilizationCurves {
     pub channel_utilization: f64,
 }
 
-/// Runs each of `platforms` on amazon, as one matrix: the cells behind
-/// Fig 15's utilization curves, Fig 15f's stage breakdown
+/// Runs each of `platforms` on `dataset`, as one matrix, and returns
+/// their metrics in `platforms` order: the cells behind Fig 15's
+/// utilization curves, Fig 15f's stage breakdown
 /// ([`RunMetrics::stages`]), Fig 16's hop timeline
-/// ([`RunMetrics::hop_windows`]) and Fig 17's command breakdown
-/// ([`RunMetrics::cmd_breakdown`]). Metrics come back in `platforms`
-/// order.
-pub fn amazon_runs(platforms: &[Platform], nodes: usize, batch: usize) -> Vec<RunMetrics> {
-    let mut matrix = RunMatrix::new();
-    matrix.add_platforms(platforms, &workload(Dataset::Amazon, nodes, batch));
-    run_matrix(&matrix)
+/// ([`RunMetrics::hop_windows`]), Fig 17's command breakdown
+/// ([`RunMetrics::cmd_breakdown`]), Fig 19's energy and the
+/// observability smoke's matrix summary.
+pub fn platform_runs(
+    platforms: &[Platform],
+    dataset: Dataset,
+    nodes: usize,
+    batch: usize,
+) -> Vec<RunMetrics> {
+    let w = workload(dataset, nodes, batch);
+    run_cells(platforms.iter().map(|&p| RunCell::new(p, Arc::clone(&w))))
 }
 
 /// Runs each platform on amazon and extracts its utilization curves.
@@ -241,7 +255,7 @@ pub fn fig15_curves(platforms: &[Platform], nodes: usize, batch: usize) -> Vec<U
     let slice = Duration::from_us(50);
     platforms
         .iter()
-        .zip(amazon_runs(platforms, nodes, batch))
+        .zip(platform_runs(platforms, Dataset::Amazon, nodes, batch))
         .map(|(&platform, m)| {
             let end = simkit::SimTime::ZERO + m.prep_time;
             UtilizationCurves {
@@ -261,13 +275,10 @@ pub fn fig15_curves(platforms: &[Platform], nodes: usize, batch: usize) -> Vec<U
 /// saturate channel transfer) and movielens/OGBN channel-starved (short
 /// features transfer quickly), with amazon highest on both.
 pub fn fig15_dataset_utilization(nodes: usize, batch: usize) -> Vec<(Dataset, f64, f64)> {
-    let mut matrix = RunMatrix::new();
-    for d in Dataset::ALL {
-        matrix.push(RunCell::new(Platform::Bg2, workload(d, nodes, batch)));
-    }
+    let cells = Dataset::ALL.map(|d| RunCell::new(Platform::Bg2, workload(d, nodes, batch)));
     Dataset::ALL
         .into_iter()
-        .zip(run_matrix(&matrix))
+        .zip(run_cells(cells))
         .map(|(d, m)| (d, m.die_utilization(), m.channel_utilization()))
         .collect()
 }
@@ -370,51 +381,34 @@ pub struct SweepRow {
 /// so repeated figure runs stay cheap).
 pub fn fig18(sweep: Sweep, nodes: usize) -> Vec<SweepRow> {
     let points = sweep.points();
-    let mut matrix = RunMatrix::new();
+    let mut cells = Vec::new();
     for &point in &points {
-        // Page size changes the DirectGraph image, so the workload must
-        // be rebuilt per point for that sweep; batch size likewise.
-        let (w, ssd) = match sweep {
-            Sweep::BatchSize => (
-                workload_with(Dataset::Amazon, nodes, point as usize, DEFAULT_BATCHES),
-                SsdConfig::paper_default(),
-            ),
-            Sweep::PageSize => (
+        // Batch size and page size change the workload itself (page size
+        // the DirectGraph image too); the other sweeps vary the device.
+        let w = match sweep {
+            Sweep::BatchSize => workload(Dataset::Amazon, nodes, point as usize),
+            Sweep::PageSize => {
+                let b = builder(Dataset::Amazon, nodes, DEFAULT_BATCH, DEFAULT_BATCHES);
                 cache()
-                    .get_or_prepare(
-                        Workload::builder()
-                            .dataset(Dataset::Amazon)
-                            .nodes(nodes)
-                            .batch_size(DEFAULT_BATCH)
-                            .batches(DEFAULT_BATCHES)
-                            .seed(SEED)
-                            .page_size(point as usize),
-                    )
-                    .expect("prepare"),
-                SsdConfig::paper_default().with_page_size(point as usize),
-            ),
-            Sweep::ChannelBandwidth => (
-                workload(Dataset::Amazon, nodes, DEFAULT_BATCH),
-                SsdConfig::paper_default().with_channel_bandwidth(point * 1_000_000),
-            ),
-            Sweep::Cores => (
-                workload(Dataset::Amazon, nodes, DEFAULT_BATCH),
-                SsdConfig::paper_default().with_cores(point as usize),
-            ),
-            Sweep::Channels => (
-                workload(Dataset::Amazon, nodes, DEFAULT_BATCH),
-                SsdConfig::paper_default().with_channels(point as usize),
-            ),
-            Sweep::DiesPerChannel => (
-                workload(Dataset::Amazon, nodes, DEFAULT_BATCH),
-                SsdConfig::paper_default().with_dies_per_channel(point as usize),
-            ),
+                    .get_or_prepare(b.page_size(point as usize))
+                    .expect("prepare")
+            }
+            _ => workload(Dataset::Amazon, nodes, DEFAULT_BATCH),
+        };
+        // `RunCell::ssd` takes the page size from the workload.
+        let base = SsdConfig::paper_default();
+        let ssd = match sweep {
+            Sweep::BatchSize | Sweep::PageSize => base,
+            Sweep::ChannelBandwidth => base.with_channel_bandwidth(point * 1_000_000),
+            Sweep::Cores => base.with_cores(point as usize),
+            Sweep::Channels => base.with_channels(point as usize),
+            Sweep::DiesPerChannel => base.with_dies_per_channel(point as usize),
         };
         for p in Platform::BG_CHAIN {
-            matrix.push(RunCell::new(p, Arc::clone(&w)).ssd(ssd));
+            cells.push(RunCell::new(p, Arc::clone(&w)).ssd(ssd));
         }
     }
-    let results = run_matrix(&matrix);
+    let results = run_cells(cells);
     let nplat = Platform::BG_CHAIN.len();
     points
         .iter()
@@ -451,13 +445,10 @@ pub struct EnergyRow {
 
 /// Runs the Fig 19 energy comparison on amazon.
 pub fn fig19(nodes: usize, batch: usize) -> Vec<EnergyRow> {
-    let w = workload(Dataset::Amazon, nodes, batch);
-    let mut matrix = RunMatrix::new();
-    matrix.add_platforms(&Platform::ALL, &w);
     let costs = EnergyCosts::default_costs();
     Platform::ALL
         .into_iter()
-        .zip(run_matrix(&matrix))
+        .zip(platform_runs(&Platform::ALL, Dataset::Amazon, nodes, batch))
         .map(|(p, m)| {
             let b = m.energy.breakdown(&costs);
             EnergyRow {
@@ -479,15 +470,12 @@ pub fn fig19(nodes: usize, batch: usize) -> Vec<EnergyRow> {
 pub fn traditional_ssd(nodes: usize, batch: usize) -> Vec<(Platform, f64)> {
     let mut sums: Vec<(Platform, f64)> = Platform::BG_CHAIN.iter().map(|&p| (p, 0.0)).collect();
     let n = Dataset::ALL.len() as f64;
-    let mut matrix = RunMatrix::new();
-    for dataset in Dataset::ALL {
+    let results = run_cells(Dataset::ALL.into_iter().flat_map(|dataset| {
         let w = workload(dataset, nodes, batch);
-        matrix.push(RunCell::new(Platform::Cc, Arc::clone(&w)).ssd(SsdConfig::traditional()));
-        for p in Platform::BG_CHAIN {
-            matrix.push(RunCell::new(p, Arc::clone(&w)).ssd(SsdConfig::traditional()));
-        }
-    }
-    let results = run_matrix(&matrix);
+        std::iter::once(Platform::Cc)
+            .chain(Platform::BG_CHAIN)
+            .map(move |p| RunCell::new(p, Arc::clone(&w)).ssd(SsdConfig::traditional()))
+    }));
     let stride = 1 + Platform::BG_CHAIN.len();
     for chunk in results.chunks(stride) {
         let cc = chunk[0].throughput();
@@ -728,16 +716,13 @@ pub fn dram_ablation(nodes: usize, batch: usize) -> Vec<(&'static str, f64)> {
             base.with_dram_bypass(true),
         ),
     ];
-    let mut matrix = RunMatrix::new();
-    for &(_, ssd) in &configs {
-        matrix.push(RunCell::new(Platform::Bg2, Arc::clone(&w)).ssd(ssd));
-    }
+    let cells = configs.map(|(_, ssd)| RunCell::new(Platform::Bg2, Arc::clone(&w)).ssd(ssd));
     // Report the data-preparation rate: at this geometry the backend
     // outruns the mini-batch computation, so end-to-end throughput
     // would mask the DRAM effect §VIII describes.
     configs
         .iter()
-        .zip(run_matrix(&matrix))
+        .zip(run_cells(cells))
         .map(|(&(name, _), m)| (name, m.targets as f64 / m.prep_time.as_secs_f64()))
         .collect()
 }
@@ -792,10 +777,7 @@ pub fn obs_report(
     let m = observed_run(platform, dataset, nodes, batch, 1 << 20);
     let mut reg = m.metrics_registry();
 
-    let w = workload(dataset, nodes, batch);
-    let mut matrix = RunMatrix::new();
-    matrix.add_platforms(&Platform::ALL, &w);
-    let results = run_matrix(&matrix);
+    let results = platform_runs(&Platform::ALL, dataset, nodes, batch);
     let sec = reg.section("matrix");
     sec.set_str("dataset", dataset.name());
     sec.set_u64("cells", results.len() as u64);
@@ -885,18 +867,14 @@ fn latency_row(platform: Platform, batch_size: usize, m: &RunMetrics) -> Latency
 /// once and replayed per platform (replay is byte-identical to the full
 /// path, so whether `BEACON_REPLAY` is on changes only the wall-clock).
 pub fn latency_figure(nodes: usize) -> Vec<LatencyRow> {
-    let mut matrix = RunMatrix::new();
-    for &batch in &LATENCY_BATCHES {
+    let cells = LATENCY_BATCHES.iter().flat_map(|&batch| {
         let w = workload_with(Dataset::Amazon, nodes, batch, 2);
-        for p in LATENCY_PLATFORMS {
-            matrix.push(RunCell::new(p, Arc::clone(&w)).latency(LATENCY_EPOCH));
-        }
-    }
-    let cells = LATENCY_BATCHES
+        LATENCY_PLATFORMS.map(|p| RunCell::new(p, Arc::clone(&w)).latency(LATENCY_EPOCH))
+    });
+    let rows = LATENCY_BATCHES
         .iter()
         .flat_map(|&batch| LATENCY_PLATFORMS.map(|p| (p, batch)));
-    cells
-        .zip(run_matrix(&matrix))
+    rows.zip(run_cells(cells))
         .map(|((p, batch), m)| latency_row(p, batch, &m))
         .collect()
 }
@@ -908,22 +886,22 @@ pub fn latency_figure(nodes: usize) -> Vec<LatencyRow> {
 pub fn latency_showcase(nodes: usize) -> RunMetrics {
     let batch = LATENCY_BATCHES[LATENCY_BATCHES.len() - 1];
     let w = workload_with(Dataset::Amazon, nodes, batch, 2);
-    let mut matrix = RunMatrix::new();
-    matrix.push(RunCell::new(Platform::Bg2, w).latency(LATENCY_EPOCH));
-    run_matrix(&matrix).pop().expect("one cell, one result")
+    let cell = RunCell::new(Platform::Bg2, w).latency(LATENCY_EPOCH);
+    run_cells([cell]).pop().expect("one cell, one result")
 }
 
 /// Measures the §VI-G deferral window across batch sizes on BG-2.
 pub fn interference(nodes: usize) -> Vec<InterferenceRow> {
     let sizes = [32usize, 64, 128, 256];
-    let mut matrix = RunMatrix::new();
-    for &batch_size in &sizes {
-        let w = workload_with(Dataset::Amazon, nodes, batch_size, 1);
-        matrix.push(RunCell::new(Platform::Bg2, w));
-    }
+    let cells = sizes.map(|batch| {
+        RunCell::new(
+            Platform::Bg2,
+            workload_with(Dataset::Amazon, nodes, batch, 1),
+        )
+    });
     sizes
         .into_iter()
-        .zip(run_matrix(&matrix))
+        .zip(run_cells(cells))
         .map(|(batch_size, m)| InterferenceRow {
             batch_size,
             batch_window: m.makespan,
@@ -946,7 +924,7 @@ mod tests {
 
     #[test]
     fn fig14_small_scale_ordering() {
-        let runs = amazon_runs(&[Platform::Cc, Platform::Bg2], 3_000, 64);
+        let runs = platform_runs(&[Platform::Cc, Platform::Bg2], Dataset::Amazon, 3_000, 64);
         let (cc, bg2) = (runs[0].throughput(), runs[1].throughput());
         assert!(bg2 > 4.0 * cc, "BG-2/CC = {:.1}", bg2 / cc);
     }
@@ -964,7 +942,7 @@ mod tests {
 
     #[test]
     fn hop_overlap_discriminates_platforms() {
-        let runs = amazon_runs(&[Platform::Bg1, Platform::Bg2], 2_000, 32);
+        let runs = platform_runs(&[Platform::Bg1, Platform::Bg2], Dataset::Amazon, 2_000, 32);
         let (barrier, ooo) = (&runs[0], &runs[1]);
         assert_eq!(hop_overlap_fraction(barrier), 0.0);
         assert!(

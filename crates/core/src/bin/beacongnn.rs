@@ -288,11 +288,8 @@ fn compare(args: &[String]) -> Result<(), String> {
     let cc = runs[0].throughput();
     let mut t = Table::new(&["platform", "throughput", "vs CC"]);
     for (p, m) in Platform::ALL.iter().zip(&runs) {
-        t.row_owned(vec![
-            p.to_string(),
-            throughput(m.throughput()),
-            ratio(m.throughput() / cc),
-        ]);
+        let x = m.throughput();
+        t.row_owned(vec![p.to_string(), throughput(x), ratio(x / cc)]);
     }
     println!("{}", t.render());
     Ok(())

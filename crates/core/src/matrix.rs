@@ -29,6 +29,7 @@
 //! [`WorkloadCache`] completes the picture for sweeps that vary only
 //! the device configuration: each distinct workload is prepared once.
 
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -77,6 +78,10 @@ fn mix(mut x: u64) -> u64 {
 /// One independent simulation: a platform over a shared workload under
 /// a device configuration, with an explicit seed.
 ///
+/// `W` is how the cell holds its workload: an [`Arc`] for the cells a
+/// [`RunMatrix`] owns, a borrow for [`Experiment`](crate::Experiment)'s
+/// one-cell runs, so both go through the same executor.
+///
 /// # Examples
 ///
 /// ```
@@ -89,11 +94,11 @@ fn mix(mut x: u64) -> u64 {
 /// # Ok::<(), beacongnn::WorkloadError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct RunCell {
+pub struct RunCell<W = Arc<Workload>> {
     /// The platform to simulate.
     pub platform: Platform,
     /// The shared, immutable workload.
-    pub workload: Arc<Workload>,
+    pub workload: W,
     /// The device configuration (page size forced to the workload's).
     pub ssd: SsdConfig,
     /// Die-TRNG seed for this cell.
@@ -118,7 +123,9 @@ impl RunCell {
             latency: None,
         }
     }
+}
 
+impl<W: Deref<Target = Workload>> RunCell<W> {
     /// Overrides the device configuration; the page size is forced to
     /// match the workload's DirectGraph layout.
     pub fn ssd(mut self, ssd: SsdConfig) -> Self {
@@ -168,37 +175,11 @@ impl RunCell {
     /// outcome pool instead of growing fresh ones per cell. Results are
     /// bit-identical to [`RunCell::execute`].
     pub fn execute_with(&self, scratch: &mut EngineScratch) -> RunMetrics {
-        let cell = self.by_ref();
-        cell.engine().run_with(scratch, cell.workload.batches())
+        self.engine().run_with(scratch, self.workload.batches())
     }
 
-    /// This cell with its workload borrowed.
-    pub(crate) fn by_ref(&self) -> CellRef<'_> {
-        CellRef {
-            platform: self.platform,
-            workload: &self.workload,
-            ssd: self.ssd,
-            seed: self.seed,
-            latency: self.latency,
-        }
-    }
-}
-
-/// A cell whose workload is borrowed: the unit [`ReplayCache`] plans
-/// and executes. [`RunCell`]s and [`Experiment`](crate::Experiment)
-/// runs both lower to it, so one executor serves both.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CellRef<'a> {
-    pub(crate) platform: Platform,
-    pub(crate) workload: &'a Workload,
-    pub(crate) ssd: SsdConfig,
-    pub(crate) seed: u64,
-    pub(crate) latency: Option<Duration>,
-}
-
-impl<'a> CellRef<'a> {
     /// The cell's engine, latency tracking included when requested.
-    pub(crate) fn engine(&self) -> Engine<'a> {
+    pub(crate) fn engine(&self) -> Engine<'_> {
         let engine = Engine::new(
             self.platform,
             self.ssd,
@@ -271,14 +252,7 @@ impl RunMatrix {
     }
 
     /// Executes every cell on the calling thread, in order, sharing one
-    /// warm scratch across cells.
-    ///
-    /// Cells whose replay key (workload fingerprint + seed) is shared by
-    /// other cells — or already recorded — execute by **replaying** one
-    /// cascade recording under their own platform/SSD timing instead of
-    /// re-running the sampler (see [`crate::replaycache`]). Replay is
-    /// byte-identical to the full path, so results never depend on
-    /// whether a cell replayed.
+    /// warm scratch across cells: [`RunMatrix::run_parallel`] at one job.
     pub fn run_sequential(&self) -> Vec<RunMetrics> {
         self.run_parallel(1)
     }
@@ -297,8 +271,12 @@ impl RunMatrix {
     /// long cell does not stall a whole stripe, and each keeps one warm
     /// scratch for every cell it takes. Every cell's seed is fixed before
     /// execution starts and cells share no mutable state, so the result
-    /// is bit-identical to [`RunMatrix::run_sequential`] at any job
-    /// count.
+    /// is bit-identical at any job count. Cells whose replay key
+    /// (workload fingerprint + seed) is shared by other cells — or
+    /// already recorded — **replay** one cascade recording under their
+    /// own platform/SSD timing instead of re-running the sampler (see
+    /// [`crate::replaycache`]); replay is byte-identical to the full
+    /// path, so results never depend on whether a cell replayed.
     ///
     /// # Panics
     ///
@@ -311,8 +289,7 @@ impl RunMatrix {
     /// [`ReplayCache`]. The replay plan is fixed before any worker
     /// starts, so the schedule cannot influence which cells replay.
     pub fn run_parallel_with(&self, jobs: usize, cache: &ReplayCache) -> Vec<RunMetrics> {
-        let cells: Vec<CellRef<'_>> = self.cells.iter().map(RunCell::by_ref).collect();
-        cache.run(&cells, jobs)
+        cache.run(&self.cells, jobs)
     }
 }
 
@@ -356,22 +333,23 @@ pub struct WorkloadCache {
 impl WorkloadCache {
     /// An empty cache with the environment-resolved persistent layer.
     pub fn new() -> Self {
-        WorkloadCache {
-            map: OnceMap::default(),
-            disk: diskcache::default_dir(),
-        }
+        Self::with_disk(diskcache::default_dir())
     }
 
     /// An empty cache without a persistent layer.
     pub fn in_memory() -> Self {
-        Self::default()
+        Self::with_disk(None)
     }
 
     /// An empty cache persisting to `dir`.
     pub fn with_disk_dir(dir: impl Into<PathBuf>) -> Self {
+        Self::with_disk(Some(dir.into()))
+    }
+
+    fn with_disk(disk: Option<PathBuf>) -> Self {
         WorkloadCache {
             map: OnceMap::default(),
-            disk: Some(dir.into()),
+            disk,
         }
     }
 

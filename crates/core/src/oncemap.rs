@@ -1,32 +1,16 @@
-//! A string-keyed map whose values are built at most once per key: the
-//! build-once protocol [`crate::WorkloadCache`] and
-//! [`crate::ReplayCache`] share.
+//! The build-once map behind [`crate::WorkloadCache`] and
+//! [`crate::ReplayCache`].
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// One entry: a once-cell for the value plus a build lock.
-#[derive(Debug)]
-struct Slot<V> {
-    ready: OnceLock<Arc<V>>,
-    building: Mutex<()>,
-}
+/// One entry: a once-cell for the value plus its build lock.
+type Slot<V> = (OnceLock<Arc<V>>, Mutex<()>);
 
-impl<V> Default for Slot<V> {
-    fn default() -> Self {
-        Slot {
-            ready: OnceLock::new(),
-            building: Mutex::new(()),
-        }
-    }
-}
-
-/// Values built at most once per key and shared as [`Arc`]s.
-///
-/// The map lock is only ever held for a key lookup. Builds happen
-/// outside it, each under its own key's lock: callers that need the
-/// *same* key build once and wait, callers with *different* keys build
-/// fully concurrently.
+/// Values built at most once per key and shared as [`Arc`]s. The map
+/// lock is only ever held for a key lookup; builds run under their own
+/// key's lock, so callers needing the *same* key build once and wait
+/// while *different* keys build concurrently.
 #[derive(Debug)]
 pub(crate) struct OnceMap<V> {
     slots: Mutex<HashMap<String, Arc<Slot<V>>>>,
@@ -50,16 +34,17 @@ impl<V> OnceMap<V> {
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<Arc<V>, E> {
         let slot = Arc::clone(self.lock().entry(key.to_string()).or_default());
-        if let Some(v) = slot.ready.get() {
+        let (ready, building) = &*slot;
+        if let Some(v) = ready.get() {
             return Ok(Arc::clone(v));
         }
-        let _build = slot.building.lock().expect("build lock poisoned");
+        let _build = building.lock().expect("build lock poisoned");
         // Re-check under the lock: a racing builder may have finished.
-        if let Some(v) = slot.ready.get() {
+        if let Some(v) = ready.get() {
             return Ok(Arc::clone(v));
         }
         match build() {
-            Ok(v) => Ok(Arc::clone(slot.ready.get_or_init(|| Arc::new(v)))),
+            Ok(v) => Ok(Arc::clone(ready.get_or_init(|| Arc::new(v)))),
             Err(e) => {
                 let mut slots = self.lock();
                 if slots.get(key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
@@ -72,17 +57,12 @@ impl<V> OnceMap<V> {
 
     /// Whether a value for `key` is ready (without building it).
     pub(crate) fn is_ready(&self, key: &str) -> bool {
-        self.lock()
-            .get(key)
-            .is_some_and(|s| s.ready.get().is_some())
+        self.lock().get(key).is_some_and(|s| s.0.get().is_some())
     }
 
     /// Number of ready values (slots still being built do not count).
     pub(crate) fn len(&self) -> usize {
-        self.lock()
-            .values()
-            .filter(|s| s.ready.get().is_some())
-            .count()
+        self.lock().values().filter(|s| s.0.get().is_some()).count()
     }
 
     /// Drops every entry (outstanding `Arc`s stay valid).
@@ -90,7 +70,7 @@ impl<V> OnceMap<V> {
         self.lock().clear();
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Slot<V>>>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<Slot<V>>>> {
         self.slots.lock().expect("once-map poisoned")
     }
 }

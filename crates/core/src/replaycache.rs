@@ -33,9 +33,10 @@
 //! [`ReplayStats::fallbacks`] while the cache is active) when:
 //!
 //! * its workload has no fingerprint (custom graph), or
-//! * its key appears only once in the matrix *and* no recording for it
-//!   is already cached in memory or on disk (recording would cost more
-//!   than it saves), or
+//! * its key appears only once among the cells run together (always so
+//!   for a one-cell run such as [`Experiment::run`](crate::Experiment::run))
+//!   *and* no recording for it is already cached in memory or on disk
+//!   (recording would cost more than it saves), or
 //! * replay is disabled (`BEACON_REPLAY=0`/`off`, or a
 //!   [`ReplayCache::disabled`] instance).
 //!
@@ -63,16 +64,18 @@
 //! artifact: the cache memoizes it under
 //!
 //! ```text
-//! <replay key>|platform=<name>|ssd=<device configuration>
+//! <replay key>|platform=<name>|ssd=<device configuration>[|lat=<epoch ns>]
 //! ```
 //!
-//! and serves later identical cells by cloning — counted in
+//! (the `lat` suffix marks latency-tracked cells) and serves later
+//! identical cells by cloning — counted in
 //! [`ReplayStats::memo_hits`]. The memo is populated by full runs and
 //! replays alike (so cross-figure deduplication needs no recording),
 //! lives in memory only, and obeys the same kill switches as replay.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -81,7 +84,7 @@ use beacon_platforms::{CascadeRecording, Engine, EngineScratch, Platform, RunMet
 use beacon_ssd::SsdConfig;
 
 use crate::diskcache;
-use crate::matrix::CellRef;
+use crate::matrix::RunCell;
 use crate::oncemap::OnceMap;
 use crate::workload::Workload;
 
@@ -127,8 +130,8 @@ pub struct ReplayStats {
     pub memo_hits: u64,
 }
 
-/// Caches one [`CascadeRecording`] per replay key and executes
-/// [`RunCell`]s by replaying it.
+/// Caches one [`CascadeRecording`] per replay key and executes cells
+/// by replaying it.
 ///
 /// Internally synchronized; the process-wide instance behind
 /// [`ReplayCache::global`] is what [`crate::RunMatrix::run_parallel`]
@@ -153,31 +156,29 @@ pub struct ReplayCache {
 }
 
 impl ReplayCache {
-    /// An enabled cache with the environment-resolved persistent layer
-    /// (shared with the workload disk cache).
-    pub fn new() -> Self {
+    /// An enabled cache persisting recordings to `disk`, if any.
+    fn enabled(disk: Option<PathBuf>) -> Self {
         ReplayCache {
-            disk: diskcache::default_dir(),
+            disk,
             enabled: true,
             ..Self::default()
         }
+    }
+
+    /// An enabled cache with the environment-resolved persistent layer
+    /// (shared with the workload disk cache).
+    pub fn new() -> Self {
+        Self::enabled(diskcache::default_dir())
     }
 
     /// An enabled cache without a persistent layer.
     pub fn in_memory() -> Self {
-        ReplayCache {
-            enabled: true,
-            ..Self::default()
-        }
+        Self::enabled(None)
     }
 
     /// An enabled cache persisting recordings to `dir`.
     pub fn with_disk_dir(dir: impl Into<PathBuf>) -> Self {
-        ReplayCache {
-            disk: Some(dir.into()),
-            enabled: true,
-            ..Self::default()
-        }
+        Self::enabled(Some(dir.into()))
     }
 
     /// A cache that never records or replays: every cell runs the full
@@ -222,11 +223,11 @@ impl ReplayCache {
     /// hashes. Latency-tracked cells key under a `|lat=` variant so a
     /// plain run's memoized metrics (whose latency report is disabled)
     /// are never served to a latency request, or vice versa.
-    fn memo_key(&self, cell: &CellRef<'_>) -> Option<String> {
+    fn memo_key<W: Deref<Target = Workload>>(&self, cell: &RunCell<W>) -> Option<String> {
         if !self.is_active() {
             return None;
         }
-        let key = replay_key(cell.workload, cell.seed)?;
+        let key = replay_key(&cell.workload, cell.seed)?;
         let mut key = format!(
             "{key}|platform={}|ssd={:?}",
             cell.platform.spec().name,
@@ -238,27 +239,18 @@ impl ReplayCache {
         Some(key)
     }
 
-    /// Serves a memoized cell, if present.
-    fn memo_get(&self, key: &str) -> Option<RunMetrics> {
-        let memo = self.memo.lock().expect("replay memo poisoned");
-        let m = memo.get(key)?;
-        self.memo_hits.fetch_add(1, Ordering::Relaxed);
-        Some((**m).clone())
-    }
-
-    /// Memoizes an executed cell's metrics. Concurrent duplicates are
-    /// harmless: the engine is deterministic, so any racer's result is
-    /// byte-identical to the one that sticks.
-    fn memo_put(&self, key: String, metrics: &RunMetrics) {
-        let mut memo = self.memo.lock().expect("replay memo poisoned");
-        memo.entry(key).or_insert_with(|| Arc::new(metrics.clone()));
+    fn memo(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<RunMetrics>>> {
+        self.memo.lock().expect("replay memo poisoned")
     }
 
     /// Executes `cells` on up to `jobs` workers and returns their
     /// metrics in cell order: the one executor behind every matrix and
     /// every [`Experiment::run`](crate::Experiment::run). The plan is
     /// fixed first, so the schedule cannot influence what replays.
-    pub(crate) fn run(&self, cells: &[CellRef<'_>], jobs: usize) -> Vec<RunMetrics> {
+    pub(crate) fn run<W>(&self, cells: &[RunCell<W>], jobs: usize) -> Vec<RunMetrics>
+    where
+        W: Deref<Target = Workload> + Sync,
+    {
         let plan = self.plan(cells);
         simkit::par::map_indexed(jobs, cells.len(), EngineScratch::new, |scratch, i| {
             self.execute_cell(&cells[i], plan[i].as_deref(), scratch)
@@ -273,46 +265,45 @@ impl ReplayCache {
     /// between record, replay and full run; since replay is
     /// byte-identical to a full run, the plan only ever affects
     /// wall-clock, not results.
-    fn plan(&self, cells: &[CellRef<'_>]) -> Vec<Option<String>> {
+    fn plan<W: Deref<Target = Workload>>(&self, cells: &[RunCell<W>]) -> Vec<Option<String>> {
         if !self.is_active() {
             return vec![None; cells.len()];
         }
         let keys: Vec<Option<String>> = cells
             .iter()
-            .map(|c| replay_key(c.workload, c.seed))
+            .map(|c| replay_key(&c.workload, c.seed))
             .collect();
         let mut counts: HashMap<String, usize> = HashMap::new();
         for k in keys.iter().flatten() {
             *counts.entry(k.clone()).or_insert(0) += 1;
         }
+        // A recording already in memory or on disk (not loaded here).
+        let dir = self.disk.as_deref();
+        let recorded = |k: &str| {
+            self.map.is_ready(k) || dir.is_some_and(|d| diskcache::recording_path(d, k).exists())
+        };
         keys.into_iter()
-            .map(|k| k.filter(|k| counts[k.as_str()] >= 2 || self.has_recording(k)))
+            .map(|k| k.filter(|k| counts[k.as_str()] >= 2 || recorded(k)))
             .collect()
-    }
-
-    /// Whether a recording for `key` already exists in memory or on
-    /// disk (without loading it).
-    fn has_recording(&self, key: &str) -> bool {
-        self.map.is_ready(key)
-            || self
-                .disk
-                .as_deref()
-                .is_some_and(|dir| diskcache::recording_path(dir, key).exists())
     }
 
     /// Executes one cell under the plan: serving identical
     /// already-executed cells from the memo, replaying via the cached
     /// recording when `key` is set, and running the untouched full path
     /// otherwise (memoizing either outcome for later identical cells).
-    fn execute_cell(
+    fn execute_cell<W: Deref<Target = Workload>>(
         &self,
-        cell: &CellRef<'_>,
+        cell: &RunCell<W>,
         key: Option<&str>,
         scratch: &mut EngineScratch,
     ) -> RunMetrics {
         let memo_key = self.memo_key(cell);
-        if let Some(m) = memo_key.as_deref().and_then(|k| self.memo_get(k)) {
-            return m;
+        if let Some(m) = memo_key
+            .as_deref()
+            .and_then(|k| self.memo().get(k).cloned())
+        {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return (*m).clone();
         }
         let batches = cell.workload.batches();
         let metrics = match key {
@@ -323,13 +314,17 @@ impl ReplayCache {
                 cell.engine().run_with(scratch, batches)
             }
             Some(key) => {
-                let recording = self.get_or_record(key, cell.workload, cell.seed, scratch);
+                let recording = self.get_or_record(key, &cell.workload, cell.seed, scratch);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 cell.engine().replay_with(scratch, &recording, batches)
             }
         };
+        // Concurrent duplicates are harmless: the engine is
+        // deterministic, so any racer's result equals the one that sticks.
         if let Some(mk) = memo_key {
-            self.memo_put(mk, &metrics);
+            self.memo()
+                .entry(mk)
+                .or_insert_with(|| Arc::new(metrics.clone()));
         }
         metrics
     }
@@ -341,15 +336,11 @@ impl ReplayCache {
     /// recording is now available — `false` when the cache is inactive
     /// or the workload has no fingerprint.
     pub fn prime_recording(&self, workload: &Workload, seed: u64) -> bool {
-        if !self.is_active() {
-            return false;
+        let key = replay_key(workload, seed).filter(|_| self.is_active());
+        if let Some(key) = &key {
+            self.get_or_record(key, workload, seed, &mut EngineScratch::new());
         }
-        let Some(key) = replay_key(workload, seed) else {
-            return false;
-        };
-        let mut scratch = EngineScratch::new();
-        self.get_or_record(&key, workload, seed, &mut scratch);
-        true
+        key.is_some()
     }
 
     /// Returns the recording for `key`, recording it from a canonical
@@ -413,6 +404,6 @@ impl ReplayCache {
     /// kept).
     pub fn clear(&self) {
         self.map.clear();
-        self.memo.lock().expect("replay memo poisoned").clear();
+        self.memo().clear();
     }
 }

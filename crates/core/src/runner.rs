@@ -3,7 +3,7 @@
 use beacon_platforms::{ArrayConfig, ArrayEngine, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 
-use crate::matrix::CellRef;
+use crate::matrix::RunCell;
 use crate::replaycache::ReplayCache;
 use crate::workload::Workload;
 
@@ -58,8 +58,8 @@ impl<'a> Experiment<'a> {
     }
 
     /// One platform's cell, with the workload borrowed.
-    fn cell(&self, platform: Platform) -> CellRef<'a> {
-        CellRef {
+    fn cell(&self, platform: Platform) -> RunCell<&'a Workload> {
+        RunCell {
             platform,
             workload: self.workload,
             ssd: self.ssd,

@@ -117,48 +117,39 @@ impl CascadeRecording {
         true
     }
 
-    /// Whether every field the serial replay indexes or sums holds a
-    /// value the recorder could have written for this workload, so a
-    /// recording read from disk can neither panic nor mis-time the
-    /// replay. Beyond [`CascadeRecording::matches_batches`]: each root
-    /// targets its batch slot's directory address; every target is a
-    /// written page of `dg`; every hop is within `model.hops`; every
-    /// child keeps its parent's subgraph, hence its root's slot; every
-    /// visited node is in the graph; and only visits carry feature
-    /// bytes, at most one page of them (a primary section's feature
-    /// slice). `die` and `result_bytes` are read only by the array's
-    /// device lanes, which replay recordings they made themselves.
+    /// Whether every field serial replay indexes or sums holds a value
+    /// the recorder could have written for this workload: beyond
+    /// [`CascadeRecording::matches_batches`], roots target their slot's
+    /// directory address, every target is a written page, hops stay
+    /// within the model's, children keep their parent's subgraph,
+    /// visited nodes are in the graph, and only visits carry feature
+    /// bytes, at most one page of them. (`die` and `result_bytes` are
+    /// read only by the array's lanes, which replay their own
+    /// recordings.) A recording read from disk must pass this first.
     pub fn fits(&self, model: &GnnModelConfig, dg: &DirectGraph, batches: &[Vec<NodeId>]) -> bool {
-        if !self.matches_batches(batches) {
-            return false;
-        }
-        let directory = dg.directory();
-        let roots_match = batches
+        let (layout, directory) = (dg.layout(), dg.directory());
+        let mut roots = batches
             .iter()
             .zip(&self.batch_roots)
-            .all(|(batch, &start)| {
-                batch
-                    .iter()
-                    .zip(&self.recs[start as usize..])
-                    .all(|(&node, r)| {
-                        directory.primary_addr(node).map(PhysAddr::to_raw) == Some(r.target)
-                    })
-            });
-        let page_size = dg.layout().page_size();
-        roots_match
+            .flat_map(|(batch, &start)| batch.iter().zip(&self.recs[start as usize..]));
+        self.matches_batches(batches)
+            && roots.all(|(&node, r)| {
+                directory.primary_addr(node).map(PhysAddr::to_raw) == Some(r.target)
+            })
             && self.recs.iter().all(|r| {
-                let (page, _) = dg.layout().unpack(PhysAddr::from_raw(r.target));
                 let start = r.children_start as usize;
-                let children = self
-                    .recs
-                    .get(start..start + r.children_len as usize)
-                    .unwrap_or_default();
-                let max_feature_bytes = if r.visited == u32::MAX { 0 } else { page_size };
+                let children = self.recs.get(start..start + r.children_len as usize);
+                let visited = r.visited != u32::MAX;
                 r.hop <= model.hops
-                    && dg.image().contains_page(page)
-                    && (r.visited == u32::MAX || (r.visited as usize) < directory.len())
-                    && r.feature_bytes as usize <= max_feature_bytes
-                    && children.iter().all(|c| c.subgraph == r.subgraph)
+                    && dg
+                        .image()
+                        .contains_page(layout.unpack(PhysAddr::from_raw(r.target)).0)
+                    && (!visited || (r.visited as usize) < directory.len())
+                    && r.feature_bytes as usize <= if visited { layout.page_size() } else { 0 }
+                    && children
+                        .unwrap_or_default()
+                        .iter()
+                        .all(|c| c.subgraph == r.subgraph)
             })
     }
 

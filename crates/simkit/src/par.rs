@@ -7,19 +7,15 @@
 //! dependency: jobs are partitioned by **fixed, input-derived chunk
 //! boundaries** (never by worker count), each job writes only its own
 //! disjoint output region, and workers are plain `std::thread::scope`
-//! threads draining a shared queue. The result is byte-identical at any
-//! thread count, including 1.
+//! threads taking the next index from a shared counter
+//! ([`map_indexed`], which the experiment runners' `--jobs` use too).
+//! The result is byte-identical at any thread count, including 1.
 //!
-//! The worker count comes from [`build_threads`]: the
-//! `BEACON_BUILD_THREADS` environment variable if set, otherwise the
-//! host's available parallelism. [`set_build_threads`] overrides it at
-//! runtime (used by benchmarks sweeping thread counts and by
+//! Build-time loops take their worker count from [`build_threads`]:
+//! the `BEACON_BUILD_THREADS` environment variable if set, otherwise
+//! the host's available parallelism. [`set_build_threads`] overrides it
+//! at runtime (used by benchmarks sweeping thread counts and by
 //! determinism tests).
-//!
-//! [`map_indexed`] is the same discipline for callers that pick their
-//! own worker count (the experiment runners' `--jobs`): each index's
-//! result lands in its own slot, so the output is in index order at any
-//! worker count.
 //!
 //! # Examples
 //!
@@ -86,42 +82,31 @@ pub fn set_build_threads(n: usize) {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any job (the scope joins all workers first).
+/// Propagates a panic from any job.
 pub fn run_jobs<F>(jobs: Vec<F>)
 where
     F: FnOnce() + Send,
 {
-    let threads = build_threads().min(jobs.len());
-    if threads <= 1 {
-        for job in jobs {
-            job();
-        }
-        return;
-    }
-    let queue = Mutex::new(jobs);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = queue.lock().expect("build job queue poisoned").pop();
-                match job {
-                    Some(job) => job(),
-                    None => break,
-                }
-            });
-        }
-    });
+    let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    map_indexed(
+        build_threads(),
+        jobs.len(),
+        || (),
+        |_, i| {
+            let job = jobs[i].lock().expect("build job poisoned").take();
+            job.expect("each job runs once")()
+        },
+    );
 }
 
 /// Computes `f(&mut state, i)` for every `i` in `0..n` on up to
 /// `workers` scoped threads and returns the results in index order.
 ///
-/// Each worker makes one `state` with `init` and passes it to every
-/// index it takes (a reusable scratch), and takes the next index from a
-/// shared counter, so one slow index does not hold up a fixed stripe.
-/// With one worker, or at most one index, everything runs inline on the
-/// caller's thread, in order. The output cannot observe the schedule as
-/// long as `f`'s result depends only on `i`, not on what the state
-/// served before.
+/// Each worker takes the next index from a shared counter, so one slow
+/// index does not hold up a fixed stripe, and passes every index it
+/// takes one `state` made by `init` (a reusable scratch). With one
+/// worker, or at most one index, everything runs inline on the caller's
+/// thread, in order.
 ///
 /// # Panics
 ///
@@ -138,36 +123,25 @@ where
         return (0..n).map(|i| f(&mut state, i)).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(n, || None);
-    std::thread::scope(|scope| {
+    let mut out: Vec<(usize, T)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut state = init();
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break mine;
-                        }
-                        mine.push((i, f(&mut state, i)));
-                    }
+                    std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+                        .take_while(|&i| i < n)
+                        .map(|i| (i, f(&mut state, i)))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
-        for handle in handles {
-            let mine = handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (i, v) in mine {
-                out[i] = Some(v);
-            }
-        }
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    out.into_iter()
-        .map(|v| v.expect("every index mapped"))
-        .collect()
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Splits `data` into fixed `chunk`-element pieces and applies `f` to
