@@ -79,9 +79,8 @@ fn builder(dataset: Dataset, nodes: usize, batch: usize, batches: usize) -> Work
 /// Prepares (or fetches from the cache) a workload with an explicit
 /// batch count.
 fn workload_with(dataset: Dataset, nodes: usize, batch: usize, batches: usize) -> Arc<Workload> {
-    let builder = builder(dataset, nodes, batch, batches);
     cache()
-        .get_or_prepare(builder)
+        .get_or_prepare(builder(dataset, nodes, batch, batches))
         .expect("harness workload prepares")
 }
 

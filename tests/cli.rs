@@ -200,6 +200,12 @@ fn compare_lists_all_platforms() {
     ] {
         assert!(stdout.contains(p), "missing {p} in: {stdout}");
     }
+    // Throughput is normalized to CC, so CC's own row reads 1.00x.
+    let cc = stdout
+        .lines()
+        .find(|l| l.starts_with("CC "))
+        .expect("CC row");
+    assert!(cc.contains("1.00x"), "{cc}");
 }
 
 #[test]
