@@ -655,47 +655,60 @@ pub struct ScaleoutReport {
 /// under each partition strategy and fabric. The sampling cascade is
 /// recorded once from the serial engine and replayed per cell (it
 /// depends on none of the swept parameters), so the sweep costs one
-/// full simulation plus cheap timing replays. Each cell's device lanes
-/// run inline on the calling thread.
+/// full simulation plus cheap timing replays. The partitions are built
+/// first; the cells then spread over the harness-wide jobs setting,
+/// each running its device lanes inline on its worker. Rows come back
+/// in sweep order at any jobs count.
 pub fn scaleout(nodes: usize, batch: usize) -> ScaleoutReport {
     let w = workload(Dataset::Amazon, nodes, batch);
     let exp = Experiment::new(&w);
     let cascade = exp
         .array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(1))
         .record(w.batches());
-    let mut rows = Vec::new();
-    let mut showcase = None;
-    for &devices in &SCALEOUT_DEVICES {
-        for strategy in PartitionStrategy::ALL {
+    let parts: Vec<_> = SCALEOUT_DEVICES
+        .iter()
+        .flat_map(|&devices| PartitionStrategy::ALL.map(|strategy| (devices, strategy)))
+        .map(|(devices, strategy)| {
             let part = strategy.build(w.graph(), devices as u32);
             let cut = part.cut_fraction(w.graph());
-            for (fabric, cfg) in scaleout_fabrics() {
-                let m = exp
-                    .array_engine(
-                        Platform::Bg2,
-                        ArrayConfig::pcie_p2p(devices).with_fabric(cfg),
-                    )
-                    .run_recorded(&cascade, &part);
-                rows.push(ScaleoutRow {
-                    devices,
-                    strategy,
-                    fabric,
-                    fabric_gbps: cfg.bandwidth as f64 / 1e9,
-                    targets_per_sec: m.throughput(),
-                    efficiency: m.efficiency(),
-                    cut_fraction: cut,
-                    cross_fraction: m.cross_fraction(),
-                    fabric_mb: m.fabric_bytes() as f64 / 1e6,
-                });
-                if devices == 8 && strategy == PartitionStrategy::BfsGrow && fabric == "pcie_p2p" {
-                    showcase = Some(m);
-                }
-            }
-        }
-    }
+            (devices, strategy, part, cut)
+        })
+        .collect();
+    let fabrics = scaleout_fabrics();
+    let cells = parts.len() * fabrics.len();
+    let run = |_: &mut (), i: usize| {
+        let (devices, strategy, ref part, cut) = parts[i / fabrics.len()];
+        let (fabric, cfg) = fabrics[i % fabrics.len()];
+        let m = exp
+            .array_engine(
+                Platform::Bg2,
+                ArrayConfig::pcie_p2p(devices).with_fabric(cfg),
+            )
+            .run_recorded(&cascade, part);
+        let row = ScaleoutRow {
+            devices,
+            strategy,
+            fabric,
+            fabric_gbps: cfg.bandwidth as f64 / 1e9,
+            targets_per_sec: m.throughput(),
+            efficiency: m.efficiency(),
+            cut_fraction: cut,
+            cross_fraction: m.cross_fraction(),
+            fabric_mb: m.fabric_bytes() as f64 / 1e6,
+        };
+        let showcase =
+            devices == 8 && strategy == PartitionStrategy::BfsGrow && fabric == "pcie_p2p";
+        (row, showcase.then_some(m))
+    };
+    let runs = simkit::par::map_indexed(jobs(), cells, || (), run);
+    let (rows, showcase): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
     ScaleoutReport {
         rows,
-        showcase: showcase.expect("8-device bfs_grow pcie_p2p cell in sweep"),
+        showcase: showcase
+            .into_iter()
+            .flatten()
+            .next()
+            .expect("8-device bfs_grow pcie_p2p cell in sweep"),
     }
 }
 

@@ -79,12 +79,9 @@
 //! go to a temp file and are atomically renamed into place, so
 //! concurrent processes never observe partial files.
 //!
-//! **Cascade recordings.** The same directory also holds `brc1-` files:
-//! serialized [`CascadeRecording`]s keyed by the record/replay cache
-//! (see [`crate::replaycache`]), in an identical container (magic
-//! `BRC1`, the shared [`FORMAT_VERSION`], key echo, checksum, atomic
-//! publish) whose payload is the recording's byte stream. Workloads and
-//! the cascades recorded from them invalidate together.
+//! Only prepared workloads persist. Sampling cascades are recorded
+//! afresh in each process and kept in memory (see
+//! [`crate::replaycache`]).
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -93,13 +90,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use beacon_gnn::GnnModelConfig;
 use beacon_graph::{CsrGraph, Dataset, DatasetSpec, FeatureTable, NodeId};
-use beacon_platforms::CascadeRecording;
 use directgraph::DirectGraph;
 
 use crate::workload::Workload;
 
 const MAGIC: &[u8; 4] = b"BWC1";
-const RECORDING_MAGIC: &[u8; 4] = b"BRC1";
 
 /// Container+pipeline version; see the module docs for the bump rule.
 /// Version 2 changed the payload checksum.
@@ -177,7 +172,7 @@ pub(crate) fn save(dir: &Path, fingerprint: &str, workload: &Workload) {
 
 fn try_save(dir: &Path, fingerprint: &str, w: &Workload) -> io::Result<()> {
     let path = file_path(dir, fingerprint);
-    publish(dir, &path, MAGIC, fingerprint, |out| {
+    publish(dir, &path, fingerprint, |out| {
         let (m, g, f) = (w.model(), w.graph(), w.features());
         out.write_all(&w.seed().to_le_bytes())?;
         out.write_all(&[m.hops])?;
@@ -199,7 +194,7 @@ fn try_save(dir: &Path, fingerprint: &str, w: &Workload) -> io::Result<()> {
 }
 
 fn try_load(path: &Path, fingerprint: &str) -> Option<Workload> {
-    let mut src = open(path, MAGIC, fingerprint)?;
+    let mut src = open(path, fingerprint)?;
     let seed = src.u64()?;
     let model = GnnModelConfig {
         hops: src.u8()?,
@@ -261,52 +256,19 @@ fn node_id(bytes: [u8; 4]) -> NodeId {
     NodeId::new(u32::from_le_bytes(bytes))
 }
 
-/// The cascade-recording cache file path for a replay key inside `dir`.
-///
-/// Recordings live beside the BWC1 workload files in the same
-/// directory, under their own `brc1-` prefix, and follow the same
-/// container discipline: magic, [`FORMAT_VERSION`], key echo, payload
-/// checksum, atomic temp-file publish. The shared version constant is
-/// deliberate — anything that invalidates a cached workload (generator
-/// streams, DirectGraph placement, batch drawing) also invalidates any
-/// cascade recorded from it.
-pub(crate) fn recording_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("brc1-{:016x}.bin", fnv1a(key.as_bytes())))
-}
-
-/// Attempts to load the cascade recording for `key` from `dir`.
-/// Returns `None` on any validation failure; callers re-record.
-pub(crate) fn load_recording(dir: &Path, key: &str) -> Option<CascadeRecording> {
-    let mut src = open(&recording_path(dir, key), RECORDING_MAGIC, key)?;
-    let body = src.blob()?;
-    src.finish()?;
-    CascadeRecording::from_bytes(&body)
-}
-
-/// Best-effort save of `recording` under replay key `key` (see
-/// [`crate::replay_key`]) in `dir`, in the checksummed container every
-/// [`crate::ReplayCache`] on `dir` loads; I/O failures only cost the
-/// next process a re-record.
-pub fn save_recording(dir: &Path, key: &str, recording: &CascadeRecording) {
-    let path = recording_path(dir, key);
-    let _ = publish(dir, &path, RECORDING_MAGIC, key, |out| {
-        out.put_bytes(&recording.to_bytes())
-    });
-}
-
 /// Opens the container at `path`: checks its magic, [`FORMAT_VERSION`]
 /// and key echo, and returns a reader just past the header whose
 /// payload ends where the file's last 8 bytes (the checksum) begin.
 /// `None` on any mismatch.
-fn open(path: &Path, magic: &[u8; 4], key: &str) -> Option<Source<File>> {
+fn open(path: &Path, key: &str) -> Option<Source<File>> {
     let mut file = File::open(path).ok()?;
     let len = file.metadata().ok()?.len();
     let mut head = [0u8; 4];
     file.read_exact(&mut head).ok()?;
-    if &head != magic {
+    if &head != MAGIC {
         return None;
     }
-    let payload = len.checked_sub((magic.len() + 8) as u64)?;
+    let payload = len.checked_sub((MAGIC.len() + 8) as u64)?;
     let mut src = Source::new(file, payload);
     if src.u32()? != FORMAT_VERSION || src.blob()? != key.as_bytes() {
         return None;
@@ -314,14 +276,13 @@ fn open(path: &Path, magic: &[u8; 4], key: &str) -> Option<Source<File>> {
     Some(src)
 }
 
-/// Streams `magic`, the header for `key`, the payload `body` writes and
-/// the payload's checksum to a temp file in `dir`, then renames it to
-/// `path`. The rename is the atomic publish: readers see either the old
-/// file or the complete new one, never a partial write.
+/// Streams the magic, the header for `key`, the payload `body` writes
+/// and the payload's checksum to a temp file in `dir`, then renames it
+/// to `path`. The rename is the atomic publish: readers see either the
+/// old file or the complete new one, never a partial write.
 fn publish(
     dir: &Path,
     path: &Path,
-    magic: &[u8; 4],
     key: &str,
     body: impl FnOnce(&mut Sink<&mut File>) -> io::Result<()>,
 ) -> io::Result<()> {
@@ -330,7 +291,7 @@ fn publish(
     let tmp = dir.join(format!("tmp-{}-{name}", std::process::id()));
     let write = || -> io::Result<()> {
         let mut file = File::create(&tmp)?;
-        file.write_all(magic)?;
+        file.write_all(MAGIC)?;
         let mut sink = Sink::new(&mut file);
         sink.write_all(&FORMAT_VERSION.to_le_bytes())?;
         sink.put_bytes(key.as_bytes())?;
@@ -710,20 +671,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The replay cache's canonical recording of `w`: BG-2 on the
-    /// paper-default device at the workload's page size.
-    fn recording_of(w: &Workload) -> CascadeRecording {
-        use beacon_platforms::{Engine, EngineScratch, Platform};
-        let page_size = w.directgraph().layout().page_size();
-        let ssd = beacon_ssd::SsdConfig::paper_default().with_page_size(page_size);
-        Engine::new(Platform::Bg2, ssd, w.model(), w.directgraph(), w.seed())
-            .record_cascade(&mut EngineScratch::default(), w.batches())
-            .1
-    }
-
-    /// The exact bytes of one BWC1 and one BRC1 file (FNV-1a of each
-    /// whole file): any change to the writer must reproduce them, or
-    /// bump [`FORMAT_VERSION`].
+    /// The exact bytes of one BWC1 file (FNV-1a of the whole file): any
+    /// change to the writer must reproduce them, or bump
+    /// [`FORMAT_VERSION`].
     #[test]
     fn container_bytes_are_pinned() {
         let dir = tempdir("pin");
@@ -731,19 +681,12 @@ mod tests {
         let key = b.fingerprint().unwrap();
         let w = b.prepare().unwrap();
         save(&dir, &key, &w);
-        save_recording(&dir, "pin", &recording_of(&w));
         let bwc1 = std::fs::read(file_path(&dir, &key)).unwrap();
-        let brc1 = std::fs::read(recording_path(&dir, "pin")).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             (bwc1.len(), fnv1a(&bwc1)),
             (203_758, 0xb6b5_bc2d_9533_a255),
             "BWC1 bytes"
-        );
-        assert_eq!(
-            (brc1.len(), fnv1a(&brc1)),
-            (25_659, 0x7dd0_c7f8_776f_8ef6),
-            "BRC1 bytes"
         );
     }
 
@@ -895,54 +838,43 @@ mod tests {
         }
     }
 
-    /// The BWC1 file of the test workload and the BRC1 file of its
-    /// recording, each with the byte offset and stored value of every
-    /// count field its decoder reads.
-    struct Files {
+    /// The BWC1 file of the test workload, with the byte offset and
+    /// stored value of every count field its decoder reads.
+    struct Fixture {
         key: String,
-        bwc1: Vec<u8>,
-        bwc1_counts: Vec<(&'static str, usize)>,
-        brc1: Vec<u8>,
-        brc1_counts: Vec<(&'static str, usize)>,
+        bytes: Vec<u8>,
+        counts: Vec<(&'static str, usize)>,
     }
 
-    fn files() -> &'static Files {
-        static FILES: std::sync::OnceLock<Files> = std::sync::OnceLock::new();
-        FILES.get_or_init(|| {
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
             let dir = tempdir("files");
             let b = builder();
             let key = b.fingerprint().unwrap();
             let w = b.prepare().unwrap();
             save(&dir, &key, &w);
-            save_recording(&dir, &key, &recording_of(&w));
-            let bwc1 = std::fs::read(file_path(&dir, &key)).unwrap();
-            let brc1 = std::fs::read(recording_path(&dir, &key)).unwrap();
+            let bytes = std::fs::read(file_path(&dir, &key)).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
 
             let (g, n) = (w.graph(), w.graph().num_nodes());
             let name = w.spec().dataset.name().len();
             let mut at = 4 + 4 + (8 + key.len()) + 8 + (1 + 2 + 8 + 8) + (8 + name) + 8;
-            let mut bwc1_counts = vec![("batch count", at)];
+            let mut counts = vec![("batch count", at)];
             at += 8;
             for batch in w.batches() {
-                bwc1_counts.push(("batch length", at));
+                counts.push(("batch length", at));
                 at += 8 + 4 * batch.len();
             }
-            bwc1_counts.push(("offsets", at));
+            counts.push(("offsets", at));
             at += 8 + 8 * g.offsets().len();
-            bwc1_counts.push(("adjacency", at));
+            counts.push(("adjacency", at));
             at += 8 + 4 * g.adjacency().len() + 8;
-            bwc1_counts.push(("features", at));
+            counts.push(("features", at));
             at += 8 + 4 * w.features().values().len() + 4 + 4;
-            bwc1_counts.push(("DirectGraph nodes", at));
+            counts.push(("DirectGraph nodes", at));
             at += 8 + 4 * n + 5 * 8;
-            bwc1_counts.push(("DirectGraph pages", at));
-            let at = 4 + 4 + 8 + key.len();
-            let brc1_counts = vec![
-                ("recording body", at),
-                ("recorded commands", at + 8),
-                ("recorded batches", at + 16),
-            ];
+            counts.push(("DirectGraph pages", at));
 
             // Each offset holds the count it names.
             let want = [
@@ -954,21 +886,11 @@ mod tests {
             .chain([g.offsets().len(), g.adjacency().len()])
             .chain([w.features().values().len(), n])
             .chain([w.directgraph().image().pages_written()]);
-            for ((field, at), want) in bwc1_counts.iter().zip(want) {
-                assert_eq!(u64_at(&bwc1, *at), want as u64, "BWC1 {field}");
+            for ((field, at), want) in counts.iter().zip(want) {
+                assert_eq!(u64_at(&bytes, *at), want as u64, "BWC1 {field}");
             }
-            assert_eq!(bwc1_counts.len(), 8);
-            assert_eq!(
-                u64_at(&brc1, brc1_counts[0].1),
-                (brc1.len() - at - 16) as u64
-            );
-            Files {
-                key,
-                bwc1,
-                bwc1_counts,
-                brc1,
-                brc1_counts,
-            }
+            assert_eq!(counts.len(), 8);
+            Fixture { key, bytes, counts }
         })
     }
 
@@ -976,58 +898,36 @@ mod tests {
         u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
     }
 
-    /// Writes `bytes` as the test workload's BWC1 file (`recording`:
-    /// its BRC1 file) into a fresh directory and loads it back; `true`
-    /// if the load succeeded. A failed workload load must count a miss.
-    fn loads(tag: &str, bytes: &[u8], recording: bool) -> bool {
-        let f = files();
+    /// Writes `bytes` as the test workload's BWC1 file into a fresh
+    /// directory and loads it back; `true` if the load succeeded. A
+    /// failed load must count a miss.
+    fn loads(tag: &str, bytes: &[u8]) -> bool {
+        let f = fixture();
         let dir = tempdir(tag);
-        let loaded = if recording {
-            std::fs::write(recording_path(&dir, &f.key), bytes).unwrap();
-            load_recording(&dir, &f.key).is_some()
-        } else {
-            std::fs::write(file_path(&dir, &f.key), bytes).unwrap();
-            let misses = stats().misses;
-            let loaded = load(&dir, &f.key).is_some();
-            assert!(
-                loaded || stats().misses > misses,
-                "{tag}: a failed load counts a miss"
-            );
-            loaded
-        };
+        std::fs::write(file_path(&dir, &f.key), bytes).unwrap();
+        let misses = stats().misses;
+        let loaded = load(&dir, &f.key).is_some();
+        assert!(
+            loaded || stats().misses > misses,
+            "{tag}: a failed load counts a miss"
+        );
         let _ = std::fs::remove_dir_all(&dir);
         loaded
     }
 
-    /// The fixture file and its count fields.
-    fn file(recording: bool) -> (&'static [u8], &'static [(&'static str, usize)]) {
-        let f = files();
-        if recording {
-            (&f.brc1, &f.brc1_counts)
-        } else {
-            (&f.bwc1, &f.bwc1_counts)
-        }
-    }
-
     #[test]
     fn pristine_files_load() {
-        assert!(loads("pristine", file(false).0, false));
-        assert!(loads("pristine-rec", file(true).0, true));
+        assert!(loads("pristine", &fixture().bytes));
     }
 
     #[test]
     fn trailing_bytes_miss() {
-        for recording in [false, true] {
-            let mut bytes = file(recording).0.to_vec();
-            let end = bytes.len() - 8;
-            bytes.splice(end..end, [0u8; 8]);
-            let sum = checksum(&bytes[4..end + 8]);
-            bytes[end + 8..].copy_from_slice(&sum.to_le_bytes());
-            assert!(
-                !loads("trailing", &bytes, recording),
-                "recording {recording}"
-            );
-        }
+        let mut bytes = fixture().bytes.clone();
+        let end = bytes.len() - 8;
+        bytes.splice(end..end, [0u8; 8]);
+        let sum = checksum(&bytes[4..end + 8]);
+        bytes[end + 8..].copy_from_slice(&sum.to_le_bytes());
+        assert!(!loads("trailing", &bytes));
     }
 
     proptest::proptest! {
@@ -1035,48 +935,38 @@ mod tests {
 
         /// A file cut anywhere short of its end misses.
         #[test]
-        fn truncated_files_miss(
-            cut in 0.0f64..1.0,
-            recording in proptest::any::<bool>(),
-        ) {
-            let bytes = file(recording).0;
+        fn truncated_files_miss(cut in 0.0f64..1.0) {
+            let bytes = &fixture().bytes;
             let cut = (cut * bytes.len() as f64) as usize;
-            proptest::prop_assert!(!loads("truncated", &bytes[..cut], recording), "cut at {cut}");
+            proptest::prop_assert!(!loads("truncated", &bytes[..cut]), "cut at {cut}");
         }
 
         /// One to three flipped bits anywhere, the magic and the
         /// checksum included, make the file miss.
         #[test]
-        fn bit_flipped_files_miss(
-            flips in proptest::collection::vec(0.0f64..1.0, 1..4),
-            recording in proptest::any::<bool>(),
-        ) {
-            let mut bytes = file(recording).0.to_vec();
+        fn bit_flipped_files_miss(flips in proptest::collection::vec(0.0f64..1.0, 1..4)) {
+            let mut bytes = fixture().bytes.clone();
             let bits: std::collections::BTreeSet<usize> =
                 flips.iter().map(|f| (f * (bytes.len() * 8) as f64) as usize).collect();
             for &bit in &bits {
                 bytes[bit / 8] ^= 1 << (bit % 8);
             }
-            proptest::prop_assert!(!loads("flipped", &bytes, recording), "bits {bits:?}");
+            proptest::prop_assert!(!loads("flipped", &bytes), "bits {bits:?}");
         }
 
         /// A count field set past the bytes the file holds, under a
         /// recomputed checksum, is rejected by the decoder, which
         /// allocates nothing for it.
         #[test]
-        fn oversized_counts_miss(
-            field in 0usize..64,
-            value in (1u64 << 32)..u64::MAX,
-            recording in proptest::any::<bool>(),
-        ) {
-            let (pristine, counts) = file(recording);
-            let (name, at) = counts[field % counts.len()];
-            let mut bytes = pristine.to_vec();
+        fn oversized_counts_miss(field in 0usize..64, value in (1u64 << 32)..u64::MAX) {
+            let f = fixture();
+            let (name, at) = f.counts[field % f.counts.len()];
+            let mut bytes = f.bytes.clone();
             bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
             let end = bytes.len() - 8;
             let sum = checksum(&bytes[4..end]);
             bytes[end..].copy_from_slice(&sum.to_le_bytes());
-            proptest::prop_assert!(!loads("oversized", &bytes, recording), "{name} = {value}");
+            proptest::prop_assert!(!loads("oversized", &bytes), "{name} = {value}");
         }
 
         /// The incremental checksum, fed in pieces split anywhere —

@@ -17,15 +17,13 @@
 //! replay key is
 //!
 //! ```text
-//! <workload fingerprint>|seed=<cell seed>|cascade-v1
+//! <workload fingerprint>|seed=<cell seed>
 //! ```
 //!
 //! The fingerprint already covers everything sampling-relevant —
 //! dataset, scale, batch drawing, page size, model — and the cell seed
 //! covers the draw streams. Platform and `SsdConfig` are deliberately
-//! *absent*: the cascade does not depend on them. The trailing
-//! `cascade-v1` tag versions the recording semantics themselves and
-//! must be bumped if the sampler's draw derivation ever changes.
+//! *absent*: the cascade does not depend on them.
 //!
 //! ## Fallback rules
 //!
@@ -35,20 +33,18 @@
 //! * its workload has no fingerprint (custom graph), or
 //! * its key appears only once among the cells run together (always so
 //!   for a one-cell run such as [`Experiment::run`](crate::Experiment::run))
-//!   *and* no recording for it is already cached in memory or on disk
-//!   (recording would cost more than it saves), or
+//!   *and* this cache holds no recording for it yet (recording would
+//!   cost more than it saves), or
 //! * replay is disabled (`BEACON_REPLAY=0`/`off`, or a
 //!   [`ReplayCache::disabled`] instance).
 //!
-//! ## Persistence
+//! ## Lifetime
 //!
-//! Recordings persist through the same directory as the BWC1 workload
-//! cache, in `brc1-` containers (see [`crate::diskcache`]); a second
-//! process replays without ever recording. A loaded recording is
-//! validated (checksum, key echo, structural invariants, and every
-//! field replay indexes or sums against the live workload, see
-//! [`CascadeRecording::fits`]) before use; anything suspect is silently
-//! recorded again and republished.
+//! Recordings live only in the cache that recorded them, for as long as
+//! it lives: a new process records each cascade it needs once, from
+//! this build's own sampler, so there is no recording file to version
+//! or validate. Only prepared workloads persist (see
+//! [`crate::diskcache`]).
 //!
 //! ## Exact-cell memo
 //!
@@ -76,21 +72,15 @@
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::ops::Deref;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use beacon_platforms::{CascadeRecording, Engine, EngineScratch, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 
-use crate::diskcache;
 use crate::matrix::RunCell;
 use crate::oncemap::OnceMap;
 use crate::workload::Workload;
-
-/// Versions the recording semantics; bump when sampler draw derivation
-/// or the recording's meaning changes.
-const KEY_VERSION: &str = "cascade-v1";
 
 /// `BEACON_REPLAY` environment resolution, done once per process.
 fn env_enabled() -> bool {
@@ -108,7 +98,7 @@ fn env_enabled() -> bool {
 /// workload carries no stable identity.
 pub fn replay_key(workload: &Workload, seed: u64) -> Option<String> {
     let fp = workload.fingerprint()?;
-    Some(format!("{fp}|seed={seed}|{KEY_VERSION}"))
+    Some(format!("{fp}|seed={seed}"))
 }
 
 /// Traffic counters of one [`ReplayCache`] instance.
@@ -116,11 +106,9 @@ pub fn replay_key(workload: &Workload, seed: u64) -> Option<String> {
 pub struct ReplayStats {
     /// Cells replayed from an already-cached recording.
     pub hits: u64,
-    /// Recordings performed (the miss path: no usable recording in
-    /// memory or on disk).
+    /// Recordings performed (the miss path: no recording in this
+    /// cache yet).
     pub records: u64,
-    /// Recordings served by deserializing a `brc1-` disk file.
-    pub disk_hits: u64,
     /// Cells that ran the untouched full path while the cache was
     /// active (no fingerprint, or a single-use key not worth recording).
     pub fallbacks: u64,
@@ -136,49 +124,30 @@ pub struct ReplayStats {
 /// Internally synchronized; the process-wide instance behind
 /// [`ReplayCache::global`] is what [`crate::RunMatrix::run_parallel`]
 /// and [`crate::Experiment::run`] consult. Tests inject their own
-/// instances ([`ReplayCache::in_memory`], [`ReplayCache::with_disk_dir`],
-/// [`ReplayCache::disabled`]) so they never mutate process-global state.
+/// instances ([`ReplayCache::in_memory`], [`ReplayCache::disabled`]) so
+/// they never mutate process-global state.
 #[derive(Debug, Default)]
 pub struct ReplayCache {
     /// Recordings by replay key; concurrent workers needing the *same*
     /// key record once and wait, distinct keys record concurrently.
     map: OnceMap<CascadeRecording>,
     memo: Mutex<HashMap<String, Arc<RunMetrics>>>,
-    disk: Option<PathBuf>,
     /// Instance-level switch; the effective state also requires the
     /// environment switch (see [`ReplayCache::is_active`]).
     enabled: bool,
     hits: AtomicU64,
     records: AtomicU64,
-    disk_hits: AtomicU64,
     fallbacks: AtomicU64,
     memo_hits: AtomicU64,
 }
 
 impl ReplayCache {
-    /// An enabled cache persisting recordings to `disk`, if any.
-    fn enabled(disk: Option<PathBuf>) -> Self {
+    /// An enabled cache.
+    pub fn in_memory() -> Self {
         ReplayCache {
-            disk,
             enabled: true,
             ..Self::default()
         }
-    }
-
-    /// An enabled cache with the environment-resolved persistent layer
-    /// (shared with the workload disk cache).
-    pub fn new() -> Self {
-        Self::enabled(diskcache::default_dir())
-    }
-
-    /// An enabled cache without a persistent layer.
-    pub fn in_memory() -> Self {
-        Self::enabled(None)
-    }
-
-    /// An enabled cache persisting recordings to `dir`.
-    pub fn with_disk_dir(dir: impl Into<PathBuf>) -> Self {
-        Self::enabled(Some(dir.into()))
     }
 
     /// A cache that never records or replays: every cell runs the full
@@ -190,7 +159,7 @@ impl ReplayCache {
     /// The process-wide cache used by the default matrix entry points.
     pub fn global() -> &'static ReplayCache {
         static GLOBAL: OnceLock<ReplayCache> = OnceLock::new();
-        GLOBAL.get_or_init(ReplayCache::new)
+        GLOBAL.get_or_init(ReplayCache::in_memory)
     }
 
     /// Whether this instance will record/replay: it is not
@@ -200,17 +169,11 @@ impl ReplayCache {
         self.enabled && env_enabled()
     }
 
-    /// The persistent layer's directory, if one is configured.
-    pub fn disk_dir(&self) -> Option<&std::path::Path> {
-        self.disk.as_deref()
-    }
-
     /// This instance's traffic counters.
     pub fn stats(&self) -> ReplayStats {
         ReplayStats {
             hits: self.hits.load(Ordering::Relaxed),
             records: self.records.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
         }
@@ -260,8 +223,8 @@ impl ReplayCache {
     /// Decides, before any cell executes, which cells replay: for each
     /// cell either `Some(key)` (record-once/replay-many) or `None` (full
     /// run). A key qualifies when ≥ 2 cells share it — the record cost
-    /// amortizes inside this run — or a recording for it is already
-    /// cached in memory or on disk. This is the only place that chooses
+    /// amortizes inside this run — or this cache already holds its
+    /// recording. This is the only place that chooses
     /// between record, replay and full run; since replay is
     /// byte-identical to a full run, the plan only ever affects
     /// wall-clock, not results.
@@ -277,13 +240,8 @@ impl ReplayCache {
         for k in keys.iter().flatten() {
             *counts.entry(k.clone()).or_insert(0) += 1;
         }
-        // A recording already in memory or on disk (not loaded here).
-        let dir = self.disk.as_deref();
-        let recorded = |k: &str| {
-            self.map.is_ready(k) || dir.is_some_and(|d| diskcache::recording_path(d, k).exists())
-        };
         keys.into_iter()
-            .map(|k| k.filter(|k| counts[k.as_str()] >= 2 || recorded(k)))
+            .map(|k| k.filter(|k| counts[k.as_str()] >= 2 || self.map.is_ready(k)))
             .collect()
     }
 
@@ -329,8 +287,7 @@ impl ReplayCache {
         metrics
     }
 
-    /// Records the workload's sampling cascade into this cache (loading
-    /// it from disk if a sibling process already recorded it) so that
+    /// Records the workload's sampling cascade into this cache so that
     /// later cells over the same workload and seed replay instead of
     /// running the sampler, even one at a time. Returns whether a
     /// recording is now available — `false` when the cache is inactive
@@ -354,20 +311,6 @@ impl ReplayCache {
         scratch: &mut EngineScratch,
     ) -> Arc<CascadeRecording> {
         let recorded = self.map.get_or_try_build(key, || {
-            // In-memory miss: a sibling process may have recorded this
-            // key. Check it against the live workload: a stale,
-            // colliding or crafted file must re-record, not panic or
-            // mis-time the replay.
-            let model = workload.model();
-            let loaded = self
-                .disk
-                .as_deref()
-                .and_then(|dir| diskcache::load_recording(dir, key))
-                .filter(|rec| rec.fits(&model, workload.directgraph(), workload.batches()));
-            if let Some(rec) = loaded {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok::<_, Infallible>(rec);
-            }
             // Record from the canonical engine: BG-2 (the only platform
             // whose command stream is channel-separable and
             // barrier-free) under the paper-default device at the
@@ -378,13 +321,15 @@ impl ReplayCache {
             self.records.fetch_add(1, Ordering::Relaxed);
             let ssd = SsdConfig::paper_default()
                 .with_page_size(workload.directgraph().layout().page_size());
-            let (_, recording) =
-                Engine::new(Platform::Bg2, ssd, model, workload.directgraph(), seed)
-                    .record_cascade(scratch, workload.batches());
-            if let Some(dir) = self.disk.as_deref() {
-                diskcache::save_recording(dir, key, &recording);
-            }
-            Ok(recording)
+            let (_, recording) = Engine::new(
+                Platform::Bg2,
+                ssd,
+                workload.model(),
+                workload.directgraph(),
+                seed,
+            )
+            .record_cascade(scratch, workload.batches());
+            Ok::<_, Infallible>(recording)
         });
         let Ok(recording) = recorded;
         recording
@@ -398,12 +343,5 @@ impl ReplayCache {
     /// Returns `true` if no recordings are resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every resident recording and memoized cell (disk files are
-    /// kept).
-    pub fn clear(&self) {
-        self.map.clear();
-        self.memo().clear();
     }
 }

@@ -72,23 +72,23 @@ impl<'a> Experiment<'a> {
     ///
     /// The run is a one-cell plan on [`ReplayCache::global`], the same
     /// executor every [`RunMatrix`](crate::RunMatrix) uses: an identical
-    /// earlier cell (same platform, device configuration, workload and
-    /// seed) returns its memoized metrics, a workload whose cascade is
-    /// already recorded replays it under this configuration, and
-    /// anything else executes the full engine. All three paths are
-    /// byte-identical (property-tested); set `BEACON_REPLAY=0` to force
-    /// full execution.
+    /// earlier cell in this process (same platform, device
+    /// configuration, workload and seed) returns its memoized metrics, a
+    /// workload whose cascade this process has already recorded replays
+    /// it under this configuration, and anything else executes the full
+    /// engine. All three paths are byte-identical (property-tested); set
+    /// `BEACON_REPLAY=0` to force full execution.
     pub fn run(&self, platform: Platform) -> RunMetrics {
         let mut runs = ReplayCache::global().run(&[self.cell(platform)], 1);
         runs.pop().expect("one cell, one result")
     }
 
-    /// Builds the multi-SSD array engine for one platform (see
-    /// [`ArrayEngine`]): the graph shards across `array.ssds` devices
-    /// and cross-partition expansions ride the configured fabric. Use
-    /// [`ArrayEngine::record`] + [`ArrayEngine::run_recorded`] to reuse
-    /// one recorded cascade across device counts, partitions, fabrics
-    /// and thread counts.
+    /// Builds the multi-SSD array engine for one channel-separable
+    /// platform, i.e. BG-2 (see [`ArrayEngine`]): the graph shards
+    /// across `array.ssds` devices and cross-partition expansions ride
+    /// the configured fabric. Use [`ArrayEngine::record`] +
+    /// [`ArrayEngine::run_recorded`] to reuse one recorded cascade
+    /// across device counts, partitions, fabrics and thread counts.
     pub fn array_engine(&self, platform: Platform, array: ArrayConfig) -> ArrayEngine<'a> {
         ArrayEngine::new(
             platform,

@@ -21,7 +21,9 @@ pub enum Dataset {
     /// and feature length "representative in common large-scale GNNs" and
     /// uses it for all single-workload experiments.
     Amazon,
-    /// Recommendation bipartite graph; short features.
+    /// Recommendation graph (user–item ratings in the paper); this
+    /// preset synthesizes a power-law graph like the others. Short
+    /// features.
     Movielens,
     /// Citation graph (OGBN); low average degree (28), the Table IV
     /// inflation outlier.

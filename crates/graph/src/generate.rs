@@ -12,7 +12,7 @@
 //!   power law, matching the heavy-tailed neighborhoods of social and
 //!   e-commerce graphs (and the Densification-law argument of §VII-F).
 //!
-//! Every generator derives one RNG stream per node (or per edge) via
+//! Every generator derives one RNG stream per node via
 //! [`SplitMix64::for_stream`] instead of walking a single sequential
 //! generator. That makes each node's draws a pure function of
 //! `(seed, node)`, so node ranges can be generated on any number of
@@ -39,17 +39,12 @@ use crate::csr::{CsrGraph, CsrGraphBuilder, NodeId};
 /// any parallelism level.
 const NODE_CHUNK: usize = 1024;
 
-/// Edges per parallel work item for edge-stream generators (R-MAT).
-const EDGE_CHUNK: usize = 8192;
-
 // Distinct stream salts per generator stage: two stages must never read
 // the same (seed, index) stream.
 const SALT_UNIFORM: u64 = 0x5EED_0001;
 const SALT_PL_DEGREE: u64 = 0x5EED_0002;
 const SALT_PL_ROUND: u64 = 0x5EED_0003;
 const SALT_PL_WIRE: u64 = 0x5EED_0004;
-const SALT_RMAT: u64 = 0x5EED_0005;
-const SALT_BIPARTITE: u64 = 0x5EED_0006;
 
 /// Generates a graph where every node has exactly `degree` out-neighbors
 /// drawn uniformly (self-loops excluded, duplicates allowed — like
@@ -333,154 +328,6 @@ fn draw_other(rng: &mut SplitMix64, n: u64, exclude: u32) -> u64 {
     }
 }
 
-/// Stable counting sort of directed edge pairs into CSR form: adjacency
-/// entries of each source keep their pair-array order, matching what a
-/// sequential append-per-node builder would produce.
-fn csr_from_pairs(num_nodes: usize, pairs: &[(u32, u32)]) -> CsrGraph {
-    let mut counts = vec![0u64; num_nodes + 1];
-    for &(u, _) in pairs {
-        counts[u as usize + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let offsets = counts.clone();
-    let mut cursor = counts;
-    let mut adjacency = vec![NodeId::default(); pairs.len()];
-    for &(u, v) in pairs {
-        let at = &mut cursor[u as usize];
-        adjacency[*at as usize] = NodeId::new(v);
-        *at += 1;
-    }
-    CsrGraph::from_raw_parts(offsets, adjacency)
-}
-
-/// Parameters of the recursive-matrix (R-MAT) generator.
-///
-/// R-MAT recursively partitions the adjacency matrix into quadrants
-/// with probabilities `(a, b, c, d)`; the classic Graph500 skew is
-/// `(0.57, 0.19, 0.19, 0.05)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RmatConfig {
-    /// log2 of the node count (the graph has `2^scale` nodes).
-    pub scale: u32,
-    /// Target edges per node.
-    pub edge_factor: usize,
-    /// Top-left quadrant probability.
-    pub a: f64,
-    /// Top-right quadrant probability.
-    pub b: f64,
-    /// Bottom-left quadrant probability.
-    pub c: f64,
-}
-
-impl RmatConfig {
-    /// Graph500-style parameters at the given scale.
-    pub fn graph500(scale: u32, edge_factor: usize) -> Self {
-        RmatConfig {
-            scale,
-            edge_factor,
-            a: 0.57,
-            b: 0.19,
-            c: 0.19,
-        }
-    }
-}
-
-/// Generates an R-MAT graph (self-loops redrawn once, then dropped).
-///
-/// # Panics
-///
-/// Panics if `scale` is 0 or ≥ 31, or quadrant probabilities don't
-/// leave a positive `d`.
-///
-/// # Examples
-///
-/// ```
-/// use beacon_graph::generate::{rmat, RmatConfig};
-/// let g = rmat(&RmatConfig::graph500(10, 8), 3);
-/// assert_eq!(g.num_nodes(), 1024);
-/// ```
-pub fn rmat(cfg: &RmatConfig, seed: u64) -> CsrGraph {
-    assert!(cfg.scale >= 1 && cfg.scale < 31, "scale out of range");
-    let d = 1.0 - cfg.a - cfg.b - cfg.c;
-    assert!(d > 0.0, "quadrant probabilities must sum below 1");
-    let n = 1usize << cfg.scale;
-    let edges = n * cfg.edge_factor;
-    let mut pairs = vec![(0u32, 0u32); edges];
-    par::for_each_chunk_mut(&mut pairs, EDGE_CHUNK, |start, chunk| {
-        for (k, pair) in chunk.iter_mut().enumerate() {
-            let mut rng = SplitMix64::for_stream(seed, SALT_RMAT, (start + k) as u64);
-            let (mut u, mut v) = (0usize, 0usize);
-            for _ in 0..cfg.scale {
-                let r = rng.next_f64();
-                let (du, dv) = if r < cfg.a {
-                    (0, 0)
-                } else if r < cfg.a + cfg.b {
-                    (0, 1)
-                } else if r < cfg.a + cfg.b + cfg.c {
-                    (1, 0)
-                } else {
-                    (1, 1)
-                };
-                u = (u << 1) | du;
-                v = (v << 1) | dv;
-            }
-            if u == v {
-                v = draw_other(&mut rng, n as u64, u as u32) as usize;
-            }
-            *pair = (u as u32, v as u32);
-        }
-    });
-    csr_from_pairs(n, &pairs)
-}
-
-/// Generates a bipartite interaction graph (users × items, stored as
-/// one node space with users first), movielens-style: each user rates
-/// `ratings_per_user` items drawn with popularity skew, and edges are
-/// stored in both directions.
-///
-/// # Panics
-///
-/// Panics if either side is empty while ratings are requested.
-///
-/// # Examples
-///
-/// ```
-/// use beacon_graph::generate::bipartite;
-/// let g = bipartite(100, 20, 5, 7);
-/// assert_eq!(g.num_nodes(), 120);
-/// assert_eq!(g.num_edges(), 2 * 100 * 5);
-/// ```
-pub fn bipartite(users: usize, items: usize, ratings_per_user: usize, seed: u64) -> CsrGraph {
-    if ratings_per_user == 0 {
-        return CsrGraphBuilder::new(users + items).build();
-    }
-    assert!(users > 0 && items > 0, "both sides must be non-empty");
-    let mut pairs = vec![(0u32, 0u32); 2 * users * ratings_per_user];
-    par::for_each_chunk_mut(
-        &mut pairs,
-        NODE_CHUNK * 2 * ratings_per_user,
-        |start, chunk| {
-            let first_user = start / (2 * ratings_per_user);
-            for (k, user_pairs) in chunk.chunks_mut(2 * ratings_per_user).enumerate() {
-                let u = (first_user + k) as u32;
-                let mut rng = SplitMix64::for_stream(seed, SALT_BIPARTITE, u as u64);
-                for both in user_pairs.chunks_mut(2) {
-                    // Popularity skew: square the uniform draw so low item
-                    // indices are hit far more often (hit-movie effect).
-                    let x = rng.next_f64();
-                    let item = ((x * x) * items as f64) as usize;
-                    let item = (users + item.min(items - 1)) as u32;
-                    both[0] = (u, item);
-                    both[1] = (item, u);
-                }
-            }
-        },
-    );
-    csr_from_pairs(users + items, &pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,8 +491,6 @@ mod tests {
             (
                 uniform(2_000, 6, 11),
                 power_law(&PowerLawConfig::new(3_000, 14.0), 11),
-                rmat(&RmatConfig::graph500(10, 6), 11),
-                bipartite(800, 60, 7, 11),
             )
         };
         for threads in [2, 8] {
@@ -656,74 +501,8 @@ mod tests {
                 reference.1,
                 "power_law@{threads}"
             );
-            assert_eq!(
-                rmat(&RmatConfig::graph500(10, 6), 11),
-                reference.2,
-                "rmat@{threads}"
-            );
-            assert_eq!(
-                bipartite(800, 60, 7, 11),
-                reference.3,
-                "bipartite@{threads}"
-            );
         }
         par::set_build_threads(1);
-    }
-
-    #[test]
-    fn rmat_shape() {
-        let g = rmat(&RmatConfig::graph500(9, 8), 3);
-        assert_eq!(g.num_nodes(), 512);
-        assert_eq!(g.num_edges(), 512 * 8);
-        // R-MAT with Graph500 skew is heavy-tailed: the max degree far
-        // exceeds the mean.
-        assert!(g.max_degree() as f64 > 4.0 * g.avg_degree());
-        for v in g.nodes() {
-            assert!(!g.neighbors(v).contains(&v), "self loop at {v}");
-        }
-    }
-
-    #[test]
-    fn rmat_deterministic() {
-        let cfg = RmatConfig::graph500(8, 4);
-        assert_eq!(rmat(&cfg, 5), rmat(&cfg, 5));
-        assert_ne!(rmat(&cfg, 5), rmat(&cfg, 6));
-    }
-
-    #[test]
-    #[should_panic(expected = "scale out of range")]
-    fn rmat_zero_scale_rejected() {
-        rmat(&RmatConfig::graph500(0, 4), 1);
-    }
-
-    #[test]
-    fn bipartite_edges_respect_sides() {
-        let users = 50;
-        let items = 10;
-        let g = bipartite(users, items, 4, 9);
-        for u in 0..users as u32 {
-            for &nb in g.neighbors(NodeId::new(u)) {
-                assert!(nb.index() >= users, "user {u} linked to a user");
-            }
-        }
-        for i in users as u32..(users + items) as u32 {
-            for &nb in g.neighbors(NodeId::new(i)) {
-                assert!(nb.index() < users, "item {i} linked to an item");
-            }
-        }
-    }
-
-    #[test]
-    fn bipartite_popularity_is_skewed() {
-        let users = 2_000;
-        let items = 100;
-        let g = bipartite(users, items, 10, 4);
-        let first_item = g.degree(NodeId::new(users as u32));
-        let last_item = g.degree(NodeId::new((users + items - 1) as u32));
-        assert!(
-            first_item > 3 * last_item.max(1),
-            "{first_item} vs {last_item}"
-        );
     }
 
     #[test]

@@ -813,9 +813,11 @@ impl<'a> ArrayEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the array is empty, the fabric hop latency is zero
-    /// (it is the lookahead window), or the SSD geometry's page size
-    /// differs from the DirectGraph layout's.
+    /// Panics if the platform is not channel-separable (only BG-2's
+    /// pipeline decomposes into independent device lanes), the array is
+    /// empty, the fabric hop latency is zero (it is the lookahead
+    /// window), or the SSD geometry's page size differs from the
+    /// DirectGraph layout's.
     pub fn new(
         platform: Platform,
         array: ArrayConfig,
@@ -824,6 +826,10 @@ impl<'a> ArrayEngine<'a> {
         dg: &'a DirectGraph,
         seed: u64,
     ) -> Self {
+        assert!(
+            platform.spec().channel_separable(),
+            "array replay requires a channel-separable platform (BG-2)"
+        );
         assert!(array.ssds >= 1, "array needs at least one SSD");
         assert!(
             !array.fabric.hop_latency.is_zero(),
@@ -870,30 +876,16 @@ impl<'a> ArrayEngine<'a> {
     /// Phase 1: runs the serial single-SSD engine once and records the
     /// sampling cascade. The result is reusable across device counts,
     /// partitions, fabrics and thread counts (it depends on neither).
-    ///
-    /// On platforms that are not channel-separable the cascade is
-    /// empty and only a 1-device replay (the serial metrics verbatim)
-    /// is possible.
     pub fn record(&self, batches: &[Vec<NodeId>]) -> ArrayCascade {
-        let mut scratch = EngineScratch::new();
         let mut engine = Engine::new(self.platform, self.ssd, self.model, self.dg, self.seed);
         if let Some(epoch) = self.lat_epoch {
             engine = engine.with_latency(epoch);
         }
-        if self.platform.spec().channel_separable() {
-            let (single, recording) = engine.record_cascade(&mut scratch, batches);
-            ArrayCascade {
-                recording,
-                single,
-                batches: batches.to_vec(),
-            }
-        } else {
-            let single = engine.run_with(&mut scratch, batches);
-            ArrayCascade {
-                recording: CascadeRecording::default(),
-                single,
-                batches: batches.to_vec(),
-            }
+        let (single, recording) = engine.record_cascade(&mut EngineScratch::new(), batches);
+        ArrayCascade {
+            recording,
+            single,
+            batches: batches.to_vec(),
         }
     }
 
@@ -909,9 +901,7 @@ impl<'a> ArrayEngine<'a> {
     /// # Panics
     ///
     /// Panics if the partition's part count differs from the array
-    /// size, or if the array has more than one device and the platform
-    /// is not channel-separable (only BG-2's pipeline decomposes into
-    /// independent device lanes).
+    /// size.
     pub fn run_recorded(&self, cascade: &ArrayCascade, partition: &Partition) -> ArrayRunMetrics {
         let devs = self.array.ssds;
         assert_eq!(
@@ -948,10 +938,6 @@ impl<'a> ArrayEngine<'a> {
                 messages: 0,
             };
         }
-        assert!(
-            self.platform.spec().channel_separable(),
-            "multi-device array replay requires a channel-separable platform (BG-2)"
-        );
         self.replay(cascade, partition, pre)
     }
 
@@ -1240,6 +1226,20 @@ mod tests {
             .run_recorded(&cascade, &part);
             assert_eq!(digest(&m), reference, "threads={threads}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel-separable")]
+    fn cc_array_is_rejected() {
+        let (dg, model, _) = setup();
+        let _ = ArrayEngine::new(
+            Platform::Cc,
+            ArrayConfig::pcie_p2p(2),
+            SsdConfig::paper_default(),
+            model,
+            &dg,
+            7,
+        );
     }
 
     #[test]

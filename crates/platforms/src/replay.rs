@@ -20,9 +20,8 @@
 //! command stream under its own resource model.
 
 use beacon_flash::{SampleCommand, SampleOutcome};
-use beacon_gnn::GnnModelConfig;
 use beacon_graph::NodeId;
-use directgraph::{DirectGraph, PhysAddr};
+use directgraph::PhysAddr;
 
 /// One flash command of a recorded sampling cascade: its content (what
 /// the command asked for) and its outcome (what the die returned) —
@@ -60,17 +59,15 @@ pub(crate) struct CascadeRec {
     pub(crate) children_len: u32,
 }
 
-/// Serialized size of one [`CascadeRec`] (see
-/// [`CascadeRecording::to_bytes`]).
-const REC_BYTES: usize = 40;
-
 /// A full recorded cascade: every flash command of every batch, in
 /// spawn order. Batch `b`'s roots are the `batches[b].len()` records
 /// starting at `batch_roots[b]`, in target order.
 ///
 /// One recording serves every platform and every `SsdConfig` over the
-/// same workload + seed; see the module docs for why.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// same workload + seed; see the module docs for why. Only
+/// `Engine::record_cascade` makes one, so every recording is this
+/// build's own sampler output.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CascadeRecording {
     pub(crate) recs: Vec<CascadeRec>,
     pub(crate) batch_roots: Vec<u32>,
@@ -117,42 +114,6 @@ impl CascadeRecording {
         true
     }
 
-    /// Whether every field serial replay indexes or sums holds a value
-    /// the recorder could have written for this workload: beyond
-    /// [`CascadeRecording::matches_batches`], roots target their slot's
-    /// directory address, every target is a written page, hops stay
-    /// within the model's, children keep their parent's subgraph,
-    /// visited nodes are in the graph, and only visits carry feature
-    /// bytes, at most one page of them. (`die` and `result_bytes` are
-    /// read only by the array's lanes, which replay their own
-    /// recordings.) A recording read from disk must pass this first.
-    pub fn fits(&self, model: &GnnModelConfig, dg: &DirectGraph, batches: &[Vec<NodeId>]) -> bool {
-        let (layout, directory) = (dg.layout(), dg.directory());
-        let mut roots = batches
-            .iter()
-            .zip(&self.batch_roots)
-            .flat_map(|(batch, &start)| batch.iter().zip(&self.recs[start as usize..]));
-        self.matches_batches(batches)
-            && roots.all(|(&node, r)| {
-                directory.primary_addr(node).map(PhysAddr::to_raw) == Some(r.target)
-            })
-            && self.recs.iter().all(|r| {
-                let start = r.children_start as usize;
-                let children = self.recs.get(start..start + r.children_len as usize);
-                let visited = r.visited != u32::MAX;
-                r.hop <= model.hops
-                    && dg
-                        .image()
-                        .contains_page(layout.unpack(PhysAddr::from_raw(r.target)).0)
-                    && (!visited || (r.visited as usize) < directory.len())
-                    && r.feature_bytes as usize <= if visited { layout.page_size() } else { 0 }
-                    && children
-                        .unwrap_or_default()
-                        .iter()
-                        .all(|c| c.subgraph == r.subgraph)
-            })
-    }
-
     /// Reconstructs record `rec`'s command content.
     pub(crate) fn command(&self, rec: u32) -> SampleCommand {
         let r = &self.recs[rec as usize];
@@ -191,100 +152,6 @@ impl CascadeRecording {
             });
         }
         false
-    }
-
-    /// Serializes the recording to a flat little-endian byte stream
-    /// (fixed 40 bytes per record). The stream carries no checksum or
-    /// identity — persistent layers (see `beacongnn::diskcache`) wrap
-    /// it in their own envelope.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf =
-            Vec::with_capacity(16 + self.recs.len() * REC_BYTES + self.batch_roots.len() * 4);
-        buf.extend_from_slice(&(self.recs.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.batch_roots.len() as u64).to_le_bytes());
-        for r in &self.recs {
-            buf.extend_from_slice(&r.target.to_le_bytes());
-            buf.extend_from_slice(&r.subgraph.to_le_bytes());
-            buf.extend_from_slice(&r.parent.to_le_bytes());
-            buf.extend_from_slice(&r.die.to_le_bytes());
-            buf.extend_from_slice(&r.visited.to_le_bytes());
-            buf.extend_from_slice(&r.feature_bytes.to_le_bytes());
-            buf.extend_from_slice(&r.result_bytes.to_le_bytes());
-            buf.extend_from_slice(&r.children_start.to_le_bytes());
-            buf.extend_from_slice(&r.children_len.to_le_bytes());
-            buf.extend_from_slice(&r.count.to_le_bytes());
-            buf.push(r.hop);
-            buf.push(r.fault as u8);
-        }
-        for &b in &self.batch_roots {
-            buf.extend_from_slice(&b.to_le_bytes());
-        }
-        buf
-    }
-
-    /// Deserializes a recording produced by
-    /// [`CascadeRecording::to_bytes`]. Returns `None` on truncation or
-    /// structural corruption (out-of-range children, non-topological
-    /// child order, unsorted batch roots).
-    pub fn from_bytes(bytes: &[u8]) -> Option<CascadeRecording> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = bytes.get(*at..*at + n)?;
-            *at += n;
-            Some(s)
-        };
-        let n_recs = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?) as usize;
-        let n_batches = u64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?) as usize;
-        if n_recs > u32::MAX as usize
-            || bytes.len() != 16 + n_recs.checked_mul(REC_BYTES)? + n_batches.checked_mul(4)?
-        {
-            return None;
-        }
-        let mut recs = Vec::with_capacity(n_recs);
-        for _ in 0..n_recs {
-            let f = take(&mut at, REC_BYTES)?;
-            let u32_at = |o: usize| u32::from_le_bytes(f[o..o + 4].try_into().unwrap());
-            recs.push(CascadeRec {
-                target: u32_at(0),
-                subgraph: u32_at(4),
-                parent: u32_at(8),
-                die: u32_at(12),
-                visited: u32_at(16),
-                feature_bytes: u32_at(20),
-                result_bytes: u32_at(24),
-                children_start: u32_at(28),
-                children_len: u32_at(32),
-                count: u16::from_le_bytes(f[36..38].try_into().unwrap()),
-                hop: f[38],
-                fault: match f[39] {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
-            });
-        }
-        let mut batch_roots = Vec::with_capacity(n_batches);
-        for _ in 0..n_batches {
-            batch_roots.push(u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap()));
-        }
-        let rec = CascadeRecording { recs, batch_roots };
-        rec.validate().then_some(rec)
-    }
-
-    /// Structural integrity: children ranges in bounds and strictly
-    /// after their parent (topological order), batch roots nondecreasing
-    /// and in bounds.
-    fn validate(&self) -> bool {
-        let n = self.recs.len() as u64;
-        for (i, r) in self.recs.iter().enumerate() {
-            let start = r.children_start as u64;
-            let end = start + r.children_len as u64;
-            if r.children_len > 0 && (start <= i as u64 || end > n) {
-                return false;
-            }
-        }
-        self.batch_roots.windows(2).all(|w| w[0] <= w[1])
-            && self.batch_roots.last().is_none_or(|&b| (b as u64) <= n)
     }
 }
 
@@ -386,31 +253,6 @@ mod tests {
             ],
             batch_roots: vec![0],
         }
-    }
-
-    #[test]
-    fn byte_round_trip_is_lossless() {
-        let rec = sample_recording();
-        let bytes = rec.to_bytes();
-        let back = CascadeRecording::from_bytes(&bytes).expect("round trip");
-        assert_eq!(rec, back);
-    }
-
-    #[test]
-    fn truncation_and_corruption_are_rejected() {
-        let rec = sample_recording();
-        let bytes = rec.to_bytes();
-        assert!(CascadeRecording::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        assert!(CascadeRecording::from_bytes(&[]).is_none());
-        // A child range pointing out of bounds must not validate.
-        let mut bad = rec.clone();
-        bad.recs[0].children_len = 9;
-        assert!(CascadeRecording::from_bytes(&bad.to_bytes()).is_none());
-        // A child range pointing at (or before) its parent breaks the
-        // topological invariant the replay's spawn order relies on.
-        let mut cyclic = rec.clone();
-        cyclic.recs[0].children_start = 0;
-        assert!(CascadeRecording::from_bytes(&cyclic.to_bytes()).is_none());
     }
 
     #[test]
