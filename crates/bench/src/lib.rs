@@ -58,9 +58,10 @@ fn run_cells(cells: impl IntoIterator<Item = RunCell>) -> Vec<RunMetrics> {
     matrix.run_parallel(jobs())
 }
 
-/// The process-wide workload cache: figures that share a dataset shape
-/// (most of them reuse amazon at harness scale) prepare it exactly
-/// once and share the image via `Arc`.
+/// The process-wide workload cache: figures that share a dataset, scale
+/// and page size (most of them reuse amazon at harness scale) prepare
+/// its image exactly once, whatever their batch shape, and share it via
+/// `Arc`.
 fn cache() -> &'static WorkloadCache {
     static CACHE: OnceLock<WorkloadCache> = OnceLock::new();
     CACHE.get_or_init(WorkloadCache::new)
@@ -85,7 +86,8 @@ fn workload_with(dataset: Dataset, nodes: usize, batch: usize, batches: usize) -
 }
 
 /// Prepares the standard workload for `dataset` at harness scale.
-/// Cached: repeated calls with the same shape share one prepared image.
+/// Cached: every call for the same dataset and scale shares one
+/// prepared image.
 pub fn workload(dataset: Dataset, nodes: usize, batch: usize) -> Arc<Workload> {
     workload_with(dataset, nodes, batch, DEFAULT_BATCHES)
 }

@@ -26,8 +26,8 @@
 //! Shared immutable inputs (the DirectGraph image, CSR graph and
 //! feature table inside a [`Workload`]) are reference-counted with
 //! [`Arc`], so a 64-cell sweep holds one dataset in memory, not 64.
-//! [`WorkloadCache`] completes the picture for sweeps that vary only
-//! the device configuration: each distinct workload is prepared once.
+//! [`WorkloadCache`] completes the picture for sweeps that vary the
+//! device, batch shape or model: each dataset image is prepared once.
 
 use std::ops::Deref;
 use std::path::PathBuf;
@@ -40,7 +40,7 @@ use simkit::Duration;
 use crate::diskcache;
 use crate::oncemap::OnceMap;
 use crate::replaycache::ReplayCache;
-use crate::workload::{Workload, WorkloadBuilder, WorkloadError};
+use crate::workload::{Image, Workload, WorkloadBuilder, WorkloadError};
 
 // The whole module rests on experiment inputs being freely shareable
 // across worker threads; fail compilation, not runtime, if a field
@@ -300,24 +300,27 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Prepares each distinct workload once and hands out [`Arc`] clones.
+/// Prepares each dataset image once and shares it among the workloads
+/// it hands out.
 ///
 /// Sweeps that vary only the device configuration (core counts, channel
-/// counts, page-size-compatible knobs, …) would otherwise synthesize
-/// and convert the same dataset per point — by far the most expensive
-/// part of an experiment. Builders carrying a custom graph bypass the
-/// cache (their identity is the graph itself).
+/// counts, page-size-compatible knobs, …), the batch shape or the model
+/// would otherwise synthesize and convert the same dataset per point —
+/// by far the most expensive part of an experiment. Images are keyed by
+/// dataset, nodes, page size and seed; each workload's model and batches
+/// are drawn over its image in microseconds. Builders carrying a custom
+/// graph bypass the cache (their identity is the graph itself).
 ///
 /// The cache is internally synchronized and can be shared across
 /// threads (e.g. as a `static`). The map lock is only ever held for a
-/// key lookup — multi-second workload builds happen outside it, each
+/// key lookup — multi-second image builds happen outside it, each
 /// under its own per-key lock, so parallel workers preparing *distinct*
-/// workloads never serialize on each other (this was the root cause of
+/// images never serialize on each other (this was the root cause of
 /// the sweep's negative parallel speedup).
 ///
 /// Below the in-memory map sits an optional **persistent layer** (see
 /// [`crate::diskcache`]): on an in-memory miss the per-key build first
-/// tries to deserialize a previously saved workload from disk, and a
+/// tries to deserialize a previously saved image from disk, and a
 /// fresh build is saved back best-effort. [`WorkloadCache::new`]
 /// resolves the directory from `BEACON_WORKLOAD_CACHE` (default
 /// `target/workload-cache`; `0`/`off`/empty disables);
@@ -326,7 +329,7 @@ pub fn default_jobs() -> usize {
 /// tests, which must not share a process-global path).
 #[derive(Debug, Default)]
 pub struct WorkloadCache {
-    map: OnceMap<Workload>,
+    map: OnceMap<Image>,
     disk: Option<PathBuf>,
 }
 
@@ -358,38 +361,40 @@ impl WorkloadCache {
         self.disk.as_deref()
     }
 
-    /// Returns the cached workload for `builder`'s parameters, preparing
-    /// and inserting it on first use. Concurrent callers with the same
-    /// parameters share one build; callers with different parameters
-    /// build concurrently.
+    /// Returns the workload `builder` prepares, over the cached image for
+    /// its graph key, building and inserting the image on first use.
+    /// Concurrent callers with the same graph key share one build;
+    /// callers with different keys build concurrently.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError`] if preparation fails. Nothing is cached
     /// in that case — the slot is removed so a later caller can retry.
-    pub fn get_or_prepare(&self, builder: WorkloadBuilder) -> Result<Arc<Workload>, WorkloadError> {
-        let Some(key) = builder.fingerprint() else {
+    pub fn get_or_prepare(
+        &self,
+        mut builder: WorkloadBuilder,
+    ) -> Result<Arc<Workload>, WorkloadError> {
+        let Some(key) = builder.graph_key() else {
             return Ok(Arc::new(builder.prepare()?));
         };
-        self.map.get_or_try_build(&key, || {
+        builder.check_sizes()?;
+        let image = self.map.get_or_try_build(&key, || {
             // In-memory miss: a sibling process may have already built
-            // and persisted this workload.
-            if let Some(w) = self
-                .disk
-                .as_deref()
-                .and_then(|dir| diskcache::load(dir, &key))
-            {
-                return Ok(w);
+            // and persisted this image.
+            let disk = self.disk.as_deref();
+            if let Some(image) = disk.and_then(|dir| diskcache::load(dir, &key)) {
+                return Ok(image);
             }
-            let w = builder.prepare()?;
-            if let Some(dir) = &self.disk {
-                diskcache::save(dir, &key, &w);
+            let image = builder.image();
+            if let (Ok(image), Some(dir)) = (&image, disk) {
+                diskcache::save(dir, &key, image);
             }
-            Ok(w)
-        })
+            image
+        })?;
+        Ok(Arc::new(builder.shape(image, builder.fingerprint())))
     }
 
-    /// Number of distinct workloads currently cached (slots still being
+    /// Number of distinct images currently cached (slots still being
     /// built do not count).
     pub fn len(&self) -> usize {
         self.map.len()
@@ -400,7 +405,7 @@ impl WorkloadCache {
         self.len() == 0
     }
 
-    /// Drops every cached workload (outstanding `Arc`s stay valid).
+    /// Drops every cached image (outstanding workloads keep theirs).
     pub fn clear(&self) {
         self.map.clear();
     }
@@ -499,13 +504,13 @@ mod tests {
         let first = cache.get_or_prepare(b()).unwrap();
         let second = cache.get_or_prepare(b()).unwrap();
         assert!(
-            Arc::ptr_eq(&first, &second),
-            "same parameters must share one workload"
+            std::ptr::eq(first.directgraph(), second.directgraph()),
+            "same parameters must share one image"
         );
         assert_eq!(cache.len(), 1);
-        // A different parameter is a different entry.
+        // A different graph parameter is a different entry.
         let third = cache.get_or_prepare(b().seed(8)).unwrap();
-        assert!(!Arc::ptr_eq(&first, &third));
+        assert!(!std::ptr::eq(first.directgraph(), third.directgraph()));
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
@@ -530,11 +535,60 @@ mod tests {
         });
         for w in &results[1..] {
             assert!(
-                Arc::ptr_eq(&results[0], w),
+                std::ptr::eq(results[0].directgraph(), w.directgraph()),
                 "racing same-key requests must share one build"
             );
         }
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn builders_differing_only_in_shape_share_one_image() {
+        let dir = std::env::temp_dir().join(format!("beacon-matrix-shape-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let base = || {
+            Workload::builder()
+                .dataset(crate::Dataset::Ppi)
+                .nodes(700)
+                .batch_size(8)
+                .batches(2)
+                .seed(31)
+        };
+        let dim = crate::DatasetSpec::preset(crate::Dataset::Ppi).feature_dim;
+        let model = crate::GnnModelConfig {
+            hops: 2,
+            ..crate::GnnModelConfig::paper_default(dim)
+        };
+        let builders = [
+            base(),
+            base().batch_size(16),
+            base().batches(3),
+            base().model(model),
+        ];
+        let cache = WorkloadCache::with_disk_dir(&dir);
+        let workloads: Vec<_> = builders
+            .iter()
+            .map(|b| cache.get_or_prepare(b.clone()).unwrap())
+            .collect();
+        for w in &workloads[1..] {
+            assert!(std::ptr::eq(workloads[0].directgraph(), w.directgraph()));
+        }
+        assert_eq!(cache.len(), 1);
+        let files = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("bwc1-")
+            })
+            .count();
+        assert_eq!(files, 1, "one BWC1 file per graph key");
+        for (b, w) in builders.into_iter().zip(&workloads) {
+            let fresh = b.prepare().unwrap();
+            assert_eq!(w.batches(), fresh.batches());
+            assert_eq!(w.model(), fresh.model());
+            assert_eq!(w.fingerprint(), fresh.fingerprint());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! Recordings live only in the cache that recorded them, for as long as
 //! it lives: a new process records each cascade it needs once, from
 //! this build's own sampler, so there is no recording file to version
-//! or validate. Only prepared workloads persist (see
+//! or validate. Only workload images persist (see
 //! [`crate::diskcache`]).
 //!
 //! ## Exact-cell memo
@@ -67,7 +67,9 @@
 //! identical cells by cloning — counted in
 //! [`ReplayStats::memo_hits`]. The memo is populated by full runs and
 //! replays alike (so cross-figure deduplication needs no recording),
-//! lives in memory only, and obeys the same kill switches as replay.
+//! and by each recording run under its canonical cell's key, which a
+//! keyed cell checks again once it holds the recording. It lives in
+//! memory only and obeys the same kill switches as replay.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -75,7 +77,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use beacon_platforms::{CascadeRecording, Engine, EngineScratch, Platform, RunMetrics};
+use beacon_platforms::{CascadeRecording, EngineScratch, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 
 use crate::matrix::RunCell;
@@ -256,12 +258,14 @@ impl ReplayCache {
         scratch: &mut EngineScratch,
     ) -> RunMetrics {
         let memo_key = self.memo_key(cell);
-        if let Some(m) = memo_key
-            .as_deref()
-            .and_then(|k| self.memo().get(k).cloned())
-        {
+        let memoized = || {
+            let key = memo_key.as_deref()?;
+            let m = self.memo().get(key).cloned()?;
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return (*m).clone();
+            Some((*m).clone())
+        };
+        if let Some(m) = memoized() {
+            return m;
         }
         let batches = cell.workload.batches();
         let metrics = match key {
@@ -273,6 +277,11 @@ impl ReplayCache {
             }
             Some(key) => {
                 let recording = self.get_or_record(key, &cell.workload, cell.seed, scratch);
+                // Recording memoizes the canonical cell, which may be
+                // this one, whichever cell recorded.
+                if let Some(m) = memoized() {
+                    return m;
+                }
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 cell.engine().replay_with(scratch, &recording, batches)
             }
@@ -301,8 +310,9 @@ impl ReplayCache {
     }
 
     /// Returns the recording for `key`, recording it from a canonical
-    /// engine on first use. Concurrent callers with the same key share
-    /// one recording; distinct keys record concurrently.
+    /// cell on first use and memoizing that run's metrics, which equal a
+    /// plain run's. Concurrent callers with the same key share one
+    /// recording; distinct keys record concurrently.
     fn get_or_record(
         &self,
         key: &str,
@@ -311,24 +321,28 @@ impl ReplayCache {
         scratch: &mut EngineScratch,
     ) -> Arc<CascadeRecording> {
         let recorded = self.map.get_or_try_build(key, || {
-            // Record from the canonical engine: BG-2 (the only platform
+            // Record from the canonical cell: BG-2 (the only platform
             // whose command stream is channel-separable and
             // barrier-free) under the paper-default device at the
-            // workload's page size. The cascade is
+            // workload's page size, untracked. The cascade is
             // platform/timing-independent, so *which* canonical config
             // records it cannot matter — this one is just the cheapest
             // well-defined choice.
             self.records.fetch_add(1, Ordering::Relaxed);
-            let ssd = SsdConfig::paper_default()
-                .with_page_size(workload.directgraph().layout().page_size());
-            let (_, recording) = Engine::new(
-                Platform::Bg2,
-                ssd,
-                workload.model(),
-                workload.directgraph(),
+            let canonical = RunCell {
+                platform: Platform::Bg2,
+                workload,
+                ssd: SsdConfig::paper_default()
+                    .with_page_size(workload.directgraph().layout().page_size()),
                 seed,
-            )
-            .record_cascade(scratch, workload.batches());
+                latency: None,
+            };
+            let (metrics, recording) = canonical
+                .engine()
+                .record_cascade(scratch, workload.batches());
+            if let Some(mk) = self.memo_key(&canonical) {
+                self.memo().entry(mk).or_insert(Arc::new(metrics));
+            }
             Ok::<_, Infallible>(recording)
         });
         let Ok(recording) = recorded;

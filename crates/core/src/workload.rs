@@ -1,12 +1,15 @@
 //! Workload preparation: graph + features + DirectGraph + mini-batches.
 //!
-//! Preparing a workload (synthesizing the graph and converting it to
-//! DirectGraph) is the expensive part; [`Workload`] does it once and
-//! can then be reused across all platforms and sensitivity points —
-//! exactly how the paper holds the dataset fixed while sweeping the
-//! architecture.
+//! The expensive part, the image — graph, features and their DirectGraph
+//! encoding — depends only on the graph key (dataset, nodes, page size,
+//! seed), so every workload over one key can share it, as the paper
+//! flashes a dataset once for every mini-batch; the model and batches
+//! are drawn per workload in microseconds. A [`Workload`] is then reused
+//! across all platforms and sensitivity points — exactly how the paper
+//! holds the dataset fixed while sweeping the architecture.
 
 use std::fmt;
+use std::sync::Arc;
 
 use beacon_gnn::GnnModelConfig;
 use beacon_graph::{CsrGraph, Dataset, DatasetSpec, FeatureTable, MinibatchStream, NodeId};
@@ -146,6 +149,17 @@ impl WorkloadBuilder {
         ))
     }
 
+    /// The identity of the image: the only inputs its graph, features
+    /// and DirectGraph are built from. Builders that differ only in batch
+    /// size, batch count or model share it; `None` when the fingerprint is.
+    pub(crate) fn graph_key(&self) -> Option<String> {
+        if self.custom.is_some() {
+            return None;
+        }
+        let (d, n, p, s) = (self.dataset, self.nodes, self.page_size, self.seed);
+        Some(format!("{d:?}|n{n}|p{p}|s{s}"))
+    }
+
     /// Synthesizes the graph, converts it to DirectGraph, and draws the
     /// mini-batch targets.
     ///
@@ -154,18 +168,31 @@ impl WorkloadBuilder {
     /// Returns [`WorkloadError`] if the page size is unsupported, a
     /// synthetic graph would have fewer than two nodes, the batch size
     /// is zero, or conversion fails.
-    pub fn prepare(self) -> Result<Workload, WorkloadError> {
+    pub fn prepare(mut self) -> Result<Workload, WorkloadError> {
+        self.check_sizes()?;
+        let fingerprint = self.fingerprint();
+        let image = Arc::new(self.image()?);
+        Ok(self.shape(image, fingerprint))
+    }
+
+    /// Rejects the sizes at which no workload exists.
+    pub(crate) fn check_sizes(&self) -> Result<(), WorkloadError> {
         if (self.custom.is_none() && self.nodes < 2) || self.batch_size == 0 {
             return Err(WorkloadError::BadSize {
                 nodes: self.nodes,
                 batch_size: self.batch_size,
             });
         }
-        let fingerprint = self.fingerprint();
+        Ok(())
+    }
+
+    /// Builds the image from the graph key's parameters, or over the
+    /// caller-supplied graph and features, which it takes.
+    pub(crate) fn image(&mut self) -> Result<Image, WorkloadError> {
         let layout = AddrLayout::for_page_size(self.page_size)
             .ok_or(WorkloadError::BadPageSize(self.page_size))?;
         let mut spec = DatasetSpec::preset(self.dataset).at_scale(self.nodes);
-        let (graph, features) = match self.custom {
+        let (graph, features) = match self.custom.take() {
             Some((graph, features)) => {
                 spec.num_nodes = graph.num_nodes();
                 spec.avg_degree = graph.avg_degree().max(f64::MIN_POSITIVE);
@@ -174,35 +201,49 @@ impl WorkloadBuilder {
             }
             None => (spec.build_graph(self.seed), spec.build_features(self.seed)),
         };
-        let num_nodes = graph.num_nodes();
         let dg = DirectGraphBuilder::new(layout).build(&graph, &features)?;
-        let model = self
-            .model
-            .unwrap_or_else(|| GnnModelConfig::paper_default(spec.feature_dim));
-        let batches = {
-            let mut stream = MinibatchStream::new(num_nodes, self.batch_size, self.seed ^ 0xBA7C);
-            (0..self.batches).map(|_| stream.next_batch()).collect()
-        };
-        Ok(Workload {
+        Ok(Image {
             spec,
             graph,
             features,
             dg,
+        })
+    }
+
+    /// The workload over `image`: the model, and the mini-batch targets
+    /// drawn from their own stream.
+    pub(crate) fn shape(&self, image: Arc<Image>, fingerprint: Option<String>) -> Workload {
+        let model = self
+            .model
+            .unwrap_or_else(|| GnnModelConfig::paper_default(image.spec.feature_dim));
+        let nodes = image.graph.num_nodes();
+        let mut stream = MinibatchStream::new(nodes, self.batch_size, self.seed ^ 0xBA7C);
+        let batches = (0..self.batches).map(|_| stream.next_batch()).collect();
+        Workload {
+            image,
             model,
             batches,
             seed: self.seed,
             fingerprint,
-        })
+        }
     }
 }
 
-/// A fully prepared, platform-independent workload.
+/// The part of a workload its graph key determines: the dataset spec,
+/// the graph, the features and the DirectGraph image.
+#[derive(Debug, Clone)]
+pub(crate) struct Image {
+    pub(crate) spec: DatasetSpec,
+    pub(crate) graph: CsrGraph,
+    pub(crate) features: FeatureTable,
+    pub(crate) dg: DirectGraph,
+}
+
+/// A fully prepared, platform-independent workload: an image shared by
+/// every workload over its graph key, plus its own model and batches.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    spec: DatasetSpec,
-    graph: CsrGraph,
-    features: FeatureTable,
-    dg: DirectGraph,
+    image: Arc<Image>,
     model: GnnModelConfig,
     batches: Vec<Vec<NodeId>>,
     seed: u64,
@@ -210,33 +251,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Reassembles a workload from deserialized parts (the disk-cache
-    /// load path). Callers are responsible for the parts being mutually
-    /// consistent — the cache validates them against its checksum and
-    /// fingerprint before getting here.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        spec: DatasetSpec,
-        graph: CsrGraph,
-        features: FeatureTable,
-        dg: DirectGraph,
-        model: GnnModelConfig,
-        batches: Vec<Vec<NodeId>>,
-        seed: u64,
-        fingerprint: Option<String>,
-    ) -> Self {
-        Workload {
-            spec,
-            graph,
-            features,
-            dg,
-            model,
-            batches,
-            seed,
-            fingerprint,
-        }
-    }
-
     /// Starts building a workload.
     pub fn builder() -> WorkloadBuilder {
         WorkloadBuilder {
@@ -253,29 +267,31 @@ impl Workload {
 
     /// The dataset spec this workload was synthesized from.
     pub fn spec(&self) -> &DatasetSpec {
-        &self.spec
+        &self.image.spec
     }
 
     /// The CSR graph.
     pub fn graph(&self) -> &CsrGraph {
-        &self.graph
+        &self.image.graph
     }
 
     /// The feature table.
     pub fn features(&self) -> &FeatureTable {
-        &self.features
+        &self.image.features
     }
 
     /// The DirectGraph image.
     pub fn directgraph(&self) -> &DirectGraph {
-        &self.dg
+        &self.image.dg
     }
 
     /// Mutable access to the DirectGraph image, for reliability
     /// operations (scrub re-programs, wear-leveling reclamation) and
-    /// fault-injection tests.
+    /// fault-injection tests. Copy-on-write: while other workloads share
+    /// the image, this workload first takes its own copy of it, so they
+    /// never see the change.
     pub fn directgraph_mut(&mut self) -> &mut DirectGraph {
-        &mut self.dg
+        &mut Arc::make_mut(&mut self.image).dg
     }
 
     /// The GNN model configuration.
@@ -384,6 +400,25 @@ mod tests {
         // And it simulates end-to-end.
         let m = crate::Experiment::new(&w).run(crate::Platform::Bg2);
         assert!(m.throughput() > 0.0);
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_shared_image_unchanged() {
+        let w = Workload::builder()
+            .nodes(300)
+            .batch_size(4)
+            .batches(1)
+            .seed(5)
+            .prepare()
+            .unwrap();
+        let digest = w.directgraph().digest();
+        let mut copy = w.clone();
+        assert!(std::ptr::eq(w.directgraph(), copy.directgraph()));
+        copy.directgraph_mut()
+            .relocate_pages(|p| directgraph::PageIndex::new(p.as_u64() + 64))
+            .unwrap();
+        assert_ne!(copy.directgraph().digest(), digest);
+        assert_eq!(w.directgraph().digest(), digest);
     }
 
     #[test]

@@ -361,15 +361,6 @@ impl LatencyHistogram {
         self.counts.get(idx).copied().unwrap_or(0)
     }
 
-    /// Non-empty `(bucket_index, count)` pairs, ascending.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-    }
-
     /// The `num/den` quantile (e.g. `999/1000` for p99.9) as the upper
     /// bound of the containing bucket, clamped to the exact recorded
     /// extremes; `None` when empty. Integer rank math — no floats.

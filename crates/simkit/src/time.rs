@@ -126,22 +126,6 @@ impl Duration {
         Duration(s * 1_000_000_000)
     }
 
-    /// Creates a span from fractional microseconds, rounding to the nearest
-    /// nanosecond.
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Self {
-        debug_assert!(us >= 0.0, "negative duration");
-        Duration((us * 1_000.0).round() as u64)
-    }
-
-    /// Creates a span from fractional nanoseconds, rounding to the nearest
-    /// nanosecond.
-    #[inline]
-    pub fn from_ns_f64(ns: f64) -> Self {
-        debug_assert!(ns >= 0.0, "negative duration");
-        Duration(ns.round() as u64)
-    }
-
     /// The time to move `bytes` bytes over a link of `bytes_per_sec`
     /// bandwidth, rounded up to a whole nanosecond.
     ///

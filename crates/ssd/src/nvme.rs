@@ -154,11 +154,6 @@ impl QueuePair {
         (self.sq_tail + self.depth - self.sq_head) % self.depth
     }
 
-    /// Completions waiting for the host.
-    pub fn cq_pending(&self) -> usize {
-        (self.cq_tail + self.depth - self.cq_head) % self.depth
-    }
-
     /// Host side: submits a command and rings the tail doorbell;
     /// returns the command id.
     ///

@@ -157,7 +157,9 @@ fn key_breaking_cells_fall_back_to_the_full_path() {
     let stats = cache.stats();
     assert_eq!(stats.fallbacks, 2, "both custom-graph cells fall back");
     assert_eq!(stats.records, 1);
-    assert_eq!(stats.hits, 2);
+    // The keyed BG-2 cell is the recording run, served from the memo.
+    assert_eq!(stats.hits, 1);
+    assert_eq!(stats.memo_hits, 1);
 }
 
 #[test]
@@ -189,7 +191,12 @@ fn single_use_keys_skip_recording_unless_already_recorded() {
         registries(&single.run_sequential_with(&ReplayCache::disabled()))
     );
     assert_eq!(cache.stats().records, 1, "no re-record for a cached key");
-    assert_eq!(cache.stats().hits, 3);
+    assert_eq!(cache.stats().hits, 2);
+    assert_eq!(
+        cache.stats().memo_hits,
+        1,
+        "the pair's BG-2 cell is the recording run"
+    );
 }
 
 #[test]
