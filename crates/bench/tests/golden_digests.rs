@@ -242,6 +242,28 @@ fn array_engine_registry_digest_is_pinned() {
     );
 }
 
+/// Fig 15a–e's die and channel activity curves for every platform at
+/// smoke scale (4k nodes, batch 64). Folds each slice's exact `f64`
+/// bits plus both mean utilizations, so how a timeline stores its busy
+/// intervals cannot shift a curve value that the figure's 3-decimal
+/// CSV would round away.
+#[test]
+fn fig15_curves_digest_is_pinned() {
+    let curves = bench::fig15_curves(&Platform::ALL, 4_000, 64);
+    let digest = curves.iter().fold(FNV_OFFSET, |h, c| {
+        let h = fnv1a_fold(h, c.platform.to_string().as_bytes());
+        let h = fnv1a_fold(h, &c.slice.as_ns().to_le_bytes());
+        let h = c
+            .dies
+            .iter()
+            .chain(&c.channels)
+            .chain([&c.die_utilization, &c.channel_utilization])
+            .fold(h, |h, x| fnv1a_fold(h, &x.to_bits().to_le_bytes()));
+        fnv1a_fold(h, &(c.dies.len() as u64).to_le_bytes())
+    });
+    assert_eq!(digest, 0xecdd_5aac_91ee_efc8, "fig15 curve digest drifted");
+}
+
 /// The Fig 7b barrier-cost sweep at harness scale — the rows behind the
 /// `experiments fig7b` stdout the CI determinism smoke `cmp`s. Folding
 /// the raw row values pins the same information as the rendered table
