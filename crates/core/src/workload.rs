@@ -289,8 +289,12 @@ impl Workload {
     /// operations (scrub re-programs, wear-leveling reclamation) and
     /// fault-injection tests. Copy-on-write: while other workloads share
     /// the image, this workload first takes its own copy of it, so they
-    /// never see the change.
+    /// never see the change. The workload loses its fingerprint, since
+    /// the image may no longer be the one the builder prepared: like a
+    /// custom-graph workload, it then runs in full, never through a
+    /// recording or memoized metrics of the unmodified image.
     pub fn directgraph_mut(&mut self) -> &mut DirectGraph {
+        self.fingerprint = None;
         &mut Arc::make_mut(&mut self.image).dg
     }
 
@@ -310,10 +314,11 @@ impl Workload {
     }
 
     /// The builder fingerprint this workload was prepared from, if it
-    /// has one. Workloads built from a caller-supplied graph have no
-    /// fingerprint — they carry no stable identity to key a cache on —
-    /// and are excluded from both the workload disk cache and the
-    /// cascade record/replay cache.
+    /// has one. Workloads built from a caller-supplied graph, or whose
+    /// image went through [`directgraph_mut`](Self::directgraph_mut),
+    /// have no fingerprint — they carry no stable identity to key a
+    /// cache on — and are excluded from both the workload disk cache
+    /// and the cascade record/replay cache.
     pub fn fingerprint(&self) -> Option<&str> {
         self.fingerprint.as_deref()
     }
@@ -419,6 +424,38 @@ mod tests {
             .unwrap();
         assert_ne!(copy.directgraph().digest(), digest);
         assert_eq!(w.directgraph().digest(), digest);
+    }
+
+    #[test]
+    fn relocated_workload_runs_in_full() {
+        let mut w = Workload::builder()
+            .dataset(Dataset::Amazon)
+            .nodes(3_000)
+            .batch_size(32)
+            .batches(2)
+            .seed(7)
+            .prepare()
+            .unwrap();
+        // Memoizes the unmodified image's BG-2 cell in the global cache.
+        let before = crate::Experiment::new(&w).run(crate::Platform::Bg2);
+        w.directgraph_mut()
+            .relocate_pages(|p| directgraph::PageIndex::new(p.as_u64() + 1))
+            .unwrap();
+        assert_eq!(w.fingerprint(), None);
+        let after = crate::Experiment::new(&w).run(crate::Platform::Bg2);
+        let direct = crate::platforms::Engine::new(
+            crate::Platform::Bg2,
+            crate::SsdConfig::paper_default(),
+            w.model(),
+            w.directgraph(),
+            w.seed(),
+        )
+        .run(w.batches());
+        assert_eq!(
+            after.metrics_registry().to_json_string(),
+            direct.metrics_registry().to_json_string()
+        );
+        assert_ne!(after.makespan, before.makespan);
     }
 
     #[test]

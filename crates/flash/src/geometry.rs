@@ -145,9 +145,21 @@ impl FlashGeometry {
         }
     }
 
-    /// The flattened die id a page index stripes to.
+    /// The flattened die id a page index stripes to: the same die as
+    /// [`locate`](Self::locate)'s, since channel-first striping puts
+    /// page `i` on die `i % total_dies()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index exceeds the geometry's capacity.
     pub fn die_of(&self, index: PageIndex) -> DieId {
-        self.locate(index).die_id(self)
+        let i = index.as_usize();
+        let dies = self.total_dies();
+        assert!(
+            i / dies < self.pages_per_die(),
+            "page index {index} exceeds geometry capacity"
+        );
+        DieId::new((i % dies) as u32)
     }
 }
 
@@ -191,6 +203,41 @@ mod tests {
             assert_eq!(die.channel(&g), loc.channel);
             assert_eq!(die.die_in_channel(&g), loc.die_in_channel);
             assert!(die.index() < g.total_dies());
+        }
+        let small = FlashGeometry {
+            channels: 3,
+            dies_per_channel: 5,
+            planes_per_die: 2,
+            blocks_per_plane: 7,
+            pages_per_block: 11,
+            page_size: 4096,
+        };
+        let wide = FlashGeometry {
+            channels: 32,
+            dies_per_channel: 16,
+            ..FlashGeometry::paper_default()
+        };
+        for g in [FlashGeometry::paper_default(), small, wide] {
+            let capacity = (g.total_dies() * g.pages_per_die()) as u64;
+            let pages = [0, 1, 17, 127, 12345, 999_983, capacity / 2, capacity - 1];
+            for i in pages.into_iter().filter(|&i| i < capacity) {
+                let page = PageIndex::new(i);
+                assert_eq!(g.die_of(page), g.locate(page).die_id(&g), "page {i}");
+            }
+            // The first page past capacity panics in both, with one message.
+            let past = PageIndex::new(capacity);
+            let message = |r: std::thread::Result<()>| {
+                *r.expect_err("capacity overflow panics")
+                    .downcast::<String>()
+                    .expect("formatted message")
+            };
+            let die_of = std::panic::catch_unwind(|| {
+                g.die_of(past);
+            });
+            let locate = std::panic::catch_unwind(|| {
+                g.locate(past);
+            });
+            assert_eq!(message(die_of), message(locate));
         }
     }
 

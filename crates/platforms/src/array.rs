@@ -493,7 +493,9 @@ impl<'c> DevLane<'c> {
     fn on_die(&mut self, ctx: &ReplayCtx<'_>, rec: u32, created: SimTime, now: SimTime) {
         let r = &ctx.recs[rec as usize];
         let grant = self.dies[r.die as usize].acquire(now, self.memo.die_service);
-        self.stats.die_timeline.push(grant.start, grant.end);
+        self.stats
+            .die_timeline
+            .push(r.die as usize, grant.start, grant.end);
         self.stats.flash_reads += 1;
         if r.fault {
             self.stats.sampler_faults += 1;
@@ -518,7 +520,9 @@ impl<'c> DevLane<'c> {
         let service = self.memo.xfer_service(bytes);
         let chan = r.die as usize % self.ssd.geometry.channels;
         let grant = self.chans[chan].acquire(now, service);
-        self.stats.channel_timeline.push(grant.start, grant.end);
+        self.stats
+            .channel_timeline
+            .push(chan, grant.start, grant.end);
         self.stats.channel_bytes += bytes;
         let chan_wait = grant.start.saturating_duration_since(now);
         self.stats

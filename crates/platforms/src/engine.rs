@@ -1055,7 +1055,7 @@ impl<'a> Engine<'a> {
         let cmd = self.states.cmd[si as usize];
         let die = self.die_of(cmd);
         let grant = self.dies[die].acquire(now, self.memo.die_service);
-        self.die_timeline.push(grant.start, grant.end);
+        self.die_timeline.push(die, grant.start, grant.end);
         if self.lat_on {
             let p = &mut self.lat_paths[si as usize];
             p.add(Stage::Queue, grant.start.saturating_duration_since(now));
@@ -1155,7 +1155,7 @@ impl<'a> Engine<'a> {
         };
         let service = self.memo.xfer_service(bytes);
         let grant = self.channels[channel].acquire(now, service);
-        self.channel_timeline.push(grant.start, grant.end);
+        self.channel_timeline.push(channel, grant.start, grant.end);
         if self.lat_on {
             let p = &mut self.lat_paths[si as usize];
             p.add(Stage::Queue, grant.start.saturating_duration_since(now));

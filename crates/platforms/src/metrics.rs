@@ -1,5 +1,7 @@
 //! Run metrics: everything the paper's figures are drawn from.
 
+use std::sync::Arc;
+
 use beacon_energy::EnergyLedger;
 use beacon_ssd::{FtlStats, RouterStats};
 use simkit::obs::{MetricsRegistry, SpanRecorder};
@@ -86,12 +88,35 @@ impl HopWindow {
     }
 }
 
-/// Builds per-slice active-unit curves (Fig 15a–e) from unordered busy
-/// intervals.
+/// Builds per-slice active-unit curves (Fig 15a–e) from the busy
+/// intervals of a set of units (dies or channels).
+///
+/// A grant that starts exactly where its unit's latest interval ended
+/// extends that interval instead of storing a new one, so a unit's
+/// back-to-back grants cost one entry. Merging contiguous intervals
+/// cannot change any slice's integer busy-ns sum, so
+/// [`curve`](Self::curve) is exactly what one interval per grant would
+/// give.
+///
+/// Each unit's latest interval stays open to extension. The closed ones
+/// sit behind an `Arc`: cloning a builder (as the exact-cell memo clones
+/// a [`RunMetrics`]) shares them and copies only the open ones, and a
+/// push that closes an interval after a clone first takes a private
+/// copy.
 #[derive(Debug, Clone, Default)]
 pub struct TimelineBuilder {
-    intervals: Vec<(SimTime, SimTime)>,
+    /// Intervals no later grant can extend.
+    closed: Arc<Vec<(SimTime, SimTime)>>,
+    /// Each unit's latest interval (`None` for a unit not seen yet).
+    open: Vec<Option<(SimTime, SimTime)>>,
     busy: Duration,
+    /// Intervals in push order, merging a push only with the one
+    /// pushed just before it (see [`len`](Self::len)).
+    pushes: usize,
+    /// Start of the first push (meaningful when `pushes > 0`).
+    first_start: SimTime,
+    /// End of the latest push (meaningful when `pushes > 0`).
+    last_end: SimTime,
 }
 
 impl TimelineBuilder {
@@ -100,31 +125,62 @@ impl TimelineBuilder {
         Self::default()
     }
 
-    /// Records one busy interval of one unit.
+    /// Records one busy interval of `unit` (a die or channel index).
     ///
-    /// Contiguous extensions of the most recent interval (the common
-    /// case: back-to-back grants on a serially reused unit) are merged
-    /// in place rather than appended, and the busy total is maintained
-    /// incrementally so neither query re-walks the interval list.
-    pub fn push(&mut self, start: SimTime, end: SimTime) {
+    /// The interval extends `unit`'s latest one when it starts exactly
+    /// where that one ended. The busy total and the push-order count
+    /// are maintained incrementally, so no query re-walks the
+    /// intervals.
+    pub fn push(&mut self, unit: usize, start: SimTime, end: SimTime) {
         debug_assert!(start <= end);
         self.busy += end - start;
-        if let Some(last) = self.intervals.last_mut() {
-            if last.1 == start {
-                last.1 = end;
-                return;
+        if self.pushes == 0 {
+            self.first_start = start;
+            self.pushes = 1;
+        } else if self.last_end != start {
+            self.pushes += 1;
+        }
+        self.last_end = end;
+        if unit >= self.open.len() {
+            self.open.resize(unit + 1, None);
+        }
+        match &mut self.open[unit] {
+            Some(latest) if latest.1 == start => latest.1 = end,
+            slot => {
+                if let Some(done) = slot.replace((start, end)) {
+                    Arc::make_mut(&mut self.closed).push(done);
+                }
             }
         }
-        self.intervals.push((start, end));
     }
 
-    /// Appends another builder's intervals in their recorded order —
-    /// the merge step for per-partition timelines. The busy total is
-    /// exact; interval boundaries follow the concatenated push order
-    /// (contiguous merging applies only at the seam).
+    /// Appends another builder's intervals — the merge step for
+    /// per-partition timelines. Each unit's latest interval becomes
+    /// `other`'s, if it has one. The busy total is exact, and the
+    /// push-order count is what pushing `other`'s intervals after this
+    /// builder's would give: one less than the sum when `other`'s first
+    /// push starts where this builder's last one ended.
     pub fn absorb(&mut self, other: &TimelineBuilder) {
-        for &(s, e) in &other.intervals {
-            self.push(s, e);
+        if other.pushes == 0 {
+            return;
+        }
+        if self.pushes == 0 {
+            *self = other.clone();
+            return;
+        }
+        self.busy += other.busy;
+        let seam = self.last_end == other.first_start;
+        self.pushes += other.pushes - usize::from(seam);
+        self.last_end = other.last_end;
+        let closed = Arc::make_mut(&mut self.closed);
+        closed.extend_from_slice(&other.closed);
+        if self.open.len() < other.open.len() {
+            self.open.resize(other.open.len(), None);
+        }
+        for (mine, theirs) in self.open.iter_mut().zip(&other.open) {
+            if let Some(done) = theirs.and_then(|latest| mine.replace(latest)) {
+                closed.push(done);
+            }
         }
     }
 
@@ -133,14 +189,18 @@ impl TimelineBuilder {
         self.busy
     }
 
-    /// Number of intervals recorded.
+    /// Number of intervals in push order: pushes, less those that
+    /// started exactly where the push before them (of any unit) ended.
+    /// This is the registry's `intervals` count, not the number stored:
+    /// the builder merges per unit instead, which on an engine run
+    /// keeps far fewer.
     pub fn len(&self) -> usize {
-        self.intervals.len()
+        self.pushes
     }
 
     /// Returns `true` if no intervals were recorded.
     pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
+        self.pushes == 0
     }
 
     /// Produces the mean number of simultaneously busy units per
@@ -153,7 +213,7 @@ impl TimelineBuilder {
         assert!(!slice.is_zero(), "slice must be positive");
         let nslices = (end.as_ns()).div_ceil(slice.as_ns()).max(1) as usize;
         let mut acc = vec![0u64; nslices];
-        for &(s, e) in &self.intervals {
+        for &(s, e) in self.closed.iter().chain(self.open.iter().flatten()) {
             let mut t = s;
             let e = e.min(end);
             while t < e {
@@ -540,8 +600,8 @@ mod tests {
     #[test]
     fn timeline_curve_integrates_overlap() {
         let mut tl = TimelineBuilder::new();
-        tl.push(SimTime::from_ns(0), SimTime::from_ns(10));
-        tl.push(SimTime::from_ns(5), SimTime::from_ns(15));
+        tl.push(0, SimTime::from_ns(0), SimTime::from_ns(10));
+        tl.push(1, SimTime::from_ns(5), SimTime::from_ns(15));
         let curve = tl.curve(Duration::from_ns(10), SimTime::from_ns(20));
         assert_eq!(curve.len(), 2);
         assert!((curve[0] - 1.5).abs() < 1e-12); // 10 + 5 busy-ns / 10
@@ -552,31 +612,123 @@ mod tests {
         assert!(!tl.is_empty());
     }
 
-    proptest! {
-        /// Slicing loses no busy time: for random intervals pushed into
-        /// two builders, one absorbed into the other, the curve's sum
-        /// times the slice width equals the busy total.
-        #[test]
-        fn timeline_integral_matches_busy_total(
-            left in proptest::collection::vec((0u64..200, 1u64..100), 0..30),
-            right in proptest::collection::vec((0u64..200, 1u64..100), 1..30),
-            slice in 1u64..50,
-        ) {
-            let fill = |intervals: &[(u64, u64)]| {
-                let mut tl = TimelineBuilder::new();
-                for &(start, len) in intervals {
-                    tl.push(SimTime::from_ns(start), SimTime::from_ns(start + len));
+    #[test]
+    fn back_to_back_grants_merge_per_unit_and_clones_share_them() {
+        let ns = SimTime::from_ns;
+        let mut tl = TimelineBuilder::new();
+        tl.push(0, ns(0), ns(10));
+        tl.push(1, ns(3), ns(8));
+        tl.push(0, ns(10), ns(20)); // extends unit 0 past unit 1's grant
+        tl.push(1, ns(20), ns(25)); // follows the last push, not unit 1's
+        assert_eq!(*tl.closed, [(ns(3), ns(8))]);
+        assert_eq!(tl.open, [Some((ns(0), ns(20))), Some((ns(20), ns(25)))]);
+        assert_eq!(tl.len(), 3);
+        let copy = tl.clone();
+        assert!(Arc::ptr_eq(&tl.closed, &copy.closed));
+        tl.push(0, ns(30), ns(40)); // closes unit 0's interval
+        assert!(!Arc::ptr_eq(&tl.closed, &copy.closed));
+        assert_eq!(*copy.closed, [(ns(3), ns(8))]);
+        assert_eq!(copy.busy_total(), Duration::from_ns(30));
+        assert_eq!(tl.busy_total(), Duration::from_ns(40));
+    }
+
+    /// The push-order reference: one interval per push, merged only
+    /// with the interval pushed just before it (of any unit).
+    #[derive(Default)]
+    struct PushOrder(Vec<(u64, u64)>);
+
+    impl PushOrder {
+        fn push(&mut self, start: u64, end: u64) {
+            match self.0.last_mut() {
+                Some(last) if last.1 == start => last.1 = end,
+                _ => self.0.push((start, end)),
+            }
+        }
+
+        /// Busy units per slice, counted nanosecond by nanosecond.
+        fn curve(&self, slice: u64, end: u64) -> Vec<f64> {
+            let mut acc = vec![0u64; end.div_ceil(slice).max(1) as usize];
+            for &(s, e) in &self.0 {
+                for t in s..e.min(end) {
+                    acc[(t / slice) as usize] += 1;
                 }
-                tl
+            }
+            acc.into_iter().map(|ns| ns as f64 / slice as f64).collect()
+        }
+    }
+
+    proptest! {
+        /// Per-unit merging and absorbing are invisible: random grants,
+        /// with contiguous runs per unit and across units forced in,
+        /// split over one to three builders joined with `absorb`, give
+        /// the push-order reference's count, busy total, mean and exact
+        /// curve bits, and slicing loses no busy time.
+        #[test]
+        fn timeline_matches_the_push_order_reference(
+            grants in proptest::collection::vec((0usize..4, 0u8..3, 0u64..200, 0u64..40), 0..60),
+            parts in 1usize..4,
+            cuts in (0usize..60, 0usize..60),
+            slice in 1u64..50,
+            clip in 0u64..300,
+        ) {
+            // Mode 0 starts where drawn, 1 where the unit's latest grant
+            // ended, 2 where the previous grant (of any unit) ended.
+            let mut unit_end = [0u64; 4];
+            let mut last_end = 0u64;
+            let grants: Vec<(usize, u64, u64)> = grants
+                .into_iter()
+                .map(|(unit, mode, start, len)| {
+                    let start = match mode {
+                        0 => start,
+                        1 => unit_end[unit],
+                        _ => last_end,
+                    };
+                    unit_end[unit] = start + len;
+                    last_end = start + len;
+                    (unit, start, start + len)
+                })
+                .collect();
+            let mut bounds = [cuts.0.min(grants.len()), cuts.1.min(grants.len())];
+            bounds.sort_unstable();
+            let bounds = match parts {
+                1 => vec![0, grants.len()],
+                2 => vec![0, bounds[0], grants.len()],
+                _ => vec![0, bounds[0], bounds[1], grants.len()],
             };
-            let mut tl = fill(&left);
-            tl.absorb(&fill(&right));
-            let end = left.iter().chain(&right).map(|&(s, l)| s + l).max().unwrap();
-            let curve = tl.curve(Duration::from_ns(slice), SimTime::from_ns(end));
-            let integral = curve.iter().sum::<f64>() * slice as f64;
-            let busy = tl.busy_total().as_ns() as f64;
+            let mut tl = TimelineBuilder::new();
+            let mut reference = PushOrder::default();
+            for part in bounds.windows(2).map(|w| &grants[w[0]..w[1]]) {
+                let mut piece = TimelineBuilder::new();
+                let mut piece_ref = PushOrder::default();
+                for &(unit, s, e) in part {
+                    piece.push(unit, SimTime::from_ns(s), SimTime::from_ns(e));
+                    piece_ref.push(s, e);
+                }
+                tl.absorb(&piece);
+                for &(s, e) in &piece_ref.0 {
+                    reference.push(s, e);
+                }
+            }
+            let busy: u64 = reference.0.iter().map(|&(s, e)| e - s).sum();
+            prop_assert_eq!(tl.len(), reference.0.len());
+            prop_assert_eq!(tl.is_empty(), reference.0.is_empty());
+            prop_assert_eq!(tl.busy_total(), Duration::from_ns(busy));
+            let full = grants.iter().map(|&(_, _, e)| e).max().unwrap_or(0);
+            for end in [full, clip] {
+                let got = tl.curve(Duration::from_ns(slice), SimTime::from_ns(end));
+                let want = reference.curve(slice, end);
+                let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want), "curve at end {}", end);
+                prop_assert_eq!(
+                    tl.mean_active(SimTime::from_ns(end)).to_bits(),
+                    if end == 0 { 0.0f64 } else { busy as f64 / end as f64 }.to_bits()
+                );
+            }
+            let integral = tl.curve(Duration::from_ns(slice), SimTime::from_ns(full))
+                .iter()
+                .sum::<f64>() * slice as f64;
             prop_assert!(
-                (integral - busy).abs() < 1e-6 * busy.max(1.0),
+                (integral - busy as f64).abs() < 1e-6 * (busy as f64).max(1.0),
                 "integral {} vs busy total {}",
                 integral,
                 busy

@@ -249,7 +249,7 @@ impl<'a> ChannelLane<'a> {
         let die = self.die_of(&cmd.sample);
         let local = die / self.ssd.geometry.channels;
         let grant = self.dies[local].acquire(now, self.memo.die_service);
-        self.stats.die_timeline.push(grant.start, grant.end);
+        self.stats.die_timeline.push(die, grant.start, grant.end);
         if self.obs.is_enabled() {
             self.obs.record(
                 UnitKind::Die,
@@ -289,7 +289,9 @@ impl<'a> ChannelLane<'a> {
         let bytes = self.outcomes.get(oi).result_bytes() as u64;
         let service = self.memo.xfer_service(bytes);
         let grant = self.chan.acquire(now, service);
-        self.stats.channel_timeline.push(grant.start, grant.end);
+        self.stats
+            .channel_timeline
+            .push(self.channel, grant.start, grant.end);
         if self.obs.is_enabled() {
             self.obs.record(
                 UnitKind::Channel,
