@@ -510,7 +510,7 @@ pub fn table4(nodes: usize) -> Vec<InflationRow> {
         .iter()
         .map(|&dataset| {
             let w = workload(dataset, nodes, 1);
-            let report = w.directgraph().inflation(w.features());
+            let report = w.directgraph().inflation(w.spec().feature_bytes());
             InflationRow {
                 dataset,
                 paper_raw_gb: w.spec().paper_raw_gb,

@@ -127,13 +127,14 @@ fn convert(args: &[String]) -> Result<(), String> {
         .save(BufWriter::new(file))
         .map_err(|e| format!("write {out}: {e}"))?;
     let stats = w.directgraph().stats();
+    let inflation = w.directgraph().inflation(w.spec().feature_bytes());
     println!(
         "wrote {out}: {} pages ({} primary / {} secondary), {} nodes, inflation {}",
         stats.total_pages(),
         stats.primary_pages,
         stats.secondary_pages,
         w.directgraph().directory().len(),
-        percent(w.directgraph().inflation(w.features()).inflation_ratio()),
+        percent(inflation.inflation_ratio()),
     );
     Ok(())
 }

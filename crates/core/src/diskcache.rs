@@ -4,28 +4,39 @@
 //! the DirectGraph image — is the dominant cost of starting any
 //! experiment process, and it repeats identically in every process that
 //! sweeps the same dataset. This module persists the shape-independent
-//! part of a prepared [`Workload`](crate::Workload) — spec, graph,
-//! features and DirectGraph — once per graph key (dataset, nodes, page
-//! size and seed), so a second process (or a second `cargo test`
-//! binary) deserializes it in milliseconds instead of rebuilding. Batch
-//! size, batch count and model are not stored: every workload over the
-//! key draws its own mini-batches at load, as a fresh build does.
+//! part of a prepared [`Workload`](crate::Workload) — spec, graph and
+//! DirectGraph — once per graph key (dataset, nodes, page size and
+//! seed), so a second process (or a second `cargo test` binary)
+//! deserializes it in milliseconds instead of rebuilding. Batch size,
+//! batch count and model are not stored: every workload over the key
+//! draws its own mini-batches at load, as a fresh build does. Neither
+//! is an f32 feature table: the DirectGraph's FP-16 vectors are the
+//! image's only copy of the features, and a loaded image, like a freshly
+//! built one, synthesizes the table only if
+//! [`Workload::features`](crate::Workload::features) asks for it.
 //!
 //! File layout (little-endian), one file per graph key:
 //!
 //! ```text
 //! magic   "BWC1"                         4 B
-//! format_version                         u32, currently 3
+//! format_version                         u32, currently 4
 //! graph key echo                         u64 len + bytes
 //! dataset name                           u64 len + bytes
 //! spec scale (num_nodes)                 u64
 //! graph: offsets (u64 len + u64s),
 //!        adjacency (u64 len + u32s)
-//! features: dim u64, values u64 len + f32 bits
 //! DirectGraph                            embedded `DirectGraph::save` stream
 //! checksum                               u64 word-lane sum over everything
 //!                                        after magic (see below)
 //! ```
+//!
+//! **Versions.** Version 2 changed the checksum (below); version 3
+//! stored one image per graph key, without seed, model or mini-batches;
+//! version 4 dropped the f32 feature table (a `dim` and the values) that
+//! followed the graph, which the loader decoded and no engine read: a
+//! third of the bytes a cold `experiments all` writes. A file of an
+//! older version under the same key misses, and the rebuild overwrites
+//! it.
 //!
 //! **Checksum.** Version 2 replaced version 1's byte-at-a-time FNV-1a,
 //! about half the cost of loading a large workload, with a word-lane
@@ -90,18 +101,18 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use beacon_graph::{CsrGraph, Dataset, DatasetSpec, FeatureTable, NodeId};
+use beacon_graph::{CsrGraph, Dataset, DatasetSpec, NodeId};
 use directgraph::DirectGraph;
 
 use crate::workload::Image;
 
 const MAGIC: &[u8; 4] = b"BWC1";
 
-/// Container+pipeline version; see the module docs for the bump rule.
-/// Version 2 changed the payload checksum; version 3 stores one image
-/// per graph key, without seed, model or mini-batches.
-pub const FORMAT_VERSION: u32 = 3;
+/// Container+pipeline version; see the module docs for the bump rule
+/// and what each version changed.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Bytes the reader and the writer stage between the file and the
 /// decoded structures.
@@ -176,13 +187,11 @@ pub(crate) fn save(dir: &Path, key: &str, image: &Image) {
 fn try_save(dir: &Path, key: &str, image: &Image) -> io::Result<()> {
     let path = file_path(dir, key);
     publish(dir, &path, key, |out| {
-        let (g, f) = (&image.graph, &image.features);
+        let g = &image.graph;
         out.put_bytes(image.spec.dataset.name().as_bytes())?;
         out.write_all(&(image.spec.num_nodes as u64).to_le_bytes())?;
         out.put_array(g.offsets(), u64::to_le_bytes)?;
         out.put_array(g.adjacency(), |v| v.as_u32().to_le_bytes())?;
-        out.write_all(&(f.dim() as u64).to_le_bytes())?;
-        out.put_array(f.values(), |x| x.to_bits().to_le_bytes())?;
         image.dg.save(out)
     })
 }
@@ -202,26 +211,16 @@ fn try_load(path: &Path, key: &str) -> Option<Image> {
     // FORMAT_VERSION failed to capture: a miss, not a panic.
     let graph = CsrGraph::try_from_raw_parts(offsets, adjacency).ok()?;
 
-    let dim = src.u64()? as usize;
-    let values = src.array(|b| f32::from_bits(u32::from_le_bytes(b)))?;
-    if dim == 0 || !values.len().is_multiple_of(dim) {
-        return None;
-    }
-    let features = FeatureTable::from_rows(dim, values);
-
     let dg = DirectGraph::load(&mut src).ok()?;
     src.finish()?;
 
-    if graph.num_nodes() != num_nodes
-        || features.num_nodes() != num_nodes
-        || dg.directory().len() != num_nodes
-    {
+    if graph.num_nodes() != num_nodes || dg.directory().len() != num_nodes {
         return None;
     }
     Some(Image {
         spec,
         graph,
-        features,
+        features: OnceLock::new(),
         dg,
     })
 }
@@ -611,18 +610,7 @@ mod tests {
     fn assert_identical(a: &Image, b: &Image) {
         assert_eq!(a.spec, b.spec);
         assert_eq!(a.graph, b.graph);
-        assert_eq!(
-            a.features
-                .values()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            b.features
-                .values()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-        );
+        assert_eq!(a.features.get(), b.features.get());
         assert_eq!(a.dg.digest(), b.dg.digest());
         assert_eq!(a.dg.stats(), b.dg.stats());
         assert_eq!(a.dg.directory(), b.dg.directory());
@@ -650,7 +638,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             (bwc1.len(), fnv1a(&bwc1)),
-            (203_631, 0x2c46_b92b_b099_5bfe),
+            (152_415, 0xe3f6_9964_ffa7_04df),
             "BWC1 bytes"
         );
     }
@@ -757,34 +745,40 @@ mod tests {
     }
 
     #[test]
-    fn version_1_file_misses_and_is_overwritten_by_the_rebuild() {
-        let dir = tempdir("v1");
+    fn older_version_files_miss_and_are_overwritten_by_the_rebuild() {
+        let dir = tempdir("older");
         let key = builder().graph_key().unwrap();
         crate::WorkloadCache::with_disk_dir(&dir)
             .get_or_prepare(builder())
             .unwrap();
         let path = file_path(&dir, &key);
         let current = std::fs::read(&path).unwrap();
-        // The same payload as a version-1 build wrote it: version 1 and
-        // an FNV-1a trailer, at the same file name.
-        let mut v1 = current.clone();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let body_end = v1.len() - 8;
-        let sum = fnv1a(&v1[4..body_end]);
-        v1[body_end..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &v1).unwrap();
-        assert!(load(&dir, &key).is_none(), "a version-1 file must miss");
+        // The same payload under an older version at the same file name:
+        // version 1 with its FNV-1a trailer, and version 3, the last
+        // to store the feature table, with the word-lane sum.
+        for (version, sum) in [(1u32, fnv1a as fn(&[u8]) -> u64), (3, checksum)] {
+            let mut old = current.clone();
+            old[4..8].copy_from_slice(&version.to_le_bytes());
+            let body_end = old.len() - 8;
+            let sum = sum(&old[4..body_end]);
+            old[body_end..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &old).unwrap();
+            assert!(
+                load(&dir, &key).is_none(),
+                "a version-{version} file must miss"
+            );
 
-        crate::WorkloadCache::with_disk_dir(&dir)
-            .get_or_prepare(builder())
-            .unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), current, "rebuild overwrites");
-        assert_eq!(
-            std::fs::read_dir(&dir).unwrap().count(),
-            1,
-            "nothing left behind"
-        );
-        assert!(load(&dir, &key).is_some());
+            crate::WorkloadCache::with_disk_dir(&dir)
+                .get_or_prepare(builder())
+                .unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), current, "rebuild overwrites");
+            assert_eq!(
+                std::fs::read_dir(&dir).unwrap().count(),
+                1,
+                "nothing left behind"
+            );
+            assert!(load(&dir, &key).is_some());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -826,9 +820,7 @@ mod tests {
             counts.push(("offsets", at));
             at += 8 + 8 * g.offsets().len();
             counts.push(("adjacency", at));
-            at += 8 + 4 * g.adjacency().len() + 8;
-            counts.push(("features", at));
-            at += 8 + 4 * image.features.values().len() + 4 + 4;
+            at += 8 + 4 * g.adjacency().len() + 4 + 4;
             counts.push(("DirectGraph nodes", at));
             at += 8 + 4 * n + 5 * 8;
             counts.push(("DirectGraph pages", at));
@@ -836,12 +828,11 @@ mod tests {
             // Each offset holds the count it names.
             let want = [key.len(), name, g.offsets().len(), g.adjacency().len()]
                 .into_iter()
-                .chain([image.features.values().len(), n])
-                .chain([image.dg.image().pages_written()]);
+                .chain([n, image.dg.image().pages_written()]);
             for ((field, at), want) in counts.iter().zip(want) {
                 assert_eq!(u64_at(&bytes, *at), want as u64, "BWC1 {field}");
             }
-            assert_eq!(counts.len(), 7);
+            assert_eq!(counts.len(), 6);
             Fixture { key, bytes, counts }
         })
     }

@@ -1,15 +1,21 @@
 //! Workload preparation: graph + features + DirectGraph + mini-batches.
 //!
-//! The expensive part, the image — graph, features and their DirectGraph
+//! The expensive part, the image — the graph and its DirectGraph
 //! encoding — depends only on the graph key (dataset, nodes, page size,
 //! seed), so every workload over one key can share it, as the paper
 //! flashes a dataset once for every mini-batch; the model and batches
 //! are drawn per workload in microseconds. A [`Workload`] is then reused
 //! across all platforms and sensitivity points — exactly how the paper
 //! holds the dataset fixed while sweeping the architecture.
+//!
+//! A synthetic image's features live once, as FP-16 vectors in the
+//! DirectGraph's primary sections (paper §IV-A): the encoder draws each
+//! node's row as it writes the node's section, and no f32 table is
+//! kept. Only the functional GNN path reads f32 features, through
+//! [`Workload::features`], which synthesizes the table on first use.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use beacon_gnn::GnnModelConfig;
 use beacon_graph::{CsrGraph, Dataset, DatasetSpec, FeatureTable, MinibatchStream, NodeId};
@@ -187,21 +193,31 @@ impl WorkloadBuilder {
     }
 
     /// Builds the image from the graph key's parameters, or over the
-    /// caller-supplied graph and features, which it takes.
+    /// caller-supplied graph and features, which it takes. A synthetic
+    /// image encodes each node's feature row as it draws it and keeps no
+    /// table; a custom one keeps the caller's.
     pub(crate) fn image(&mut self) -> Result<Image, WorkloadError> {
         let layout = AddrLayout::for_page_size(self.page_size)
             .ok_or(WorkloadError::BadPageSize(self.page_size))?;
+        let builder = DirectGraphBuilder::new(layout);
         let mut spec = DatasetSpec::preset(self.dataset).at_scale(self.nodes);
-        let (graph, features) = match self.custom.take() {
-            Some((graph, features)) => {
+        let (graph, features, dg) = match self.custom.take() {
+            Some((graph, table)) => {
                 spec.num_nodes = graph.num_nodes();
                 spec.avg_degree = graph.avg_degree().max(f64::MIN_POSITIVE);
-                spec.feature_dim = features.dim();
-                (graph, features)
+                spec.feature_dim = table.dim();
+                let dg = builder.build(&graph, &table)?;
+                (graph, OnceLock::from(table), dg)
             }
-            None => (spec.build_graph(self.seed), spec.build_features(self.seed)),
+            None => {
+                let graph = spec.build_graph(self.seed);
+                let seed = self.seed;
+                let dg = builder.build_with(&graph, spec.feature_dim, &|v, out| {
+                    spec.feature_row(seed, v, out)
+                })?;
+                (graph, OnceLock::new(), dg)
+            }
         };
-        let dg = DirectGraphBuilder::new(layout).build(&graph, &features)?;
         Ok(Image {
             spec,
             graph,
@@ -230,12 +246,14 @@ impl WorkloadBuilder {
 }
 
 /// The part of a workload its graph key determines: the dataset spec,
-/// the graph, the features and the DirectGraph image.
+/// the graph and the DirectGraph image, whose pages hold the features.
+/// `features` is the f32 table, set by a custom graph's caller or on the
+/// first [`Workload::features`] call.
 #[derive(Debug, Clone)]
 pub(crate) struct Image {
     pub(crate) spec: DatasetSpec,
     pub(crate) graph: CsrGraph,
-    pub(crate) features: FeatureTable,
+    pub(crate) features: OnceLock<FeatureTable>,
     pub(crate) dg: DirectGraph,
 }
 
@@ -275,9 +293,17 @@ impl Workload {
         &self.image.graph
     }
 
-    /// The feature table.
+    /// The f32 feature table the functional GNN path computes on. A
+    /// custom graph's is the caller's table. A synthetic image stores
+    /// its features only as the DirectGraph's FP-16 vectors, so the
+    /// first call synthesizes the table — bit-identical to
+    /// [`DatasetSpec::build_features`] at this workload's seed — and
+    /// keeps it in the image, where every workload sharing the image
+    /// finds it.
     pub fn features(&self) -> &FeatureTable {
-        &self.image.features
+        self.image
+            .features
+            .get_or_init(|| self.image.spec.build_features(self.seed))
     }
 
     /// The DirectGraph image.
@@ -367,19 +393,69 @@ mod tests {
 
     #[test]
     fn oversized_feature_propagates_build_error() {
-        // PPI features (1000 B) fit 4 KB but not 2 KB pages when padded
-        // with metadata? They do fit; force failure with a tiny page and
-        // reddit's 1204 B features.
+        // 3,000 FP-16 scalars (6 KB) cannot fit a 4 KB page; no preset's
+        // features are that long, so the graph is a custom one.
+        let graph = beacon_graph::generate::uniform(4, 1, 1);
         let err = Workload::builder()
-            .dataset(Dataset::Reddit)
-            .nodes(100)
-            .page_size(2048)
-            .prepare();
-        // Reddit primary fixed part is ~1.2 KB; it fits 2 KB, so this
-        // actually succeeds — assert that instead, and force an error
-        // via a custom oversized model... construction has no such
-        // path, so just assert success for documentation value.
-        assert!(err.is_ok());
+            .custom_graph(graph, FeatureTable::synthetic(4, 3_000, 1))
+            .page_size(4096)
+            .batch_size(1)
+            .prepare()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WorkloadError::Build(BuildError::FeatureTooLarge { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    fn bits(table: &FeatureTable) -> Vec<u32> {
+        table.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn synthetic_feature_table_is_built_once_on_first_use() {
+        let dir =
+            std::env::temp_dir().join(format!("beacon-workload-features-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let builder = || {
+            Workload::builder()
+                .dataset(Dataset::Movielens)
+                .nodes(600)
+                .batch_size(8)
+                .batches(1)
+                .seed(13)
+        };
+        let want = bits(
+            &DatasetSpec::preset(Dataset::Movielens)
+                .at_scale(600)
+                .build_features(13),
+        );
+
+        let w = builder().prepare().unwrap();
+        assert!(w.image.features.get().is_none(), "prepare keeps no table");
+        assert_eq!(bits(w.features()), want);
+        assert!(w.image.features.get().is_some());
+
+        // A BWC1 load keeps none either, and every workload over the
+        // loaded image shares the one table the first call builds.
+        crate::WorkloadCache::with_disk_dir(&dir)
+            .get_or_prepare(builder())
+            .unwrap();
+        let key = builder().graph_key().unwrap();
+        let loaded = crate::diskcache::load(&dir, &key).expect("the saved image loads");
+        assert!(loaded.features.get().is_none(), "a load keeps no table");
+        let cache = crate::WorkloadCache::with_disk_dir(&dir);
+        let a = cache.get_or_prepare(builder()).unwrap();
+        let b = cache
+            .get_or_prepare(builder().batch_size(4).batches(3))
+            .unwrap();
+        assert!(a.image.features.get().is_none());
+        assert!(std::ptr::eq(a.features(), b.features()));
+        assert_eq!(bits(b.features()), want);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -395,13 +471,15 @@ mod tests {
         let graph = read_edge_list(text.as_bytes()).unwrap();
         let features = FeatureTable::synthetic(40, 16, 1);
         let w = Workload::builder()
-            .custom_graph(graph, features)
+            .custom_graph(graph, features.clone())
             .batch_size(4)
             .batches(1)
             .prepare()
             .unwrap();
         assert_eq!(w.graph().num_nodes(), 40);
         assert_eq!(w.model().feature_dim, 16);
+        // The caller's table, not one synthesized from the seed.
+        assert_eq!(bits(w.features()), bits(&features));
         // And it simulates end-to-end.
         let m = crate::Experiment::new(&w).run(crate::Platform::Bg2);
         assert!(m.throughput() > 0.0);

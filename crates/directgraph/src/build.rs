@@ -19,6 +19,7 @@
 
 use std::fmt;
 
+use beacon_graph::features::FEATURE_SCALAR_BYTES;
 use beacon_graph::{CsrGraph, FeatureTable, NodeId};
 
 use crate::addr::{AddrLayout, PageIndex, PhysAddr};
@@ -130,9 +131,10 @@ pub struct BuildStats {
 }
 
 impl BuildStats {
-    /// Total pages allocated.
+    /// Total pages allocated (saturating: statistics loaded from a
+    /// file may sum past `u64::MAX`, which no page count can match).
     pub fn total_pages(&self) -> u64 {
-        self.primary_pages + self.secondary_pages
+        self.primary_pages.saturating_add(self.secondary_pages)
     }
 }
 
@@ -228,9 +230,11 @@ impl DirectGraph {
     }
 
     /// Computes the Table IV storage-inflation report against the raw
-    /// representation (4 B per edge + FP-16 feature table).
-    pub fn inflation(&self, features: &FeatureTable) -> InflationReport {
-        let raw = self.stats.edges * ADDR_BYTES as u64 + features.table_bytes() as u64;
+    /// representation: 4 B per edge plus `feature_bytes` (one FP-16
+    /// feature vector) per node.
+    pub fn inflation(&self, feature_bytes: usize) -> InflationReport {
+        let features = self.directory.len() as u64 * feature_bytes as u64;
+        let raw = self.stats.edges * ADDR_BYTES as u64 + features;
         InflationReport::new(raw, self.store.stored_bytes(), self.stats.used_bytes)
     }
 
@@ -364,8 +368,30 @@ impl DirectGraphBuilder {
                 feature_rows: features.num_nodes(),
             });
         }
+        self.build_with(graph, features.dim(), &|v, out| {
+            out.copy_from_slice(features.feature(v))
+        })
+    }
+
+    /// Runs Algorithm 1 over `graph` with `dim`-scalar features, where
+    /// `row(v, out)` writes node `v`'s values into `out` as its primary
+    /// section is encoded. No feature table is held: the image's FP-16
+    /// pages are the only copy of the features, as on the SSD. `row` may
+    /// run on any build thread, in any node order, and must give the
+    /// same values for `v` every time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] if a feature vector cannot fit a page or
+    /// the address space is exhausted.
+    pub fn build_with(
+        &self,
+        graph: &CsrGraph,
+        dim: usize,
+        row: &(dyn Fn(NodeId, &mut [f32]) + Sync),
+    ) -> Result<DirectGraph, BuildError> {
         let page_size = self.layout.page_size();
-        let feat_bytes = features.vector_bytes();
+        let feat_bytes = dim * FEATURE_SCALAR_BYTES;
         let sec_cap = secondary_capacity(page_size);
 
         // ---- Step 1: metadata collection & placement. ----
@@ -438,8 +464,9 @@ impl DirectGraphBuilder {
             let pages = &pages;
             let directory = &directory;
             simkit::par::for_each_chunk_mut(&mut encoded, PAGE_CHUNK, |start, chunk| {
-                // One feature-encode buffer per worker chunk, reused
-                // across every node on these pages.
+                // One feature row and its FP-16 encoding per worker
+                // chunk, reused across every node on these pages.
+                let mut values = vec![0f32; dim];
                 let mut feature = Vec::new();
                 let mut inline: Vec<PhysAddr> = Vec::new();
                 let mut addrs: Vec<PhysAddr> = Vec::new();
@@ -454,7 +481,8 @@ impl DirectGraphBuilder {
                                 inline.extend(graph.neighbors(v)[..np.n_inline].iter().map(|&n| {
                                     directory.primary_addr(n).expect("neighbor in directory")
                                 }));
-                                encode_fp16_into(features.feature(v), &mut feature);
+                                row(v, &mut values);
+                                encode_fp16_into(&values, &mut feature);
                                 enc.push_primary(
                                     node,
                                     graph.degree(v) as u32,
@@ -638,18 +666,10 @@ fn plan_shape(deg: usize, feat_bytes: usize, page_size: usize, sec_cap: usize) -
     }
 }
 
-/// Truncates f32 features to IEEE-754 half-precision bytes (the paper
-/// stores features as FP-16).
-#[allow(dead_code)]
-fn encode_fp16(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_fp16_into(values, &mut out);
-    out
-}
-
-/// [`encode_fp16`] into a caller-owned buffer (cleared first), so the
-/// per-node build loop reuses one allocation instead of a fresh `Vec`
-/// per node.
+/// Rounds f32 features to IEEE-754 half-precision bytes (the paper
+/// stores features as FP-16) in a caller-owned buffer (cleared first),
+/// so the per-node build loop reuses one allocation instead of a fresh
+/// `Vec` per node.
 fn encode_fp16_into(values: &[f32], out: &mut Vec<u8>) {
     out.clear();
     out.reserve(values.len() * 2);
@@ -905,6 +925,33 @@ mod tests {
                 .build(&graph, &features)
                 .unwrap();
             assert_eq!(dg.directory().len(), 500, "{d}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// Encoding each node's row as it is drawn gives the image that
+        /// encoding the whole feature table gives, or the same error.
+        #[test]
+        fn build_with_rows_matches_build_with_the_table(
+            preset in 0usize..5,
+            nodes in 2usize..3_001,
+            page_pow in 11u32..15,
+            seed in proptest::any::<u64>(),
+        ) {
+            let spec = DatasetSpec::preset(Dataset::ALL[preset]).at_scale(nodes);
+            let graph = spec.build_graph(seed);
+            let builder = DirectGraphBuilder::new(AddrLayout::for_page_size(1 << page_pow).unwrap());
+            let rows = builder.build_with(&graph, spec.feature_dim, &|v, out| {
+                spec.feature_row(seed, v, out)
+            });
+            let table = builder.build(&graph, &spec.build_features(seed));
+            proptest::prop_assert_eq!(
+                rows.map(|dg| dg.digest()),
+                table.map(|dg| dg.digest()),
+                "{} x {} at {} B pages, seed {}", spec.dataset, nodes, 1 << page_pow, seed
+            );
         }
     }
 

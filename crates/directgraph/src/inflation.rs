@@ -96,7 +96,7 @@ mod tests {
         let dg = DirectGraphBuilder::new(AddrLayout::for_page_size(4096).unwrap())
             .build(&graph, &features)
             .unwrap();
-        dg.inflation(&features).inflation_ratio()
+        dg.inflation(spec.feature_bytes()).inflation_ratio()
     }
 
     #[test]

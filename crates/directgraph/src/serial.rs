@@ -309,6 +309,99 @@ mod tests {
         assert_eq!(loaded.image().pages_written(), dg.image().pages_written());
     }
 
+    /// The DGR1 stream of a small image with secondary sections, and
+    /// the byte offset of each count its loader reads: the node count,
+    /// the primary and secondary page statistics, and the page count.
+    fn fuzz_stream() -> &'static (Vec<u8>, Vec<usize>) {
+        static STREAM: std::sync::OnceLock<(Vec<u8>, Vec<usize>)> = std::sync::OnceLock::new();
+        STREAM.get_or_init(|| {
+            // 1,900-byte features leave room for about 30 inline
+            // addresses on a 2 KB page, so busy nodes overflow.
+            let (n, dim) = (100, 950);
+            let graph = generate::power_law(&generate::PowerLawConfig::new(n, 30.0), 5);
+            let feats = FeatureTable::synthetic(n, dim, 5);
+            let dg = DirectGraphBuilder::new(AddrLayout::for_page_size(2048).unwrap())
+                .build(&graph, &feats)
+                .unwrap();
+            assert!(dg.stats().secondary_sections > 0);
+            let mut buf = Vec::new();
+            dg.save(&mut buf).unwrap();
+            let stats = 4 + 4 + 8 + 4 * n;
+            (buf, vec![8, stats, stats + 8, stats + 5 * 8])
+        })
+    }
+
+    /// What `beacongnn inspect` does with an untrusted DGR1 file: load
+    /// it, then validate the image and parse every page's sections.
+    /// Errors are fine; a panic fails the calling test.
+    fn ingest(bytes: &[u8]) -> Result<(), LoadError> {
+        let dg = DirectGraph::load(bytes)?;
+        let _ = crate::Validator::new(&dg).verify_image();
+        for (idx, _) in dg.image().iter_pages() {
+            let _ = dg.image().parse_all_sections(idx);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// A stream cut anywhere short of its end fails to load.
+        #[test]
+        fn truncated_streams_fail_to_load(cut in 0.0f64..1.0) {
+            let bytes = &fuzz_stream().0;
+            let cut = (cut * bytes.len() as f64) as usize;
+            proptest::prop_assert!(ingest(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+
+        /// One to three flipped bits anywhere never panic.
+        #[test]
+        fn bit_flipped_streams_never_panic(flips in proptest::collection::vec(0.0f64..1.0, 1..4)) {
+            let mut bytes = fuzz_stream().0.clone();
+            for f in flips {
+                let bit = (f * (bytes.len() * 8) as f64) as usize;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            let _ = ingest(&bytes);
+        }
+
+        /// Random 8-byte words written over any offset never panic.
+        #[test]
+        fn overwritten_words_never_panic(
+            words in proptest::collection::vec((0.0f64..1.0, proptest::any::<u64>()), 1..4),
+        ) {
+            let mut bytes = fuzz_stream().0.clone();
+            for (at, word) in words {
+                let at = (at * (bytes.len() - 7) as f64) as usize;
+                bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            }
+            let _ = ingest(&bytes);
+        }
+
+        /// A node or page count set past what the stream holds is an
+        /// error, not a panic or a huge allocation.
+        #[test]
+        fn oversized_counts_fail_to_load(field in 0usize..4, value in (1u64 << 32)..u64::MAX) {
+            let (bytes, counts) = fuzz_stream();
+            let mut bytes = bytes.clone();
+            let at = counts[field];
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            proptest::prop_assert!(ingest(&bytes).is_err(), "field {field} = {value}");
+        }
+    }
+
+    #[test]
+    fn page_statistics_summing_past_u64_are_an_error() {
+        let (bytes, counts) = fuzz_stream();
+        for field in [1, 2] {
+            let mut bytes = bytes.clone();
+            let at = counts[field];
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = ingest(&bytes).unwrap_err();
+            assert!(matches!(err, LoadError::PageCountMismatch { .. }), "{err}");
+        }
+    }
+
     #[test]
     fn size_is_dominated_by_pages() {
         let dg = build_dg(200);

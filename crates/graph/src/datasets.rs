@@ -8,9 +8,14 @@
 //! Table IV inflation experiment, and synthesizes graphs with those
 //! characteristics at simulation scale (see DESIGN.md, substitutions).
 
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, NodeId};
 use crate::features::{FeatureTable, FEATURE_SCALAR_BYTES};
 use crate::generate::{power_law, PowerLawConfig};
+
+/// Mixed into the synthesis seed for a spec's features, so they draw
+/// from other streams than a plain [`FeatureTable::synthetic`] table
+/// under the same seed.
+const FEATURE_SEED_SALT: u64 = 0xFEA7;
 
 /// The five evaluation workloads of the paper's Table III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,7 +126,13 @@ impl DatasetSpec {
 
     /// Synthesizes the feature table for this spec.
     pub fn build_features(&self, seed: u64) -> FeatureTable {
-        FeatureTable::synthetic(self.num_nodes, self.feature_dim, seed ^ 0xFEA7)
+        FeatureTable::synthetic(self.num_nodes, self.feature_dim, seed ^ FEATURE_SEED_SALT)
+    }
+
+    /// Writes node `v`'s row of [`build_features`](Self::build_features)
+    /// into `out` (`feature_dim` scalars), without building the table.
+    pub fn feature_row(&self, seed: u64, v: NodeId, out: &mut [f32]) {
+        FeatureTable::synthetic_row(seed ^ FEATURE_SEED_SALT, v.index(), out);
     }
 
     /// Bytes of one feature vector at FP-16 width.

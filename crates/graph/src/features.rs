@@ -51,20 +51,28 @@ impl FeatureTable {
     /// Panics if `dim` is zero.
     pub fn synthetic(num_nodes: usize, dim: usize, seed: u64) -> Self {
         assert!(dim > 0, "feature dimension must be positive");
-        // One stream per row: each node's vector is a pure function of
-        // (seed, node), so rows synthesize independently on any number
-        // of build threads with byte-identical output.
         let mut data = vec![0f32; num_nodes * dim];
         par::for_each_chunk_mut(&mut data, ROWS_PER_CHUNK * dim, |start, chunk| {
             let first_row = start / dim;
-            for (k, row) in chunk.chunks_mut(dim).enumerate() {
-                let mut rng = SplitMix64::for_stream(seed, SALT_FEATURES, (first_row + k) as u64);
-                for v in row {
-                    *v = (rng.next_f64() * 2.0 - 1.0) as f32;
-                }
+            for (k, out) in chunk.chunks_mut(dim).enumerate() {
+                Self::synthetic_row(seed, first_row + k, out);
             }
         });
         FeatureTable { dim, data }
+    }
+
+    /// Writes row `row` of a [`synthetic`](Self::synthetic) table of
+    /// `out.len()` columns under `seed` into `out`, without building the
+    /// table.
+    ///
+    /// One stream per row: each node's vector is a pure function of
+    /// (seed, node), so rows synthesize independently, in any order and
+    /// on any number of build threads, with byte-identical output.
+    pub fn synthetic_row(seed: u64, row: usize, out: &mut [f32]) {
+        let mut rng = SplitMix64::for_stream(seed, SALT_FEATURES, row as u64);
+        for v in out {
+            *v = (rng.next_f64() * 2.0 - 1.0) as f32;
+        }
     }
 
     /// Creates a table from row-major values.
@@ -104,7 +112,7 @@ impl FeatureTable {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// The whole table, row-major (used by workload serialization).
+    /// The whole table, row-major.
     #[inline]
     pub fn values(&self) -> &[f32] {
         &self.data
@@ -114,12 +122,6 @@ impl FeatureTable {
     #[inline]
     pub fn vector_bytes(&self) -> usize {
         self.dim * FEATURE_SCALAR_BYTES
-    }
-
-    /// Storage footprint of the whole table at FP-16 width, in bytes.
-    #[inline]
-    pub fn table_bytes(&self) -> usize {
-        self.num_nodes() * self.vector_bytes()
     }
 }
 
@@ -147,7 +149,6 @@ mod tests {
         assert_eq!(t.num_nodes(), 10);
         assert_eq!(t.dim(), 602);
         assert_eq!(t.vector_bytes(), 1204);
-        assert_eq!(t.table_bytes(), 12_040);
     }
 
     #[test]
@@ -171,6 +172,25 @@ mod tests {
     #[should_panic(expected = "multiple of dim")]
     fn ragged_rows_panic() {
         FeatureTable::from_rows(3, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn synthetic_row_reproduces_every_row_at_any_thread_count() {
+        let mut row = vec![0f32; 48];
+        for threads in [1, 2, 8] {
+            par::set_build_threads(threads);
+            let table = FeatureTable::synthetic(1_000, 48, 21);
+            for v in 0..1_000 {
+                FeatureTable::synthetic_row(21, v, &mut row);
+                let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&row),
+                    bits(table.feature(NodeId::new(v as u32))),
+                    "threads={threads} row={v}"
+                );
+            }
+        }
+        par::set_build_threads(1);
     }
 
     #[test]

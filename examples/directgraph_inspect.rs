@@ -19,13 +19,14 @@ fn main() -> Result<(), WorkloadError> {
         .seed(11)
         .prepare()?;
     let dg = workload.directgraph();
+    let inflation = dg.inflation(workload.spec().feature_bytes());
 
     println!(
         "Converted {} nodes / {} edges -> {} flash pages, inflation {}",
         workload.graph().num_nodes(),
         workload.graph().num_edges(),
         dg.stats().total_pages(),
-        percent(dg.inflation(workload.features()).inflation_ratio()),
+        percent(inflation.inflation_ratio()),
     );
 
     // Walk the highest-degree node's sections.

@@ -22,12 +22,13 @@ fn main() -> Result<(), WorkloadError> {
         .prepare()?;
 
     let dg = workload.directgraph();
+    let inflation = dg.inflation(workload.spec().feature_bytes());
     println!(
         "DirectGraph: {} pages ({} primary / {} secondary), inflation {}",
         dg.stats().total_pages(),
         dg.stats().primary_pages,
         dg.stats().secondary_pages,
-        percent(dg.inflation(workload.features()).inflation_ratio()),
+        percent(inflation.inflation_ratio()),
     );
     println!();
 
