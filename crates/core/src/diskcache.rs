@@ -4,27 +4,27 @@
 //! the DirectGraph image — is the dominant cost of starting any
 //! experiment process, and it repeats identically in every process that
 //! sweeps the same dataset. This module persists the shape-independent
-//! part of a prepared [`Workload`](crate::Workload) — spec, graph and
+//! part of a prepared [`Workload`](crate::Workload) — spec and
 //! DirectGraph — once per graph key (dataset, nodes, page size and
 //! seed), so a second process (or a second `cargo test` binary)
 //! deserializes it in milliseconds instead of rebuilding. Batch size,
 //! batch count and model are not stored: every workload over the key
-//! draws its own mini-batches at load, as a fresh build does. Neither
-//! is an f32 feature table: the DirectGraph's FP-16 vectors are the
-//! image's only copy of the features, and a loaded image, like a freshly
-//! built one, synthesizes the table only if
+//! draws its own mini-batches at load, as a fresh build does. Nor is a
+//! CSR graph or an f32 feature table: the DirectGraph's neighbor
+//! addresses and FP-16 vectors are the image's only copy of the graph
+//! and the features, and a loaded image, like a freshly built one,
+//! decodes the CSR or synthesizes the table only if
+//! [`Workload::graph`](crate::Workload::graph) or
 //! [`Workload::features`](crate::Workload::features) asks for it.
 //!
 //! File layout (little-endian), one file per graph key:
 //!
 //! ```text
 //! magic   "BWC1"                         4 B
-//! format_version                         u32, currently 4
+//! format_version                         u32, currently 5
 //! graph key echo                         u64 len + bytes
 //! dataset name                           u64 len + bytes
 //! spec scale (num_nodes)                 u64
-//! graph: offsets (u64 len + u64s),
-//!        adjacency (u64 len + u32s)
 //! DirectGraph                            embedded `DirectGraph::save` stream
 //! checksum                               u64 word-lane sum over everything
 //!                                        after magic (see below)
@@ -34,9 +34,15 @@
 //! stored one image per graph key, without seed, model or mini-batches;
 //! version 4 dropped the f32 feature table (a `dim` and the values) that
 //! followed the graph, which the loader decoded and no engine read: a
-//! third of the bytes a cold `experiments all` writes. A file of an
-//! older version under the same key misses, and the rebuild overwrites
-//! it.
+//! third of the bytes a cold `experiments all` writes. Version 5 dropped
+//! the CSR graph (the offsets and adjacency arrays) that preceded the
+//! DirectGraph: every edge is already one of the DirectGraph's neighbor
+//! addresses, from which [`Workload::graph`](crate::Workload::graph)
+//! decodes the CSR on first use, and only scaleout's partitioners and
+//! the functional path ever read it. The arrays were a third of the
+//! bytes again (67.8 of the 183.5 MB of a 100,000-node amazon file). A
+//! file of an older version under the same key misses, and the rebuild
+//! overwrites it.
 //!
 //! **Checksum.** Version 2 replaced version 1's byte-at-a-time FNV-1a,
 //! about half the cost of loading a large workload, with a word-lane
@@ -55,13 +61,13 @@
 //! payload in pieces of any size.
 //!
 //! **Streaming.** Files are written and read through one fixed 1 MiB
-//! chunk buffer that also feeds the checksum: the writer encodes each
-//! array into the buffer and writes it out when it fills, and the
-//! reader refills it from the file and decodes each array straight into
-//! its final `Vec` (the DirectGraph image through its own
-//! `io::Read`/`io::Write` stream). Neither side stages the payload, so
-//! saving or loading a workload takes one chunk of memory beyond the
-//! workload itself.
+//! chunk buffer that also feeds the checksum: the writer collects the
+//! header fields and the DirectGraph image's `io::Write` stream in the
+//! buffer and writes it out when it fills, and the reader refills it
+//! from the file and decodes each field, and the image through its own
+//! `io::Read` stream, straight into its final structure. Neither side
+//! stages the payload, so saving or loading a workload takes one chunk
+//! of memory beyond the workload itself.
 //!
 //! **Validation and fallback.** A load is served only if the magic,
 //! format version, graph key echo and checksum all match, every
@@ -103,7 +109,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use beacon_graph::{CsrGraph, Dataset, DatasetSpec, NodeId};
+use beacon_graph::{Dataset, DatasetSpec};
 use directgraph::DirectGraph;
 
 use crate::workload::Image;
@@ -112,7 +118,7 @@ const MAGIC: &[u8; 4] = b"BWC1";
 
 /// Container+pipeline version; see the module docs for the bump rule
 /// and what each version changed.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Bytes the reader and the writer stage between the file and the
 /// decoded structures.
@@ -187,11 +193,8 @@ pub(crate) fn save(dir: &Path, key: &str, image: &Image) {
 fn try_save(dir: &Path, key: &str, image: &Image) -> io::Result<()> {
     let path = file_path(dir, key);
     publish(dir, &path, key, |out| {
-        let g = &image.graph;
         out.put_bytes(image.spec.dataset.name().as_bytes())?;
         out.write_all(&(image.spec.num_nodes as u64).to_le_bytes())?;
-        out.put_array(g.offsets(), u64::to_le_bytes)?;
-        out.put_array(g.adjacency(), |v| v.as_u32().to_le_bytes())?;
         image.dg.save(out)
     })
 }
@@ -205,28 +208,20 @@ fn try_load(path: &Path, key: &str) -> Option<Image> {
     let num_nodes = src.u64()? as usize;
     let spec = DatasetSpec::preset(dataset).at_scale(num_nodes);
 
-    let offsets = src.array(u64::from_le_bytes)?;
-    let adjacency = src.array(node_id)?;
     // Corruption (the checksum is compared last) or version drift
     // FORMAT_VERSION failed to capture: a miss, not a panic.
-    let graph = CsrGraph::try_from_raw_parts(offsets, adjacency).ok()?;
-
     let dg = DirectGraph::load(&mut src).ok()?;
     src.finish()?;
 
-    if graph.num_nodes() != num_nodes || dg.directory().len() != num_nodes {
+    if dg.directory().len() != num_nodes {
         return None;
     }
     Some(Image {
         spec,
-        graph,
+        graph: OnceLock::new(),
         features: OnceLock::new(),
         dg,
     })
-}
-
-fn node_id(bytes: [u8; 4]) -> NodeId {
-    NodeId::new(u32::from_le_bytes(bytes))
 }
 
 /// Opens the container at `path`: checks its magic, [`FORMAT_VERSION`]
@@ -317,23 +312,6 @@ impl<W: Write> Sink<W> {
     fn put_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.write_all(&(bytes.len() as u64).to_le_bytes())?;
         self.write_all(bytes)
-    }
-
-    /// The [`Source::array`] encoding: a `u64` count, then each item's
-    /// bytes, encoded straight into the buffer.
-    fn put_array<T: Copy, const N: usize>(
-        &mut self,
-        items: &[T],
-        encode: impl Fn(T) -> [u8; N],
-    ) -> io::Result<()> {
-        self.write_all(&(items.len() as u64).to_le_bytes())?;
-        for group in items.chunks(CHUNK / N) {
-            self.reserve(group.len() * N)?;
-            for &item in group {
-                self.buf.extend_from_slice(&encode(item));
-            }
-        }
-        Ok(())
     }
 
     /// Writes out the last bytes and returns the payload checksum.
@@ -609,7 +587,7 @@ mod tests {
 
     fn assert_identical(a: &Image, b: &Image) {
         assert_eq!(a.spec, b.spec);
-        assert_eq!(a.graph, b.graph);
+        assert_eq!(a.graph.get(), b.graph.get());
         assert_eq!(a.features.get(), b.features.get());
         assert_eq!(a.dg.digest(), b.dg.digest());
         assert_eq!(a.dg.stats(), b.dg.stats());
@@ -638,7 +616,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             (bwc1.len(), fnv1a(&bwc1)),
-            (152_415, 0xe3f6_9964_ffa7_04df),
+            (104_327, 0xa68c_8fd4_8f28_4511),
             "BWC1 bytes"
         );
     }
@@ -723,11 +701,24 @@ mod tests {
         Source::new(payload.chain(trailer), payload.len() as u64)
     }
 
+    /// Writes `items` in the [`Source::array`] encoding: a `u64` count,
+    /// then each item's bytes.
+    fn put_array<const N: usize, T: Copy>(
+        sink: &mut Sink<&mut Vec<u8>>,
+        items: &[T],
+        encode: impl Fn(T) -> [u8; N],
+    ) {
+        sink.write_all(&(items.len() as u64).to_le_bytes()).unwrap();
+        for &item in items {
+            sink.write_all(&encode(item)).unwrap();
+        }
+    }
+
     #[test]
     fn array_counts_are_bounded_by_the_bytes_left() {
         let mut buf = Vec::new();
         let mut sink = Sink::new(&mut buf);
-        sink.put_array(&[7u32, 8, 9], u32::to_le_bytes).unwrap();
+        put_array(&mut sink, &[7u32, 8, 9], u32::to_le_bytes);
         sink.finish().unwrap();
         let mut src = source(&buf);
         assert_eq!(src.array(u32::from_le_bytes), Some(vec![7, 8, 9]));
@@ -754,9 +745,15 @@ mod tests {
         let path = file_path(&dir, &key);
         let current = std::fs::read(&path).unwrap();
         // The same payload under an older version at the same file name:
-        // version 1 with its FNV-1a trailer, and version 3, the last
-        // to store the feature table, with the word-lane sum.
-        for (version, sum) in [(1u32, fnv1a as fn(&[u8]) -> u64), (3, checksum)] {
+        // version 1 with its FNV-1a trailer, and versions 3 and 4, the
+        // last to store the feature table and the graph arrays, with the
+        // word-lane sum.
+        let versions = [
+            (1u32, fnv1a as fn(&[u8]) -> u64),
+            (3, checksum),
+            (4, checksum),
+        ];
+        for (version, sum) in versions {
             let mut old = current.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             let body_end = old.len() - 8;
@@ -810,29 +807,23 @@ mod tests {
             let bytes = std::fs::read(file_path(&dir, &key)).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
 
-            let (g, n) = (&image.graph, image.graph.num_nodes());
+            let n = image.dg.directory().len();
             let name = image.spec.dataset.name().len();
             let mut at = 4 + 4;
             let mut counts = vec![("graph key", at)];
             at += 8 + key.len();
             counts.push(("dataset name", at));
-            at += 8 + name + 8;
-            counts.push(("offsets", at));
-            at += 8 + 8 * g.offsets().len();
-            counts.push(("adjacency", at));
-            at += 8 + 4 * g.adjacency().len() + 4 + 4;
+            at += 8 + name + 8 + 4 + 4;
             counts.push(("DirectGraph nodes", at));
             at += 8 + 4 * n + 5 * 8;
             counts.push(("DirectGraph pages", at));
 
             // Each offset holds the count it names.
-            let want = [key.len(), name, g.offsets().len(), g.adjacency().len()]
-                .into_iter()
-                .chain([n, image.dg.image().pages_written()]);
+            let want = [key.len(), name, n, image.dg.image().pages_written()];
             for ((field, at), want) in counts.iter().zip(want) {
                 assert_eq!(u64_at(&bytes, *at), want as u64, "BWC1 {field}");
             }
-            assert_eq!(counts.len(), 6);
+            assert_eq!(counts.len(), 4);
             Fixture { key, bytes, counts }
         })
     }
@@ -861,6 +852,46 @@ mod tests {
     #[test]
     fn pristine_files_load() {
         assert!(loads("pristine", &fixture().bytes));
+    }
+
+    /// A file whose DirectGraph names no primary section at one
+    /// neighbor address, under a recomputed checksum, still loads; its
+    /// workloads' graph is regenerated from the spec, with no panic.
+    #[test]
+    fn undecodable_images_load_and_regenerate_their_graph() {
+        let f = fixture();
+        let (_, image) = image();
+        let dg = &image.dg;
+        // Node 0's primary section: its page follows the DirectGraph
+        // page count and the page's index, and its last 4 bytes are an
+        // inline neighbor address.
+        let node = beacon_graph::NodeId::new(0);
+        assert!(image.spec.build_graph(19).degree(node) > 0);
+        let (page, slot) = dg
+            .layout()
+            .unpack(dg.directory().primary_addr(node).unwrap());
+        let page_size = dg.layout().page_size();
+        let pages = f.counts.last().unwrap().1 + 8;
+        let mut at = pages + page.as_usize() * (8 + page_size) + 8;
+        for _ in 0..=slot {
+            at += u16::from_le_bytes([f.bytes[at + 2], f.bytes[at + 3]]) as usize;
+        }
+        let mut bytes = f.bytes.clone();
+        bytes[at - 4..at].copy_from_slice(&u32::MAX.to_le_bytes());
+        let end = bytes.len() - 8;
+        let sum = checksum(&bytes[4..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+
+        let dir = tempdir("undecodable");
+        std::fs::write(file_path(&dir, &f.key), &bytes).unwrap();
+        let loaded = load(&dir, &f.key).expect("the damaged image loads");
+        assert!(loaded.dg.to_csr().is_err());
+        let w = crate::WorkloadCache::with_disk_dir(&dir)
+            .get_or_prepare(builder())
+            .unwrap();
+        assert_eq!(w.directgraph().digest(), loaded.dg.digest(), "not rebuilt");
+        assert_eq!(w.graph(), &image.spec.build_graph(19));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -947,8 +978,8 @@ mod tests {
         let longs: Vec<u64> = (0..CHUNK as u64 / 5).map(|i| i << 33).collect();
         sink.write_all(&[9]).unwrap();
         sink.put_bytes(&bytes).unwrap();
-        sink.put_array(&words, u32::to_le_bytes).unwrap();
-        sink.put_array(&longs, u64::to_le_bytes).unwrap();
+        put_array(&mut sink, &words, u32::to_le_bytes);
+        put_array(&mut sink, &longs, u64::to_le_bytes);
         let sum = sink.finish().unwrap();
         assert_eq!(sum, checksum(&buf));
         let mut src = source(&buf);

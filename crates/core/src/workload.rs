@@ -8,10 +8,16 @@
 //! across all platforms and sensitivity points — exactly how the paper
 //! holds the dataset fixed while sweeping the architecture.
 //!
-//! A synthetic image's features live once, as FP-16 vectors in the
-//! DirectGraph's primary sections (paper §IV-A): the encoder draws each
-//! node's row as it writes the node's section, and no f32 table is
-//! kept. Only the functional GNN path reads f32 features, through
+//! A synthetic image's graph and features live once, in the
+//! DirectGraph's pages (paper §IV-A, Fig 8): each node's primary section
+//! holds its FP-16 feature vector and the flash addresses of its
+//! neighbors' primary sections. The encoder draws each node's feature
+//! row as it writes the node's section, and once the pages are encoded
+//! the generated CSR is dropped; no f32 table or CSR is kept. Only host
+//! code that works on node ids (scaleout's partitioners, the host-side
+//! sampler of the functional path) reads the CSR, through
+//! [`Workload::graph`], which decodes it from the pages on first use,
+//! and only the functional GNN path reads f32 features, through
 //! [`Workload::features`], which synthesizes the table on first use.
 
 use std::fmt;
@@ -194,8 +200,9 @@ impl WorkloadBuilder {
 
     /// Builds the image from the graph key's parameters, or over the
     /// caller-supplied graph and features, which it takes. A synthetic
-    /// image encodes each node's feature row as it draws it and keeps no
-    /// table; a custom one keeps the caller's.
+    /// image encodes each node's feature row as it draws it, drops the
+    /// generated graph once its pages are encoded, and keeps neither a
+    /// table nor a CSR; a custom one keeps the caller's.
     pub(crate) fn image(&mut self) -> Result<Image, WorkloadError> {
         let layout = AddrLayout::for_page_size(self.page_size)
             .ok_or(WorkloadError::BadPageSize(self.page_size))?;
@@ -207,7 +214,7 @@ impl WorkloadBuilder {
                 spec.avg_degree = graph.avg_degree().max(f64::MIN_POSITIVE);
                 spec.feature_dim = table.dim();
                 let dg = builder.build(&graph, &table)?;
-                (graph, OnceLock::from(table), dg)
+                (OnceLock::from(graph), OnceLock::from(table), dg)
             }
             None => {
                 let graph = spec.build_graph(self.seed);
@@ -215,7 +222,7 @@ impl WorkloadBuilder {
                 let dg = builder.build_with(&graph, spec.feature_dim, &|v, out| {
                     spec.feature_row(seed, v, out)
                 })?;
-                (graph, OnceLock::new(), dg)
+                (OnceLock::new(), OnceLock::new(), dg)
             }
         };
         Ok(Image {
@@ -232,7 +239,7 @@ impl WorkloadBuilder {
         let model = self
             .model
             .unwrap_or_else(|| GnnModelConfig::paper_default(image.spec.feature_dim));
-        let nodes = image.graph.num_nodes();
+        let nodes = image.dg.directory().len();
         let mut stream = MinibatchStream::new(nodes, self.batch_size, self.seed ^ 0xBA7C);
         let batches = (0..self.batches).map(|_| stream.next_batch()).collect();
         Workload {
@@ -245,14 +252,15 @@ impl WorkloadBuilder {
     }
 }
 
-/// The part of a workload its graph key determines: the dataset spec,
-/// the graph and the DirectGraph image, whose pages hold the features.
-/// `features` is the f32 table, set by a custom graph's caller or on the
-/// first [`Workload::features`] call.
+/// The part of a workload its graph key determines: the dataset spec
+/// and the DirectGraph image, whose pages hold the graph and the
+/// features. `graph` is the CSR and `features` the f32 table, each set
+/// by a custom graph's caller or on the first [`Workload::graph`] or
+/// [`Workload::features`] call.
 #[derive(Debug, Clone)]
 pub(crate) struct Image {
     pub(crate) spec: DatasetSpec,
-    pub(crate) graph: CsrGraph,
+    pub(crate) graph: OnceLock<CsrGraph>,
     pub(crate) features: OnceLock<FeatureTable>,
     pub(crate) dg: DirectGraph,
 }
@@ -288,9 +296,21 @@ impl Workload {
         &self.image.spec
     }
 
-    /// The CSR graph.
+    /// The CSR graph. A custom graph's is the caller's. A synthetic
+    /// image stores its graph only in the DirectGraph pages, so the
+    /// first call decodes it ([`DirectGraph::to_csr`]) — equal to
+    /// [`DatasetSpec::build_graph`] at this workload's seed — and keeps
+    /// it in the image, where every workload sharing the image finds it.
+    /// An image that does not decode gets the graph regenerated from the
+    /// spec and seed instead: only a damaged cache file that passes its
+    /// checksum can be one, and its bytes must not cause a panic.
     pub fn graph(&self) -> &CsrGraph {
-        &self.image.graph
+        self.image.graph.get_or_init(|| {
+            self.image
+                .dg
+                .to_csr()
+                .unwrap_or_else(|_| self.image.spec.build_graph(self.seed))
+        })
     }
 
     /// The f32 feature table the functional GNN path computes on. A
@@ -459,6 +479,47 @@ mod tests {
     }
 
     #[test]
+    fn synthetic_graph_is_decoded_once_on_first_use() {
+        let dir =
+            std::env::temp_dir().join(format!("beacon-workload-graph-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let builder = || {
+            Workload::builder()
+                .dataset(Dataset::Ppi)
+                .nodes(700)
+                .batch_size(8)
+                .batches(1)
+                .seed(17)
+        };
+        let want = DatasetSpec::preset(Dataset::Ppi)
+            .at_scale(700)
+            .build_graph(17);
+
+        let w = builder().prepare().unwrap();
+        assert!(w.image.graph.get().is_none(), "prepare keeps no graph");
+        assert_eq!(w.graph(), &want);
+        assert!(w.image.graph.get().is_some());
+
+        // A BWC1 load keeps none either, and every workload over the
+        // loaded image shares the one graph the first call decodes.
+        crate::WorkloadCache::with_disk_dir(&dir)
+            .get_or_prepare(builder())
+            .unwrap();
+        let key = builder().graph_key().unwrap();
+        let loaded = crate::diskcache::load(&dir, &key).expect("the saved image loads");
+        assert!(loaded.graph.get().is_none(), "a load keeps no graph");
+        let cache = crate::WorkloadCache::with_disk_dir(&dir);
+        let a = cache.get_or_prepare(builder()).unwrap();
+        let b = cache
+            .get_or_prepare(builder().batch_size(4).batches(3))
+            .unwrap();
+        assert!(a.image.graph.get().is_none());
+        assert!(std::ptr::eq(a.graph(), b.graph()));
+        assert_eq!(b.graph(), &want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn custom_graph_workload() {
         use beacon_graph::io::read_edge_list;
         // A user-supplied graph loaded from an edge list.
@@ -471,14 +532,17 @@ mod tests {
         let graph = read_edge_list(text.as_bytes()).unwrap();
         let features = FeatureTable::synthetic(40, 16, 1);
         let w = Workload::builder()
-            .custom_graph(graph, features.clone())
+            .custom_graph(graph.clone(), features.clone())
             .batch_size(4)
             .batches(1)
             .prepare()
             .unwrap();
         assert_eq!(w.graph().num_nodes(), 40);
         assert_eq!(w.model().feature_dim, 16);
-        // The caller's table, not one synthesized from the seed.
+        // The caller's graph and table, not ones synthesized from the
+        // seed.
+        assert_eq!(w.image.graph.get(), Some(&graph));
+        assert_eq!(w.graph(), &graph);
         assert_eq!(bits(w.features()), bits(&features));
         // And it simulates end-to-end.
         let m = crate::Experiment::new(&w).run(crate::Platform::Bg2);
@@ -502,6 +566,13 @@ mod tests {
             .unwrap();
         assert_ne!(copy.directgraph().digest(), digest);
         assert_eq!(w.directgraph().digest(), digest);
+        // The relocated pages decode to the same graph.
+        assert!(copy.image.graph.get().is_none());
+        let graph = DatasetSpec::preset(Dataset::Amazon)
+            .at_scale(300)
+            .build_graph(5);
+        assert_eq!(copy.graph(), &graph);
+        assert_eq!(w.graph(), &graph);
     }
 
     #[test]

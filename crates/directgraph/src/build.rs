@@ -113,6 +113,11 @@ impl NodeDirectory {
     pub fn is_empty(&self) -> bool {
         self.primary.is_empty()
     }
+
+    /// Every node's primary-section address, in node order.
+    pub(crate) fn addrs(&self) -> &[PhysAddr] {
+        &self.primary
+    }
 }
 
 /// Aggregate construction statistics.

@@ -384,6 +384,12 @@ impl PageStore {
         })
     }
 
+    /// The slot table's span: the lowest written page index and the
+    /// number of indices from it to the highest, gaps included.
+    pub(crate) fn span(&self) -> (u64, usize) {
+        (self.base, self.pages.len())
+    }
+
     /// The first and last written page, if every index between them is
     /// written too (`None` for an empty store or one with gaps).
     pub(crate) fn contiguous_run(&self) -> Option<(PageIndex, PageIndex)> {
@@ -508,6 +514,11 @@ pub(crate) struct RawSection<'a> {
 }
 
 impl<'a> RawSection<'a> {
+    /// The section's length in bytes, as its header declares it.
+    pub(crate) fn length(&self) -> usize {
+        self.bytes.len()
+    }
+
     /// Checks the body against the declared length and borrows its
     /// fields.
     #[inline]

@@ -23,11 +23,12 @@
 //!   (the paper's "linked array" compaction).
 //!
 //! This crate provides the byte-exact layout ([`layout`]), Algorithm 1
-//! construction ([`build`]), an in-memory page store standing in for the
-//! flash array ([`PageStore`]), the section parser used by the modeled
-//! die-level sampler ([`image`]), the firmware security validation of
-//! §VI-E ([`verify`]), and the Table IV storage-inflation accounting
-//! ([`inflation`]).
+//! construction ([`build`]) and its inverse, which reads the graph back
+//! out of the pages ([`decode`]), an in-memory page store standing in
+//! for the flash array ([`PageStore`]), the section parser used by the
+//! modeled die-level sampler ([`image`]), the firmware security
+//! validation of §VI-E ([`verify`]), and the Table IV storage-inflation
+//! accounting ([`inflation`]).
 //!
 //! ## Example
 //!
@@ -50,6 +51,7 @@
 
 pub mod addr;
 pub mod build;
+pub mod decode;
 pub mod image;
 pub mod inflation;
 pub mod layout;
@@ -58,6 +60,7 @@ pub mod verify;
 
 pub use addr::{AddrLayout, PageIndex, PhysAddr};
 pub use build::{BuildError, DirectGraph, DirectGraphBuilder, NodeDirectory};
+pub use decode::DecodeError;
 pub use image::{PageStore, PrimaryView, SecondaryView, Section, SectionParseError, SectionView};
 pub use inflation::InflationReport;
 pub use serial::LoadError;

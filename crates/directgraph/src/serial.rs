@@ -331,12 +331,14 @@ mod tests {
         })
     }
 
-    /// What `beacongnn inspect` does with an untrusted DGR1 file: load
-    /// it, then validate the image and parse every page's sections.
-    /// Errors are fine; a panic fails the calling test.
+    /// What `beacongnn inspect` does with an untrusted DGR1 file, and
+    /// what a workload does with one from its disk cache: load it, then
+    /// validate the image, decode its graph and parse every page's
+    /// sections. Errors are fine; a panic fails the calling test.
     fn ingest(bytes: &[u8]) -> Result<(), LoadError> {
         let dg = DirectGraph::load(bytes)?;
         let _ = crate::Validator::new(&dg).verify_image();
+        let _ = dg.to_csr();
         for (idx, _) in dg.image().iter_pages() {
             let _ = dg.image().parse_all_sections(idx);
         }

@@ -18,8 +18,8 @@ use std::fmt;
 use beacon_graph::NodeId;
 
 use crate::addr::{PageIndex, PhysAddr};
-use crate::build::DirectGraph;
-use crate::image::{PageStore, Section, SectionParseError};
+use crate::build::{BuildStats, DirectGraph};
+use crate::image::{PageStore, Section, SectionParseError, SectionView};
 
 /// A §VI-E validation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +38,13 @@ pub enum ValidationError {
     PageCorrupt { page: PageIndex, detail: String },
     /// A directory entry points at a page the image never wrote.
     DanglingDirectoryEntry { node: NodeId, addr: PhysAddr },
+    /// A build statistic disagrees with the count the section headers
+    /// give.
+    StatisticMismatch {
+        statistic: &'static str,
+        stored: u64,
+        counted: u64,
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -61,19 +68,36 @@ impl fmt::Display for ValidationError {
             ValidationError::DanglingDirectoryEntry { node, addr } => {
                 write!(f, "{node}'s directory entry {addr} is unwritten")
             }
+            ValidationError::StatisticMismatch {
+                statistic,
+                stored,
+                counted,
+            } => write!(
+                f,
+                "build statistic {statistic} reads {stored}, but the pages hold {counted}"
+            ),
         }
     }
 }
 
 impl std::error::Error for ValidationError {}
 
-/// The smallest and largest raw address embedded anywhere on `page`
-/// (`lo > hi` if it embeds none), or `None` if a section does not
-/// parse.
-fn embedded_range(image: &PageStore, page: PageIndex) -> Option<(u32, u32)> {
+/// Walks `page`'s sections, adding each to the statistics the section
+/// headers determine (secondary sections, used bytes and edges), and
+/// returns the smallest and largest raw address embedded anywhere on
+/// the page (`lo > hi` if it embeds none), or `None` if a section does
+/// not parse.
+fn walk_page(image: &PageStore, page: PageIndex, counted: &mut BuildStats) -> Option<(u32, u32)> {
     let (mut lo, mut hi) = (u32::MAX, 0);
     for section in image.sections(page).ok()? {
-        for bytes in section.ok()?.view().ok()?.addr_bytes() {
+        let section = section.ok()?;
+        counted.used_bytes += section.length() as u64;
+        let view = section.view().ok()?;
+        match view {
+            SectionView::Primary(p) => counted.edges += u64::from(p.total_neighbors),
+            SectionView::Secondary(_) => counted.secondary_sections += 1,
+        }
+        for bytes in view.addr_bytes() {
             for word in bytes.chunks_exact(4) {
                 let raw = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
                 lo = lo.min(raw);
@@ -116,7 +140,10 @@ impl<'a> Validator<'a> {
     /// Flush-time check: verifies that every directory entry points at
     /// a written page, then walks every written page and verifies that
     /// all embedded section addresses (inline neighbors, secondary
-    /// pointers) stay within the allocated page set.
+    /// pointers) stay within the allocated page set, and last that the
+    /// build statistics the section headers determine — secondary
+    /// sections, used bytes (the sum of section lengths) and edges (the
+    /// sum of primary neighbor counts) — match the stored ones.
     ///
     /// The walk costs one range test per page, not one lookup per
     /// address: it folds each page's raw embedded addresses into a
@@ -133,29 +160,45 @@ impl<'a> Validator<'a> {
     ///
     /// Returns the first violation found: a dangling directory entry,
     /// then, page by page in index order, an unparsable page or an
-    /// out-of-bounds address.
+    /// out-of-bounds address, then a mismatched statistic.
     pub fn verify_image(&self) -> Result<(), ValidationError> {
         let layout = self.dg.layout();
         let image = self.dg.image();
-        let directory = self.dg.directory();
-        for i in 0..directory.len() {
-            let node = NodeId::new(i as u32);
-            let addr = directory.primary_addr(node).expect("index in range");
+        for (i, &addr) in self.dg.directory().addrs().iter().enumerate() {
             if !image.contains_page(layout.unpack(addr).0) {
+                let node = NodeId::new(i as u32);
                 return Err(ValidationError::DanglingDirectoryEntry { node, addr });
             }
         }
         let run = image.contiguous_run();
+        let mut counted = BuildStats::default();
         for (page, _) in image.iter_pages() {
-            let in_run = run.is_some_and(|(first, last)| {
-                embedded_range(image, page).is_some_and(|(lo, hi)| {
-                    lo > hi
-                        || (first <= layout.unpack(PhysAddr::from_raw(lo)).0
-                            && layout.unpack(PhysAddr::from_raw(hi)).0 <= last)
-                })
+            let range = walk_page(image, page, &mut counted);
+            let in_run = run.zip(range).is_some_and(|((first, last), (lo, hi))| {
+                lo > hi
+                    || (first <= layout.unpack(PhysAddr::from_raw(lo)).0
+                        && layout.unpack(PhysAddr::from_raw(hi)).0 <= last)
             });
             if !in_run {
                 self.verify_page(page)?;
+            }
+        }
+        let stats = self.dg.stats();
+        for (statistic, stored, counted) in [
+            (
+                "secondary_sections",
+                stats.secondary_sections,
+                counted.secondary_sections,
+            ),
+            ("used_bytes", stats.used_bytes, counted.used_bytes),
+            ("edges", stats.edges, counted.edges),
+        ] {
+            if stored != counted {
+                return Err(ValidationError::StatisticMismatch {
+                    statistic,
+                    stored,
+                    counted,
+                });
             }
         }
         Ok(())
@@ -297,9 +340,52 @@ mod tests {
         assert!(matches!(err, ValidationError::AddressOutOfBounds { .. }));
     }
 
+    #[test]
+    fn statistics_off_by_one_are_rejected() {
+        // 1,900-byte features on 2 KB pages: busy nodes overflow into
+        // secondary sections, so every statistic is positive.
+        let graph = generate::power_law(&generate::PowerLawConfig::new(100, 30.0), 5);
+        let dg = DirectGraphBuilder::new(AddrLayout::for_page_size(2048).unwrap())
+            .build(&graph, &FeatureTable::synthetic(100, 950, 5))
+            .unwrap();
+        assert!(Validator::new(&dg).verify_image().is_ok());
+        let stats = dg.stats();
+        assert!(stats.secondary_sections > 0);
+        type Field = fn(&mut BuildStats) -> &mut u64;
+        let fields: [(&str, Field); 3] = [
+            ("secondary_sections", |s| &mut s.secondary_sections),
+            ("used_bytes", |s| &mut s.used_bytes),
+            ("edges", |s| &mut s.edges),
+        ];
+        for (statistic, field) in fields {
+            let counted = *field(&mut stats.clone());
+            for stored in [counted + 1, counted - 1] {
+                let mut off = stats;
+                *field(&mut off) = stored;
+                let dg = DirectGraph::from_parts(
+                    dg.layout(),
+                    dg.image().clone(),
+                    dg.directory().clone(),
+                    off,
+                );
+                let err = Validator::new(&dg).verify_image().unwrap_err();
+                assert_eq!(
+                    err,
+                    ValidationError::StatisticMismatch {
+                        statistic,
+                        stored,
+                        counted
+                    }
+                );
+                assert!(err.to_string().contains(statistic), "{err}");
+            }
+        }
+    }
+
     /// The per-address §VI-E walk, kept as the reference the range test
     /// must agree with: the directory check, then every page's sections
-    /// parsed and every embedded address looked up, in order.
+    /// parsed and every embedded address looked up, in order, then the
+    /// statistics recounted from the parsed sections.
     fn reference_verify_image(dg: &DirectGraph) -> Result<(), ValidationError> {
         let layout = dg.layout();
         let directory = dg.directory();
@@ -310,6 +396,7 @@ mod tests {
                 return Err(ValidationError::DanglingDirectoryEntry { node, addr });
             }
         }
+        let mut counted = BuildStats::default();
         for (page_idx, _) in dg.image().iter_pages() {
             let sections = dg.image().parse_all_sections(page_idx).map_err(|e| {
                 ValidationError::PageCorrupt {
@@ -319,13 +406,25 @@ mod tests {
             })?;
             for section in sections {
                 let embedded: Vec<PhysAddr> = match &section {
-                    Section::Primary(p) => p
-                        .secondary_addrs
-                        .iter()
-                        .chain(p.inline_neighbors.iter())
-                        .copied()
-                        .collect(),
-                    Section::Secondary(s) => s.neighbors.clone(),
+                    Section::Primary(p) => {
+                        counted.used_bytes += crate::layout::primary_section_size(
+                            p.feature.len(),
+                            p.inline_neighbors.len(),
+                            p.secondary_addrs.len(),
+                        ) as u64;
+                        counted.edges += u64::from(p.total_neighbors);
+                        p.secondary_addrs
+                            .iter()
+                            .chain(p.inline_neighbors.iter())
+                            .copied()
+                            .collect()
+                    }
+                    Section::Secondary(s) => {
+                        counted.secondary_sections += 1;
+                        counted.used_bytes +=
+                            crate::layout::secondary_section_size(s.neighbors.len()) as u64;
+                        s.neighbors.clone()
+                    }
                 };
                 for addr in embedded {
                     if !dg.image().contains_page(layout.unpack(addr).0) {
@@ -335,6 +434,24 @@ mod tests {
                         });
                     }
                 }
+            }
+        }
+        let s = dg.stats();
+        for (statistic, stored, counted) in [
+            (
+                "secondary_sections",
+                s.secondary_sections,
+                counted.secondary_sections,
+            ),
+            ("used_bytes", s.used_bytes, counted.used_bytes),
+            ("edges", s.edges, counted.edges),
+        ] {
+            if stored != counted {
+                return Err(ValidationError::StatisticMismatch {
+                    statistic,
+                    stored,
+                    counted,
+                });
             }
         }
         Ok(())

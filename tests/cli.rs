@@ -141,6 +141,36 @@ fn inspect_rejects_dangling_directory_entries() {
 }
 
 #[test]
+fn inspect_rejects_build_statistics_the_pages_contradict() {
+    // A converted image whose stored statistics claim 7.3e18 secondary
+    // sections and 2^50 used bytes: the recount from the section
+    // headers rejects it before any statistic is printed.
+    let dir = std::env::temp_dir().join(format!("beacongnn-cli-{}-stats", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dgr = dir.join("ogbn.dgr");
+    let out = beacongnn()
+        .args(["convert", "--dataset", "ogbn", "--nodes", "300", "--out"])
+        .arg(&dgr)
+        .output()
+        .expect("convert runs");
+    assert!(out.status.success());
+    let mut bytes = std::fs::read(&dgr).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    // Magic, page size and node count, the 300-entry directory, then
+    // the primary and secondary page counts.
+    let at = 4 + 4 + 8 + 4 * 300 + 2 * 8;
+    bytes[at..at + 8].copy_from_slice(&7_317_395_227_486_290_925u64.to_le_bytes());
+    bytes[at + 8..at + 16].copy_from_slice(&(1u64 << 50).to_le_bytes());
+    let out = inspect_bytes("statistics", &bytes);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stdout}{stderr}");
+    assert!(stderr.contains("image failed validation"), "{stderr}");
+    assert!(stderr.contains("secondary_sections"), "{stderr}");
+    assert!(!stdout.contains("passes"), "{stdout}");
+}
+
+#[test]
 fn run_reports_metrics() {
     let out = beacongnn()
         .args([
