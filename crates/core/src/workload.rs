@@ -11,14 +11,15 @@
 //! A synthetic image's graph and features live once, in the
 //! DirectGraph's pages (paper §IV-A, Fig 8): each node's primary section
 //! holds its FP-16 feature vector and the flash addresses of its
-//! neighbors' primary sections. The encoder draws each node's feature
-//! row as it writes the node's section, and once the pages are encoded
-//! the generated CSR is dropped; no f32 table or CSR is kept. Only host
-//! code that works on node ids (scaleout's partitioners, the host-side
-//! sampler of the functional path) reads the CSR, through
-//! [`Workload::graph`], which decodes it from the pages on first use,
-//! and only the functional GNN path reads f32 features, through
-//! [`Workload::features`], which synthesizes the table on first use.
+//! neighbors' primary sections. The encoder draws each node's neighbor
+//! list from the generator ([`DatasetSpec::wiring`]) and its feature row
+//! as it writes the node's sections, so preparing an image never builds
+//! an f32 table or a CSR. Only host code that works on node ids
+//! (scaleout's partitioners, the host-side sampler of the functional
+//! path) reads the CSR, through [`Workload::graph`], which decodes it
+//! from the pages on first use, and only the functional GNN path reads
+//! f32 features, through [`Workload::features`], which synthesizes the
+//! table on first use.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -200,9 +201,9 @@ impl WorkloadBuilder {
 
     /// Builds the image from the graph key's parameters, or over the
     /// caller-supplied graph and features, which it takes. A synthetic
-    /// image encodes each node's feature row as it draws it, drops the
-    /// generated graph once its pages are encoded, and keeps neither a
-    /// table nor a CSR; a custom one keeps the caller's.
+    /// image encodes each node's neighbor list and feature row as it
+    /// draws them, so no table or CSR of it ever exists; a custom one
+    /// keeps the caller's.
     pub(crate) fn image(&mut self) -> Result<Image, WorkloadError> {
         let layout = AddrLayout::for_page_size(self.page_size)
             .ok_or(WorkloadError::BadPageSize(self.page_size))?;
@@ -217,9 +218,8 @@ impl WorkloadBuilder {
                 (OnceLock::from(graph), OnceLock::from(table), dg)
             }
             None => {
-                let graph = spec.build_graph(self.seed);
                 let seed = self.seed;
-                let dg = builder.build_with(&graph, spec.feature_dim, &|v, out| {
+                let dg = builder.build_with(&spec.wiring(seed), spec.feature_dim, &|v, out| {
                     spec.feature_row(seed, v, out)
                 })?;
                 (OnceLock::new(), OnceLock::new(), dg)

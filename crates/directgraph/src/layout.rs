@@ -84,15 +84,113 @@ pub const fn secondary_capacity(page_size: usize) -> usize {
     (page_size - HEADER_BYTES - SECONDARY_FIXED_BYTES) / ADDR_BYTES
 }
 
+/// Writes a primary section at the start of `out`; returns its length.
+///
+/// This and [`write_secondary`] are the only writers of Fig 8's section
+/// bytes: [`PageEncoder`] appends through them, and the builder's
+/// node-by-node serialization writes each section straight into its page
+/// at the offset placement gave it.
+///
+/// # Panics
+///
+/// Panics if the section does not fit in `out`, or if a field exceeds
+/// its encoded width.
+pub(crate) fn write_primary(
+    out: &mut [u8],
+    node: u32,
+    total_neighbors: u32,
+    secondary_addrs: &[PhysAddr],
+    feature: &[u8],
+    inline_neighbors: &[PhysAddr],
+) -> usize {
+    let size = primary_section_size(feature.len(), inline_neighbors.len(), secondary_addrs.len());
+    assert!(size <= out.len(), "primary section does not fit");
+    assert!(feature.len() <= u16::MAX as usize, "feature too large");
+    assert!(
+        secondary_addrs.len() <= u16::MAX as usize,
+        "too many secondary sections"
+    );
+    let mut w = SectionWriter::header(out, SectionKind::Primary, size, node, total_neighbors);
+    w.put(&(feature.len() as u16).to_le_bytes());
+    w.put(&(secondary_addrs.len() as u16).to_le_bytes());
+    w.addrs(secondary_addrs);
+    w.put(feature);
+    w.addrs(inline_neighbors);
+    size
+}
+
+/// Writes a secondary section at the start of `out`; returns its length.
+///
+/// # Panics
+///
+/// Panics if the section does not fit in `out`.
+pub(crate) fn write_secondary(
+    out: &mut [u8],
+    node: u32,
+    owner_start: u32,
+    neighbors: &[PhysAddr],
+) -> usize {
+    let size = secondary_section_size(neighbors.len());
+    assert!(size <= out.len(), "secondary section does not fit");
+    let mut w = SectionWriter::header(
+        out,
+        SectionKind::Secondary,
+        size,
+        node,
+        neighbors.len() as u32,
+    );
+    w.put(&owner_start.to_le_bytes());
+    w.addrs(neighbors);
+    size
+}
+
+/// A cursor over one section's bytes, written field by field in order.
+struct SectionWriter<'a> {
+    out: &'a mut [u8],
+    pos: usize,
+}
+
+impl<'a> SectionWriter<'a> {
+    /// Writes the common 12-byte header of a `size`-byte section.
+    fn header(out: &'a mut [u8], kind: SectionKind, size: usize, node: u32, count: u32) -> Self {
+        assert!(
+            size <= u16::MAX as usize,
+            "section too large for length field"
+        );
+        let mut w = SectionWriter { out, pos: 0 };
+        w.put(&[kind as u8, 0]);
+        w.put(&(size as u16).to_le_bytes());
+        w.put(&node.to_le_bytes());
+        w.put(&count.to_le_bytes());
+        w
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.out[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
+    }
+
+    fn addrs(&mut self, addrs: &[PhysAddr]) {
+        let end = self.pos + ADDR_BYTES * addrs.len();
+        for (word, a) in self.out[self.pos..end]
+            .chunks_exact_mut(ADDR_BYTES)
+            .zip(addrs)
+        {
+            word.copy_from_slice(&a.to_raw().to_le_bytes());
+        }
+        self.pos = end;
+    }
+}
+
 /// Serializer for one flash page's sections.
 ///
-/// Sections are appended in slot order; [`PageEncoder::finish`] pads with
-/// zeros to the page size (the zero kind byte doubles as the end-of-page
-/// marker for the section iterator).
+/// Sections are appended in slot order into a zero-filled page, so the
+/// bytes past the last section are zeros (the zero kind byte doubles as
+/// the end-of-page marker for the section iterator).
 #[derive(Debug)]
 pub struct PageEncoder {
-    page_size: usize,
-    buf: Vec<u8>,
+    buf: Box<[u8]>,
+    used: usize,
     sections: usize,
 }
 
@@ -100,20 +198,20 @@ impl PageEncoder {
     /// Creates an encoder for a page of `page_size` bytes.
     pub fn new(page_size: usize) -> Self {
         PageEncoder {
-            page_size,
-            buf: Vec::with_capacity(page_size),
+            buf: vec![0; page_size].into_boxed_slice(),
+            used: 0,
             sections: 0,
         }
     }
 
     /// Bytes used so far.
     pub fn used(&self) -> usize {
-        self.buf.len()
+        self.used
     }
 
     /// Bytes still available.
     pub fn remaining(&self) -> usize {
-        self.page_size - self.buf.len()
+        self.buf.len() - self.used
     }
 
     /// Number of sections appended so far (the next section's slot index).
@@ -127,7 +225,6 @@ impl PageEncoder {
     ///
     /// Panics if the section does not fit in the remaining page space, or
     /// if a field exceeds its encoded width.
-    #[allow(clippy::too_many_arguments)]
     pub fn push_primary(
         &mut self,
         node: u32,
@@ -136,37 +233,16 @@ impl PageEncoder {
         feature: &[u8],
         inline_neighbors: &[PhysAddr],
     ) -> usize {
-        let size =
-            primary_section_size(feature.len(), inline_neighbors.len(), secondary_addrs.len());
-        assert!(size <= self.remaining(), "primary section does not fit");
-        assert!(
-            size <= u16::MAX as usize,
-            "section too large for length field"
+        self.used += write_primary(
+            &mut self.buf[self.used..],
+            node,
+            total_neighbors,
+            secondary_addrs,
+            feature,
+            inline_neighbors,
         );
-        assert!(feature.len() <= u16::MAX as usize, "feature too large");
-        assert!(
-            secondary_addrs.len() <= u16::MAX as usize,
-            "too many secondary sections"
-        );
-        let slot = self.sections;
-        self.buf.push(SectionKind::Primary as u8);
-        self.buf.push(0);
-        self.buf.extend_from_slice(&(size as u16).to_le_bytes());
-        self.buf.extend_from_slice(&node.to_le_bytes());
-        self.buf.extend_from_slice(&total_neighbors.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(feature.len() as u16).to_le_bytes());
-        self.buf
-            .extend_from_slice(&(secondary_addrs.len() as u16).to_le_bytes());
-        for a in secondary_addrs {
-            self.buf.extend_from_slice(&a.to_raw().to_le_bytes());
-        }
-        self.buf.extend_from_slice(feature);
-        for a in inline_neighbors {
-            self.buf.extend_from_slice(&a.to_raw().to_le_bytes());
-        }
         self.sections += 1;
-        slot
+        self.sections - 1
     }
 
     /// Appends a secondary section; returns its slot index.
@@ -175,31 +251,14 @@ impl PageEncoder {
     ///
     /// Panics if the section does not fit in the remaining page space.
     pub fn push_secondary(&mut self, node: u32, owner_start: u32, neighbors: &[PhysAddr]) -> usize {
-        let size = secondary_section_size(neighbors.len());
-        assert!(size <= self.remaining(), "secondary section does not fit");
-        assert!(
-            size <= u16::MAX as usize,
-            "section too large for length field"
-        );
-        let slot = self.sections;
-        self.buf.push(SectionKind::Secondary as u8);
-        self.buf.push(0);
-        self.buf.extend_from_slice(&(size as u16).to_le_bytes());
-        self.buf.extend_from_slice(&node.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(neighbors.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&owner_start.to_le_bytes());
-        for a in neighbors {
-            self.buf.extend_from_slice(&a.to_raw().to_le_bytes());
-        }
+        self.used += write_secondary(&mut self.buf[self.used..], node, owner_start, neighbors);
         self.sections += 1;
-        slot
+        self.sections - 1
     }
 
-    /// Finalizes the page, zero-padding to the page size.
-    pub fn finish(mut self) -> Box<[u8]> {
-        self.buf.resize(self.page_size, 0);
-        self.buf.into_boxed_slice()
+    /// Finalizes the page: its bytes, zeros past the last section.
+    pub fn finish(self) -> Box<[u8]> {
+        self.buf
     }
 }
 

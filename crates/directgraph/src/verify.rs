@@ -156,12 +156,23 @@ impl<'a> Validator<'a> {
     /// A page the range test accepts would pass the exact walk too, so
     /// the first error reported is the exact walk's.
     ///
+    /// The verdict is kept on the [`DirectGraph`]: only its first check
+    /// walks the image, and later ones (every simulated §VI-A flush of
+    /// the same image) return the kept result.
+    /// [`DirectGraph::image_mut`] and [`DirectGraph::relocate_pages`],
+    /// the only ways to change an image in place, clear it.
+    ///
     /// # Errors
     ///
     /// Returns the first violation found: a dangling directory entry,
     /// then, page by page in index order, an unparsable page or an
     /// out-of-bounds address, then a mismatched statistic.
     pub fn verify_image(&self) -> Result<(), ValidationError> {
+        self.dg.validated.get_or_init(|| self.walk_image()).clone()
+    }
+
+    /// The flush-time walk behind [`verify_image`](Self::verify_image).
+    fn walk_image(&self) -> Result<(), ValidationError> {
         let layout = self.dg.layout();
         let image = self.dg.image();
         for (i, &addr) in self.dg.directory().addrs().iter().enumerate() {
@@ -338,6 +349,43 @@ mod tests {
         dg.image_mut().write_page(page_idx, page.into_boxed_slice());
         let err = Validator::new(&dg).verify_image().unwrap_err();
         assert!(matches!(err, ValidationError::AddressOutOfBounds { .. }));
+    }
+
+    /// Stomps the first embedded address on page 0 of `dg` to the first
+    /// page past its image; returns that page.
+    fn stomp_past_the_image(dg: &mut DirectGraph) -> PageIndex {
+        let past = PageIndex::new(dg.image().pages_written() as u64);
+        let to = dg.layout().pack(past, 0);
+        assert!(stomp(dg, PageIndex::new(0), 0, to));
+        past
+    }
+
+    #[test]
+    fn image_mut_clears_the_kept_verdict() {
+        let mut dg = small_dg();
+        assert_eq!(Validator::new(&dg).verify_image(), Ok(()));
+        assert_eq!(dg.validated.get(), Some(&Ok(())), "the verdict is kept");
+        let past = stomp_past_the_image(&mut dg);
+        let err = Validator::new(&dg).verify_image().unwrap_err();
+        assert!(
+            matches!(err, ValidationError::AddressOutOfBounds { addr, .. }
+                if dg.layout().unpack(addr).0 == past),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn relocation_clears_the_kept_verdict() {
+        // Relocating a valid image keeps it valid, so the verdict that
+        // can go stale is a failure: send the stomped address's missing
+        // page onto page 0, and the relocated image validates.
+        let mut dg = small_dg();
+        let past = stomp_past_the_image(&mut dg);
+        let err = Validator::new(&dg).verify_image().unwrap_err();
+        assert!(matches!(err, ValidationError::AddressOutOfBounds { .. }));
+        dg.relocate_pages(|p| if p == past { PageIndex::new(0) } else { p })
+            .unwrap();
+        assert_eq!(Validator::new(&dg).verify_image(), Ok(()));
     }
 
     #[test]

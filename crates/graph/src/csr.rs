@@ -203,6 +203,39 @@ impl CsrGraph {
     }
 }
 
+/// A graph read one neighbor list at a time.
+///
+/// [`CsrGraph`] stores its lists; a
+/// [`PowerLawWiring`](crate::generate::PowerLawWiring) draws each from
+/// the generator on demand, so a consumer that walks the nodes (the
+/// DirectGraph encoder) never needs a CSR of a generated graph.
+pub trait Adjacency {
+    /// Number of nodes.
+    fn num_nodes(&self) -> usize;
+
+    /// Out-degree of `v`: the length of the list
+    /// [`neighbors_into`](Self::neighbors_into) gives.
+    fn degree(&self, v: NodeId) -> usize;
+
+    /// Replaces the contents of `out` with `N(v)`, in order.
+    fn neighbors_into(&self, v: NodeId, out: &mut Vec<NodeId>);
+}
+
+impl Adjacency for CsrGraph {
+    fn num_nodes(&self) -> usize {
+        CsrGraph::num_nodes(self)
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        CsrGraph::degree(self, v)
+    }
+
+    fn neighbors_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend_from_slice(self.neighbors(v));
+    }
+}
+
 /// A CSR invariant that raw arrays break (see
 /// [`CsrGraph::try_from_raw_parts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

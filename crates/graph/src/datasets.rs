@@ -10,7 +10,7 @@
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::features::{FeatureTable, FEATURE_SCALAR_BYTES};
-use crate::generate::{power_law, PowerLawConfig};
+use crate::generate::{PowerLawConfig, PowerLawWiring};
 
 /// Mixed into the synthesis seed for a spec's features, so they draw
 /// from other streams than a plain [`FeatureTable::synthetic`] table
@@ -117,11 +117,19 @@ impl DatasetSpec {
         self
     }
 
-    /// Synthesizes the graph for this spec.
+    /// Synthesizes the graph for this spec: the CSR of
+    /// [`wiring`](Self::wiring).
     pub fn build_graph(&self, seed: u64) -> CsrGraph {
+        self.wiring(seed).to_csr()
+    }
+
+    /// The graph of [`build_graph`](Self::build_graph) before it is
+    /// wired: each node's neighbor list is drawn on demand, and no CSR
+    /// is built.
+    pub fn wiring(&self, seed: u64) -> PowerLawWiring {
         let mut cfg = PowerLawConfig::new(self.num_nodes, self.avg_degree);
         cfg.exponent = self.degree_exponent;
-        power_law(&cfg, seed ^ fnv(self.dataset.name()))
+        PowerLawWiring::new(&cfg, seed ^ fnv(self.dataset.name()))
     }
 
     /// Synthesizes the feature table for this spec.

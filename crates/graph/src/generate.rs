@@ -19,6 +19,14 @@
 //! [`simkit::par`] worker threads — with fixed chunk boundaries — and
 //! still produce byte-identical CSR output at every thread count.
 //!
+//! It also means a power-law graph need never be held whole.
+//! [`PowerLawWiring`] keeps only what its edges are drawn from — each
+//! node's integer degree and the endpoint index below — and draws any
+//! one node's neighbor list on demand ([`Adjacency::neighbors_into`]).
+//! [`power_law`] wires every node of it into a CSR; the DirectGraph
+//! encoder instead draws each list as it writes that node's sections, so
+//! a prepared workload never allocates the CSR at all.
+//!
 //! Chung-Lu wiring is the bulk of a large build: every edge maps a
 //! uniform draw `x ∈ [0, total)` to the first node whose cumulative
 //! weight reaches `x`. A search of the whole cumulative array misses
@@ -32,7 +40,7 @@
 
 use simkit::{par, SplitMix64};
 
-use crate::csr::{CsrGraph, CsrGraphBuilder, NodeId};
+use crate::csr::{Adjacency, CsrGraph, CsrGraphBuilder, NodeId};
 
 /// Nodes per parallel work item. Fixed (never derived from the thread
 /// count) so chunk boundaries — and therefore output — are identical at
@@ -109,7 +117,9 @@ impl PowerLawConfig {
     }
 }
 
-/// Generates a power-law graph per [`PowerLawConfig`].
+/// Generates a power-law graph per [`PowerLawConfig`]: the CSR of
+/// [`PowerLawWiring::new`]`(cfg, seed)`, every node's list drawn once,
+/// in chunks on build threads.
 ///
 /// Degrees are drawn from a truncated zeta-like distribution via inverse
 /// transform sampling, then rescaled so the realized average matches
@@ -144,124 +154,187 @@ impl PowerLawConfig {
 /// assert!((avg - 20.0).abs() / 20.0 < 0.1, "avg degree {avg}");
 /// ```
 pub fn power_law(cfg: &PowerLawConfig, seed: u64) -> CsrGraph {
-    assert!(cfg.num_nodes >= 2, "need at least two nodes");
-    assert!(cfg.avg_degree > 0.0, "average degree must be positive");
-    let n = cfg.num_nodes;
-    let max_degree = cfg.max_degree as f64;
+    PowerLawWiring::new(cfg, seed).to_csr()
+}
 
-    // Draw raw degrees d_i ∝ pareto(exponent), one stream per node. The
-    // draws are invariant across calibration — only the scale factor
-    // moves — so they happen exactly once.
-    let alpha = cfg.exponent - 1.0; // pareto shape for the CCDF
-    let mut raw = vec![0f64; n];
-    par::for_each_chunk_mut(&mut raw, NODE_CHUNK, |start, chunk| {
-        for (k, d) in chunk.iter_mut().enumerate() {
-            let mut rng = SplitMix64::for_stream(seed, SALT_PL_DEGREE, (start + k) as u64);
-            let u = rng.next_f64().max(1e-12);
-            *d = u.powf(-1.0 / alpha).min(max_degree); // pareto with x_min = 1
+/// A [`power_law`] graph before its edges are wired: each node's integer
+/// degree and the Chung-Lu endpoint index, about 16 bytes per node.
+/// Node `u`'s neighbor list is a pure function of `(seed, u)` — its own
+/// wiring stream, self-loops rejected — so
+/// [`neighbors_into`](Adjacency::neighbors_into) draws any one list on
+/// demand, equal to row `u` of [`to_csr`](Self::to_csr), and a consumer
+/// that walks the nodes never holds the adjacency.
+///
+/// # Examples
+///
+/// ```
+/// use beacon_graph::generate::{PowerLawConfig, PowerLawWiring};
+/// use beacon_graph::{Adjacency, NodeId};
+/// let wiring = PowerLawWiring::new(&PowerLawConfig::new(1_000, 8.0), 3);
+/// let mut row = Vec::new();
+/// wiring.neighbors_into(NodeId::new(5), &mut row);
+/// assert_eq!(row, wiring.to_csr().neighbors(NodeId::new(5)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct PowerLawWiring {
+    seed: u64,
+    degrees: Vec<u32>,
+    targets: WeightIndex,
+}
+
+impl PowerLawWiring {
+    /// Draws the degrees and indexes the endpoint weights of the graph
+    /// [`power_law`]`(cfg, seed)` generates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_nodes < 2` or `avg_degree <= 0`.
+    pub fn new(cfg: &PowerLawConfig, seed: u64) -> Self {
+        assert!(cfg.num_nodes >= 2, "need at least two nodes");
+        assert!(cfg.avg_degree > 0.0, "average degree must be positive");
+        let n = cfg.num_nodes;
+        let max_degree = cfg.max_degree as f64;
+
+        // Draw raw degrees d_i ∝ pareto(exponent), one stream per node. The
+        // draws are invariant across calibration — only the scale factor
+        // moves — so they happen exactly once.
+        let alpha = cfg.exponent - 1.0; // pareto shape for the CCDF
+        let mut raw = vec![0f64; n];
+        par::for_each_chunk_mut(&mut raw, NODE_CHUNK, |start, chunk| {
+            for (k, d) in chunk.iter_mut().enumerate() {
+                let mut rng = SplitMix64::for_stream(seed, SALT_PL_DEGREE, (start + k) as u64);
+                let u = rng.next_f64().max(1e-12);
+                *d = u.powf(-1.0 / alpha).min(max_degree); // pareto with x_min = 1
+            }
+        });
+
+        // Calibrate a single scale factor so the clamped mean matches
+        // avg_degree. Clamping to [1, max_degree] shifts the mean, so
+        // iterate to a fixed point (a handful of rounds); the raw draws are
+        // read-only and the reduction order is fixed, so the result is
+        // schedule-independent.
+        let mut scale = 1.0f64;
+        for _ in 0..12 {
+            let mean = raw
+                .iter()
+                .map(|&d| (d * scale).clamp(1.0, max_degree))
+                .sum::<f64>()
+                / n as f64;
+            let rel_err = (mean - cfg.avg_degree).abs() / cfg.avg_degree;
+            if rel_err < 0.005 {
+                break;
+            }
+            scale *= cfg.avg_degree / mean;
         }
-    });
 
-    // Calibrate a single scale factor so the clamped mean matches
-    // avg_degree. Clamping to [1, max_degree] shifts the mean, so
-    // iterate to a fixed point (a handful of rounds); the raw draws are
-    // read-only and the reduction order is fixed, so the result is
-    // schedule-independent.
-    let mut scale = 1.0f64;
-    for _ in 0..12 {
-        let mean = raw
-            .iter()
-            .map(|&d| (d * scale).clamp(1.0, max_degree))
-            .sum::<f64>()
-            / n as f64;
-        let rel_err = (mean - cfg.avg_degree).abs() / cfg.avg_degree;
-        if rel_err < 0.005 {
-            break;
-        }
-        scale *= cfg.avg_degree / mean;
-    }
-
-    // Integer degrees via stochastic rounding (per-node streams) to
-    // preserve the mean; keep the real-valued degrees as Chung-Lu
-    // weights.
-    let mut degrees = vec![0f64; n];
-    let mut int_degrees = vec![0usize; n];
-    {
-        let raw = &raw;
-        let jobs: Vec<_> = degrees
-            .chunks_mut(NODE_CHUNK)
-            .zip(int_degrees.chunks_mut(NODE_CHUNK))
-            .enumerate()
-            .map(|(c, (dchunk, ichunk))| {
-                move || {
-                    let start = c * NODE_CHUNK;
-                    for (k, (d, di)) in dchunk.iter_mut().zip(ichunk.iter_mut()).enumerate() {
-                        let i = start + k;
-                        *d = (raw[i] * scale).clamp(1.0, max_degree);
-                        let floor = d.floor();
-                        let frac = *d - floor;
-                        let mut rng = SplitMix64::for_stream(seed, SALT_PL_ROUND, i as u64);
-                        let up = rng.next_f64() < frac;
-                        *di = (floor as usize + usize::from(up)).min(cfg.max_degree);
-                    }
-                }
-            })
-            .collect();
-        par::run_jobs(jobs);
-    }
-    drop(raw);
-
-    // Chung-Lu target sampling over the real-valued weights.
-    let targets = WeightIndex::new(&degrees);
-    let total = targets.total();
-
-    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    for &d in &int_degrees {
-        offsets.push(offsets.last().unwrap() + d as u64);
-    }
-
-    // Wire edges: one stream per source node, adjacency carved into
-    // per-chunk slices at offset boundaries so workers write disjoint
-    // regions of the final array.
-    let mut adjacency = vec![NodeId::default(); *offsets.last().unwrap() as usize];
-    {
-        let offsets = &offsets;
-        let int_degrees = &int_degrees;
-        let targets = &targets;
-        let mut rest = adjacency.as_mut_slice();
-        let mut jobs = Vec::with_capacity(n.div_ceil(NODE_CHUNK));
-        for start in (0..n).step_by(NODE_CHUNK) {
-            let end = (start + NODE_CHUNK).min(n);
-            let len = (offsets[end] - offsets[start]) as usize;
-            let (slice, tail) = rest.split_at_mut(len);
-            rest = tail;
-            jobs.push(move || {
-                let mut pos = 0usize;
-                for (u, &node_degree) in int_degrees.iter().enumerate().take(end).skip(start) {
-                    let mut rng = SplitMix64::for_stream(seed, SALT_PL_WIRE, u as u64);
-                    for _ in 0..node_degree {
-                        let mut v;
-                        loop {
-                            v = targets.find(rng.next_f64() * total);
-                            if v != u {
-                                break;
-                            }
+        // Integer degrees via stochastic rounding (per-node streams) to
+        // preserve the mean; keep the real-valued degrees as Chung-Lu
+        // weights.
+        let mut weights = vec![0f64; n];
+        let mut degrees = vec![0u32; n];
+        {
+            let raw = &raw;
+            let jobs: Vec<_> = weights
+                .chunks_mut(NODE_CHUNK)
+                .zip(degrees.chunks_mut(NODE_CHUNK))
+                .enumerate()
+                .map(|(c, (wchunk, dchunk))| {
+                    move || {
+                        let start = c * NODE_CHUNK;
+                        for (k, (w, di)) in wchunk.iter_mut().zip(dchunk.iter_mut()).enumerate() {
+                            let i = start + k;
+                            *w = (raw[i] * scale).clamp(1.0, max_degree);
+                            let floor = w.floor();
+                            let frac = *w - floor;
+                            let mut rng = SplitMix64::for_stream(seed, SALT_PL_ROUND, i as u64);
+                            let up = rng.next_f64() < frac;
+                            let d = (floor as usize + usize::from(up)).min(cfg.max_degree);
+                            *di = u32::try_from(d).expect("node degree fits a u32");
                         }
-                        slice[pos] = NodeId::new(v as u32);
-                        pos += 1;
                     }
-                }
-            });
+                })
+                .collect();
+            par::run_jobs(jobs);
         }
-        par::run_jobs(jobs);
+        drop(raw);
+        PowerLawWiring {
+            seed,
+            degrees,
+            targets: WeightIndex::new(&weights),
+        }
     }
-    CsrGraph::from_raw_parts(offsets, adjacency)
+
+    /// Wires every node into a CSR: one stream per source node, the
+    /// adjacency carved into per-chunk slices at offset boundaries so
+    /// build threads write disjoint regions of the final array.
+    pub fn to_csr(&self) -> CsrGraph {
+        let n = self.degrees.len();
+        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for &d in &self.degrees {
+            offsets.push(offsets.last().unwrap() + u64::from(d));
+        }
+        let mut adjacency = vec![NodeId::default(); *offsets.last().unwrap() as usize];
+        {
+            let offsets = &offsets;
+            let mut rest = adjacency.as_mut_slice();
+            let mut jobs = Vec::with_capacity(n.div_ceil(NODE_CHUNK));
+            for start in (0..n).step_by(NODE_CHUNK) {
+                let end = (start + NODE_CHUNK).min(n);
+                let len = (offsets[end] - offsets[start]) as usize;
+                let (slice, tail) = rest.split_at_mut(len);
+                rest = tail;
+                jobs.push(move || {
+                    let mut slice = slice;
+                    for u in start..end {
+                        let (row, tail) = slice.split_at_mut(self.degrees[u] as usize);
+                        self.wire(u, row);
+                        slice = tail;
+                    }
+                });
+            }
+            par::run_jobs(jobs);
+        }
+        CsrGraph::from_raw_parts(offsets, adjacency)
+    }
+
+    /// Draws node `u`'s neighbors into `out`, one per slot, from its
+    /// wiring stream, redrawing any endpoint that is `u` itself.
+    fn wire(&self, u: usize, out: &mut [NodeId]) {
+        let total = self.targets.total();
+        let mut rng = SplitMix64::for_stream(self.seed, SALT_PL_WIRE, u as u64);
+        for slot in out {
+            let v = loop {
+                let v = self.targets.find(rng.next_f64() * total);
+                if v != u {
+                    break v;
+                }
+            };
+            *slot = NodeId::new(v as u32);
+        }
+    }
+}
+
+impl Adjacency for PowerLawWiring {
+    fn num_nodes(&self) -> usize {
+        self.degrees.len()
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        self.degrees[v.index()] as usize
+    }
+
+    fn neighbors_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.resize(self.degree(v), NodeId::default());
+        self.wire(v.index(), out);
+    }
 }
 
 /// Chung-Lu endpoint lookup: cumulative weights plus the guide table
 /// that brackets each search (see [`power_law`] for why the bracket is
 /// exact).
+#[derive(Debug, Clone)]
 struct WeightIndex {
     /// Prefix sums of the weights, accumulated sequentially so the f64
     /// rounding is fixed.
@@ -480,6 +553,30 @@ mod tests {
                     Ok(i) | Err(i) => i.min(n - 1),
                 };
                 prop_assert_eq!(index.find(x), expected, "n {} shape {} x {}", n, shape, x);
+            }
+        }
+    }
+
+    /// Drawing one node's list on demand gives that node's CSR row, for
+    /// every node of both pinned configs and of the smallest graph.
+    #[test]
+    fn neighbors_into_matches_every_csr_row() {
+        let mut reddit = PowerLawConfig::new(3_000, 492.0);
+        reddit.exponent = 2.1;
+        let mut row = Vec::new();
+        for cfg in [
+            PowerLawConfig::new(4_000, 16.0),
+            reddit,
+            PowerLawConfig::new(2, 1.0),
+        ] {
+            let wiring = PowerLawWiring::new(&cfg, 99);
+            let csr = wiring.to_csr();
+            assert_eq!(csr, power_law(&cfg, 99));
+            assert_eq!(Adjacency::num_nodes(&wiring), csr.num_nodes());
+            for v in csr.nodes() {
+                assert_eq!(Adjacency::degree(&wiring, v), csr.degree(v), "{v}");
+                wiring.neighbors_into(v, &mut row);
+                assert_eq!(row, csr.neighbors(v), "{v}");
             }
         }
     }

@@ -171,8 +171,21 @@ where
 mod tests {
     use super::*;
 
+    /// Held by every test that sets the process-wide build-thread count:
+    /// `cargo test` runs tests on parallel threads, and a count another
+    /// test sets between this one's `set_build_threads` and its
+    /// `run_jobs` would change the schedule this one checks.
+    static THREAD_COUNT: Mutex<()> = Mutex::new(());
+
+    fn hold_thread_count() -> std::sync::MutexGuard<'static, ()> {
+        THREAD_COUNT
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn chunked_fill_matches_sequential_at_any_thread_count() {
+        let _count = hold_thread_count();
         let expected: Vec<u64> = (0..5_000u64).map(|i| i.wrapping_mul(0x9E37)).collect();
         for threads in [1, 2, 8] {
             set_build_threads(threads);
@@ -190,6 +203,7 @@ mod tests {
     #[test]
     fn run_jobs_executes_every_job_once() {
         use std::sync::atomic::AtomicU64;
+        let _count = hold_thread_count();
         set_build_threads(4);
         let hits = AtomicU64::new(0);
         let jobs: Vec<_> = (0..100u64)
@@ -224,6 +238,7 @@ mod tests {
         // threads = min(build_threads, jobs) = 0 → the inline path; an
         // empty queue must return immediately even when the configured
         // worker count is large.
+        let _count = hold_thread_count();
         set_build_threads(16);
         run_jobs(Vec::<fn()>::new());
         let mut empty: [u64; 0] = [];
@@ -234,6 +249,7 @@ mod tests {
     #[test]
     fn single_thread_runs_inline_and_in_order() {
         use std::sync::atomic::AtomicUsize;
+        let _count = hold_thread_count();
         set_build_threads(1);
         let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
@@ -304,6 +320,7 @@ mod tests {
 
     #[test]
     fn chunk_larger_than_slice_yields_one_full_chunk() {
+        let _count = hold_thread_count();
         for threads in [1, 4] {
             set_build_threads(threads);
             let mut data = [7u32; 5];
