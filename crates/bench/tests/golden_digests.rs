@@ -130,11 +130,11 @@ fn latency_report_digest_is_pinned() {
     assert_eq!(d, 0xf3d6_a300_bf3d_1676, "latency report digest drifted");
 }
 
-/// The partitioned per-channel engine's full registry (latency sections
-/// included) on the smoke workload. The determinism proptests only
-/// compare thread counts within one build, and the serial-engine check
-/// allows a ±10% band, so this is what pins the lane round protocol's
-/// timing across refactors.
+/// The partitioned per-channel engine's full registry on the smoke
+/// workload. The determinism proptests only compare thread counts
+/// within one build, and the serial-engine check allows a ±10% band,
+/// so this is what pins the lane round protocol's timing across
+/// refactors.
 #[test]
 fn partitioned_engine_registry_digest_is_pinned() {
     let w = smoke_workload();
@@ -145,11 +145,10 @@ fn partitioned_engine_registry_digest_is_pinned() {
         w.directgraph(),
         7,
     )
-    .with_latency(simkit::Duration::from_ms(1))
     .run(w.batches());
     assert_eq!(
         registry_digest(&m.metrics_registry()),
-        0x1d1b_23bb_3e35_60b8,
+        0x5034_2354_373c_29cb,
         "partitioned-engine registry digest drifted"
     );
 }
@@ -220,7 +219,7 @@ fn observed_partitioned_engine_digest_is_pinned() {
 
 /// A 4-device array replay (hash partition, PCIe-P2P) of the smoke
 /// workload's cascade: the merged, per-device and fabric-link registry
-/// sections with latency tracking on.
+/// sections.
 #[test]
 fn array_engine_registry_digest_is_pinned() {
     let w = smoke_workload();
@@ -231,14 +230,44 @@ fn array_engine_registry_digest_is_pinned() {
         w.model(),
         w.directgraph(),
         7,
-    )
-    .with_latency(simkit::Duration::from_ms(1));
+    );
     let cascade = engine.record(w.batches());
     let m = engine.run_recorded(&cascade, &Partition::hash(w.graph(), 4));
     assert_eq!(
         registry_digest(&m.metrics_registry()),
-        0x42a5_d780_6b6d_0d1f,
+        0x8bfb_c3f3_45f2_60c6,
         "array-engine registry digest drifted"
+    );
+}
+
+/// The scale-out figure at smoke scale (4k nodes, batch 64): every row
+/// of the 1–16 device × partition × fabric sweep, which covers the
+/// 1-device shortcut, the range and bfs_grow partitions and the
+/// NVMe-oF and thin fabrics, then the showcase cell's full registry.
+#[test]
+fn smoke_scaleout_digest_is_pinned() {
+    let report = bench::scaleout(4_000, 64);
+    assert_eq!(report.rows.len(), 45);
+    let rows = report.rows.iter().fold(FNV_OFFSET, |h, r| {
+        let h = fnv1a_fold(h, &(r.devices as u64).to_le_bytes());
+        let h = fnv1a_fold(h, r.strategy.name().as_bytes());
+        let h = fnv1a_fold(h, r.fabric.as_bytes());
+        [
+            r.fabric_gbps,
+            r.targets_per_sec,
+            r.efficiency,
+            r.cut_fraction,
+            r.cross_fraction,
+            r.fabric_mb,
+        ]
+        .iter()
+        .fold(h, |h, x| fnv1a_fold(h, &x.to_bits().to_le_bytes()))
+    });
+    let json = report.showcase.metrics_registry().to_json_string();
+    assert_eq!(
+        fnv1a_fold(rows, json.as_bytes()),
+        0xf049_a320_6008_0561,
+        "smoke scale-out digest drifted"
     );
 }
 
