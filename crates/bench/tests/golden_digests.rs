@@ -195,28 +195,6 @@ fn observed_serial_engine_digests_are_pinned() {
     );
 }
 
-/// The partitioned engine's registry and trace with spans and latency
-/// on: the coordinator's batch-phase spans come before every lane's.
-#[test]
-fn observed_partitioned_engine_digest_is_pinned() {
-    let w = smoke_workload();
-    let m = PartitionedEngine::new(
-        Platform::Bg2,
-        SsdConfig::paper_default(),
-        w.model(),
-        w.directgraph(),
-        7,
-    )
-    .with_obs(PIN_SPANS)
-    .with_latency(simkit::Duration::from_ms(1))
-    .run(w.batches());
-    assert_eq!(
-        observed_digest(&m),
-        0x24f0_4488_4b63_ec8e,
-        "observed partitioned-engine digest drifted"
-    );
-}
-
 /// A 4-device array replay (hash partition, PCIe-P2P) of the smoke
 /// workload's cascade: the merged, per-device and fabric-link registry
 /// sections.

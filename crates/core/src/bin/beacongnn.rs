@@ -190,10 +190,14 @@ fn run(args: &[String]) -> Result<(), String> {
             "--trace writes Chrome trace-event JSON; got `{path}` (use a .json path)"
         ));
     }
+    let latency_epoch = flags
+        .parse("--latency-epoch-us", 1_000u64)?
+        .checked_mul(1_000)
+        .map(simkit::Duration::from_ns)
+        .ok_or("--latency-epoch-us is too large: the epoch must fit in u64 nanoseconds")?;
     let w = build_workload(&flags)?;
     let metrics_path = flags.get("--metrics");
     let latency_csv = flags.get("--latency-csv");
-    let latency_epoch = simkit::Duration::from_us(flags.parse("--latency-epoch-us", 1_000u64)?);
     let m = if latency_csv.is_some() {
         // Per-query latency tracking, optionally alongside spans.
         let mut engine = beacongnn::platforms::Engine::new(

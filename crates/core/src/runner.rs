@@ -173,9 +173,9 @@ mod tests {
         let w = small_workload();
         let exp = Experiment::new(&w);
         let single = exp.run(Platform::Bg2);
-        let array = exp
-            .array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(1))
-            .run(&Partition::hash(w.graph(), 1), w.batches());
+        let engine = exp.array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(1));
+        let array =
+            engine.run_recorded(&engine.record(w.batches()), &Partition::hash(w.graph(), 1));
         assert_eq!(array.metrics.makespan, single.makespan);
         assert_eq!(array.metrics.flash_reads, single.flash_reads);
         assert!((array.efficiency() - 1.0).abs() < 1e-12);
@@ -186,9 +186,9 @@ mod tests {
         let w = small_workload();
         let exp = Experiment::new(&w);
         let single = exp.run(Platform::Bg2);
-        let array = exp
-            .array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(4))
-            .run(&Partition::hash(w.graph(), 4), w.batches());
+        let engine = exp.array_engine(Platform::Bg2, ArrayConfig::pcie_p2p(4));
+        let array =
+            engine.run_recorded(&engine.record(w.batches()), &Partition::hash(w.graph(), 4));
         assert_eq!(array.devices, 4);
         assert_eq!(
             array.per_device.iter().map(|d| d.flash_reads).sum::<u64>(),

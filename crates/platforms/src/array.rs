@@ -52,6 +52,9 @@
 //! sorted order, deliveries quantized to the next window boundary.
 //! Thread count is invisible; any [`threads`](ArrayEngine::threads)
 //! value produces byte-identical reports.
+//!
+//! The replay is timing-only: it records no spans and tracks no
+//! per-query latency (the serial engine does both).
 
 use beacon_energy::EnergyLedger;
 use beacon_gnn::GnnModelConfig;
@@ -60,10 +63,7 @@ use beacon_ssd::{FabricConfig, SsdConfig};
 use directgraph::DirectGraph;
 use simkit::obs::SpanRecorder;
 use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
-use simkit::{
-    BandwidthResource, Calendar, ChainTable, Duration, PathArena, PathAttr, SerialResource,
-    SimTime, Stage, NO_PATH,
-};
+use simkit::{BandwidthResource, Calendar, ChainTable, Duration, SerialResource, SimTime};
 
 use crate::engine::{Engine, EngineScratch, FlashServiceMemo, ON_DIE_SAMPLE_TIME};
 use crate::lane::{BatchBroadcast, LaneStats};
@@ -289,9 +289,6 @@ struct Prepass {
     owner: Vec<u32>,
     /// Home device of each record (owner of its root target).
     home: Vec<u32>,
-    /// Global query index of each record's root target (roots are
-    /// numbered sequentially across batches; children inherit).
-    qid: Vec<u32>,
     total_edges: u64,
     cross_edges: u64,
     cross_feature_bytes: u64,
@@ -301,26 +298,22 @@ fn prepass(log: &CascadeRecording, batches: &[Vec<NodeId>], partition: &Partitio
     let recs = &log.recs;
     let mut owner = vec![0u32; recs.len()];
     let mut home = vec![0u32; recs.len()];
-    let mut qid = vec![0u32; recs.len()];
     let mut total_edges = 0u64;
     let mut cross_edges = 0u64;
     let mut cross_feature_bytes = 0u64;
     // Roots first: a root's visited node is its target.
-    let mut next_qid = 0u32;
     for (bi, batch) in batches.iter().enumerate() {
         let base = log.batch_roots[bi] as usize;
         for (j, &target) in batch.iter().enumerate() {
             let p = partition.part_of(target);
             owner[base + j] = p;
             home[base + j] = p;
-            qid[base + j] = next_qid;
-            next_qid += 1;
         }
     }
     // One forward pass assigns children (every child index is greater
     // than its parent's, so parents are always resolved first).
     for i in 0..recs.len() {
-        let (po, ph, pq) = (owner[i], home[i], qid[i]);
+        let (po, ph) = (owner[i], home[i]);
         let cs = recs[i].children_start as usize;
         for c in cs..cs + recs[i].children_len as usize {
             let visited = recs[c].visited;
@@ -336,7 +329,6 @@ fn prepass(log: &CascadeRecording, batches: &[Vec<NodeId>], partition: &Partitio
             };
             owner[c] = co;
             home[c] = ph;
-            qid[c] = pq;
         }
     }
     for (i, r) in recs.iter().enumerate() {
@@ -347,7 +339,6 @@ fn prepass(log: &CascadeRecording, batches: &[Vec<NodeId>], partition: &Partitio
     Prepass {
         owner,
         home,
-        qid,
         total_edges,
         cross_edges,
         cross_feature_bytes,
@@ -360,12 +351,11 @@ struct ReplayCtx<'c> {
     recs: &'c [CascadeRec],
     owner: &'c [u32],
     home: &'c [u32],
-    qid: &'c [u32],
 }
 
 /// Device-lane pipeline events. `Arrive` carries only the record index
 /// (the arrival instant is the command's lifetime start); later stages
-/// thread the timing they need for the latency breakdown.
+/// thread the timing they need for the command breakdown.
 #[derive(Debug, Clone, Copy)]
 enum DevEvent {
     Arrive(u32),
@@ -381,24 +371,9 @@ enum DevEvent {
 #[derive(Debug, Clone, Copy)]
 enum AMsg {
     /// Forward a sampled child command to its owning device.
-    Spawn {
-        from: u32,
-        to: u32,
-        rec: u32,
-        /// Inherited critical-path attribution (zeroed when latency
-        /// tracking is off).
-        path: PathAttr,
-    },
+    Spawn { from: u32, to: u32, rec: u32 },
     /// Return retrieved feature bytes to the record's home device.
-    Feature {
-        from: u32,
-        to: u32,
-        rec: u32,
-        bytes: u64,
-        /// The retrieving command's attribution at retirement, so the
-        /// fabric return extends its query's chain.
-        path: PathAttr,
-    },
+    Feature { from: u32, to: u32, bytes: u64 },
 }
 
 fn spawn_key(rec: u32) -> u128 {
@@ -408,10 +383,6 @@ fn spawn_key(rec: u32) -> u128 {
 fn feature_key(rec: u32) -> u128 {
     ((rec as u128) << 1) | 1
 }
-
-/// An inbound delivery queued for a device lane: the event plus its
-/// inherited path attribution (`None` when latency tracking is off).
-type ADelivery = (DevEvent, Option<PathAttr>);
 
 /// One device's event loop: a full SSD backend (all channels, dies and
 /// DRAM), a private calendar, and lane-local metric accumulators that
@@ -427,27 +398,10 @@ struct DevLane<'c> {
     memo: FlashServiceMemo,
     outbox: MessagePool<AMsg>,
     stats: LaneStats,
-
-    /// Per-query latency tracking (off by default; see
-    /// [`ArrayEngine::with_latency`]).
-    lat_on: bool,
-    /// Attributions of this device's in-flight records.
-    arena: PathArena,
-    /// Record index → arena handle ([`NO_PATH`] when idle; empty when
-    /// tracking is off).
-    lat_of: Vec<u32>,
-    /// Winning chain per global query id (merged in device order).
-    chains: ChainTable,
 }
 
 impl<'c> DevLane<'c> {
-    fn new(
-        dev: usize,
-        ssd: SsdConfig,
-        ctx: ReplayCtx<'c>,
-        hops: usize,
-        lat: Option<(usize, usize)>,
-    ) -> Self {
+    fn new(dev: usize, ssd: SsdConfig, ctx: ReplayCtx<'c>, hops: usize) -> Self {
         let geo = &ssd.geometry;
         DevLane {
             dev,
@@ -459,33 +413,13 @@ impl<'c> DevLane<'c> {
             memo: FlashServiceMemo::new(ssd.timing, ON_DIE_SAMPLE_TIME, geo.page_size),
             outbox: MessagePool::new(),
             stats: LaneStats::new(hops),
-            lat_on: lat.is_some(),
-            arena: PathArena::default(),
-            lat_of: lat.map_or_else(Vec::new, |(recs, _)| vec![NO_PATH; recs]),
-            chains: ChainTable::new(lat.map_or(0, |(_, queries)| queries)),
             ssd,
-        }
-    }
-
-    /// The arena handle of an in-flight record ([`NO_PATH`] when
-    /// tracking is off).
-    fn lat(&self, rec: u32) -> u32 {
-        if self.lat_on {
-            self.lat_of[rec as usize]
-        } else {
-            NO_PATH
         }
     }
 
     fn on_arrive(&mut self, ctx: &ReplayCtx<'_>, rec: u32, now: SimTime) {
         self.stats.hop_started(ctx.recs[rec as usize].hop, now);
         self.stats.router_cmds += 1;
-        let h = self.lat(rec);
-        if h != NO_PATH {
-            self.arena
-                .get_mut(h)
-                .add(Stage::Other, self.ssd.router_latency);
-        }
         self.calendar
             .schedule(now + self.ssd.router_latency, DevEvent::Die(rec, now));
     }
@@ -504,12 +438,6 @@ impl<'c> DevLane<'c> {
             .cmd_breakdown
             .wait_before_flash
             .record_duration(grant.start.saturating_duration_since(created));
-        let h = self.lat(rec);
-        if h != NO_PATH {
-            let p = self.arena.get_mut(h);
-            p.add(Stage::Queue, grant.start.saturating_duration_since(now));
-            p.add(Stage::DieSense, grant.end - grant.start);
-        }
         self.calendar
             .schedule(grant.end, DevEvent::Xfer(rec, grant.start));
     }
@@ -529,13 +457,6 @@ impl<'c> DevLane<'c> {
             .cmd_breakdown
             .flash
             .record_duration((now - die_start) + (grant.end - grant.start));
-        let h = self.lat(rec);
-        if h != NO_PATH {
-            let p = self.arena.get_mut(h);
-            p.add(Stage::Queue, chan_wait);
-            p.add(Stage::Channel, grant.end - grant.start);
-            p.add(Stage::Other, self.ssd.router_latency);
-        }
         // Trailing router parse is a fixed, contention-free hop.
         self.calendar.schedule(
             grant.end + self.ssd.router_latency,
@@ -558,12 +479,6 @@ impl<'c> DevLane<'c> {
             // shared-DRAM coordinator round trip).
             let grant = self.dram.transfer(now, fb);
             self.stats.dram_bytes += fb;
-            let h = self.lat(rec);
-            if h != NO_PATH {
-                let p = self.arena.get_mut(h);
-                p.add(Stage::Queue, grant.start.saturating_duration_since(now));
-                p.add(Stage::Dram, grant.end - grant.start);
-            }
             self.calendar
                 .schedule(grant.end, DevEvent::Finish(rec, xfer_end, chan_wait));
         } else {
@@ -589,70 +504,39 @@ impl<'c> DevLane<'c> {
         if r.visited != u32::MAX {
             self.stats.nodes_visited += 1;
         }
-        // At retirement the record's chain competes for its query's
-        // longest path, and children inherit the attribution so far.
-        let inherit = {
-            let h = self.lat(rec);
-            if h != NO_PATH {
-                let p = *self.arena.get(h);
-                self.chains.observe(ctx.qid[ri] as usize, now, &p);
-                self.arena.release(h);
-                self.lat_of[ri] = NO_PATH;
-                p
-            } else {
-                PathAttr::default()
-            }
-        };
         let me = self.dev as u32;
         let cs = r.children_start;
         for c in cs..cs + r.children_len {
             let to = ctx.owner[c as usize];
             if to == me {
-                if self.lat_on {
-                    self.lat_of[c as usize] = self.arena.alloc(inherit);
-                }
                 self.calendar.schedule(now, DevEvent::Arrive(c));
             } else {
-                self.outbox.push(
-                    now,
-                    spawn_key(c),
-                    AMsg::Spawn {
-                        from: me,
-                        to,
-                        rec: c,
-                        path: inherit,
-                    },
-                );
+                let msg = AMsg::Spawn {
+                    from: me,
+                    to,
+                    rec: c,
+                };
+                self.outbox.push(now, spawn_key(c), msg);
             }
         }
         if r.feature_bytes > 0 && ctx.home[ri] != me {
-            self.outbox.push(
-                now,
-                feature_key(rec),
-                AMsg::Feature {
-                    from: me,
-                    to: ctx.home[ri],
-                    rec,
-                    bytes: r.feature_bytes as u64,
-                    path: inherit,
-                },
-            );
+            let msg = AMsg::Feature {
+                from: me,
+                to: ctx.home[ri],
+                bytes: r.feature_bytes as u64,
+            };
+            self.outbox.push(now, feature_key(rec), msg);
         }
         self.stats.prep_end = self.stats.prep_end.max(now);
     }
 }
 
 impl sync::Lane for DevLane<'_> {
-    type Delivery = ADelivery;
+    type Delivery = DevEvent;
     type Msg = AMsg;
     type Broadcast = BatchBroadcast;
 
-    fn deliver(&mut self, at: SimTime, (ev, path): ADelivery) {
-        // An inbound arrival materializes its inherited path in this
-        // device's arena.
-        if let (Some(p), DevEvent::Arrive(rec)) = (path, ev) {
-            self.lat_of[rec as usize] = self.arena.alloc(p);
-        }
+    fn deliver(&mut self, at: SimTime, ev: DevEvent) {
         self.calendar.schedule(at, ev);
     }
 
@@ -701,10 +585,6 @@ struct ACoordinator {
     feature_ready: Vec<SimTime>,
     energy: EnergyLedger,
     pipe: Pipeline,
-    lat_on: bool,
-    /// Chains extended by cross-device feature returns (the fabric leg
-    /// from the retrieving device back to the query's home device).
-    lat_chains: ChainTable,
 }
 
 impl ACoordinator {
@@ -713,57 +593,20 @@ impl ACoordinator {
     /// issued in that order. Command hops are quantized to the next
     /// lookahead boundary and posted to the owning lane; feature
     /// returns fold into the home device's batch-level readiness.
-    fn apply(
-        &mut self,
-        ctx: &ReplayCtx<'_>,
-        at: SimTime,
-        msg: AMsg,
-        out: &mut Deliveries<'_, ADelivery>,
-    ) {
+    fn apply(&mut self, at: SimTime, msg: AMsg, out: &mut Deliveries<'_, DevEvent>) {
         match msg {
-            AMsg::Spawn {
-                from,
-                to,
-                rec,
-                path,
-            } => {
+            AMsg::Spawn { from, to, rec } => {
                 let grant = self.links[from as usize].transfer(at, CMD_HOP_BYTES);
                 self.link_bytes[from as usize] += CMD_HOP_BYTES;
                 self.link_msgs[from as usize] += 1;
                 let arrive = out.window().quantize(at, grant.end + self.hop_latency);
-                let path = self.lat_on.then(|| {
-                    let mut p = path;
-                    p.add(Stage::Queue, grant.start.saturating_duration_since(at));
-                    p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
-                    p.add(
-                        Stage::Queue,
-                        arrive.saturating_duration_since(grant.end + self.hop_latency),
-                    );
-                    p
-                });
-                out.post(to as usize, arrive, (DevEvent::Arrive(rec), path));
+                out.post(to as usize, arrive, DevEvent::Arrive(rec));
             }
-            AMsg::Feature {
-                from,
-                to,
-                rec,
-                bytes,
-                path,
-            } => {
+            AMsg::Feature { from, to, bytes } => {
                 let grant = self.links[from as usize].transfer(at, bytes);
                 self.link_bytes[from as usize] += bytes;
                 self.link_msgs[from as usize] += 1;
                 let ready = grant.end + self.hop_latency;
-                if self.lat_on {
-                    // The return leg extends the retrieving chain to
-                    // the home device, competing for the query's
-                    // longest path.
-                    let mut p = path;
-                    p.add(Stage::Queue, grant.start.saturating_duration_since(at));
-                    p.add(Stage::Fabric, (grant.end - grant.start) + self.hop_latency);
-                    self.lat_chains
-                        .observe(ctx.qid[rec as usize] as usize, ready, &p);
-                }
                 let slot = &mut self.feature_ready[to as usize];
                 *slot = (*slot).max(ready);
             }
@@ -793,11 +636,12 @@ impl ACoordinator {
 /// let part = Partition::hash(&graph, 4);
 /// let engine = ArrayEngine::new(
 ///     Platform::Bg2, ArrayConfig::pcie_p2p(4), SsdConfig::paper_default(), model, &dg, 42);
-/// let serial = engine.run(&part, &batches);
+/// let cascade = engine.record(&batches);
+/// let serial = engine.run_recorded(&cascade, &part);
 /// let threaded = ArrayEngine::new(
 ///     Platform::Bg2, ArrayConfig::pcie_p2p(4), SsdConfig::paper_default(), model, &dg, 42)
 ///     .threads(4)
-///     .run(&part, &batches);
+///     .run_recorded(&cascade, &part);
 /// assert_eq!(serial.metrics.makespan, threaded.metrics.makespan);
 /// ```
 pub struct ArrayEngine<'a> {
@@ -808,7 +652,6 @@ pub struct ArrayEngine<'a> {
     dg: &'a DirectGraph,
     seed: u64,
     threads: usize,
-    lat_epoch: Option<Duration>,
 }
 
 impl<'a> ArrayEngine<'a> {
@@ -852,7 +695,6 @@ impl<'a> ArrayEngine<'a> {
             dg,
             seed,
             threads: 1,
-            lat_epoch: None,
         }
     }
 
@@ -864,39 +706,17 @@ impl<'a> ArrayEngine<'a> {
         self
     }
 
-    /// Enables per-query latency tracking (see
-    /// [`Engine::with_latency`](crate::Engine::with_latency)): chains
-    /// are followed per device lane — fabric hops included — and merged
-    /// in device order, so [`RunMetrics::latency`] is byte-identical at
-    /// any thread count. Also applies to the recording run, so a
-    /// 1-device array returns the serial engine's latency report
-    /// verbatim. `epoch` is the windowed time-series granularity
-    /// ([`Duration::ZERO`] for a single window).
-    pub fn with_latency(mut self, epoch: Duration) -> Self {
-        self.lat_epoch = Some(epoch);
-        self
-    }
-
     /// Phase 1: runs the serial single-SSD engine once and records the
     /// sampling cascade. The result is reusable across device counts,
     /// partitions, fabrics and thread counts (it depends on neither).
     pub fn record(&self, batches: &[Vec<NodeId>]) -> ArrayCascade {
-        let mut engine = Engine::new(self.platform, self.ssd, self.model, self.dg, self.seed);
-        if let Some(epoch) = self.lat_epoch {
-            engine = engine.with_latency(epoch);
-        }
+        let engine = Engine::new(self.platform, self.ssd, self.model, self.dg, self.seed);
         let (single, recording) = engine.record_cascade(&mut EngineScratch::new(), batches);
         ArrayCascade {
             recording,
             single,
             batches: batches.to_vec(),
         }
-    }
-
-    /// Record + replay in one call.
-    pub fn run(&self, partition: &Partition, batches: &[Vec<NodeId>]) -> ArrayRunMetrics {
-        let cascade = self.record(batches);
-        self.run_recorded(&cascade, partition)
     }
 
     /// Phase 2: replays a recorded cascade on the array. A 1-device
@@ -957,16 +777,9 @@ impl<'a> ArrayEngine<'a> {
             recs: &cascade.recording.recs,
             owner: &pre.owner,
             home: &pre.home,
-            qid: &pre.qid,
         };
-        let lat = self.lat_epoch.map(|_| {
-            (
-                cascade.recording.recs.len(),
-                cascade.batches.iter().map(Vec::len).sum::<usize>(),
-            )
-        });
         let mut lanes: Vec<DevLane> = (0..devs)
-            .map(|d| DevLane::new(d, self.ssd, ctx, hops, lat))
+            .map(|d| DevLane::new(d, self.ssd, ctx, hops))
             .collect();
         let mut coord = ACoordinator {
             links: (0..devs)
@@ -977,22 +790,14 @@ impl<'a> ArrayEngine<'a> {
             link_msgs: vec![0; devs],
             feature_ready: vec![SimTime::ZERO; devs],
             energy: EnergyLedger::new(),
-            pipe: Pipeline::new(
-                &self.platform.spec(),
-                self.model,
-                &self.ssd,
-                devs,
-                self.lat_epoch,
-            ),
-            lat_on: self.lat_epoch.is_some(),
-            lat_chains: ChainTable::new(lat.map_or(0, |(_, queries)| queries)),
+            pipe: Pipeline::new(&self.platform.spec(), self.model, &self.ssd, devs, None),
         };
 
         let window = EpochWindow::new(self.array.fabric.hop_latency);
         let stats = sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
             self.run_batches(cascade, partition, &ctx, rounds, &mut coord)
         });
-        self.merge(cascade, partition, &pre, coord, lanes, stats)
+        self.merge(cascade, &pre, coord, lanes, stats)
     }
 
     /// Runs each batch's preparation as a round loop between the
@@ -1010,7 +815,6 @@ impl<'a> ArrayEngine<'a> {
         for (bi, batch) in cascade.batches.iter().enumerate() {
             rounds.broadcast(BatchBroadcast {
                 record_hops: bi == 0,
-                ..BatchBroadcast::default()
             });
             // BG-2 is direct-graph: one customized NVMe command per
             // device carries its shard of primary-section addresses
@@ -1019,12 +823,11 @@ impl<'a> ArrayEngine<'a> {
             coord.feature_ready.fill(SimTime::ZERO);
 
             let base = cascade.recording.batch_roots[bi];
-            let root_path = coord.lat_on.then(PathAttr::default);
             for rec in base..base + batch.len() as u32 {
                 let owner = ctx.owner[rec as usize] as usize;
-                rounds.post(owner, start, (DevEvent::Arrive(rec), root_path));
+                rounds.post(owner, start, DevEvent::Arrive(rec));
             }
-            rounds.run_until_idle(start, |at, msg, out| coord.apply(ctx, at, msg, out));
+            rounds.run_until_idle(start, |at, msg, out| coord.apply(at, msg, out));
             let prep_end = rounds.prep_end().max(start);
 
             let mut home_counts = vec![0u64; devs];
@@ -1046,7 +849,6 @@ impl<'a> ArrayEngine<'a> {
     fn merge(
         &self,
         cascade: &ArrayCascade,
-        partition: &Partition,
         pre: &Prepass,
         coord: ACoordinator,
         mut lanes: Vec<DevLane<'_>>,
@@ -1054,18 +856,8 @@ impl<'a> ArrayEngine<'a> {
     ) -> ArrayRunMetrics {
         let spec = self.platform.spec();
         let devs = self.array.ssds;
-        // Chain tables fold commutatively, but keep the fixed device
-        // order anyway (cheap, and self-evidently stable).
-        let mut chains = ChainTable::default();
-        chains.absorb(&coord.lat_chains);
-        for lane in &lanes {
-            chains.absorb(&lane.chains);
-        }
-        // Each query retires on its target's home device.
-        let targets = cascade.batches.concat();
-        let home = |q: usize| partition.part_of(targets[q]) as usize;
         let per_accel = coord.pipe.per_accelerator();
-        let run = coord.pipe.finish(&coord.energy, &chains, home);
+        let run = coord.pipe.finish(&coord.energy, &ChainTable::default());
 
         let mut totals = LaneStats::new(self.model.hops as usize + 2);
         let mut per_device = Vec::with_capacity(devs);
@@ -1252,15 +1044,15 @@ mod tests {
         let serial =
             Engine::new(Platform::Bg2, SsdConfig::paper_default(), model, &dg, 7).run(&batches);
         let part = Partition::hash(&trivial_graph(3_000), 1);
-        let array = ArrayEngine::new(
+        let engine = ArrayEngine::new(
             Platform::Bg2,
             ArrayConfig::pcie_p2p(1),
             SsdConfig::paper_default(),
             model,
             &dg,
             7,
-        )
-        .run(&part, &batches);
+        );
+        let array = engine.run_recorded(&engine.record(&batches), &part);
         assert_eq!(
             array.metrics.metrics_registry().to_json_string(),
             serial.metrics_registry().to_json_string()
@@ -1287,9 +1079,8 @@ mod tests {
         /// device, so nothing else pins the lane replay (`DevLane`) to the
         /// serial engine there. This calls the lane replay itself at one
         /// device, over random graph shapes, the paper default, seven
-        /// one-knob variants and one random device, each with latency
-        /// tracking off and on, and expects the serial BG-2 engine's
-        /// registry in every section but `pools`.
+        /// one-knob variants and one random device, and expects the
+        /// serial BG-2 engine's registry in every section but `pools`.
         #[test]
         fn one_device_lane_replay_matches_the_serial_engine(
             (nodes, avg_degree, dim, batch, seed) in
@@ -1329,25 +1120,18 @@ mod tests {
             ];
             let part = Partition::hash(&graph, 1);
             for ssd in configs {
-                for epoch in [None, Some(Duration::from_us(100))] {
-                    let mut serial = Engine::new(Platform::Bg2, ssd, model, &dg, seed);
-                    let mut array =
-                        ArrayEngine::new(Platform::Bg2, ArrayConfig::pcie_p2p(1), ssd, model, &dg, seed);
-                    if let Some(epoch) = epoch {
-                        serial = serial.with_latency(epoch);
-                        array = array.with_latency(epoch);
-                    }
-                    let serial = serial.run(&batches);
-                    let cascade = array.record(&batches);
-                    let pre = prepass(&cascade.recording, &cascade.batches, &part);
-                    let lane = array.replay(&cascade, &part, pre);
-                    proptest::prop_assert_eq!(lane.devices, 1);
-                    proptest::prop_assert_eq!(
-                        sections_but_pools(&lane.metrics),
-                        sections_but_pools(&serial),
-                        "{:?}, latency {:?}", ssd, epoch
-                    );
-                }
+                let serial = Engine::new(Platform::Bg2, ssd, model, &dg, seed).run(&batches);
+                let array =
+                    ArrayEngine::new(Platform::Bg2, ArrayConfig::pcie_p2p(1), ssd, model, &dg, seed);
+                let cascade = array.record(&batches);
+                let pre = prepass(&cascade.recording, &cascade.batches, &part);
+                let lane = array.replay(&cascade, &part, pre);
+                proptest::prop_assert_eq!(lane.devices, 1);
+                proptest::prop_assert_eq!(
+                    sections_but_pools(&lane.metrics),
+                    sections_but_pools(&serial),
+                    "{:?}", ssd
+                );
             }
         }
     }
@@ -1488,15 +1272,15 @@ mod tests {
     fn array_metrics_registry_has_device_and_fabric_sections() {
         let (dg, model, batches) = setup();
         let part = Partition::hash(&trivial_graph(3_000), 2);
-        let m = ArrayEngine::new(
+        let engine = ArrayEngine::new(
             Platform::Bg2,
             ArrayConfig::pcie_p2p(2),
             SsdConfig::paper_default(),
             model,
             &dg,
             7,
-        )
-        .run(&part, &batches);
+        );
+        let m = engine.run_recorded(&engine.record(&batches), &part);
         let reg = m.metrics_registry();
         let names = reg.section_names();
         assert!(names.contains(&"array"));

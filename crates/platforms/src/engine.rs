@@ -745,7 +745,7 @@ impl<'a> Engine<'a> {
             .map(SerialResource::busy_total)
             .sum::<Duration>();
         self.energy.channel_bytes = self.channel_bytes_accum;
-        let run = pipe.finish(&self.energy, &self.lat_chains, |_| 0);
+        let run = pipe.finish(&self.energy, &self.lat_chains);
 
         let stages = StageBreakdown {
             flash_read: self.dies.iter().map(SerialResource::busy_total).sum(),
@@ -823,7 +823,7 @@ impl<'a> Engine<'a> {
     /// shape and page size, just enough blocks for the image plus
     /// headroom) so the replay stays cheap at any configured capacity;
     /// the statistics only depend on image size and block geometry.
-    pub(crate) fn replay_ftl_setup(dg: &DirectGraph, ssd: &SsdConfig) -> Option<FtlStats> {
+    fn replay_ftl_setup(dg: &DirectGraph, ssd: &SsdConfig) -> Option<FtlStats> {
         let mut geo = ssd.geometry;
         let pages = dg.image().pages_written();
         let blocks_needed = pages.div_ceil(geo.pages_per_block).max(1);

@@ -18,8 +18,6 @@ pub(crate) struct BatchBroadcast {
     /// Record hop windows (the first batch only, as in the serial
     /// engine).
     pub record_hops: bool,
-    /// Global query id of the batch's first target.
-    pub qid_base: u32,
 }
 
 /// Metric accumulators of one lane, and — after [`absorb`](Self::absorb)

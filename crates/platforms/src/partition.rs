@@ -2,11 +2,11 @@
 //!
 //! [`PartitionedEngine`] runs one simulation as N independent event
 //! loops — one *lane* per flash channel — instead of the single serial
-//! calendar of [`Engine`]. BeaconGNN's BG-2 pipeline makes this
-//! natural: with the hardware command router in control and die-level
-//! sampling, a command's whole lifetime (router issue → die sense →
-//! channel transfer → router parse) touches only the resources of one
-//! channel; lanes interact solely when
+//! calendar of [`Engine`](crate::Engine). BeaconGNN's BG-2 pipeline
+//! makes this natural: with the hardware command router in control and
+//! die-level sampling, a command's whole lifetime (router issue → die
+//! sense → channel transfer → router parse) touches only the resources
+//! of one channel; lanes interact solely when
 //!
 //! * a sampled child command targets a die on another channel (router
 //!   crossbar forward), or
@@ -31,11 +31,14 @@
 //! function of the simulated configuration — **thread count and
 //! partition count are invisible**, so any `threads(n)` produces
 //! byte-identical output to `threads(1)`, which runs the identical
-//! round protocol inline with no worker threads (the serial fallback).
-//! The legacy serial [`Engine`] remains untouched and bit-stable;
+//! round protocol inline with no worker threads. The serial
+//! [`Engine`](crate::Engine) remains untouched and bit-stable;
 //! platforms whose spec keeps firmware, the host, or a hop barrier in
-//! the control path (everything except BG-2) are not channel-separable
-//! and transparently fall back to it.
+//! the control path (everything except BG-2) are not
+//! channel-separable, and [`PartitionedEngine::new`] rejects them.
+//!
+//! The engine is timing-only: it records no spans and tracks no
+//! per-query latency (the serial engine does both).
 //!
 //! Determinism argument, in full:
 //!
@@ -57,14 +60,11 @@ use beacon_gnn::GnnModelConfig;
 use beacon_graph::NodeId;
 use beacon_ssd::SsdConfig;
 use directgraph::DirectGraph;
-use simkit::obs::{SpanRecorder, UnitKind};
+use simkit::obs::SpanRecorder;
 use simkit::sync::{self, Deliveries, EpochWindow, MessagePool, Rounds};
-use simkit::{
-    BandwidthResource, Calendar, ChainTable, Duration, PathArena, PathAttr, SerialResource,
-    SimTime, Stage, NO_PATH,
-};
+use simkit::{BandwidthResource, Calendar, ChainTable, Duration, SerialResource, SimTime};
 
-use crate::engine::{Engine, FlashServiceMemo, OutcomePool, ON_DIE_SAMPLE_TIME};
+use crate::engine::{FlashServiceMemo, OutcomePool, ON_DIE_SAMPLE_TIME};
 use crate::lane::{BatchBroadcast, LaneStats};
 use crate::metrics::{RunMetrics, StageBreakdown};
 use crate::pipeline::Pipeline;
@@ -90,9 +90,6 @@ struct LCmd {
     tree_index: u64,
     /// Frontend arrival (lifetime start, for wait accounting).
     created: SimTime,
-    /// Handle into the lane's [`PathArena`] ([`NO_PATH`] when latency
-    /// tracking is off).
-    lat: u32,
 }
 
 impl LCmd {
@@ -138,16 +135,8 @@ enum Msg {
         lane: u32,
         sample: SampleCommand,
         tree_index: u64,
-        /// Inherited critical-path attribution (zeroed when latency
-        /// tracking is off).
-        path: PathAttr,
     },
 }
-
-/// An inbound delivery queued for a lane: the event plus its path
-/// rider — the inherited attribution of an `Arrive` or the DRAM
-/// round-trip delta of a `Finish`, `None` when latency tracking is off.
-type Delivery = (LaneEvent, Option<PathAttr>);
 
 /// One channel's event loop: the channel bus, its dies and samplers, a
 /// private calendar, and lane-local metric accumulators that merge in
@@ -172,19 +161,9 @@ struct ChannelLane<'a> {
     outbox: MessagePool<Msg>,
 
     stats: LaneStats,
-    obs: SpanRecorder,
-
-    /// Global query-id base of the batch in flight (latency tracking,
-    /// see [`PartitionedEngine::with_latency`]).
-    lat_qid_base: u32,
-    /// Attributions of this lane's in-flight commands.
-    arena: PathArena,
-    /// Winning chain per global query id (merged in channel order).
-    chains: ChainTable,
 }
 
 impl<'a> ChannelLane<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         channel: usize,
         ssd: SsdConfig,
@@ -192,8 +171,6 @@ impl<'a> ChannelLane<'a> {
         dg: &'a DirectGraph,
         seed: u64,
         hops: usize,
-        obs_capacity: usize,
-        lat_queries: Option<usize>,
     ) -> Self {
         let geo = &ssd.geometry;
         // Samplers draw from command content, not die identity, so all
@@ -215,14 +192,6 @@ impl<'a> ChannelLane<'a> {
             parked_free: Vec::new(),
             outbox: MessagePool::new(),
             stats: LaneStats::new(hops),
-            obs: if obs_capacity > 0 {
-                SpanRecorder::with_capacity(obs_capacity)
-            } else {
-                SpanRecorder::disabled()
-            },
-            lat_qid_base: 0,
-            arena: PathArena::default(),
-            chains: ChainTable::new(lat_queries.unwrap_or(0)),
             ssd,
         }
     }
@@ -236,11 +205,6 @@ impl<'a> ChannelLane<'a> {
     fn on_arrive(&mut self, cmd: LCmd, now: SimTime) {
         self.stats.hop_started(cmd.sample.hop, now);
         self.stats.router_cmds += 1;
-        if cmd.lat != NO_PATH {
-            self.arena
-                .get_mut(cmd.lat)
-                .add(Stage::Other, self.ssd.router_latency);
-        }
         self.calendar
             .schedule(now + self.ssd.router_latency, LaneEvent::Die(cmd));
     }
@@ -250,16 +214,6 @@ impl<'a> ChannelLane<'a> {
         let local = die / self.ssd.geometry.channels;
         let grant = self.dies[local].acquire(now, self.memo.die_service);
         self.stats.die_timeline.push(die, grant.start, grant.end);
-        if self.obs.is_enabled() {
-            self.obs.record(
-                UnitKind::Die,
-                die as u32,
-                "sense",
-                grant.start,
-                grant.end,
-                cmd.sample.hop as f64,
-            );
-        }
         self.stats.flash_reads += 1;
         let oi = self.outcomes.acquire();
         if self.samplers[local]
@@ -276,11 +230,6 @@ impl<'a> ChannelLane<'a> {
             .cmd_breakdown
             .wait_before_flash
             .record_duration(grant.start.saturating_duration_since(cmd.created));
-        if cmd.lat != NO_PATH {
-            let p = self.arena.get_mut(cmd.lat);
-            p.add(Stage::Queue, grant.start.saturating_duration_since(now));
-            p.add(Stage::DieSense, grant.end - grant.start);
-        }
         self.calendar
             .schedule(grant.end, LaneEvent::Xfer(cmd, grant.start, oi));
     }
@@ -292,28 +241,12 @@ impl<'a> ChannelLane<'a> {
         self.stats
             .channel_timeline
             .push(self.channel, grant.start, grant.end);
-        if self.obs.is_enabled() {
-            self.obs.record(
-                UnitKind::Channel,
-                self.channel as u32,
-                "xfer",
-                grant.start,
-                grant.end,
-                bytes as f64,
-            );
-        }
         self.stats.channel_bytes += bytes;
         let chan_wait = grant.start.saturating_duration_since(now);
         self.stats
             .cmd_breakdown
             .flash
             .record_duration((now - die_start) + (grant.end - grant.start));
-        if cmd.lat != NO_PATH {
-            let p = self.arena.get_mut(cmd.lat);
-            p.add(Stage::Queue, chan_wait);
-            p.add(Stage::Channel, grant.end - grant.start);
-            p.add(Stage::Other, self.ssd.router_latency);
-        }
         // Trailing router parse is a fixed, contention-free hop.
         self.calendar.schedule(
             grant.end + self.ssd.router_latency,
@@ -377,25 +310,10 @@ impl<'a> ChannelLane<'a> {
             .cmd_breakdown
             .wait_after_flash
             .record_duration(chan_wait + now.saturating_duration_since(xfer_end));
-        if self.obs.is_enabled() {
-            self.obs
-                .instant(UnitKind::Engine, 0, "cmd_done", now, cmd.sample.hop as f64);
-        }
         self.stats.hop_retired(cmd.sample.hop, now);
         if self.outcomes.get(oi).visited.is_some() {
             self.stats.nodes_visited += 1;
         }
-        // At retirement the command's chain competes for its query's
-        // longest path, and children inherit the attribution so far.
-        let inherit = if cmd.lat != NO_PATH {
-            let p = *self.arena.get(cmd.lat);
-            self.chains
-                .observe((self.lat_qid_base + cmd.sample.subgraph) as usize, now, &p);
-            self.arena.release(cmd.lat);
-            p
-        } else {
-            PathAttr::default()
-        };
         let channels = self.ssd.geometry.channels;
         for i in 0..self.outcomes.get(oi).new_commands.len() {
             let child = self.outcomes.get(oi).new_commands[i];
@@ -405,18 +323,12 @@ impl<'a> ChannelLane<'a> {
                 .wrapping_add(i as u64 + 1);
             let lane = self.die_of(&child) % channels;
             if lane == self.channel {
-                let lat = if cmd.lat != NO_PATH {
-                    self.arena.alloc(inherit)
-                } else {
-                    NO_PATH
-                };
                 self.calendar.schedule(
                     now,
                     LaneEvent::Arrive(LCmd {
                         sample: child,
                         tree_index: ti,
                         created: now,
-                        lat,
                     }),
                 );
             } else {
@@ -427,7 +339,6 @@ impl<'a> ChannelLane<'a> {
                         lane: lane as u32,
                         sample: child,
                         tree_index: ti,
-                        path: inherit,
                     },
                 );
             }
@@ -438,35 +349,16 @@ impl<'a> ChannelLane<'a> {
 }
 
 impl sync::Lane for ChannelLane<'_> {
-    type Delivery = Delivery;
+    type Delivery = LaneEvent;
     type Msg = Msg;
     type Broadcast = BatchBroadcast;
 
-    fn deliver(&mut self, at: SimTime, (ev, path): Delivery) {
-        let ev = match (path, ev) {
-            // An inbound arrival materializes its inherited path in
-            // this lane's arena; a DRAM completion folds the
-            // coordinator-side round-trip delta into the parked
-            // command's path.
-            (Some(p), LaneEvent::Arrive(mut cmd)) => {
-                cmd.lat = self.arena.alloc(p);
-                LaneEvent::Arrive(cmd)
-            }
-            (Some(p), LaneEvent::Finish(slot)) => {
-                let h = self.parked[slot as usize].cmd.lat;
-                if h != NO_PATH {
-                    self.arena.get_mut(h).merge(&p);
-                }
-                LaneEvent::Finish(slot)
-            }
-            (_, ev) => ev,
-        };
+    fn deliver(&mut self, at: SimTime, ev: LaneEvent) {
         self.calendar.schedule(at, ev);
     }
 
     fn drain(&mut self, horizon: SimTime, batch: BatchBroadcast) {
         self.stats.record_hops = batch.record_hops;
-        self.lat_qid_base = batch.qid_base;
         while self.calendar.peek_time().is_some_and(|t| t < horizon) {
             let (now, ev) = self.calendar.pop().expect("peeked event");
             self.stats.pools.events_processed += 1;
@@ -500,9 +392,7 @@ impl sync::Lane for ChannelLane<'_> {
 struct Coordinator {
     dram: BandwidthResource,
     energy: EnergyLedger,
-    obs: SpanRecorder,
     pipe: Pipeline,
-    lat_on: bool,
 }
 
 impl Coordinator {
@@ -510,7 +400,7 @@ impl Coordinator {
     /// globally sorted `(time, key)` order, so DRAM grants are issued
     /// in that order. Completions and crossbar forwards are quantized
     /// to epoch boundaries and posted to the target lane.
-    fn apply(&mut self, at: SimTime, msg: Msg, out: &mut Deliveries<'_, Delivery>) {
+    fn apply(&mut self, at: SimTime, msg: Msg, out: &mut Deliveries<'_, LaneEvent>) {
         match msg {
             Msg::DramReq {
                 lane,
@@ -522,40 +412,26 @@ impl Coordinator {
                 // A completion may not land in a drained epoch: post it
                 // at the horizon at the earliest.
                 let deliver_at = grant.end.max(out.horizon());
-                let path = self.lat_on.then(|| {
-                    let mut p = PathAttr::default();
-                    p.add(Stage::Queue, grant.start.saturating_duration_since(at));
-                    p.add(Stage::Dram, grant.end - grant.start);
-                    p.add(Stage::Queue, deliver_at - grant.end);
-                    p
-                });
-                out.post(lane as usize, deliver_at, (LaneEvent::Finish(parked), path));
+                out.post(lane as usize, deliver_at, LaneEvent::Finish(parked));
             }
             Msg::Spawn {
                 lane,
                 sample,
                 tree_index,
-                path,
             } => {
                 let arrive = out.window().next_boundary(at);
-                let path = self.lat_on.then(|| {
-                    let mut p = path;
-                    p.add(Stage::Queue, arrive - at);
-                    p
-                });
                 let cmd = LCmd {
                     sample,
                     tree_index,
                     created: arrive,
-                    lat: NO_PATH,
                 };
-                out.post(lane as usize, arrive, (LaneEvent::Arrive(cmd), path));
+                out.post(lane as usize, arrive, LaneEvent::Arrive(cmd));
             }
         }
     }
 }
 
-/// The partitioned BG-2 engine. Construct like [`Engine`],
+/// The partitioned BG-2 engine. Construct like [`Engine`](crate::Engine),
 /// pick a worker-thread count, and [`run`](PartitionedEngine::run):
 ///
 /// ```
@@ -588,8 +464,6 @@ pub struct PartitionedEngine<'a> {
     dg: &'a DirectGraph,
     seed: u64,
     threads: usize,
-    obs_capacity: usize,
-    lat_epoch: Option<Duration>,
 }
 
 impl<'a> PartitionedEngine<'a> {
@@ -598,8 +472,10 @@ impl<'a> PartitionedEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the SSD geometry's page size differs from the
-    /// DirectGraph layout's (same contract as [`Engine::new`]).
+    /// Panics if the platform is not channel-separable (only BG-2's
+    /// pipeline decomposes into independent channel lanes), or if the
+    /// SSD geometry's page size differs from the DirectGraph layout's
+    /// (same contract as [`Engine::new`](crate::Engine::new)).
     pub fn new(
         platform: Platform,
         ssd: SsdConfig,
@@ -607,6 +483,10 @@ impl<'a> PartitionedEngine<'a> {
         dg: &'a DirectGraph,
         seed: u64,
     ) -> Self {
+        assert!(
+            platform.spec().channel_separable(),
+            "partitioned runs require a channel-separable platform (BG-2)"
+        );
         assert_eq!(
             ssd.geometry.page_size,
             dg.layout().page_size(),
@@ -619,8 +499,6 @@ impl<'a> PartitionedEngine<'a> {
             dg,
             seed,
             threads: 1,
-            obs_capacity: 0,
-            lat_epoch: None,
         }
     }
 
@@ -632,54 +510,9 @@ impl<'a> PartitionedEngine<'a> {
         self
     }
 
-    /// Enables observability spans (per lane, merged in channel order
-    /// after the coordinator's batch-phase spans). Unlike the serial
-    /// engine, the partitioned path does not wire the functional
-    /// router mirror ([`RunMetrics::router`] stays `None`).
-    pub fn with_obs(mut self, capacity: usize) -> Self {
-        self.obs_capacity = capacity;
-        self
-    }
-
-    /// Enables per-query latency tracking (see
-    /// [`Engine::with_latency`]): critical-path chains are followed
-    /// per lane and merged in channel order, so the resulting
-    /// [`RunMetrics::latency`] report is byte-identical at any thread
-    /// count. `epoch` is the windowed time-series granularity
-    /// ([`Duration::ZERO`] for a single window).
-    pub fn with_latency(mut self, epoch: Duration) -> Self {
-        self.lat_epoch = Some(epoch);
-        self
-    }
-
-    /// Whether a platform's pipeline is channel-separable: the hardware
-    /// router controls the backend, sampling happens on the dies, only
-    /// useful bytes cross the channel, and neither the host nor a hop
-    /// barrier sits in the command path. Exactly BG-2 in the paper's
-    /// lineup; every other platform falls back to the serial engine.
-    pub fn partitionable(spec: &PlatformSpec) -> bool {
-        spec.channel_separable()
-    }
-
-    /// Runs the workload. Non-partitionable platforms run on the serial
-    /// [`Engine`] (identical output to calling it directly);
-    /// partitionable ones run the round protocol.
+    /// Runs the workload under the round protocol.
     pub fn run(self, batches: &[Vec<NodeId>]) -> RunMetrics {
         let spec = self.platform.spec();
-        if !Self::partitionable(&spec) {
-            let mut engine = Engine::new(self.platform, self.ssd, self.model, self.dg, self.seed);
-            if self.obs_capacity > 0 {
-                engine = engine.with_obs(self.obs_capacity);
-            }
-            if let Some(epoch) = self.lat_epoch {
-                engine = engine.with_latency(epoch);
-            }
-            return engine.run(batches);
-        }
-        self.run_partitioned(&spec, batches)
-    }
-
-    fn run_partitioned(&self, spec: &PlatformSpec, batches: &[Vec<NodeId>]) -> RunMetrics {
         let lanes_n = self.ssd.geometry.channels;
         let die_cfg = GnnDieConfig {
             num_hops: self.model.hops,
@@ -687,40 +520,20 @@ impl<'a> PartitionedEngine<'a> {
             feature_bytes: self.model.feature_bytes() as u16,
         };
         let hops = self.model.hops as usize + 2;
-        let lat_queries = self
-            .lat_epoch
-            .map(|_| batches.iter().map(Vec::len).sum::<usize>());
         let mut lanes: Vec<ChannelLane<'a>> = (0..lanes_n)
-            .map(|c| {
-                ChannelLane::new(
-                    c,
-                    self.ssd,
-                    die_cfg,
-                    self.dg,
-                    self.seed,
-                    hops,
-                    self.obs_capacity,
-                    lat_queries,
-                )
-            })
+            .map(|c| ChannelLane::new(c, self.ssd, die_cfg, self.dg, self.seed, hops))
             .collect();
         let mut coord = Coordinator {
             dram: BandwidthResource::new(self.ssd.dram_bandwidth),
             energy: EnergyLedger::new(),
-            obs: if self.obs_capacity > 0 {
-                SpanRecorder::with_capacity(self.obs_capacity)
-            } else {
-                SpanRecorder::disabled()
-            },
-            pipe: Pipeline::new(spec, self.model, &self.ssd, 1, self.lat_epoch),
-            lat_on: self.lat_epoch.is_some(),
+            pipe: Pipeline::new(&spec, self.model, &self.ssd, 1, None),
         };
 
         let window = EpochWindow::new(self.ssd.router_epoch);
         sync::run_lanes(&mut lanes, window, self.threads, |rounds| {
             self.run_batches(rounds, &mut coord, batches)
         });
-        self.merge(spec, coord, lanes)
+        self.merge(&spec, coord, lanes)
     }
 
     /// Runs each batch's preparation as a round loop between the
@@ -731,14 +544,11 @@ impl<'a> PartitionedEngine<'a> {
         coord: &mut Coordinator,
         batches: &[Vec<NodeId>],
     ) {
-        let mut qid_base = 0u32;
         for (bi, batch) in batches.iter().enumerate() {
             rounds.broadcast(BatchBroadcast {
                 record_hops: bi == 0,
-                qid_base,
             });
             let (_, start) = coord.pipe.open(batch.len(), &mut coord.energy);
-            let root_path = coord.lat_on.then(PathAttr::default);
             let channels = self.ssd.geometry.channels;
             for (slot, &target) in batch.iter().enumerate() {
                 let addr = self
@@ -753,17 +563,15 @@ impl<'a> PartitionedEngine<'a> {
                     sample,
                     tree_index: 0,
                     created: start,
-                    lat: NO_PATH,
                 };
-                rounds.post(lane, start, (LaneEvent::Arrive(cmd), root_path));
+                rounds.post(lane, start, LaneEvent::Arrive(cmd));
             }
             rounds.run_until_idle(start, |at, msg, out| coord.apply(at, msg, out));
             let prep_end = rounds.prep_end().max(start);
             let work = [(0, batch.len() as u64, SimTime::ZERO)];
+            let mut obs = SpanRecorder::disabled();
             let c = &mut *coord;
-            c.pipe
-                .close(prep_end, work, None, &mut c.energy, &mut c.obs);
-            qid_base += batch.len() as u32;
+            c.pipe.close(prep_end, work, None, &mut c.energy, &mut obs);
         }
     }
 
@@ -772,14 +580,11 @@ impl<'a> PartitionedEngine<'a> {
     fn merge(
         &self,
         spec: &PlatformSpec,
-        mut coord: Coordinator,
+        coord: Coordinator,
         mut lanes: Vec<ChannelLane<'a>>,
     ) -> RunMetrics {
         let mut totals = LaneStats::new(self.model.hops as usize + 2);
         let mut sampler_executed = 0u64;
-        // Chain tables fold commutatively, but keep the fixed channel
-        // order anyway (cheap, and self-evidently stable).
-        let mut chains = ChainTable::default();
         for lane in &mut lanes {
             let chans = std::slice::from_ref(&lane.chan);
             let stats = &mut lane.stats;
@@ -787,13 +592,11 @@ impl<'a> PartitionedEngine<'a> {
             stats.pools.outcome_slots_allocated = lane.outcomes.allocated;
             stats.pools.outcome_slots_reused = lane.outcomes.reused;
             totals.absorb(stats);
-            coord.obs.absorb(&lane.obs);
             sampler_executed += lane.samplers.iter().map(DieSampler::executed).sum::<u64>();
-            chains.absorb(&lane.chains);
         }
         let mut energy = coord.energy;
         totals.charge_energy(&mut energy);
-        let run = coord.pipe.finish(&energy, &chains, |_| 0);
+        let run = coord.pipe.finish(&energy, &ChainTable::default());
 
         let stages = StageBreakdown {
             flash_read: totals.flash_busy,
@@ -803,11 +606,6 @@ impl<'a> PartitionedEngine<'a> {
             pcie: Duration::ZERO,
             host: Duration::ZERO,
             accel: run.compute_time,
-        };
-        let ftl = if coord.obs.is_enabled() {
-            Engine::replay_ftl_setup(self.dg, &self.ssd)
-        } else {
-            None
         };
 
         RunMetrics {
@@ -824,10 +622,10 @@ impl<'a> PartitionedEngine<'a> {
             total_dies: self.ssd.geometry.total_dies(),
             total_channels: self.ssd.geometry.channels,
             pools: totals.pools,
-            spans: coord.obs,
+            spans: SpanRecorder::disabled(),
             sampler_executed,
             router: None,
-            ftl,
+            ftl: None,
             ..run
         }
     }
@@ -836,6 +634,7 @@ impl<'a> PartitionedEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use beacon_graph::{generate, FeatureTable};
     use directgraph::{build::DirectGraphBuilder, AddrLayout};
 
@@ -901,29 +700,19 @@ mod tests {
         );
     }
 
+    /// Only BG-2 is channel-separable, and any other platform (BG-1,
+    /// the firmware path, here) is rejected at construction.
     #[test]
-    fn non_partitionable_platforms_match_serial_engine_exactly() {
-        let dg = make_dg(1_500, 20.0, 64);
-        let model = GnnModelConfig::paper_default(64);
-        let ssd = SsdConfig::paper_default();
-        let b = batches(1, 24, 1_500);
-        for p in [Platform::Cc, Platform::Bg1, Platform::BgDgsp] {
-            assert!(!PartitionedEngine::partitionable(&p.spec()), "{p}");
-            let serial = Engine::new(p, ssd, model, &dg, 7).run(&b);
-            let part = PartitionedEngine::new(p, ssd, model, &dg, 7)
-                .threads(8)
-                .run(&b);
-            assert_eq!(digest(&part), digest(&serial), "{p}");
-        }
-    }
-
-    #[test]
-    fn only_bg2_is_partitionable() {
-        let partitionable: Vec<Platform> = Platform::ALL
+    #[should_panic(expected = "channel-separable")]
+    fn non_bg2_platforms_are_rejected() {
+        let separable: Vec<Platform> = Platform::ALL
             .into_iter()
-            .filter(|p| PartitionedEngine::partitionable(&p.spec()))
+            .filter(|p| p.spec().channel_separable())
             .collect();
-        assert_eq!(partitionable, vec![Platform::Bg2]);
+        assert_eq!(separable, vec![Platform::Bg2]);
+        let dg = make_dg(800, 15.0, 64);
+        let model = GnnModelConfig::paper_default(64);
+        let _ = PartitionedEngine::new(Platform::Bg1, SsdConfig::paper_default(), model, &dg, 7);
     }
 
     #[test]
@@ -965,30 +754,5 @@ mod tests {
         assert_eq!(fine.nodes_visited, coarse.nodes_visited);
         // Coarser batching can only delay cross-channel work.
         assert!(coarse.makespan >= fine.makespan);
-    }
-
-    #[test]
-    fn observed_partitioned_run_matches_unobserved() {
-        let dg = make_dg(1_500, 20.0, 64);
-        let model = GnnModelConfig::paper_default(64);
-        let ssd = SsdConfig::paper_default();
-        let b = batches(1, 16, 1_500);
-        let plain = PartitionedEngine::new(Platform::Bg2, ssd, model, &dg, 5).run(&b);
-        let observed = PartitionedEngine::new(Platform::Bg2, ssd, model, &dg, 5)
-            .with_obs(1 << 20)
-            .threads(3)
-            .run(&b);
-        assert_eq!(observed.makespan, plain.makespan);
-        assert_eq!(observed.flash_reads, plain.flash_reads);
-        assert_eq!(observed.nodes_visited, plain.nodes_visited);
-        assert!(plain.spans.is_empty());
-        assert!(!observed.spans.is_empty());
-        let senses = observed
-            .spans
-            .iter()
-            .filter(|s| s.kind == simkit::UnitKind::Die && s.name == "sense")
-            .count() as u64;
-        assert_eq!(senses, observed.flash_reads);
-        assert!(observed.ftl.is_some());
     }
 }

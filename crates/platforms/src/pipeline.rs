@@ -15,6 +15,8 @@
 //!
 //! It also charges the batch-level energy terms, records the `prep`,
 //! `batch_features` and `compute` spans, and builds the latency tail.
+//! Only the serial engine tracks latency, and it feeds one
+//! accelerator, so the latency tail reads accelerator 0.
 
 use beacon_energy::EnergyLedger;
 use beacon_gnn::{GnnModelConfig, MinibatchWorkload};
@@ -66,7 +68,7 @@ pub(crate) struct Pipeline {
 
 impl Pipeline {
     /// A pipeline feeding `accelerators` accelerators; `lat_epoch`
-    /// turns on per-query latency.
+    /// turns on per-query latency, which needs exactly one.
     pub(crate) fn new(
         spec: &PlatformSpec,
         model: GnnModelConfig,
@@ -74,6 +76,10 @@ impl Pipeline {
         accelerators: usize,
         lat_epoch: Option<Duration>,
     ) -> Self {
+        debug_assert!(
+            lat_epoch.is_none() || accelerators == 1,
+            "latency tracking needs a single accelerator"
+        );
         Pipeline {
             spec: *spec,
             model,
@@ -201,14 +207,9 @@ impl Pipeline {
     }
 
     /// Ends the run with the batch-level fields of its metrics, given
-    /// the final energy ledger, each query's winning preparation chain
-    /// and each query's home accelerator; the engine fills in the rest.
-    pub(crate) fn finish(
-        self,
-        energy: &EnergyLedger,
-        chains: &ChainTable,
-        home: impl Fn(usize) -> usize,
-    ) -> RunMetrics {
+    /// the final energy ledger and each query's winning preparation
+    /// chain; the engine fills in the rest.
+    pub(crate) fn finish(self, energy: &EnergyLedger, chains: &ChainTable) -> RunMetrics {
         let compute_time = self.windows.iter().map(|w| w.end - w.start).sum();
         let ends = self.batches.iter().map(|b| b.end);
         let makespan = ends.chain(self.windows.iter().map(|w| w.end)).max();
@@ -221,27 +222,22 @@ impl Pipeline {
             compute_time,
             accel_occupancy: AccelOccupancy::sustained(&accel, compute_time, energy),
             latency: match self.lat_epoch {
-                Some(epoch) => self.latency(epoch, chains, home),
+                Some(epoch) => self.latency(epoch, chains),
                 None => LatencyReport::disabled(),
             },
             ..RunMetrics::default()
         }
     }
 
-    /// Extends each query's chain through its batch's tail on its home
-    /// accelerator so its stages sum exactly to `end - submit`: waits
-    /// are queueing, feature returns fabric, then PCIe and compute.
-    fn latency(
-        &self,
-        epoch: Duration,
-        chains: &ChainTable,
-        home: impl Fn(usize) -> usize,
-    ) -> LatencyReport {
+    /// Extends each query's chain through its batch's tail on
+    /// accelerator 0 so its stages sum exactly to `end - submit`: waits
+    /// are queueing, the compute gate fabric, then PCIe and compute.
+    fn latency(&self, epoch: Duration, chains: &ChainTable) -> LatencyReport {
         let mut queries = Vec::new();
         for (bi, b) in self.batches.iter().enumerate() {
+            let w = &self.row(bi + 1)[0];
             for slot in 0..b.targets as u32 {
                 let qid = queries.len();
-                let w = &self.row(bi + 1)[home(qid)];
                 let (chain_end, mut path) = match chains.get(qid) {
                     Some(&(e, p)) => (e, p),
                     // A query whose chain never retired (cannot happen
@@ -284,10 +280,12 @@ mod tests {
         GnnModelConfig::paper_default(64)
     }
 
+    /// A BG-2 pipeline; a single accelerator tracks latency.
     fn bg2_pipeline(accelerators: usize) -> Pipeline {
         let ssd = SsdConfig::paper_default();
         let spec = Platform::Bg2.spec();
-        Pipeline::new(&spec, model(), &ssd, accelerators, Some(Duration::ZERO))
+        let lat_epoch = (accelerators == 1).then_some(Duration::ZERO);
+        Pipeline::new(&spec, model(), &ssd, accelerators, lat_epoch)
     }
 
     /// Compute time of `targets` subgraphs on the BG-2 accelerator.
@@ -383,7 +381,8 @@ mod tests {
         /// buffer gate, prep → compute ordering, per-accelerator batch
         /// order and the makespan hold for any mix, a prep-bound and a
         /// compute-bound run each overlap compute with the next prep,
-        /// and every query's latency splits exactly into its stages.
+        /// and on one accelerator every query's latency splits exactly
+        /// into its stages.
         #[test]
         fn schedule_keeps_section_vi_d_invariants(
             accels in 1usize..5,
@@ -409,20 +408,19 @@ mod tests {
             let last = pipe.row(batches);
             let last_compute = last.iter().map(|w| w.end).max().unwrap();
             let last_prep = preps[batches - 1].1;
-            // Each query computes on the accelerator its share went to.
-            let homes: Vec<usize> = targets
-                .iter()
-                .flat_map(|t| t.iter().enumerate().flat_map(|(d, &n)| vec![d; n as usize]))
-                .collect();
-            let totals = pipe.finish(&EnergyLedger::new(), &ChainTable::default(), |q| homes[q]);
+            let totals = pipe.finish(&EnergyLedger::new(), &ChainTable::default());
             prop_assert_eq!(totals.makespan, last_compute.max(last_prep) - SimTime::ZERO);
             prop_assert_eq!(totals.batches, batches as u64);
-            for (qid, q) in totals.latency.queries().iter().enumerate() {
-                prop_assert_eq!(q.path.total_ns(), q.latency_ns());
-                // No chain retired, so the prep barrier is the chain's
-                // end and the gate's offset past it is fabric time.
-                let gate_ns = gates[q.batch as usize][homes[qid]];
-                prop_assert_eq!(q.path.get(Stage::Fabric), gate_ns);
+            if accels == 1 {
+                let queries = totals.latency.queries();
+                prop_assert_eq!(queries.len() as u64, targets.iter().map(|t| t[0]).sum::<u64>());
+                for q in queries {
+                    prop_assert_eq!(q.path.total_ns(), q.latency_ns());
+                    // No chain retired, so the prep barrier is the
+                    // chain's end and the gate's offset past it is
+                    // fabric time.
+                    prop_assert_eq!(q.path.get(Stage::Fabric), gates[q.batch as usize][0]);
+                }
             }
 
             if batches >= 2 {
@@ -443,7 +441,8 @@ mod tests {
 
     #[test]
     fn latency_extends_chain_through_compute_tail() {
-        let mut chains = ChainTable::new(2);
+        let mut chains = ChainTable::default();
+        chains.reset(2);
         let mut p = PathAttr::default();
         p.add(Stage::DieSense, Duration::from_ns(40));
         p.add(Stage::Queue, Duration::from_ns(10));
@@ -465,7 +464,7 @@ mod tests {
             start: SimTime::from_ns(240),
             end: SimTime::from_ns(300),
         });
-        let report = pipe.latency(Duration::ZERO, &chains, |_| 0);
+        let report = pipe.latency(Duration::ZERO, &chains);
         assert_eq!(report.queries().len(), 2);
         for q in report.queries() {
             assert_eq!(q.submit, SimTime::from_ns(100));
@@ -483,7 +482,8 @@ mod tests {
 
     #[test]
     fn latency_handles_unobserved_chain() {
-        let chains = ChainTable::new(1);
+        let mut chains = ChainTable::default();
+        chains.reset(1);
         let mut pipe = bg2_pipeline(1);
         pipe.batches.push(Batch {
             targets: 1,
@@ -498,7 +498,7 @@ mod tests {
             start: SimTime::from_ns(60),
             end: SimTime::from_ns(90),
         });
-        let report = pipe.latency(Duration::from_ns(1_000), &chains, |_| 0);
+        let report = pipe.latency(Duration::from_ns(1_000), &chains);
         let q = &report.queries()[0];
         assert_eq!(q.latency_ns(), 80);
         assert_eq!(q.path.total_ns(), 80);

@@ -1,31 +1,26 @@
 //! Property tests for the per-query latency layer's determinism
 //! contract.
 //!
-//! The contract (see `simkit::obs::latency` and the engines' latency
-//! wiring): the `latency` / `latency_breakdown` registry sections are a
-//! pure function of the simulated configuration. Replaying a recorded
-//! cascade must produce the identical report, the partitioned engine
-//! must render it byte-identically at any worker-thread count, and a
-//! one-device array must match the serial engine verbatim.
+//! The contract (see `simkit::obs::latency` and the serial engine's
+//! latency wiring): the `latency` / `latency_breakdown` registry
+//! sections are a pure function of the simulated configuration, so
+//! replaying a recorded cascade must produce the identical report.
 
 use beacon_gnn::GnnModelConfig;
-use beacon_graph::{generate, CsrGraph, FeatureTable, NodeId, Partition};
-use beacon_platforms::{
-    ArrayConfig, ArrayEngine, Engine, EngineScratch, PartitionedEngine, Platform, RunMetrics,
-};
+use beacon_graph::{generate, FeatureTable, NodeId};
+use beacon_platforms::{Engine, EngineScratch, Platform, RunMetrics};
 use beacon_ssd::SsdConfig;
 use directgraph::{build::DirectGraphBuilder, AddrLayout, DirectGraph};
 use proptest::prelude::*;
 use simkit::Duration;
 
-fn build_graph(nodes: usize, degree: f64, feat_dim: usize, seed: u64) -> (CsrGraph, DirectGraph) {
+fn build_dg(nodes: usize, degree: f64, feat_dim: usize, seed: u64) -> DirectGraph {
     let cfg = generate::PowerLawConfig::new(nodes, degree);
     let graph = generate::power_law(&cfg, seed);
     let features = FeatureTable::synthetic(nodes, feat_dim, seed);
-    let dg = DirectGraphBuilder::new(AddrLayout::for_page_size(4096).unwrap())
+    DirectGraphBuilder::new(AddrLayout::for_page_size(4096).unwrap())
         .build(&graph, &features)
-        .expect("synthetic graph builds");
-    (graph, dg)
+        .expect("synthetic graph builds")
 }
 
 fn batches_for(nodes: usize, batch: usize, batches: usize) -> Vec<Vec<NodeId>> {
@@ -76,7 +71,7 @@ proptest! {
         epoch_ns in 1_000u64..200_000,
         seed in 0u64..1_000,
     ) {
-        let (_, dg) = build_graph(nodes, 16.0, 64, seed);
+        let dg = build_dg(nodes, 16.0, 64, seed);
         let model = GnnModelConfig::paper_default(64);
         let ssd = SsdConfig::paper_default();
         let epoch = Duration::from_ns(epoch_ns);
@@ -91,97 +86,5 @@ proptest! {
         let replayed = engine().replay_with(&mut scratch, &recording, &b);
         prop_assert_eq!(&report(&recorded), &report(&full), "recording run drifted");
         prop_assert_eq!(&report(&replayed), &report(&full), "replay drifted");
-    }
-
-    /// Thread count is invisible to the latency report: the partitioned
-    /// engine renders byte-identical `latency` / `latency_breakdown`
-    /// sections (inside the full registry) at 1, 2, and 8 workers.
-    #[test]
-    fn partitioned_latency_is_thread_count_invariant(
-        nodes in 300usize..900,
-        batch in 4usize..24,
-        n_batches in 1usize..3,
-        channels in 1usize..6,
-        epoch_ns in 1_000u64..200_000,
-        seed in 0u64..1_000,
-    ) {
-        let (_, dg) = build_graph(nodes, 16.0, 64, seed);
-        let model = GnnModelConfig::paper_default(64);
-        let ssd = SsdConfig::paper_default().with_channels(channels);
-        let b = batches_for(nodes, batch, n_batches);
-        let run = |threads: usize| {
-            PartitionedEngine::new(Platform::Bg2, ssd, model, &dg, seed)
-                .with_latency(Duration::from_ns(epoch_ns))
-                .threads(threads)
-                .run(&b)
-        };
-        let reference = run(1);
-        check_report(&reference, batch * n_batches);
-        let reference = report(&reference);
-        for threads in [2usize, 8] {
-            prop_assert_eq!(&report(&run(threads)), &reference, "threads={}", threads);
-        }
-    }
-}
-
-#[test]
-fn array_latency_matches_serial_on_one_device() {
-    let seed = 7u64;
-    let (graph, dg) = build_graph(800, 16.0, 64, seed);
-    let model = GnnModelConfig::paper_default(64);
-    let ssd = SsdConfig::paper_default();
-    let epoch = Duration::from_us(50);
-    let b = batches_for(800, 16, 2);
-
-    let serial = Engine::new(Platform::Bg2, ssd, model, &dg, seed)
-        .with_latency(epoch)
-        .run(&b);
-    let array = ArrayEngine::new(
-        Platform::Bg2,
-        ArrayConfig::pcie_p2p(1),
-        ssd,
-        model,
-        &dg,
-        seed,
-    )
-    .with_latency(epoch)
-    .run(&Partition::hash(&graph, 1), &b);
-    assert_eq!(
-        report(&array.metrics),
-        report(&serial),
-        "one-device array must be the serial engine verbatim"
-    );
-}
-
-#[test]
-fn array_latency_is_thread_count_invariant() {
-    let seed = 11u64;
-    let (graph, dg) = build_graph(900, 16.0, 64, seed);
-    let model = GnnModelConfig::paper_default(64);
-    let ssd = SsdConfig::paper_default();
-    let part = Partition::hash(&graph, 4);
-    let b = batches_for(900, 24, 2);
-    let run = |threads: usize| {
-        ArrayEngine::new(
-            Platform::Bg2,
-            ArrayConfig::pcie_p2p(4),
-            ssd,
-            model,
-            &dg,
-            seed,
-        )
-        .with_latency(Duration::from_us(50))
-        .threads(threads)
-        .run(&part, &b)
-    };
-    let reference = run(1);
-    check_report(&reference.metrics, 48);
-    let reference = report(&reference.metrics);
-    for threads in [2usize, 8] {
-        assert_eq!(
-            report(&run(threads).metrics),
-            reference,
-            "threads={threads}"
-        );
     }
 }

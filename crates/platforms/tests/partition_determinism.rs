@@ -2,8 +2,8 @@
 //!
 //! The contract under test (see `beacon_platforms::partition`): for a
 //! partitionable platform, the partitioned engine's output — the full
-//! rendered metrics report, span counts included — is a pure function of the
-//! simulated configuration. Worker-thread count must be invisible, the
+//! rendered metrics report — is a pure function of the simulated
+//! configuration. Worker-thread count must be invisible, the
 //! input DirectGraph must come out of the run untouched, and the model
 //! must stay a faithful retiming of the serial engine (identical work
 //! counts, nearby makespan), across randomized graph shapes, geometries,
@@ -35,7 +35,7 @@ proptest! {
 
     /// Thread count is invisible: for random small configurations, the
     /// partitioned engine renders byte-identical metric reports
-    /// (counts, timings, energy, spans) at 1, 2, and 8 worker threads,
+    /// (counts, timings, energy) at 1, 2, and 8 worker threads,
     /// and never mutates the DirectGraph it reads.
     #[test]
     fn partitioned_output_is_thread_count_invariant(
@@ -64,7 +64,6 @@ proptest! {
             .collect();
         let run = |threads: usize| {
             PartitionedEngine::new(Platform::Bg2, ssd, model, &dg, seed)
-                .with_obs(4096)
                 .threads(threads)
                 .run(&b)
         };

@@ -48,9 +48,7 @@ pub mod sync;
 pub mod time;
 
 pub use calendar::{Calendar, PoolStats};
-pub use obs::latency::{
-    ChainTable, LatencyHistogram, LatencyReport, PathArena, PathAttr, QueryLat, Stage, NO_PATH,
-};
+pub use obs::latency::{ChainTable, LatencyHistogram, LatencyReport, PathAttr, QueryLat, Stage};
 pub use obs::{
     ChromeTraceWriter, MetricValue, MetricsRegistry, Section, Span, SpanRecorder, UnitKind,
 };

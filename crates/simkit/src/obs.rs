@@ -175,19 +175,6 @@ impl SpanRecorder {
         });
     }
 
-    /// Records an instant (zero-length) event.
-    #[inline]
-    pub fn instant(
-        &mut self,
-        kind: UnitKind,
-        unit: u32,
-        name: &'static str,
-        at: SimTime,
-        value: f64,
-    ) {
-        self.record(kind, unit, name, at, at, value);
-    }
-
     /// Spans retained.
     pub fn len(&self) -> usize {
         self.spans.len()
@@ -211,19 +198,6 @@ impl SpanRecorder {
     /// Iterates retained spans in record order.
     pub fn iter(&self) -> impl Iterator<Item = &Span> {
         self.spans.iter()
-    }
-
-    /// Appends another recorder's spans, re-stamping their sequence
-    /// numbers to continue this recorder's — the merge step for
-    /// per-partition recorders. Absorbing in a fixed partition order
-    /// yields one recorder indistinguishable from a serial recording;
-    /// capacity and drop accounting behave exactly as if the absorbed
-    /// spans had been recorded here directly.
-    pub fn absorb(&mut self, other: &SpanRecorder) {
-        self.dropped += other.dropped;
-        for s in &other.spans {
-            self.record(s.kind, s.unit, s.name, s.start, s.end, s.value);
-        }
     }
 
     /// Absorbs spans a caller staged in exact record order (their `seq`
@@ -578,7 +552,7 @@ mod tests {
         let mut r = SpanRecorder::disabled();
         assert!(!r.is_enabled());
         r.record(UnitKind::Die, 0, "sense", t(0), t(10), 1.0);
-        r.instant(UnitKind::Engine, 0, "done", t(5), 0.0);
+        r.record(UnitKind::Engine, 0, "done", t(5), t(5), 0.0);
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 0);
     }
@@ -614,7 +588,7 @@ mod tests {
     fn chrome_trace_is_deterministic_and_well_formed() {
         let mut r = SpanRecorder::with_capacity(16);
         r.record(UnitKind::Die, 2, "sense", t(1_500), t(4_500), 1.0);
-        r.instant(UnitKind::Engine, 0, "cmd_done", t(4_500), 2.0);
+        r.record(UnitKind::Engine, 0, "cmd_done", t(4_500), t(4_500), 2.0);
         let mut a = Vec::new();
         ChromeTraceWriter::write(&r, &mut a).unwrap();
         let mut b = Vec::new();

@@ -13,7 +13,7 @@
 //!   transfer, PCIe, accelerator, fabric hop, … summed along the chain.
 //! - [`ChainTable`] / [`LatencyReport`] — per-query reduction (the
 //!   *longest* dependency chain wins, ties broken by the stage vector's
-//!   lexicographic order so lane-merge order can never matter) and the
+//!   lexicographic order so retirement order can never matter) and the
 //!   finished artifact: per-query rows, the overall histogram, windowed
 //!   per-epoch histograms, and stage totals, rendered into the
 //!   `latency` / `latency_breakdown` registry sections.
@@ -139,86 +139,20 @@ impl PathAttr {
     }
 }
 
-/// A free-list arena of [`PathAttr`]s for engines whose in-flight
-/// commands are identified by a small handle rather than a stable slot
-/// (the partitioned lanes and array device lanes).
-///
-/// Allocation order is driven entirely by the lane's deterministic
-/// event stream, so handles are reproducible run-to-run.
-#[derive(Debug, Clone, Default)]
-pub struct PathArena {
-    slots: Vec<PathAttr>,
-    free: Vec<u32>,
-}
-
-/// The sentinel handle commands carry while latency tracking is off.
-pub const NO_PATH: u32 = u32::MAX;
-
-impl PathArena {
-    /// Allocates a slot holding `p` and returns its handle.
-    pub fn alloc(&mut self, p: PathAttr) -> u32 {
-        if let Some(i) = self.free.pop() {
-            self.slots[i as usize] = p;
-            i
-        } else {
-            self.slots.push(p);
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    /// Releases a handle for reuse.
-    pub fn release(&mut self, i: u32) {
-        self.free.push(i);
-    }
-
-    /// The attribution behind a handle.
-    pub fn get(&self, i: u32) -> &PathAttr {
-        &self.slots[i as usize]
-    }
-
-    /// Mutable access to the attribution behind a handle.
-    pub fn get_mut(&mut self, i: u32) -> &mut PathAttr {
-        &mut self.slots[i as usize]
-    }
-
-    /// Drops every slot (between runs).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
-}
-
 /// Per-query best-chain reduction: for each query, the dependency chain
 /// with the latest end time (ties broken by the lexicographically
-/// largest stage vector — a commutative max, so absorbing per-lane
-/// tables in any fixed order yields identical results).
+/// largest stage vector — a commutative max, so the winner does not
+/// depend on the order chains retire in).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChainTable {
     best: Vec<Option<(SimTime, PathAttr)>>,
 }
 
 impl ChainTable {
-    /// A table over `queries` query slots, all unobserved.
-    pub fn new(queries: usize) -> Self {
-        ChainTable {
-            best: vec![None; queries],
-        }
-    }
-
     /// Resets to `queries` unobserved slots, reusing storage.
     pub fn reset(&mut self, queries: usize) {
         self.best.clear();
         self.best.resize(queries, None);
-    }
-
-    /// Number of query slots.
-    pub fn len(&self) -> usize {
-        self.best.len()
-    }
-
-    /// Returns `true` if the table has no query slots.
-    pub fn is_empty(&self) -> bool {
-        self.best.is_empty()
     }
 
     /// Offers one finished chain for query `qid`; the max survives.
@@ -228,18 +162,6 @@ impl ChainTable {
         match slot {
             Some((e, p)) if (*e, *p) >= (end, *path) => {}
             _ => *slot = Some((end, *path)),
-        }
-    }
-
-    /// Folds another table in (per-slot commutative max).
-    pub fn absorb(&mut self, other: &ChainTable) {
-        if self.best.len() < other.best.len() {
-            self.best.resize(other.best.len(), None);
-        }
-        for (qid, o) in other.best.iter().enumerate() {
-            if let Some((end, path)) = o {
-                self.observe(qid, *end, path);
-            }
         }
     }
 
@@ -256,7 +178,7 @@ impl ChainTable {
 /// octave splits into 32 sub-buckets, so any reported percentile is
 /// within one sub-bucket (≤ ~3.1%) of the true order statistic.
 /// Merging is a bucket-wise saturating addition — commutative and
-/// associative, the property the multi-lane engines rely on.
+/// associative.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHistogram {
     /// Bucket counts; empty until the first record (zero-alloc default).
@@ -703,10 +625,12 @@ mod tests {
         // Same end time: the lexicographically larger stage vector wins
         // regardless of observation order. Queue precedes DieSense in
         // the array, so p1 = [5,0,..] > p2 = [0,5,..].
-        let mut a = ChainTable::new(1);
+        let mut a = ChainTable::default();
+        a.reset(1);
         a.observe(0, t, &p1);
         a.observe(0, t, &p2);
-        let mut b = ChainTable::new(1);
+        let mut b = ChainTable::default();
+        b.reset(1);
         b.observe(0, t, &p2);
         b.observe(0, t, &p1);
         assert_eq!(a, b);
@@ -714,33 +638,6 @@ mod tests {
         // Later end always wins.
         a.observe(0, SimTime::from_ns(101), &p2);
         assert_eq!(a.get(0), Some(&(SimTime::from_ns(101), p2)));
-    }
-
-    #[test]
-    fn chain_table_absorb_matches_single_table() {
-        let ends = [7u64, 3, 9, 9, 2, 8];
-        let mut single = ChainTable::new(3);
-        let mut shard_a = ChainTable::new(3);
-        let mut shard_b = ChainTable::new(3);
-        for (i, &e) in ends.iter().enumerate() {
-            let mut p = PathAttr::default();
-            p.add_ns(Stage::Channel, e);
-            single.observe(i % 3, SimTime::from_ns(e), &p);
-            let shard = if i % 2 == 0 {
-                &mut shard_a
-            } else {
-                &mut shard_b
-            };
-            shard.observe(i % 3, SimTime::from_ns(e), &p);
-        }
-        let mut merged = ChainTable::new(3);
-        merged.absorb(&shard_a);
-        merged.absorb(&shard_b);
-        assert_eq!(merged, single);
-        let mut reversed = ChainTable::new(3);
-        reversed.absorb(&shard_b);
-        reversed.absorb(&shard_a);
-        assert_eq!(reversed, single);
     }
 
     #[test]

@@ -270,6 +270,45 @@ fn degenerate_sizes_are_usage_errors() {
     }
 }
 
+/// A latency epoch whose nanoseconds overflow `u64` is a usage error
+/// before anything is built; the largest epoch that fits still runs.
+#[test]
+fn oversized_latency_epoch_is_a_usage_error() {
+    let csv = std::env::temp_dir().join(format!("beacongnn-cli-{}-epoch.csv", std::process::id()));
+    let run = |epoch_us: &str| {
+        let out = beacongnn()
+            .args([
+                "run",
+                "--dataset",
+                "amazon",
+                "--nodes",
+                "1000",
+                "--batch",
+                "8",
+                "--batches",
+                "1",
+                "--latency-epoch-us",
+                epoch_us,
+                "--latency-csv",
+            ])
+            .arg(&csv)
+            .output()
+            .expect("executes");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{epoch_us}: {stderr}");
+        (out, stderr)
+    };
+    let (out, stderr) = run("18446744073709552");
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--latency-epoch-us"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs");
+    assert!(!csv.exists(), "nothing is written");
+    let (out, stderr) = run("18446744073709551");
+    assert!(out.status.success(), "{stderr}");
+    assert!(csv.exists(), "the latency CSV is written");
+    std::fs::remove_file(&csv).ok();
+}
+
 /// A `beacongnn run` over a small workload, writing its trace to `path`.
 fn run_with_trace(path: &std::path::Path) -> std::process::Output {
     beacongnn()

@@ -101,8 +101,8 @@ proptest! {
         let b = batches(nodes, batch, 1);
         let serial = Engine::new(Platform::Bg2, ssd, model, &dg, seed).run(&b);
         let part = partition_by(which, &graph, devices as u32);
-        let array = ArrayEngine::new(Platform::Bg2, ArrayConfig::pcie_p2p(devices), ssd, model, &dg, seed)
-            .run(&part, &b);
+        let engine = ArrayEngine::new(Platform::Bg2, ArrayConfig::pcie_p2p(devices), ssd, model, &dg, seed);
+        let array = engine.run_recorded(&engine.record(&b), &part);
         let sum = |f: fn(&beacon_platforms::DeviceMetrics) -> u64| {
             array.per_device.iter().map(f).sum::<u64>()
         };
@@ -128,8 +128,8 @@ proptest! {
         let ssd = SsdConfig::paper_default();
         let b = batches(nodes, batch, 2);
         let serial = Engine::new(Platform::Bg2, ssd, model, &dg, seed).run(&b);
-        let array = ArrayEngine::new(Platform::Bg2, ArrayConfig::pcie_p2p(1), ssd, model, &dg, seed)
-            .run(&Partition::hash(&graph, 1), &b);
+        let engine = ArrayEngine::new(Platform::Bg2, ArrayConfig::pcie_p2p(1), ssd, model, &dg, seed);
+        let array = engine.run_recorded(&engine.record(&b), &Partition::hash(&graph, 1));
         prop_assert_eq!(
             array.metrics.metrics_registry().to_json_string(),
             serial.metrics_registry().to_json_string()
