@@ -700,16 +700,22 @@ mod tests {
         );
     }
 
-    /// Only BG-2 is channel-separable, and any other platform (BG-1,
-    /// the firmware path, here) is rejected at construction.
+    /// Channel separability is what [`PartitionedEngine::new`] asserts,
+    /// and only BG-2 has it.
     #[test]
-    #[should_panic(expected = "channel-separable")]
-    fn non_bg2_platforms_are_rejected() {
-        let separable: Vec<Platform> = Platform::ALL
+    fn only_bg2_is_partitionable() {
+        let partitionable: Vec<Platform> = Platform::ALL
             .into_iter()
             .filter(|p| p.spec().channel_separable())
             .collect();
-        assert_eq!(separable, vec![Platform::Bg2]);
+        assert_eq!(partitionable, vec![Platform::Bg2]);
+    }
+
+    /// Any other platform (BG-1, the firmware path, here) is rejected at
+    /// construction.
+    #[test]
+    #[should_panic(expected = "channel-separable")]
+    fn non_bg2_platforms_are_rejected() {
         let dg = make_dg(800, 15.0, 64);
         let model = GnnModelConfig::paper_default(64);
         let _ = PartitionedEngine::new(Platform::Bg1, SsdConfig::paper_default(), model, &dg, 7);
