@@ -257,16 +257,13 @@ pub fn fig15_curves(platforms: &[Platform], nodes: usize, batch: usize) -> Vec<U
     platforms
         .iter()
         .zip(platform_runs(platforms, Dataset::Amazon, nodes, batch))
-        .map(|(&platform, m)| {
-            let end = simkit::SimTime::ZERO + m.prep_time;
-            UtilizationCurves {
-                platform,
-                dies: m.die_timeline.curve(slice, end),
-                channels: m.channel_timeline.curve(slice, end),
-                slice,
-                die_utilization: m.die_utilization(),
-                channel_utilization: m.channel_utilization(),
-            }
+        .map(|(&platform, m)| UtilizationCurves {
+            platform,
+            dies: m.die_timeline.curve(slice),
+            channels: m.channel_timeline.curve(slice),
+            slice,
+            die_utilization: m.die_utilization(),
+            channel_utilization: m.channel_utilization(),
         })
         .collect()
 }

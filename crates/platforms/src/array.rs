@@ -857,7 +857,6 @@ impl<'a> ArrayEngine<'a> {
         let spec = self.platform.spec();
         let devs = self.array.ssds;
         let per_accel = coord.pipe.per_accelerator();
-        let run = coord.pipe.finish(&coord.energy, &ChainTable::default());
 
         let mut totals = LaneStats::new(self.model.hops as usize + 2);
         let mut per_device = Vec::with_capacity(devs);
@@ -882,6 +881,12 @@ impl<'a> ArrayEngine<'a> {
                 compute_time,
             });
         }
+        let run = coord.pipe.finish(
+            &coord.energy,
+            &ChainTable::default(),
+            &totals.die_timeline,
+            &totals.channel_timeline,
+        );
         let mut energy = coord.energy;
         totals.charge_energy(&mut energy);
 
@@ -914,8 +919,6 @@ impl<'a> ArrayEngine<'a> {
             hop_windows: totals.hop_windows(),
             cmd_breakdown: totals.cmd_breakdown,
             stages,
-            die_timeline: totals.die_timeline,
-            channel_timeline: totals.channel_timeline,
             energy,
             total_dies: self.ssd.geometry.total_dies() * devs,
             total_channels: self.ssd.geometry.channels * devs,

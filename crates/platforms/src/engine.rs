@@ -745,7 +745,12 @@ impl<'a> Engine<'a> {
             .map(SerialResource::busy_total)
             .sum::<Duration>();
         self.energy.channel_bytes = self.channel_bytes_accum;
-        let run = pipe.finish(&self.energy, &self.lat_chains);
+        let run = pipe.finish(
+            &self.energy,
+            &self.lat_chains,
+            &self.die_timeline,
+            &self.channel_timeline,
+        );
 
         let stages = StageBreakdown {
             flash_read: self.dies.iter().map(SerialResource::busy_total).sum(),
@@ -802,8 +807,6 @@ impl<'a> Engine<'a> {
             cmd_breakdown: std::mem::take(&mut self.cmd_breakdown),
             stages,
             hop_windows,
-            die_timeline: std::mem::replace(&mut self.die_timeline, TimelineBuilder::new()),
-            channel_timeline: std::mem::replace(&mut self.channel_timeline, TimelineBuilder::new()),
             energy: std::mem::replace(&mut self.energy, EnergyLedger::new()),
             total_dies: self.ssd.geometry.total_dies(),
             total_channels: self.ssd.geometry.channels,

@@ -60,8 +60,7 @@ pub use array::{
 };
 pub use engine::{Engine, EngineScratch};
 pub use metrics::{
-    AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown,
-    TimelineBuilder,
+    AccelOccupancy, CmdBreakdown, HopWindow, PoolCounters, RunMetrics, StageBreakdown, Timeline,
 };
 pub use partition::PartitionedEngine;
 pub use query::{measure_query_latency, QueryLatency};

@@ -1,7 +1,5 @@
 //! Run metrics: everything the paper's figures are drawn from.
 
-use std::sync::Arc;
-
 use beacon_energy::EnergyLedger;
 use beacon_ssd::{FtlStats, RouterStats};
 use simkit::obs::{MetricsRegistry, SpanRecorder};
@@ -88,30 +86,27 @@ impl HopWindow {
     }
 }
 
-/// Builds per-slice active-unit curves (Fig 15a–e) from the busy
-/// intervals of a set of units (dies or channels).
+/// Width of one [`Timeline`] bin: a whole divisor of Fig 15's 50 µs
+/// slices and the shape tests' 20 µs.
+pub const TIMELINE_BIN: Duration = Duration::from_us(10);
+
+/// Logs the busy intervals of a set of units (dies or channels) during
+/// a run, for [`fold`](Self::fold) into a [`Timeline`] at its end.
 ///
 /// A grant that starts exactly where its unit's latest interval ended
 /// extends that interval instead of storing a new one, so a unit's
 /// back-to-back grants cost one entry. Merging contiguous intervals
-/// cannot change any slice's integer busy-ns sum, so
-/// [`curve`](Self::curve) is exactly what one interval per grant would
-/// give.
-///
-/// Each unit's latest interval stays open to extension. The closed ones
-/// sit behind an `Arc`: cloning a builder (as the exact-cell memo clones
-/// a [`RunMetrics`]) shares them and copies only the open ones, and a
-/// push that closes an interval after a clone first takes a private
-/// copy.
+/// cannot change any bin's integer busy-ns sum, so the fold is exactly
+/// what one interval per grant would give.
 #[derive(Debug, Clone, Default)]
-pub struct TimelineBuilder {
+pub(crate) struct TimelineBuilder {
     /// Intervals no later grant can extend.
-    closed: Arc<Vec<(SimTime, SimTime)>>,
+    closed: Vec<(SimTime, SimTime)>,
     /// Each unit's latest interval (`None` for a unit not seen yet).
     open: Vec<Option<(SimTime, SimTime)>>,
     busy: Duration,
     /// Intervals in push order, merging a push only with the one
-    /// pushed just before it (see [`len`](Self::len)).
+    /// pushed just before it (see [`Timeline::intervals`]).
     pushes: usize,
     /// Start of the first push (meaningful when `pushes > 0`).
     first_start: SimTime,
@@ -129,8 +124,7 @@ impl TimelineBuilder {
     ///
     /// The interval extends `unit`'s latest one when it starts exactly
     /// where that one ended. The busy total and the push-order count
-    /// are maintained incrementally, so no query re-walks the
-    /// intervals.
+    /// are maintained incrementally, so the fold never re-derives them.
     pub fn push(&mut self, unit: usize, start: SimTime, end: SimTime) {
         debug_assert!(start <= end);
         self.busy += end - start;
@@ -148,14 +142,14 @@ impl TimelineBuilder {
             Some(latest) if latest.1 == start => latest.1 = end,
             slot => {
                 if let Some(done) = slot.replace((start, end)) {
-                    Arc::make_mut(&mut self.closed).push(done);
+                    self.closed.push(done);
                 }
             }
         }
     }
 
     /// Appends another builder's intervals — the merge step for
-    /// per-partition timelines. Each unit's latest interval becomes
+    /// per-lane timelines. Each unit's latest interval becomes
     /// `other`'s, if it has one. The busy total is exact, and the
     /// push-order count is what pushing `other`'s intervals after this
     /// builder's would give: one less than the sum when `other`'s first
@@ -172,70 +166,102 @@ impl TimelineBuilder {
         let seam = self.last_end == other.first_start;
         self.pushes += other.pushes - usize::from(seam);
         self.last_end = other.last_end;
-        let closed = Arc::make_mut(&mut self.closed);
-        closed.extend_from_slice(&other.closed);
+        self.closed.extend_from_slice(&other.closed);
         if self.open.len() < other.open.len() {
             self.open.resize(other.open.len(), None);
         }
         for (mine, theirs) in self.open.iter_mut().zip(&other.open) {
             if let Some(done) = theirs.and_then(|latest| mine.replace(latest)) {
-                closed.push(done);
+                self.closed.push(done);
             }
         }
     }
 
-    /// Total busy unit-time recorded.
+    /// Folds the log into busy unit-ns per `bin`-wide bin over
+    /// `[0, end)`, in one pass over the intervals. Busy time after
+    /// `end` falls outside every bin but stays in the busy total.
+    pub fn fold(&self, bin: Duration, end: SimTime) -> Timeline {
+        let (width, end) = (bin.as_ns(), end.as_ns());
+        let mut bins = vec![0u64; end.div_ceil(width) as usize];
+        for &(s, e) in self.closed.iter().chain(self.open.iter().flatten()) {
+            let (mut t, e) = (s.as_ns(), e.as_ns().min(end));
+            while t < e {
+                let idx = t / width;
+                let bin_end = ((idx + 1) * width).min(e);
+                bins[idx as usize] += bin_end - t;
+                t = bin_end;
+            }
+        }
+        Timeline {
+            bin,
+            bins,
+            busy: self.busy,
+            intervals: self.pushes,
+        }
+    }
+}
+
+/// A run's die or channel activity (Fig 15a–e): busy unit-ns per
+/// [`TIMELINE_BIN`]-wide bin over the prep window `[0, prep_time)`,
+/// plus the busy total and interval count the metrics registry reports.
+///
+/// Bins hold integer nanoseconds, so a curve summed from whole bins is
+/// bit-identical to one integrated from the busy intervals themselves.
+#[derive(Debug, Clone)]
+pub struct Timeline {
+    bin: Duration,
+    bins: Vec<u64>,
+    busy: Duration,
+    intervals: usize,
+}
+
+impl Default for Timeline {
+    fn default() -> Self {
+        Timeline {
+            bin: TIMELINE_BIN,
+            bins: Vec::new(),
+            busy: Duration::ZERO,
+            intervals: 0,
+        }
+    }
+}
+
+impl Timeline {
+    /// Total busy unit-time recorded, including any after the prep
+    /// window.
     pub fn busy_total(&self) -> Duration {
         self.busy
     }
 
-    /// Number of intervals in push order: pushes, less those that
-    /// started exactly where the push before them (of any unit) ended.
-    /// This is the registry's `intervals` count, not the number stored:
-    /// the builder merges per unit instead, which on an engine run
-    /// keeps far fewer.
-    pub fn len(&self) -> usize {
-        self.pushes
+    /// Number of busy intervals in push order: grants, less those that
+    /// started exactly where the grant before them (of any unit) ended.
+    pub fn intervals(&self) -> usize {
+        self.intervals
     }
 
-    /// Returns `true` if no intervals were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pushes == 0
-    }
-
-    /// Produces the mean number of simultaneously busy units per
-    /// `slice`-wide window over `[0, end]`.
+    /// The mean number of simultaneously busy units per `slice`-wide
+    /// window over the prep window (at least one window).
     ///
     /// # Panics
     ///
-    /// Panics if `slice` is zero.
-    pub fn curve(&self, slice: Duration, end: SimTime) -> Vec<f64> {
-        assert!(!slice.is_zero(), "slice must be positive");
-        let nslices = (end.as_ns()).div_ceil(slice.as_ns()).max(1) as usize;
-        let mut acc = vec![0u64; nslices];
-        for &(s, e) in self.closed.iter().chain(self.open.iter().flatten()) {
-            let mut t = s;
-            let e = e.min(end);
-            while t < e {
-                let idx = (t.as_ns() / slice.as_ns()) as usize;
-                let slice_end = SimTime::from_ns((idx as u64 + 1) * slice.as_ns()).min(e);
-                if idx < nslices {
-                    acc[idx] += (slice_end - t).as_ns();
-                }
-                t = slice_end;
-            }
+    /// Panics if `slice` is not a positive multiple of the bin width
+    /// ([`TIMELINE_BIN`] for every engine run).
+    pub fn curve(&self, slice: Duration) -> Vec<f64> {
+        assert!(
+            !slice.is_zero() && slice.as_ns().is_multiple_of(self.bin.as_ns()),
+            "slice {slice} is not a positive multiple of the {} bin",
+            self.bin
+        );
+        let per_slice = (slice.as_ns() / self.bin.as_ns()) as usize;
+        let mut curve: Vec<f64> = self
+            .bins
+            .chunks(per_slice)
+            .map(|c| c.iter().sum::<u64>() as f64 / slice.as_ns() as f64)
+            .collect();
+        if curve.is_empty() {
+            curve.push(0.0);
         }
-        acc.into_iter()
-            .map(|ns| ns as f64 / slice.as_ns() as f64)
-            .collect()
-    }
-
-    /// Mean busy units over `[0, end]`.
-    pub fn mean_active(&self, end: SimTime) -> f64 {
-        if end == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy_total().as_ns() as f64 / end.as_ns() as f64
+        curve
     }
 }
 
@@ -344,10 +370,10 @@ pub struct RunMetrics {
     /// Hop activity windows of the *first* batch (Fig 16 plots one
     /// batch's data preparation).
     pub hop_windows: Vec<HopWindow>,
-    /// Die busy intervals (Fig 15 curves).
-    pub die_timeline: TimelineBuilder,
-    /// Channel busy intervals (Fig 15 curves).
-    pub channel_timeline: TimelineBuilder,
+    /// Die activity over the prep window (Fig 15 curves).
+    pub die_timeline: Timeline,
+    /// Channel activity over the prep window (Fig 15 curves).
+    pub channel_timeline: Timeline,
     /// Raw energy quantities.
     pub energy: EnergyLedger,
     /// Die count of the simulated backend (for utilization fractions).
@@ -467,12 +493,12 @@ impl RunMetrics {
         let dies = reg.section("die_utilization");
         dies.set_u64("total_dies", self.total_dies as u64);
         dies.set_u64("busy_ns", self.die_timeline.busy_total().as_ns());
-        dies.set_u64("intervals", self.die_timeline.len() as u64);
+        dies.set_u64("intervals", self.die_timeline.intervals() as u64);
         dies.set_f64("utilization", du);
         let chans = reg.section("channel_utilization");
         chans.set_u64("total_channels", self.total_channels as u64);
         chans.set_u64("busy_ns", self.channel_timeline.busy_total().as_ns());
-        chans.set_u64("intervals", self.channel_timeline.len() as u64);
+        chans.set_u64("intervals", self.channel_timeline.intervals() as u64);
         chans.set_f64("utilization", cu);
 
         let hops = reg.section("hops");
@@ -550,20 +576,21 @@ impl RunMetrics {
 
     /// Mean die utilization over the prep window, in `[0, 1]`.
     pub fn die_utilization(&self) -> f64 {
-        let end = SimTime::ZERO + self.prep_time;
-        if self.total_dies == 0 || end == SimTime::ZERO {
-            return 0.0;
-        }
-        self.die_timeline.mean_active(end) / self.total_dies as f64
+        self.utilization(&self.die_timeline, self.total_dies)
     }
 
     /// Mean channel utilization over the prep window, in `[0, 1]`.
     pub fn channel_utilization(&self) -> f64 {
-        let end = SimTime::ZERO + self.prep_time;
-        if self.total_channels == 0 || end == SimTime::ZERO {
+        self.utilization(&self.channel_timeline, self.total_channels)
+    }
+
+    /// Busy unit-time of `timeline` per unit of the prep window, over
+    /// `units` units (0 for no units or an empty window).
+    fn utilization(&self, timeline: &Timeline, units: usize) -> f64 {
+        if units == 0 || self.prep_time.is_zero() {
             return 0.0;
         }
-        self.channel_timeline.mean_active(end) / self.total_channels as f64
+        timeline.busy_total().as_ns() as f64 / self.prep_time.as_ns() as f64 / units as f64
     }
 }
 
@@ -599,37 +626,48 @@ mod tests {
 
     #[test]
     fn timeline_curve_integrates_overlap() {
-        let mut tl = TimelineBuilder::new();
-        tl.push(0, SimTime::from_ns(0), SimTime::from_ns(10));
-        tl.push(1, SimTime::from_ns(5), SimTime::from_ns(15));
-        let curve = tl.curve(Duration::from_ns(10), SimTime::from_ns(20));
+        let mut log = TimelineBuilder::new();
+        log.push(0, SimTime::from_ns(0), SimTime::from_ns(10));
+        log.push(1, SimTime::from_ns(5), SimTime::from_ns(15));
+        let tl = log.fold(Duration::from_ns(5), SimTime::from_ns(20));
+        let curve = tl.curve(Duration::from_ns(10));
         assert_eq!(curve.len(), 2);
         assert!((curve[0] - 1.5).abs() < 1e-12); // 10 + 5 busy-ns / 10
         assert!((curve[1] - 0.5).abs() < 1e-12);
         assert_eq!(tl.busy_total(), Duration::from_ns(20));
-        assert!((tl.mean_active(SimTime::from_ns(20)) - 1.0).abs() < 1e-12);
-        assert_eq!(tl.len(), 2);
-        assert!(!tl.is_empty());
+        assert_eq!(tl.intervals(), 2);
+        let run = RunMetrics {
+            prep_time: Duration::from_ns(20),
+            total_dies: 2,
+            die_timeline: tl,
+            ..RunMetrics::default()
+        };
+        assert!((run.die_utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn back_to_back_grants_merge_per_unit_and_clones_share_them() {
+    #[should_panic(expected = "not a positive multiple")]
+    fn curve_rejects_a_slice_that_is_not_a_whole_number_of_bins() {
+        let mut log = TimelineBuilder::new();
+        log.push(0, SimTime::from_ns(0), SimTime::from_ns(10));
+        log.fold(Duration::from_ns(4), SimTime::from_ns(20))
+            .curve(Duration::from_ns(10));
+    }
+
+    #[test]
+    fn back_to_back_grants_merge_per_unit() {
         let ns = SimTime::from_ns;
         let mut tl = TimelineBuilder::new();
         tl.push(0, ns(0), ns(10));
         tl.push(1, ns(3), ns(8));
         tl.push(0, ns(10), ns(20)); // extends unit 0 past unit 1's grant
         tl.push(1, ns(20), ns(25)); // follows the last push, not unit 1's
-        assert_eq!(*tl.closed, [(ns(3), ns(8))]);
+        assert_eq!(tl.closed, [(ns(3), ns(8))]);
         assert_eq!(tl.open, [Some((ns(0), ns(20))), Some((ns(20), ns(25)))]);
-        assert_eq!(tl.len(), 3);
-        let copy = tl.clone();
-        assert!(Arc::ptr_eq(&tl.closed, &copy.closed));
+        assert_eq!(tl.pushes, 3);
         tl.push(0, ns(30), ns(40)); // closes unit 0's interval
-        assert!(!Arc::ptr_eq(&tl.closed, &copy.closed));
-        assert_eq!(*copy.closed, [(ns(3), ns(8))]);
-        assert_eq!(copy.busy_total(), Duration::from_ns(30));
-        assert_eq!(tl.busy_total(), Duration::from_ns(40));
+        assert_eq!(tl.closed, [(ns(3), ns(8)), (ns(0), ns(20))]);
+        assert_eq!(tl.busy, Duration::from_ns(40));
     }
 
     /// The push-order reference: one interval per push, merged only
@@ -658,17 +696,20 @@ mod tests {
     }
 
     proptest! {
-        /// Per-unit merging and absorbing are invisible: random grants,
-        /// with contiguous runs per unit and across units forced in,
-        /// split over one to three builders joined with `absorb`, give
-        /// the push-order reference's count, busy total, mean and exact
-        /// curve bits, and slicing loses no busy time.
+        /// Per-unit merging, absorbing and folding are invisible: random
+        /// grants, with contiguous runs per unit and across units forced
+        /// in, split over one to three builders joined with `absorb` and
+        /// folded at a random bin width, give the push-order reference's
+        /// count, busy total, utilization and exact curve bits at any
+        /// whole number of bins per slice, whether the fold's end clips
+        /// the grants or not, and slicing loses no busy time.
         #[test]
         fn timeline_matches_the_push_order_reference(
             grants in proptest::collection::vec((0usize..4, 0u8..3, 0u64..200, 0u64..40), 0..60),
             parts in 1usize..4,
             cuts in (0usize..60, 0usize..60),
-            slice in 1u64..50,
+            bin in 1u64..50,
+            bins_per_slice in 1u64..6,
             clip in 0u64..300,
         ) {
             // Mode 0 starts where drawn, 1 where the unit's latest grant
@@ -695,7 +736,7 @@ mod tests {
                 2 => vec![0, bounds[0], grants.len()],
                 _ => vec![0, bounds[0], bounds[1], grants.len()],
             };
-            let mut tl = TimelineBuilder::new();
+            let mut log = TimelineBuilder::new();
             let mut reference = PushOrder::default();
             for part in bounds.windows(2).map(|w| &grants[w[0]..w[1]]) {
                 let mut piece = TimelineBuilder::new();
@@ -704,35 +745,42 @@ mod tests {
                     piece.push(unit, SimTime::from_ns(s), SimTime::from_ns(e));
                     piece_ref.push(s, e);
                 }
-                tl.absorb(&piece);
+                log.absorb(&piece);
                 for &(s, e) in &piece_ref.0 {
                     reference.push(s, e);
                 }
             }
             let busy: u64 = reference.0.iter().map(|&(s, e)| e - s).sum();
-            prop_assert_eq!(tl.len(), reference.0.len());
-            prop_assert_eq!(tl.is_empty(), reference.0.is_empty());
-            prop_assert_eq!(tl.busy_total(), Duration::from_ns(busy));
+            let slice = bin * bins_per_slice;
             let full = grants.iter().map(|&(_, _, e)| e).max().unwrap_or(0);
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for end in [full, clip] {
-                let got = tl.curve(Duration::from_ns(slice), SimTime::from_ns(end));
+                let tl = log.fold(Duration::from_ns(bin), SimTime::from_ns(end));
+                prop_assert_eq!(tl.intervals(), reference.0.len());
+                prop_assert_eq!(tl.busy_total(), Duration::from_ns(busy));
+                let got = tl.curve(Duration::from_ns(slice));
                 let want = reference.curve(slice, end);
-                let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&got), bits(&want), "curve at end {}", end);
+                if end == full {
+                    let integral = got.iter().sum::<f64>() * slice as f64;
+                    prop_assert!(
+                        (integral - busy as f64).abs() < 1e-6 * (busy as f64).max(1.0),
+                        "integral {} vs busy total {}",
+                        integral,
+                        busy
+                    );
+                }
+                let run = RunMetrics {
+                    prep_time: Duration::from_ns(end),
+                    total_channels: 1,
+                    channel_timeline: tl,
+                    ..RunMetrics::default()
+                };
                 prop_assert_eq!(
-                    tl.mean_active(SimTime::from_ns(end)).to_bits(),
+                    run.channel_utilization().to_bits(),
                     if end == 0 { 0.0f64 } else { busy as f64 / end as f64 }.to_bits()
                 );
             }
-            let integral = tl.curve(Duration::from_ns(slice), SimTime::from_ns(full))
-                .iter()
-                .sum::<f64>() * slice as f64;
-            prop_assert!(
-                (integral - busy as f64).abs() < 1e-6 * (busy as f64).max(1.0),
-                "integral {} vs busy total {}",
-                integral,
-                busy
-            );
         }
     }
 

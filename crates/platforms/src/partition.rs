@@ -596,7 +596,12 @@ impl<'a> PartitionedEngine<'a> {
         }
         let mut energy = coord.energy;
         totals.charge_energy(&mut energy);
-        let run = coord.pipe.finish(&energy, &ChainTable::default());
+        let run = coord.pipe.finish(
+            &energy,
+            &ChainTable::default(),
+            &totals.die_timeline,
+            &totals.channel_timeline,
+        );
 
         let stages = StageBreakdown {
             flash_read: totals.flash_busy,
@@ -616,8 +621,6 @@ impl<'a> PartitionedEngine<'a> {
             hop_windows: totals.hop_windows(),
             cmd_breakdown: totals.cmd_breakdown,
             stages,
-            die_timeline: totals.die_timeline,
-            channel_timeline: totals.channel_timeline,
             energy,
             total_dies: self.ssd.geometry.total_dies(),
             total_channels: self.ssd.geometry.channels,

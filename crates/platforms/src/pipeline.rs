@@ -27,7 +27,7 @@ use simkit::{
 };
 
 use crate::engine::NODE_ID_BYTES;
-use crate::metrics::{AccelOccupancy, RunMetrics};
+use crate::metrics::{AccelOccupancy, RunMetrics, TimelineBuilder, TIMELINE_BIN};
 use crate::spec::PlatformSpec;
 
 /// One batch's preparation.
@@ -207,19 +207,31 @@ impl Pipeline {
     }
 
     /// Ends the run with the batch-level fields of its metrics, given
-    /// the final energy ledger and each query's winning preparation
-    /// chain; the engine fills in the rest.
-    pub(crate) fn finish(self, energy: &EnergyLedger, chains: &ChainTable) -> RunMetrics {
+    /// the final energy ledger, each query's winning preparation chain
+    /// and the run's die and channel logs, which fold into
+    /// [`TIMELINE_BIN`] bins over the prep window; the engine fills in
+    /// the rest.
+    pub(crate) fn finish(
+        self,
+        energy: &EnergyLedger,
+        chains: &ChainTable,
+        dies: &TimelineBuilder,
+        channels: &TimelineBuilder,
+    ) -> RunMetrics {
         let compute_time = self.windows.iter().map(|w| w.end - w.start).sum();
         let ends = self.batches.iter().map(|b| b.end);
         let makespan = ends.chain(self.windows.iter().map(|w| w.end)).max();
+        let prep_time = self.batches.iter().map(|b| b.end - b.start).sum();
+        let prep_end = SimTime::ZERO + prep_time;
         let accel = self.spec.accel_config();
         RunMetrics {
             targets: self.batches.iter().map(|b| b.targets).sum(),
             batches: self.batches.len() as u64,
             makespan: makespan.unwrap_or(SimTime::ZERO) - SimTime::ZERO,
-            prep_time: self.batches.iter().map(|b| b.end - b.start).sum(),
+            prep_time,
             compute_time,
+            die_timeline: dies.fold(TIMELINE_BIN, prep_end),
+            channel_timeline: channels.fold(TIMELINE_BIN, prep_end),
             accel_occupancy: AccelOccupancy::sustained(&accel, compute_time, energy),
             latency: match self.lat_epoch {
                 Some(epoch) => self.latency(epoch, chains),
@@ -408,7 +420,8 @@ mod tests {
             let last = pipe.row(batches);
             let last_compute = last.iter().map(|w| w.end).max().unwrap();
             let last_prep = preps[batches - 1].1;
-            let totals = pipe.finish(&EnergyLedger::new(), &ChainTable::default());
+            let log = TimelineBuilder::new();
+            let totals = pipe.finish(&EnergyLedger::new(), &ChainTable::default(), &log, &log);
             prop_assert_eq!(totals.makespan, last_compute.max(last_prep) - SimTime::ZERO);
             prop_assert_eq!(totals.batches, batches as u64);
             if accels == 1 {

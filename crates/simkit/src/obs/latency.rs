@@ -6,7 +6,6 @@
 //! - [`LatencyHistogram`] — a log-bucketed streaming histogram with
 //!   *fixed* bucket boundaries (HDR-style: 32 sub-buckets per octave,
 //!   ≤ ~3% relative error). Because the boundaries are data-independent,
-//!   merging per-shard histograms is a bucket-wise count addition and
 //!   every percentile query is byte-identical at any thread count.
 //! - [`Stage`] / [`PathAttr`] — the critical-path stage vector of one
 //!   command chain: nanoseconds of queueing, die sense, channel
@@ -114,12 +113,6 @@ impl PathAttr {
         self.ns[stage as usize] = self.ns[stage as usize].saturating_add(d.as_ns());
     }
 
-    /// Adds raw nanoseconds to one stage.
-    #[inline]
-    pub fn add_ns(&mut self, stage: Stage, ns: u64) {
-        self.ns[stage as usize] = self.ns[stage as usize].saturating_add(ns);
-    }
-
     /// One stage's accumulated nanoseconds.
     #[inline]
     pub fn get(&self, stage: Stage) -> u64 {
@@ -177,8 +170,6 @@ impl ChainTable {
 /// Values 1–63 ns occupy exact singleton buckets; from 64 ns on, each
 /// octave splits into 32 sub-buckets, so any reported percentile is
 /// within one sub-bucket (≤ ~3.1%) of the true order statistic.
-/// Merging is a bucket-wise saturating addition — commutative and
-/// associative.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHistogram {
     /// Bucket counts; empty until the first record (zero-alloc default).
@@ -233,24 +224,6 @@ impl LatencyHistogram {
         self.sum = self.sum.saturating_add(ns);
         self.min = self.min.min(ns);
         self.max = self.max.max(ns);
-    }
-
-    /// Folds another histogram in (bucket-wise saturating addition).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.counts.is_empty() {
-            self.counts = vec![0; NUM_BUCKETS];
-            self.min = u64::MAX;
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Observations recorded.
@@ -376,11 +349,6 @@ impl LatencyReport {
     /// Whether this run tracked latency.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The windowing epoch, in nanoseconds (0 = no windows).
-    pub fn epoch_ns(&self) -> u64 {
-        self.epoch_ns
     }
 
     /// Finished queries in (batch, slot) order.
@@ -570,20 +538,16 @@ mod tests {
 
     #[test]
     fn saturating_counts_do_not_wrap() {
-        let mut a = LatencyHistogram::new();
-        a.record(100);
-        a.count = u64::MAX - 1;
-        a.counts[bucket_index(100)] = u64::MAX - 1;
-        a.sum = u64::MAX - 1;
-        let mut b = LatencyHistogram::new();
-        b.record(100);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), u64::MAX);
-        assert_eq!(a.bucket_count(bucket_index(100)), u64::MAX);
-        assert_eq!(a.sum_ns(), u64::MAX);
-        a.record(100);
-        assert_eq!(a.count(), u64::MAX);
+        let mut h = LatencyHistogram::new();
+        h.record(100);
+        h.count = u64::MAX - 1;
+        h.counts[bucket_index(100)] = u64::MAX - 1;
+        h.sum = u64::MAX - 1;
+        h.record(100);
+        h.record(100);
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(h.bucket_count(bucket_index(100)), u64::MAX);
+        assert_eq!(h.sum_ns(), u64::MAX);
     }
 
     #[test]
@@ -601,26 +565,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_empty_identities() {
-        let mut a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        a.merge(&b);
-        assert_eq!(a, LatencyHistogram::new());
-        a.record(42);
-        let snapshot = a.clone();
-        a.merge(&b);
-        assert_eq!(a, snapshot);
-        let mut c = LatencyHistogram::new();
-        c.merge(&snapshot);
-        assert_eq!(c, snapshot);
-    }
-
-    #[test]
     fn chain_table_max_is_commutative() {
         let mut p1 = PathAttr::default();
-        p1.add_ns(Stage::Queue, 5);
+        p1.add(Stage::Queue, Duration::from_ns(5));
         let mut p2 = PathAttr::default();
-        p2.add_ns(Stage::DieSense, 5);
+        p2.add(Stage::DieSense, Duration::from_ns(5));
         let t = SimTime::from_ns(100);
         // Same end time: the lexicographically larger stage vector wins
         // regardless of observation order. Queue precedes DieSense in
@@ -643,8 +592,8 @@ mod tests {
     #[test]
     fn report_build_populates_windows_and_totals() {
         let mut p = PathAttr::default();
-        p.add_ns(Stage::Queue, 60);
-        p.add_ns(Stage::Accel, 40);
+        p.add(Stage::Queue, Duration::from_ns(60));
+        p.add(Stage::Accel, Duration::from_ns(40));
         let queries = vec![
             QueryLat {
                 batch: 0,
@@ -714,35 +663,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Sharded recording merges to the exact single-shard histogram,
-        /// bucket for bucket, for any values and any shard assignment.
-        #[test]
-        fn merged_shards_equal_single_shard(
-            values in pvec(0u64..u64::MAX, 1..200),
-            shards in 1usize..8,
-        ) {
-            let mut single = LatencyHistogram::new();
-            let mut parts = vec![LatencyHistogram::new(); shards];
-            for (i, &v) in values.iter().enumerate() {
-                single.record(v);
-                parts[i % shards].record(v);
-            }
-            let mut merged = LatencyHistogram::new();
-            for p in &parts {
-                merged.merge(p);
-            }
-            prop_assert_eq!(&merged, &single);
-            // Merge order cannot matter.
-            let mut rev = LatencyHistogram::new();
-            for p in parts.iter().rev() {
-                rev.merge(p);
-            }
-            prop_assert_eq!(&rev, &single);
-            for i in 0..NUM_BUCKETS {
-                prop_assert_eq!(merged.bucket_count(i), single.bucket_count(i));
-            }
-        }
 
         /// Percentiles are monotone in the quantile and bracketed by the
         /// recorded extremes.

@@ -104,8 +104,7 @@ fn fig15_shape_barrier_valleys() {
     let w = quick_workload();
     let cov = |p: Platform| {
         let m = Experiment::new(&w).run(p);
-        let end = simkit::SimTime::ZERO + m.prep_time;
-        let curve = m.die_timeline.curve(simkit::Duration::from_us(20), end);
+        let curve = m.die_timeline.curve(simkit::Duration::from_us(20));
         let mean = curve.iter().sum::<f64>() / curve.len() as f64;
         let var = curve.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / curve.len() as f64;
         var.sqrt() / mean.max(1e-9)
