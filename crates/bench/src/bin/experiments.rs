@@ -26,7 +26,7 @@ use beacon_bench as bench;
 use beacon_bench::{Sweep, DEFAULT_BATCH, DEFAULT_NODES};
 use beacon_platforms::Platform;
 use beacongnn::report::{percent, ratio, Table};
-use beacongnn::Dataset;
+use beacongnn::{Dataset, WorkloadBuilder};
 use simkit::obs::format_f64;
 use simkit::MetricValue;
 
@@ -193,9 +193,11 @@ fn parse(argv: Vec<String>) -> (&'static Entry, Args) {
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--jobs" | "-j" => jobs = parse_at_least("--jobs", &it.next().unwrap_or_default(), 1),
+            "--jobs" | "-j" => {
+                jobs = parse_at_least("--jobs", &it.next().unwrap_or_default(), 1, usize::MAX);
+            }
             other if other.starts_with("--jobs=") => {
-                jobs = parse_at_least("--jobs", &other["--jobs=".len()..], 1);
+                jobs = parse_at_least("--jobs", &other["--jobs=".len()..], 1, usize::MAX);
             }
             "--csv" => csv = Some(PathBuf::from(value_of("--csv", it.next()))),
             _ => rest.push(arg),
@@ -239,13 +241,18 @@ fn value_of(flag: &str, value: Option<String>) -> String {
     })
 }
 
-/// Parses `flag`'s value as an integer of at least `min`, or exits with
-/// status 2.
-fn parse_at_least(flag: &str, v: &str, min: usize) -> usize {
+/// Parses `flag`'s value as an integer of at least `min` and at most
+/// `max`, or exits with status 2.
+fn parse_at_least(flag: &str, v: &str, min: usize, max: usize) -> usize {
     match v.parse() {
-        Ok(n) if n >= min => n,
+        Ok(n) if (min..=max).contains(&n) => n,
         _ => {
-            eprintln!("{flag} expects an integer of at least {min}, got `{v}`");
+            let most = if max < usize::MAX {
+                format!(" and at most {max}")
+            } else {
+                String::new()
+            };
+            eprintln!("{flag} expects an integer of at least {min}{most}, got `{v}`");
             std::process::exit(2);
         }
     }
@@ -1053,12 +1060,14 @@ fn obs(args: &Args) -> Output {
                 std::process::exit(2);
             })
     });
-    let nodes = args
-        .get("--nodes")
-        .map_or(4_000, |v| parse_at_least("--nodes", v, 2));
+    // The workload's own size bounds, over its `DEFAULT_BATCHES` batches.
+    let nodes = args.get("--nodes").map_or(4_000, |v| {
+        parse_at_least("--nodes", v, 2, WorkloadBuilder::MAX_NODES)
+    });
+    let max_batch = WorkloadBuilder::MAX_TARGETS / bench::DEFAULT_BATCHES;
     let batch = args
         .get("--batch")
-        .map_or(64, |v| parse_at_least("--batch", v, 1));
+        .map_or(64, |v| parse_at_least("--batch", v, 1, max_batch));
 
     let (m, reg) = bench::obs_report(platform, dataset, nodes, batch);
 

@@ -1,6 +1,6 @@
 //! The `experiments` binary's command-line surface: a name it does not
 //! know exits with status 2 and a usage message naming every experiment
-//! it does know, and so do a size flag below its minimum and a flag the
+//! it does know, and so do a size flag outside its range and a flag the
 //! experiment does not take. `--csv DIR` writes a figure's rows under
 //! `DIR`.
 
@@ -68,6 +68,10 @@ fn out_of_range_sizes_exit_2() {
         &["--jobs=0", "config"],
         &["obs", "--nodes", "1"],
         &["obs", "--batch", "0"],
+        // More nodes than `u32` ids, or more targets over the figure's
+        // three batches than `u32` slots.
+        &["obs", "--nodes", "5000000000"],
+        &["obs", "--batch", "1431655766"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(args)

@@ -35,13 +35,17 @@ pub enum WorkloadError {
     Build(BuildError),
     /// The requested page size has no valid address layout.
     BadPageSize(usize),
-    /// A synthetic graph of fewer than two nodes, or an empty
-    /// mini-batch: no workload exists at these sizes.
+    /// A synthetic graph of fewer than two nodes or more than
+    /// [`WorkloadBuilder::MAX_NODES`], an empty mini-batch, or more than
+    /// [`WorkloadBuilder::MAX_TARGETS`] targets in all: no workload
+    /// exists at these sizes.
     BadSize {
         /// Requested synthetic graph nodes.
         nodes: usize,
         /// Requested mini-batch size.
         batch_size: usize,
+        /// Requested number of mini-batches.
+        batches: usize,
     },
 }
 
@@ -50,10 +54,17 @@ impl fmt::Display for WorkloadError {
         match self {
             WorkloadError::Build(e) => write!(f, "DirectGraph construction failed: {e}"),
             WorkloadError::BadPageSize(s) => write!(f, "unsupported page size {s}"),
-            WorkloadError::BadSize { nodes, batch_size } => write!(
+            WorkloadError::BadSize {
+                nodes,
+                batch_size,
+                batches,
+            } => write!(
                 f,
-                "cannot build {nodes} nodes in batches of {batch_size}: \
-                 a workload needs at least 2 nodes and a positive batch size"
+                "cannot build {nodes} nodes in {batches} batches of {batch_size}: \
+                 a workload needs at least 2 nodes and at most {}, and a positive \
+                 batch size with at most {} targets in all (batch size × batches)",
+                WorkloadBuilder::MAX_NODES,
+                WorkloadBuilder::MAX_TARGETS,
             ),
         }
     }
@@ -88,6 +99,14 @@ pub struct WorkloadBuilder {
 }
 
 impl WorkloadBuilder {
+    /// The most nodes a synthetic graph can have: node ids are `u32`,
+    /// and `u32::MAX` is the sampling cascade's no-node sentinel.
+    pub const MAX_NODES: usize = u32::MAX as usize;
+
+    /// The most targets a workload can hold in all (batch size ×
+    /// batches): batch slots and latency query ids are `u32`.
+    pub const MAX_TARGETS: usize = u32::MAX as usize;
+
     /// Picks the dataset preset (default: amazon, the paper's
     /// representative workload).
     pub fn dataset(mut self, dataset: Dataset) -> Self {
@@ -179,8 +198,10 @@ impl WorkloadBuilder {
     /// # Errors
     ///
     /// Returns [`WorkloadError`] if the page size is unsupported, a
-    /// synthetic graph would have fewer than two nodes, the batch size
-    /// is zero, or conversion fails.
+    /// synthetic graph would have fewer than two nodes or more than
+    /// [`MAX_NODES`](Self::MAX_NODES), the batch size is zero, the
+    /// batches would hold more than [`MAX_TARGETS`](Self::MAX_TARGETS)
+    /// targets, or conversion fails.
     pub fn prepare(mut self) -> Result<Workload, WorkloadError> {
         self.check_sizes()?;
         let fingerprint = self.fingerprint();
@@ -188,12 +209,17 @@ impl WorkloadBuilder {
         Ok(self.shape(image, fingerprint))
     }
 
-    /// Rejects the sizes at which no workload exists.
+    /// Rejects the sizes at which no workload exists, before anything
+    /// is allocated. A custom graph's node count is its own.
     pub(crate) fn check_sizes(&self) -> Result<(), WorkloadError> {
-        if (self.custom.is_none() && self.nodes < 2) || self.batch_size == 0 {
+        let nodes_ok = self.custom.is_some() || (2..=Self::MAX_NODES).contains(&self.nodes);
+        let targets = self.batch_size.checked_mul(self.batches);
+        let targets_ok = self.batch_size > 0 && targets.is_some_and(|t| t <= Self::MAX_TARGETS);
+        if !(nodes_ok && targets_ok) {
             return Err(WorkloadError::BadSize {
                 nodes: self.nodes,
                 batch_size: self.batch_size,
+                batches: self.batches,
             });
         }
         Ok(())
@@ -398,14 +424,45 @@ mod tests {
 
     #[test]
     fn degenerate_sizes_rejected() {
-        for (nodes, batch_size) in [(0, 8), (1, 8), (500, 0)] {
+        let (max_nodes, max_targets) = (WorkloadBuilder::MAX_NODES, WorkloadBuilder::MAX_TARGETS);
+        for (nodes, batch_size, batches) in [
+            (0, 8, 4),
+            (1, 8, 4),
+            (500, 0, 4),
+            // More nodes than `u32` ids, or more targets than `u32`
+            // slots: rejected before the 40 GB degree table or the
+            // targets are allocated.
+            (5_000_000_000, 8, 4),
+            (max_nodes + 1, 8, 4),
+            (500, 4_000_000_000, 3),
+            (500, max_targets / 2 + 1, 2),
+            (500, usize::MAX / 2 + 1, 2), // the product overflows `usize`
+        ] {
             let err = Workload::builder()
                 .nodes(nodes)
                 .batch_size(batch_size)
+                .batches(batches)
                 .prepare()
                 .unwrap_err();
-            assert_eq!(err, WorkloadError::BadSize { nodes, batch_size });
+            let want = WorkloadError::BadSize {
+                nodes,
+                batch_size,
+                batches,
+            };
+            assert_eq!(err, want);
+            for bound in [
+                "at least 2 nodes",
+                "at most 4294967295,",
+                "4294967295 targets",
+            ] {
+                assert!(err.to_string().contains(bound), "{err}");
+            }
         }
+        // The bounds themselves are sizes a workload can have.
+        let edge = Workload::builder()
+            .nodes(max_nodes)
+            .batch_size(max_targets / 3);
+        assert_eq!(edge.batches(3).check_sizes(), Ok(()));
         // Two nodes is the smallest graph the generator can wire up.
         let w = Workload::builder().nodes(2).batch_size(1).batches(1);
         assert_eq!(w.prepare().unwrap().graph().num_nodes(), 2);

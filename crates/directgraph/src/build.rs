@@ -674,7 +674,10 @@ fn encode_fp16_into(values: &[f32], out: &mut Vec<u8>) {
     }
 }
 
-/// Round-to-nearest-even f32 → f16 bit conversion.
+/// f32 → f16 bit conversion. Values in the normal half range round to
+/// nearest even, and values past it become infinity. Smaller values do
+/// not round: those with |v| < 2⁻¹⁴ truncate toward zero to a subnormal
+/// half, and those with |v| < 2⁻²⁴ flush to a signed zero.
 pub(crate) fn f32_to_f16_bits(v: f32) -> u16 {
     let bits = v.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;

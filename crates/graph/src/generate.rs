@@ -33,8 +33,10 @@
 //! cache at every level once it outgrows L2, so [`power_law`] first
 //! jumps through a guide table: `n + 2` bucket entries, each naming the
 //! first node whose cumulative weight lands in that bucket or a later
-//! one. Two adjacent entries bracket the answer, and a search of that
-//! short range finishes the draw. The result is the index a full search
+//! one. Two adjacent entries bracket the answer. A bracket of at most
+//! four nodes, nearly every one, is counted with no branch on the data
+//! (the cumulative array ends in four `+∞` pads); a wider one is
+//! binary-searched. Either way the result is the index a full search
 //! returns, not an approximation of it (see [`power_law`]), so graphs
 //! and everything built from them stay byte-identical.
 
@@ -136,10 +138,16 @@ impl PowerLawConfig {
 /// every node before `guide[b]` has a cumulative weight below `x`, and
 /// the node at `guide[b + 1]` (when not capped) has one above it. The
 /// draw therefore returns the index a search of the whole array would,
-/// clamped to `n − 1`. The RNG streams, the self-loop rejection and the
-/// chunking are untouched, so the generated graph for a given
-/// `(config, seed)` is unchanged, and so is every cached workload built
-/// from it: the lookup needs no disk-cache format bump.
+/// clamped to `n − 1`. A bracket of at most four nodes is counted, not
+/// searched: the draw adds to `guide[b]` how many of the four entries
+/// from there lie below `x`. Four `+∞` pads past node `n − 1` keep them
+/// in bounds, and every entry from `guide[b + 1]` on is at least `x`
+/// (its bucket is above `x`'s, or it is node `n − 1`, whose cumulative
+/// weight is the total, or a pad), so the count is the search's answer.
+/// The RNG streams, the self-loop rejection and the chunking are
+/// untouched, so the generated graph for a given `(config, seed)` is
+/// unchanged, and so is every cached workload built from it: the lookup
+/// needs no disk-cache format bump.
 ///
 /// # Panics
 ///
@@ -337,7 +345,7 @@ impl Adjacency for PowerLawWiring {
 #[derive(Debug, Clone)]
 struct WeightIndex {
     /// Prefix sums of the weights, accumulated sequentially so the f64
-    /// rounding is fixed.
+    /// rounding is fixed, then [`SLOTS`] entries of `+∞`.
     cumulative: Vec<f64>,
     /// `guide[b]`: the first node whose cumulative weight has a bucket
     /// of at least `b`, or `n − 1` if none does; `n + 2` entries.
@@ -347,23 +355,27 @@ struct WeightIndex {
     per_weight: f64,
 }
 
+/// Brackets of at most this many nodes are counted, not searched.
+const SLOTS: usize = 4;
+
 impl WeightIndex {
     /// Indexes `weights`, each at least 1 (so the prefix sums strictly
     /// increase).
     fn new(weights: &[f64]) -> Self {
         let n = weights.len();
-        let mut cumulative = Vec::with_capacity(n);
+        let mut cumulative = Vec::with_capacity(n + SLOTS);
         let mut acc = 0.0;
         for &w in weights {
             acc += w;
             cumulative.push(acc);
         }
+        cumulative.extend([f64::INFINITY; SLOTS]);
         let mut index = WeightIndex {
             cumulative,
             guide: Vec::with_capacity(n + 2),
             per_weight: n as f64 / acc,
         };
-        for (i, &c) in index.cumulative.iter().enumerate() {
+        for (i, &c) in index.cumulative[..n].iter().enumerate() {
             let b = index.bucket(c);
             if index.guide.len() <= b {
                 index.guide.resize(b + 1, i as u32);
@@ -373,22 +385,33 @@ impl WeightIndex {
         index
     }
 
+    /// Number of indexed nodes.
+    fn nodes(&self) -> usize {
+        self.cumulative.len() - SLOTS
+    }
+
     /// Sum of all weights.
     fn total(&self) -> f64 {
-        self.cumulative[self.cumulative.len() - 1]
+        self.cumulative[self.nodes() - 1]
     }
 
     /// `min(⌊x · n / total⌋, n)`: monotone in `x`.
     fn bucket(&self, x: f64) -> usize {
-        ((x * self.per_weight) as usize).min(self.cumulative.len())
+        ((x * self.per_weight) as usize).min(self.nodes())
     }
 
     /// The first node whose cumulative weight reaches `x`, clamped to
-    /// `n − 1`.
+    /// `n − 1` (see [`power_law`]).
     fn find(&self, x: f64) -> usize {
         let b = self.bucket(x);
         let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
-        lo + self.cumulative[lo..hi].partition_point(|&c| c < x)
+        if hi - lo <= SLOTS {
+            let slots = &self.cumulative[lo..lo + SLOTS];
+            let below = slots.iter().map(|&c| usize::from(c < x)).sum::<usize>();
+            (lo + below).min(self.nodes() - 1)
+        } else {
+            lo + self.cumulative[lo..hi].partition_point(|&c| c < x)
+        }
     }
 }
 
@@ -519,40 +542,77 @@ mod tests {
         );
     }
 
+    /// Checks the lookup over `weights` against the whole-array
+    /// `binary_search_by` index, clamped to `n − 1`, at 0, at every
+    /// cumulative weight (the total among them) and the float below it,
+    /// at the top of every bucket (the largest draw still in it) and
+    /// just above the total. Returns how many probes landed in brackets
+    /// of at most [`SLOTS`] nodes, which are counted, and how many in
+    /// wider ones, which are searched.
+    fn check_lookup(weights: &[f64]) -> (usize, usize) {
+        let n = weights.len();
+        let index = WeightIndex::new(weights);
+        let cumulative = &index.cumulative[..n];
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let tops = (1..=n).map(|b| {
+            let mut x = b as f64 / index.per_weight;
+            while index.bucket(x) >= b {
+                x = below(x);
+            }
+            while index.bucket(above(x)) < b {
+                x = above(x);
+            }
+            x
+        });
+        let points = std::iter::once(0.0)
+            .chain(cumulative.iter().flat_map(|&c| [c, below(c)]))
+            .chain(tops)
+            .chain(std::iter::once(above(index.total())));
+        let (mut counted, mut searched) = (0, 0);
+        for x in points {
+            let expected = match cumulative.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
+                Ok(i) | Err(i) => i.min(n - 1),
+            };
+            assert_eq!(index.find(x), expected, "n {n} x {x}");
+            let b = index.bucket(x);
+            if (index.guide[b + 1] - index.guide[b]) as usize <= SLOTS {
+                counted += 1;
+            } else {
+                searched += 1;
+            }
+        }
+        (counted, searched)
+    }
+
     proptest! {
-        /// The guide-table lookup is exact: at every boundary point of
-        /// random, all-equal and single-hub weight vectors it returns the
-        /// whole-array `binary_search_by` index, clamped to `n − 1`.
+        /// The guide-table lookup is exact on random and all-equal
+        /// weight vectors of up to 2,000 nodes, and on 2,000 unit weights
+        /// with one hub. The hub's jump leaves brackets of 0–1 nodes and
+        /// the unit weights brackets of 5–6, so that shape takes both the
+        /// four-slot count and the search.
         #[test]
         fn guide_table_lookup_matches_binary_search(
             weights in proptest::collection::vec(1.0f64..1e4, 2..2_001),
             shape in 0u8..3,
             hub in 0usize..2_000,
+            hub_weight in 8_000.0f64..1e4,
         ) {
             let mut weights = weights;
-            let n = weights.len();
             match shape {
                 1 => {
                     let w = weights[0];
                     weights.fill(w);
                 }
                 2 => {
-                    weights.fill(1.0);
-                    weights[hub % n] = 1e4;
+                    weights = vec![1.0; 2_000];
+                    weights[hub] = hub_weight;
                 }
                 _ => {}
             }
-            let index = WeightIndex::new(&weights);
-            let cumulative = &index.cumulative;
-            let below = |x: f64| f64::from_bits(x.to_bits() - 1);
-            let points = std::iter::once(0.0)
-                .chain(cumulative.iter().flat_map(|&c| [c, below(c)]))
-                .chain(std::iter::once(below(index.total())));
-            for x in points {
-                let expected = match cumulative.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
-                    Ok(i) | Err(i) => i.min(n - 1),
-                };
-                prop_assert_eq!(index.find(x), expected, "n {} shape {} x {}", n, shape, x);
+            let (counted, searched) = check_lookup(&weights);
+            if shape == 2 {
+                prop_assert!(counted > 0 && searched > 0, "{} counted, {} searched", counted, searched);
             }
         }
     }

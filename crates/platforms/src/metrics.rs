@@ -177,10 +177,11 @@ impl TimelineBuilder {
         }
     }
 
-    /// Folds the log into busy unit-ns per `bin`-wide bin over
-    /// `[0, end)`, in one pass over the intervals. Busy time after
-    /// `end` falls outside every bin but stays in the busy total.
+    /// Folds the log into busy unit-ns per `bin`-wide bin over the
+    /// window `[0, end)`, in one pass over the intervals. Busy time
+    /// after `end` falls outside every bin but stays in the busy total.
     pub fn fold(&self, bin: Duration, end: SimTime) -> Timeline {
+        let window = end - SimTime::ZERO;
         let (width, end) = (bin.as_ns(), end.as_ns());
         let mut bins = vec![0u64; end.div_ceil(width) as usize];
         for &(s, e) in self.closed.iter().chain(self.open.iter().flatten()) {
@@ -194,6 +195,7 @@ impl TimelineBuilder {
         }
         Timeline {
             bin,
+            window,
             bins,
             busy: self.busy,
             intervals: self.pushes,
@@ -202,14 +204,17 @@ impl TimelineBuilder {
 }
 
 /// A run's die or channel activity (Fig 15a–e): busy unit-ns per
-/// [`TIMELINE_BIN`]-wide bin over the prep window `[0, prep_time)`,
-/// plus the busy total and interval count the metrics registry reports.
+/// [`TIMELINE_BIN`]-wide bin over the prep window, which ends at the
+/// last batch's prep end, plus the busy total and interval count the
+/// metrics registry reports.
 ///
 /// Bins hold integer nanoseconds, so a curve summed from whole bins is
 /// bit-identical to one integrated from the busy intervals themselves.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     bin: Duration,
+    /// Length of the window the bins cover.
+    window: Duration,
     bins: Vec<u64>,
     busy: Duration,
     intervals: usize,
@@ -219,6 +224,7 @@ impl Default for Timeline {
     fn default() -> Self {
         Timeline {
             bin: TIMELINE_BIN,
+            window: Duration::ZERO,
             bins: Vec::new(),
             busy: Duration::ZERO,
             intervals: 0,
@@ -262,6 +268,15 @@ impl Timeline {
             curve.push(0.0);
         }
         curve
+    }
+
+    /// Busy unit-time per unit of the window, over `units` units (0 for
+    /// no units or an empty window).
+    fn utilization(&self, units: usize) -> f64 {
+        if units == 0 || self.window.is_zero() {
+            return 0.0;
+        }
+        self.busy.as_ns() as f64 / self.window.as_ns() as f64 / units as f64
     }
 }
 
@@ -576,21 +591,12 @@ impl RunMetrics {
 
     /// Mean die utilization over the prep window, in `[0, 1]`.
     pub fn die_utilization(&self) -> f64 {
-        self.utilization(&self.die_timeline, self.total_dies)
+        self.die_timeline.utilization(self.total_dies)
     }
 
     /// Mean channel utilization over the prep window, in `[0, 1]`.
     pub fn channel_utilization(&self) -> f64 {
-        self.utilization(&self.channel_timeline, self.total_channels)
-    }
-
-    /// Busy unit-time of `timeline` per unit of the prep window, over
-    /// `units` units (0 for no units or an empty window).
-    fn utilization(&self, timeline: &Timeline, units: usize) -> f64 {
-        if units == 0 || self.prep_time.is_zero() {
-            return 0.0;
-        }
-        timeline.busy_total().as_ns() as f64 / self.prep_time.as_ns() as f64 / units as f64
+        self.channel_timeline.utilization(self.total_channels)
     }
 }
 
@@ -637,7 +643,6 @@ mod tests {
         assert_eq!(tl.busy_total(), Duration::from_ns(20));
         assert_eq!(tl.intervals(), 2);
         let run = RunMetrics {
-            prep_time: Duration::from_ns(20),
             total_dies: 2,
             die_timeline: tl,
             ..RunMetrics::default()
@@ -771,7 +776,6 @@ mod tests {
                     );
                 }
                 let run = RunMetrics {
-                    prep_time: Duration::from_ns(end),
                     total_channels: 1,
                     channel_timeline: tl,
                     ..RunMetrics::default()

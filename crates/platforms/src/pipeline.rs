@@ -209,8 +209,11 @@ impl Pipeline {
     /// Ends the run with the batch-level fields of its metrics, given
     /// the final energy ledger, each query's winning preparation chain
     /// and the run's die and channel logs, which fold into
-    /// [`TIMELINE_BIN`] bins over the prep window; the engine fills in
-    /// the rest.
+    /// [`TIMELINE_BIN`] bins over the prep window `[0, last prep end)`;
+    /// the engine fills in the rest. The window ends at the last batch's
+    /// prep end, not at the sum of the prep durations (`prep_time`): a
+    /// batch whose prep waits for the compute buffer leaves an idle gap
+    /// inside it.
     pub(crate) fn finish(
         self,
         energy: &EnergyLedger,
@@ -222,7 +225,7 @@ impl Pipeline {
         let ends = self.batches.iter().map(|b| b.end);
         let makespan = ends.chain(self.windows.iter().map(|w| w.end)).max();
         let prep_time = self.batches.iter().map(|b| b.end - b.start).sum();
-        let prep_end = SimTime::ZERO + prep_time;
+        let prep_end = self.batches.last().map_or(SimTime::ZERO, |b| b.end);
         let accel = self.spec.accel_config();
         RunMetrics {
             targets: self.batches.iter().map(|b| b.targets).sum(),
@@ -450,6 +453,50 @@ mod tests {
                 prop_assert!(check(accels, &pipe, &preps, &busy, &no_gates));
             }
         }
+    }
+
+    /// A batch whose prep waits for the compute buffer leaves an idle
+    /// gap. The prep window ends at the last prep end, not at the sum of
+    /// the prep durations, so the gap reads idle, and the last batch's
+    /// tail stays in the curve and in the utilization's window.
+    #[test]
+    fn prep_window_ends_at_the_last_prep_end() {
+        // Compute-bound: batch 2's prep waits for batch 0's compute to
+        // free its buffer half.
+        let prep_ns = [compute_ns(96) / 8; 3];
+        let (targets, gates) = (vec![vec![96]; 3], vec![vec![0]; 3]);
+        let (pipe, preps) = drive(1, &prep_ns, &targets, &gates);
+        let (gap_start, gap_end) = (preps[1].1, preps[2].0);
+        assert!(gap_end - gap_start >= TIMELINE_BIN * 2, "no gap: {preps:?}");
+        // One die, busy through each batch's prep.
+        let mut dies = TimelineBuilder::new();
+        for &(start, end) in &preps {
+            dies.push(0, start, end);
+        }
+        let mut run = pipe.finish(
+            &EnergyLedger::new(),
+            &ChainTable::default(),
+            &dies,
+            &TimelineBuilder::new(),
+        );
+        run.total_dies = 1;
+        let (busy, last_end) = (run.prep_time.as_ns(), preps[2].1.as_ns());
+        assert_eq!(run.die_timeline.busy_total().as_ns(), busy);
+        assert_eq!(run.die_utilization(), busy as f64 / last_end as f64);
+
+        let bin = TIMELINE_BIN.as_ns();
+        let curve = run.die_timeline.curve(TIMELINE_BIN);
+        assert_eq!(curve.len() as u64, last_end.div_ceil(bin));
+        for i in gap_start.as_ns().div_ceil(bin)..gap_end.as_ns() / bin {
+            assert_eq!(curve[i as usize], 0.0, "bin {i} lies in the gap");
+        }
+        // The tail lies past `prep_time`: a window of that length would
+        // cut it off.
+        let tail = (last_end - 1) / bin;
+        assert!(tail > busy / bin);
+        assert!(curve[tail as usize] > 0.0);
+        let integral: f64 = curve.iter().sum::<f64>() * bin as f64;
+        assert_eq!(integral, busy as f64);
     }
 
     #[test]

@@ -270,6 +270,31 @@ fn degenerate_sizes_are_usage_errors() {
     }
 }
 
+/// Sizes no workload can represent are usage errors before anything is
+/// allocated: more nodes than `u32` ids (the degree table alone would
+/// take 40 GB), and more targets over the default three batches than
+/// `u32` slots (48 GB of targets). Each probe runs under a 1 GB
+/// address-space limit, where such an allocation aborts the process.
+#[test]
+fn unrepresentable_sizes_are_usage_errors() {
+    for args in [
+        ["run", "--dataset", "amazon", "--nodes", "5000000000"],
+        ["run", "--dataset", "amazon", "--batch", "4000000000"],
+    ] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -v 1048576 && exec \"$0\" \"$@\"")
+            .arg(env!("CARGO_BIN_EXE_beacongnn"))
+            .args(args)
+            .output()
+            .expect("executes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(stderr.contains("at most 4294967295"), "{args:?}: {stderr}");
+    }
+}
+
 /// A latency epoch whose nanoseconds overflow `u64` is a usage error
 /// before anything is built; the largest epoch that fits still runs.
 #[test]
